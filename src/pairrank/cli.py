@@ -6,9 +6,10 @@ ranking JSON), ``thresholds`` (separation report JSON), ``bench``
 (experiment config to results CSV + summary JSON), and ``eval-real``
 (subsampling evaluation of an ingested dataset).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime failure.
-``--error-json`` switches error reporting to machine-readable JSON on
-stderr.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime failure
+(including any unexpected exception, whose traceback goes to stderr
+unless ``--error-json`` is set).  ``--error-json`` switches error
+reporting to machine-readable JSON on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -276,20 +278,20 @@ def main(argv=None) -> int:
     as_json = "--error-json" in (argv if argv is not None else sys.argv[1:])
     try:
         args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        _report_error(str(exc), "usage", 1, as_json)
-        return 1
-    try:
+        as_json = args.error_json
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
-        _report_error(str(exc), "usage", 1, args.error_json)
-        return 1
+        message, category, code = str(exc), "usage", 1
     except (ValueError, OSError, KeyError) as exc:
-        _report_error(str(exc), "data", 2, args.error_json)
-        return 2
+        message, category, code = str(exc), "data", 2
     except (rank.DisconnectedGraphError, rank.ConvergenceError, RuntimeError) as exc:
-        _report_error(str(exc), "runtime", 3, args.error_json)
-        return 3
+        message, category, code = str(exc), "runtime", 3
+    except Exception as exc:  # the last boundary: no input ends in a bare traceback
+        if not as_json:
+            traceback.print_exc()
+        message, category, code = f"{type(exc).__name__}: {exc}", "runtime", 3
+    _report_error(message, category, code, as_json)
+    return code
 
 
 def entry() -> None:

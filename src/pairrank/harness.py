@@ -25,7 +25,14 @@ import numpy as np
 
 from . import analysis, metrics, model, rank, sample, setfamily
 
-ESTIMATORS = ("copeland", "spectral_baseline")
+# Estimator name -> (observations, k) -> top-k estimate.  The rank
+# functions are looked up on the module at call time, so a replaced
+# module attribute (a tracer, a test double) sees every call.
+_ESTIMATOR_FNS = {
+    "copeland": lambda obs, k: rank.copeland_topk(obs, k),
+    "spectral_baseline": lambda obs, k: rank.topk_from_scores(rank.spectral_baseline(obs), k),
+}
+ESTIMATORS = tuple(_ESTIMATOR_FNS)
 
 RESULT_COLUMNS = (
     "model",
@@ -49,6 +56,11 @@ _OBS_STAGE = 1
 _MODEL_STAGE = 2
 _SUITE_STAGE = 3
 _REAL_STAGE = 4
+
+
+def default_k(n: int) -> int:
+    """Default top-k size for ``n`` items: ``ceil(n / 4)``."""
+    return -(-n // 4)
 
 
 def derive_seed(master_seed: int, *tags: int) -> int:
@@ -131,12 +143,18 @@ class ExperimentResult:
     summary: dict
 
 
-def _estimate(name: str, obs: sample.ObservationSet, k: int):
-    if name == "copeland":
-        est = rank.copeland_topk(obs, k)
-    else:
-        est = rank.topk_from_scores(rank.spectral_baseline(obs), k)
-    return est
+def _estimate(
+    name: str, obs: sample.ObservationSet, k: int
+) -> tuple[rank.TopKEstimate | None, str | None]:
+    """Run a registered estimator; an estimate, or the reason it failed.
+
+    A disconnected comparison graph or a non-converging power iteration
+    is an outcome to record, not a fatal error.
+    """
+    try:
+        return _ESTIMATOR_FNS[name](obs, k), None
+    except (rank.DisconnectedGraphError, rank.ConvergenceError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _run_trial(
@@ -152,12 +170,7 @@ def _run_trial(
     records = []
     for name in cfg.estimators:
         start = time.perf_counter_ns()
-        try:
-            est = _estimate(name, obs, cfg.k)
-            error = None
-        except (rank.DisconnectedGraphError, rank.ConvergenceError) as exc:
-            est = None
-            error = f"{type(exc).__name__}: {exc}"
+        est, error = _estimate(name, obs, cfg.k)
         elapsed = time.perf_counter_ns() - start
         if est is None:
             # worst-case outcomes keep failed trials visible in the table
@@ -281,10 +294,11 @@ def figure_suite(
     Models: BTL, Thurstone, BTL with a non-transitive outlier, the
     independent-diagonals SST construction, a BTL mixture, and BTL run
     at one tenth of the target threshold constant (so the separation
-    condition is deliberately violated).  ``k`` defaults to ``n // 4``.
+    condition is deliberately violated).  ``k`` defaults to
+    :func:`default_k`.
     """
     if k is None:
-        k = n // 4
+        k = default_k(n)
     specs = [
         ("btl", model.ModelSpec(kind="btl", quality_spread=quality_spread), alpha),
         ("thurstone", model.ModelSpec(kind="thurstone", quality_spread=quality_spread), alpha),
@@ -351,7 +365,7 @@ def run_realdata(
     ``truth_file`` lists every item id, one per line, best first.  For
     each subsampling fraction ``q`` and each trial, every recorded
     comparison is kept independently with probability ``q``, the
-    estimators select ``k`` items (default ``ceil(n / 4)``), and the
+    estimators select ``k`` items (default :func:`default_k`), and the
     Hamming error against the true top-k is recorded; per-``q``
     averages go into the summary.  Estimator failures (a subsample may
     disconnect the comparison graph) are recorded, not fatal.
@@ -360,57 +374,31 @@ def run_realdata(
     truth_ids = [line.strip() for line in Path(truth_file).read_text(encoding="utf-8").splitlines() if line.strip()]
     if not truth_ids:
         raise ValueError(f"{truth_file}: no items listed")
-    if len(set(truth_ids)) != len(truth_ids):
-        raise ValueError(f"{truth_file}: duplicate item ids")
-    index = {item: i for i, item in enumerate(truth_ids)}
-    n = len(truth_ids)
-    for rec in records:
-        for item in (rec.item_a, rec.item_b):
-            if item not in index:
-                raise ValueError(f"item {item!r} appears in comparisons but not in the truth file")
+    obs, _ = sample.ingest_comparisons(records, items=truth_ids)
+    n = obs.n
     if k is None:
-        k = -(-n // 4)
+        k = default_k(n)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    comparisons = np.zeros((n, n), dtype=np.int64)
-    wins = np.zeros((n, n), dtype=np.int64)
-    for rec in records:
-        a, b, w = index[rec.item_a], index[rec.item_b], index[rec.winner]
-        comparisons[a, b] += 1
-        comparisons[b, a] += 1
-        wins[w, a + b - w] += 1
-    obs = sample.ObservationSet(
-        n=n, r=int(comparisons.max()), p=None, comparisons=comparisons, wins=wins
-    )
     true_topk = set(range(k))
     rows = []
     for qi, q in enumerate(q_grid):
         for trial in range(trials):
             sub = sample.subsample(obs, q, derive_seed(seed, _REAL_STAGE, qi, trial))
             for name in estimators:
-                try:
-                    est = _estimate(name, sub, k)
-                    rows.append(
-                        RealDataRow(
-                            q=q,
-                            trial=trial,
-                            estimator=name,
-                            hamming_error=metrics.hamming_distance(est.items, true_topk),
-                            tie_broken=est.tie_broken,
-                            error=None,
-                        )
+                est, error = _estimate(name, sub, k)
+                rows.append(
+                    RealDataRow(
+                        q=q,
+                        trial=trial,
+                        estimator=name,
+                        hamming_error=(
+                            None if est is None else metrics.hamming_distance(est.items, true_topk)
+                        ),
+                        tie_broken=est is not None and est.tie_broken,
+                        error=error,
                     )
-                except (rank.DisconnectedGraphError, rank.ConvergenceError) as exc:
-                    rows.append(
-                        RealDataRow(
-                            q=q,
-                            trial=trial,
-                            estimator=name,
-                            hamming_error=None,
-                            tie_broken=False,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
+                )
     summary: dict = {"n": n, "k": k, "trials": trials, "items": truth_ids, "per_q": []}
     for q in q_grid:
         entry = {"q": q, "estimators": {}}

@@ -70,7 +70,7 @@ def copeland_topk(obs: ObservationSet, k: int) -> TopKEstimate:
     counts = win_counts(obs)
     order = _count_order(counts)
     tie_broken = k < obs.n and counts[order[k - 1]] == counts[order[k]]
-    return TopKEstimate(items=tuple(int(i) for i in order[:k]), tie_broken=tie_broken)
+    return TopKEstimate(items=tuple(int(i) for i in order[:k]), tie_broken=bool(tie_broken))
 
 
 def copeland_ranking(obs: ObservationSet) -> RankingEstimate:

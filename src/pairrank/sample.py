@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,32 +134,38 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
     return ObservationSet(n=n, r=obs.r, p=p, comparisons=comparisons, wins=wins)
 
 
-def ingest_comparisons(rows) -> tuple[ObservationSet, dict[str, int]]:
+def ingest_comparisons(rows, items=None) -> tuple[ObservationSet, dict[str, int]]:
     """Aggregate named comparison records into an observation set.
 
-    Items are indexed in first-appearance order; ``r`` is set to the
-    maximum per-pair comparison count and ``p`` is recorded as unknown.
-    Returns the observation set and the item-id to index mapping.
+    Items are indexed in first-appearance order or, when ``items`` is
+    given, in that order (items never compared keep their index); a
+    record naming an item outside ``items`` raises ``ValueError``.
+    ``r`` is set to the maximum per-pair comparison count and ``p`` is
+    recorded as unknown.  Returns the observation set and the item-id
+    to index mapping.
     """
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no comparison records supplied")
-    index: dict[str, int] = {}
-    triples = []
+    index: dict[str, int] = {} if items is None else {item: i for i, item in enumerate(items)}
+    if items is not None and len(index) != len(items):
+        raise ValueError("duplicate item ids")
+    # one counter per ordered (winner, loser) pair, not one entry per record
+    pair_wins: Counter[tuple[int, int]] = Counter()
     for row in rows:
         if not isinstance(row, ComparisonRecord):
             row = ComparisonRecord(*row)
         for item in (row.item_a, row.item_b):
             if item not in index:
+                if items is not None:
+                    raise ValueError(f"item {item!r} appears in comparisons but not in the item list")
                 index[item] = len(index)
-        triples.append((index[row.item_a], index[row.item_b], index[row.winner]))
+        a, b, w = index[row.item_a], index[row.item_b], index[row.winner]
+        pair_wins[w, a + b - w] += 1
+    if not pair_wins:
+        raise ValueError("no comparison records supplied")
     n = len(index)
-    comparisons = np.zeros((n, n), dtype=np.int64)
     wins = np.zeros((n, n), dtype=np.int64)
-    for a, b, w in triples:
-        comparisons[a, b] += 1
-        comparisons[b, a] += 1
-        wins[w, a + b - w] += 1
+    for pair, count in pair_wins.items():
+        wins[pair] = count
+    comparisons = wins + wins.T
     r = int(comparisons.max())
     return ObservationSet(n=n, r=r, p=None, comparisons=comparisons, wins=wins), index
 

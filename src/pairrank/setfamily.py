@@ -3,9 +3,10 @@
 A recovery requirement is a family of k-sized subsets of the positions
 ``1..n``: an estimate succeeds when the true positions of its chosen
 items form an allowed set.  All families here are monotone: replacing
-a position with a better (smaller) one keeps a set allowed.  Formally
-the family is the union of downward closures ``closure(T) = {S :
-S_j <= T_j for all j}`` over a basis of maximal generators ``T``.
+a position with a better (smaller) one keeps a set allowed.  Every
+family is represented by its membership predicate alone; an explicit
+family given by generators ``T`` is the union of their downward
+closures ``{S : S_j <= T_j for all j}``.
 
 Besides exact and Hamming-tolerance recovery, constructors cover four
 common relaxations: membership in a top band, multiplicative or
@@ -27,18 +28,10 @@ import numpy as np
 
 from .analysis import sorted_scores
 
-# Basis extraction is combinatorial; families whose maximal-set search
-# exceeds these limits fall back to predicate-only form.
-GENERATOR_N_LIMIT = 64
-_STATE_CAP = 500_000
-
 ENUMERATION_LIMIT = 10**6
 
 REQUIREMENT_VARIANTS = ("topband", "multiplicative", "additive", "ranksum")
-
-
-class _BasisCapExceeded(Exception):
-    pass
+ROUND_MODES = ("floor", "ceil")
 
 
 def position_set(positions, n: int, k: int | None = None) -> tuple[int, ...]:
@@ -58,50 +51,24 @@ def _dominates(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
     return all(s <= b for s, b in zip(small, big))
 
 
-def _antichain(sets) -> tuple[tuple[int, ...], ...]:
-    """Drop dominated and duplicate sets; sort for determinism."""
-    unique = sorted(set(sets))
-    keep = []
-    for s in unique:
-        if not any(other != s and _dominates(other, s) for other in unique):
-            keep.append(s)
-    return tuple(keep)
-
-
 @dataclass(frozen=True)
 class SetFamily:
     """A monotone family of allowed k-position sets.
 
-    ``generators`` is the maximal-antichain basis when available;
-    families too large for basis extraction keep only a membership
-    predicate.
+    ``predicate`` decides membership of a validated, strictly
+    increasing position tuple; it must be monotone (closed under
+    replacing a position with a smaller free one).
     """
 
     n: int
     k: int
     kind: str
-    generators: tuple[tuple[int, ...], ...] | None
-    predicate: Callable[[tuple[int, ...]], bool] | None = field(
-        default=None, compare=False, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.generators is None and self.predicate is None:
-            raise ValueError("a family needs generators or a predicate")
-        if self.generators is not None and len(self.generators) == 0:
-            raise ValueError("generator list must be non-empty")
+    predicate: Callable[[tuple[int, ...]], bool] = field(repr=False)
 
 
 def membership(family: SetFamily, s) -> bool:
-    """True iff the position set belongs to the family.
-
-    With a basis available this is domination by some generator;
-    otherwise the family's predicate decides.
-    """
-    s = position_set(s, family.n, family.k)
-    if family.generators is not None:
-        return any(_dominates(t, s) for t in family.generators)
-    return bool(family.predicate(s))
+    """True iff the position set belongs to the family."""
+    return bool(family.predicate(position_set(s, family.n, family.k)))
 
 
 def family_exact(n: int, k: int) -> SetFamily:
@@ -109,15 +76,15 @@ def family_exact(n: int, k: int) -> SetFamily:
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     top = tuple(range(1, k + 1))
-    return SetFamily(n=n, k=k, kind="exact", generators=(top,), predicate=lambda s: s <= top)
+    return SetFamily(n=n, k=k, kind="exact", predicate=lambda s: s == top)
 
 
 def family_hamming(n: int, k: int, h: int) -> SetFamily:
     """Sets with at least ``k - h`` positions inside the top ``k``.
 
     Success under this family is exactly a Hamming error of at most
-    ``2h`` against the top-k set.  The basis is the single maximal set
-    ``(h+1, .., k, n-h+1, .., n)``.
+    ``2h`` against the top-k set.  The family's single maximal set is
+    ``(h+1, .., k, n-h+1, .., n)``, which needs ``k + h <= n``.
     """
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
@@ -125,22 +92,17 @@ def family_hamming(n: int, k: int, h: int) -> SetFamily:
         raise ValueError(f"h must satisfy 0 <= h < k, got h={h}")
     if k + h > n:
         raise ValueError(f"generator needs k + h <= n, got k={k}, h={h}, n={n}")
-    gen = tuple(range(h + 1, k + 1)) + tuple(range(n - h + 1, n + 1))
 
     def pred(s: tuple[int, ...]) -> bool:
         return sum(1 for x in s if x <= k) >= k - h
 
-    return SetFamily(n=n, k=k, kind=f"hamming(h={h})", generators=(gen,), predicate=pred)
+    return SetFamily(n=n, k=k, kind=f"hamming(h={h})", predicate=pred)
 
 
 def _round_bound(x: float, round_mode: str) -> int:
     # nudge before rounding so products like 1.45 * 20 = 28.999999...
     # land on the intended integer
-    if round_mode == "floor":
-        return math.floor(x + 1e-9)
-    if round_mode == "ceil":
-        return math.ceil(x - 1e-9)
-    raise ValueError(f"round_mode must be 'floor' or 'ceil', got {round_mode!r}")
+    return math.floor(x + 1e-9) if round_mode == "floor" else math.ceil(x - 1e-9)
 
 
 def _prefix_len(s: tuple[int, ...]) -> int:
@@ -180,39 +142,6 @@ def _requirement_predicate(
     return pred
 
 
-def _maximal_allowed_sets(
-    n: int, k: int, allowed: Callable[[tuple[int, ...]], bool]
-) -> tuple[tuple[int, ...], ...]:
-    """All domination-maximal allowed sets of a monotone predicate.
-
-    Builds sets from the largest coordinate down; a partial suffix is
-    explored only when its minimal completion ``(1, .., j-1, v,
-    suffix)`` is allowed, which by monotonicity certifies that some
-    completion exists.  Raises :class:`_BasisCapExceeded` past the
-    search budget.
-    """
-    results: list[tuple[int, ...]] = []
-    states = 0
-
-    def rec(suffix: tuple[int, ...]) -> None:
-        nonlocal states
-        j = k - len(suffix)
-        hi = (suffix[0] - 1) if suffix else n
-        for v in range(hi, j - 1, -1):
-            states += 1
-            if states > _STATE_CAP:
-                raise _BasisCapExceeded
-            cand = tuple(range(1, j)) + (v,) + suffix
-            if allowed(cand):
-                if j == 1:
-                    results.append((v,) + suffix)
-                else:
-                    rec((v,) + suffix)
-
-    rec(())
-    return _antichain(results)
-
-
 def family_requirement(
     n: int,
     k: int,
@@ -233,9 +162,6 @@ def family_requirement(
 
     All four reduce to exact recovery at ``eps = 0``.  Fractional rank
     bounds are floored by default (``round_mode="ceil"`` to widen).
-    The generator basis is extracted for ``n <= 64`` when the maximal-
-    set search stays within budget; otherwise the family is
-    predicate-only.
     """
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
@@ -243,31 +169,23 @@ def family_requirement(
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     if variant not in REQUIREMENT_VARIANTS:
         raise ValueError(f"variant must be one of {REQUIREMENT_VARIANTS}, got {variant!r}")
+    if round_mode not in ROUND_MODES:
+        raise ValueError(f"round_mode must be one of {ROUND_MODES}, got {round_mode!r}")
     pred = _requirement_predicate(n, k, epsilon, variant, round_mode)
-    kind = f"{variant}(eps={epsilon:g})"
-    if variant == "topband":
-        band = min(n, max(k, _round_bound((1.0 + epsilon) * k, round_mode)))
-        gen = tuple(range(band - k + 1, band + 1))
-        return SetFamily(n=n, k=k, kind=kind, generators=(gen,), predicate=pred)
-    generators = None
-    if n <= GENERATOR_N_LIMIT:
-        try:
-            generators = _maximal_allowed_sets(n, k, pred)
-        except _BasisCapExceeded:
-            generators = None
-    return SetFamily(n=n, k=k, kind=kind, generators=generators, predicate=pred)
+    return SetFamily(n=n, k=k, kind=f"{variant}(eps={epsilon:g})", predicate=pred)
 
 
 def family_explicit(n: int, k: int, generators) -> SetFamily:
     """Family given by an explicit generator list (closed downward).
 
-    Dominated generators are redundant and dropped; the stored basis is
-    the maximal antichain.
+    A set is allowed when some generator dominates it coordinate-wise.
     """
-    gens = [position_set(g, n, k) for g in generators]
+    gens = {position_set(g, n, k) for g in generators}
     if not gens:
         raise ValueError("generator list must be non-empty")
-    return SetFamily(n=n, k=k, kind="explicit", generators=_antichain(gens))
+    return SetFamily(
+        n=n, k=k, kind="explicit", predicate=lambda s: any(_dominates(t, s) for t in gens)
+    )
 
 
 def enumerate_allowed(family: SetFamily) -> list[tuple[int, ...]]:
@@ -297,20 +215,6 @@ def is_monotone(members, n: int, k: int) -> bool:
             if s[:j] + (lower,) + s[j + 1 :] not in member_set:
                 return False
     return True
-
-
-def _generator_separation(tau_sorted: np.ndarray, family: SetFamily) -> float:
-    n, k = family.n, family.k
-    best = -math.inf
-    for gen in family.generators:
-        worst = math.inf
-        for j, t in enumerate(gen, start=1):
-            idx = k + t - j + 1
-            if idx > n:
-                continue  # score of an out-of-range position is -inf
-            worst = min(worst, float(tau_sorted[j - 1] - tau_sorted[idx - 1]))
-        best = max(best, worst)
-    return best
 
 
 def _predicate_separation(tau_sorted: np.ndarray, family: SetFamily) -> float:
@@ -353,21 +257,20 @@ def _predicate_separation(tau_sorted: np.ndarray, family: SetFamily) -> float:
 def separation_family(tau, family: SetFamily) -> float:
     """Generalized separation threshold of a score vector for a family.
 
-    The value is ``max`` over basis generators ``T`` of ``min`` over
+    The value is ``max`` over allowed sets ``T`` of ``min`` over
     coordinates ``j`` of ``tau_(j) - tau_(k + T_j - j + 1)``, where
     order statistics beyond position ``n`` count as ``-inf`` (their
     terms drop out of the minimum).  For the exact family this is the
     top-k separation; for the Hamming family it is the widened-window
-    separation.  Predicate-only families are handled by an equivalent
-    search over per-position thresholds.
+    separation.  The gap of coordinate ``j`` grows with ``T_j``, so the
+    maximum is found by a binary search over candidate gaps, each
+    checked with the family's predicate on the smallest set attaining
+    it.
     """
     tau = np.asarray(tau, dtype=np.float64)
     if tau.shape != (family.n,):
         raise ValueError(f"score vector has length {tau.size}, expected {family.n}")
-    tau_sorted = sorted_scores(tau)
-    if family.generators is not None:
-        return _generator_separation(tau_sorted, family)
-    return _predicate_separation(tau_sorted, family)
+    return _predicate_separation(sorted_scores(tau), family)
 
 
 def parse_family_spec(text: str, n: int, k: int) -> SetFamily:

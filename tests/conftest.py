@@ -43,6 +43,32 @@ def oracle_topk(counts: np.ndarray, k: int) -> set[int]:
     return set(best)
 
 
+# item ids of the generated comparison dataset, in truth order (best first)
+NAMES = ["d", "a", "c", "e", "b", "f"]
+
+
+def write_dataset(tmp_path, rng, records=300):
+    """Write a BTL comparisons CSV over ``NAMES`` and its truth file."""
+    quality = np.linspace(2.0, -2.0, len(NAMES))
+    lines = ["item_a,item_b,winner"]
+    for _ in range(records):
+        a, b = rng.choice(len(NAMES), size=2, replace=False)
+        w = a if rng.random() < 1.0 / (1.0 + np.exp(quality[b] - quality[a])) else b
+        lines.append(f"{NAMES[a]},{NAMES[b]},{NAMES[w]}")
+    obs_path, truth_path = tmp_path / "cmp.csv", tmp_path / "truth.txt"
+    obs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    truth_path.write_text("\n".join(NAMES) + "\n", encoding="utf-8")
+    return obs_path, truth_path
+
+
+def boolean_cells(path, columns):
+    """The distinct cell values of the named columns of a results CSV."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    idx = [header.index(c) for c in columns]
+    return {line.split(",")[i] for line in lines[1:] for i in idx}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
