@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 
@@ -86,12 +85,6 @@ def _build_parser() -> _Parser:
     be.add_argument("--config", required=True)
     be.add_argument("--out", required=True, help="results CSV path")
     be.add_argument("--summary", help="summary JSON path")
-    be.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("PAIRRANK_THREADS", "1")),
-        help="worker threads (default: PAIRRANK_THREADS or 1)",
-    )
     be.add_argument(
         "--timing-in-csv",
         action="store_true",
@@ -229,7 +222,7 @@ def _cmd_bench(args) -> int:
         if value is not None:
             overrides[key] = value
     cfg = harness.load_config(args.config, overrides)
-    result = harness.run_experiment(cfg, threads=max(1, args.threads))
+    result = harness.run_experiment(cfg)
     harness.write_results_csv(result, args.out, timing_in_csv=args.timing_in_csv)
     if args.summary:
         _emit(result.summary, args.summary)

@@ -8,16 +8,16 @@ target threshold constant ``alpha`` by inverting the separation of the
 instantiated matrix.
 
 Every random quantity derives from the master seed through stable
-per-stage tags, so results are bit-identical across runs and thread
-counts.  Wall-clock timings are measured around the estimator calls
-only and reported through the summary; the results table is fully
-deterministic.
+per-stage tags, so results are bit-identical across runs.  Trials run
+one after another in the calling thread: the estimators are numpy-bound
+and a thread pool made runs slower.  Wall-clock timings are measured
+around the estimator calls only and reported through the summary; the
+results table is fully deterministic.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,17 +196,14 @@ def _run_trial(
     return records
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials of an experiment and aggregate the outcomes.
 
     The comparison matrix is instantiated once (per-trial when
     ``cfg.per_trial_model``); ``r`` is derived from the instantiated
-    separation when ``alpha`` is given.  Trials may run on ``threads``
-    workers; records are emitted in trial order and are independent of
-    the thread count.
+    separation when ``alpha`` is given.  Records are emitted in trial
+    order.
     """
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     base_seed = derive_seed(cfg.master_seed, _MODEL_STAGE, 0)
     base_matrix = model.instantiate(cfg.model, cfg.n, base_seed)
     delta = analysis.separation_hamming(base_matrix, cfg.k, cfg.h)
@@ -223,24 +220,16 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     family = setfamily.parse_family_spec(cfg.family_spec(), cfg.n, cfg.k)
     base_truth = metrics.ground_truth(base_matrix, cfg.k)
 
-    def trial_inputs(trial: int):
+    records = []
+    for trial in range(cfg.trials):
         if cfg.per_trial_model:
             m = model.instantiate(cfg.model, cfg.n, derive_seed(cfg.master_seed, _MODEL_STAGE, trial))
             t = metrics.ground_truth(m, cfg.k)
         else:
             m, t = base_matrix, base_truth
-        return m, t, derive_seed(cfg.master_seed, _OBS_STAGE, trial)
-
-    def run_one(trial: int) -> list[TrialRecord]:
-        m, t, seed = trial_inputs(trial)
-        return _run_trial(trial, m, t, family, cfg, r, seed)
-
-    if threads == 1:
-        batches = [run_one(t) for t in range(cfg.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(run_one, range(cfg.trials)))
-    records = tuple(rec for batch in batches for rec in batch)
+        seed = derive_seed(cfg.master_seed, _OBS_STAGE, trial)
+        records += _run_trial(trial, m, t, family, cfg, r, seed)
+    records = tuple(records)
     summary = _summarize(cfg, r, alpha, delta, records)
     return ExperimentResult(cfg, r, alpha, delta, records, summary)
 

@@ -2,8 +2,8 @@
 
 The counting estimator ranks items by their total number of pairwise
 wins, breaking ties in favor of smaller item indices.  The baseline
-chains a Rank-Centrality-style stationary-distribution stage with
-coordinate-wise refinement of the Bradley-Terry-Luce likelihood; it is
+chains a Rank-Centrality-style stationary-distribution stage with a
+Newton refinement of the Bradley-Terry-Luce likelihood; it is
 labeled "spectral_baseline" throughout and makes the parametric
 assumptions the counting rule avoids.
 """
@@ -83,16 +83,13 @@ def copeland_ranking(obs: ObservationSet) -> RankingEstimate:
 
 
 def _connected(adjacency: np.ndarray) -> bool:
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
+    """Whether the graph is connected: breadth-first, one frontier per step."""
+    seen = np.zeros(adjacency.shape[0], dtype=bool)
     seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(adjacency[u]):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
     return bool(seen.all())
 
 
@@ -146,131 +143,87 @@ def btl_loglikelihood(obs: ObservationSet, weights) -> float:
 
 
 _W_BOUND = 40.0  # beyond this the logistic CDF saturates at double precision
+_NEWTON_ITERS = 100
 
 
-def _row_objective(x: float, w: np.ndarray, wins_row, wins_col) -> float:
-    # uncompared pairs and the self term carry zero counts, so no
-    # masking is needed: their contributions vanish exactly
-    d = x - w
-    return float(wins_row @ log_expit(d) + wins_col @ log_expit(-d))
+def mle_refine(obs: ObservationSet, init) -> np.ndarray:
+    """Newton ascent on the BTL likelihood, started from a score vector.
 
-
-def _solve_coordinate(x0: float, w: np.ndarray, win_total: float, comps_row) -> float:
-    """Maximize the likelihood in one coordinate with the others fixed.
-
-    The coordinate gradient ``win_total - sum_j c_j * sigma(x - w_j)``
-    is strictly decreasing, so the maximizer is its unique root; Newton
-    steps are safeguarded by bisection on a sign-changing bracket.  The
-    search is confined to ``[-_W_BOUND, _W_BOUND]``, which keeps items
-    that won (or lost) every comparison finite.
-    """
-    gtol = 1e-10 * (1.0 + float(comps_row.sum()))
-
-    def evaluate(x: float) -> tuple[float, float]:
-        s = expit(x - w)
-        cs = comps_row * s
-        return float(win_total - cs.sum()), float(-(cs @ (1.0 - s)))
-
-    x = float(np.clip(x0, -_W_BOUND, _W_BOUND))
-    g, curv = evaluate(x)
-    if g == 0.0:
-        return x
-    # expand a bracket [lo, hi] with grad(lo) > 0 > grad(hi)
-    step = 1.0
-    if g > 0:
-        lo = x
-        while True:
-            cand = min(x + step, _W_BOUND)
-            g_c, curv_c = evaluate(cand)
-            if g_c <= 0:
-                hi, x, g, curv = cand, cand, g_c, curv_c
-                break
-            lo = cand
-            if cand >= _W_BOUND:
-                return _W_BOUND
-            step *= 2.0
-    else:
-        hi = x
-        while True:
-            cand = max(x - step, -_W_BOUND)
-            g_c, curv_c = evaluate(cand)
-            if g_c >= 0:
-                lo, x, g, curv = cand, cand, g_c, curv_c
-                break
-            hi = cand
-            if cand <= -_W_BOUND:
-                return -_W_BOUND
-            step *= 2.0
-    for _ in range(100):
-        if hi - lo < 1e-13 * max(1.0, abs(lo) + abs(hi)) or abs(g) <= gtol:
-            break
-        x_new = None
-        if curv <= -1e-14:
-            cand = x - g / curv
-            if lo < cand < hi:
-                x_new = cand
-        if x_new is None:
-            x_new = 0.5 * (lo + hi)
-        g_new, curv_new = evaluate(x_new)
-        if g_new > 0:
-            lo = x_new
-        else:
-            hi = x_new
-        x, g, curv = x_new, g_new, curv_new
-    return float(x)
-
-
-def mle_refine(obs: ObservationSet, init, sweeps: int = 20) -> np.ndarray:
-    """Coordinate-ascent refinement of the BTL likelihood.
-
-    Runs ``sweeps`` rounds of one-dimensional Newton updates (bisection
-    safeguard) over the log-weights, starting from a strictly positive
-    score vector.  The log-likelihood never decreases across sweeps.
-    Returns positive weights normalized to sum 1.
+    ``init`` is nonnegative, finite and not all zero; its log is the
+    starting point, with zero entries at ``-_W_BOUND``.  Each step
+    solves the weighted graph Laplacian ``diag(A 1) - A``, with
+    ``A = C * sigma * (1 - sigma)``, plus ``1 1^T / n`` (the likelihood
+    ignores a common shift) and a small ridge, which keeps the system
+    regular when an item wins or loses every comparison.  A
+    backtracking line search accepts a step only if the log-likelihood
+    does not fall, so it never decreases; log-weights stay in
+    ``[-_W_BOUND, _W_BOUND]`` and are re-centred after each step.  Stops
+    once every ``|grad_i| <= 1e-10 * (1 + degree_i)``, when no step is
+    acceptable, or after an internal iteration cap.  Returns positive
+    weights normalized to sum 1.
     """
     init = np.asarray(init, dtype=np.float64)
-    if init.shape != (obs.n,):
-        raise ValueError(f"init must have length {obs.n}")
-    if np.any(init <= 0) or not np.all(np.isfinite(init)):
-        raise ValueError("init must be strictly positive and finite")
-    if sweeps < 0:
-        raise ValueError("sweeps must be nonnegative")
-    w = np.log(init)
-    w = np.clip(w - w.mean(), -_W_BOUND, _W_BOUND)
+    n = obs.n
+    if init.shape != (n,):
+        raise ValueError(f"init must have length {n}")
+    if np.any(init < 0) or not np.all(np.isfinite(init)) or not init.any():
+        raise ValueError("init must be nonnegative, finite and not all zero")
+    w = np.full(n, -_W_BOUND)
+    positive = init > 0
+    logs = np.log(init[positive])
+    w[positive] = np.clip(logs - logs.mean(), -_W_BOUND, _W_BOUND)
+    comps = obs.comparisons.astype(np.float64)
     win_totals = obs.wins.sum(axis=1).astype(np.float64)
-    for _ in range(sweeps):
-        for i in range(obs.n):
-            comps_row = obs.comparisons[i]
-            old = float(w[i])
-            new = _solve_coordinate(old, w, win_totals[i], comps_row)
-            if abs(new - old) <= 1e-12 * (1.0 + abs(old)):
-                continue
-            # accept only non-decreasing row objectives so float noise
-            # in the solver can never break the ascent guarantee
-            wins_row = obs.wins[i]
-            wins_col = obs.wins[:, i]
-            if _row_objective(new, w, wins_row, wins_col) >= _row_objective(
-                old, w, wins_row, wins_col
-            ):
-                w[i] = new
-        w -= w.mean()
+    degree = comps.sum(axis=1)
+    gtol = 1e-10 * (1.0 + degree)
+    regular = np.diag(1e-9 * (1.0 + degree)) + 1.0 / n
+    won_i, won_j = np.nonzero(obs.wins)
+    won = obs.wins[won_i, won_j].astype(np.float64)
+
+    def gain(w, cand):
+        # log-likelihood of cand minus that of w, summed over won pairs as
+        # log1p(expm1(d' - d) * sigma(-d')) with d' - d taken from cand - w:
+        # the difference of two totals is lost to rounding near the optimum.
+        # A pair pushed ~37 logits against its result reads -inf: rejected.
+        d_new = cand[won_i] - cand[won_j]
+        delta = cand - w
+        with np.errstate(divide="ignore"):
+            terms = np.log1p(np.expm1(delta[won_i] - delta[won_j]) * expit(-d_new))
+        return float(won @ terms)
+
+    for _ in range(_NEWTON_ITERS):
+        s = expit(w[:, None] - w[None, :])
+        cs = comps * s
+        grad = win_totals - cs.sum(axis=1)
+        if np.all(np.abs(grad) <= gtol):
+            break
+        a = cs * (1.0 - s)
+        step = np.linalg.solve(np.diag(a.sum(axis=1)) - a + regular, grad)
+        for _ in range(60):  # 2**-60 of a step moves no log-weight
+            cand = w + step
+            cand = np.clip(cand - cand.mean(), -_W_BOUND, _W_BOUND)
+            if gain(w, cand) >= 0:
+                break
+            step *= 0.5
+        else:
+            break
+        w = cand
     weights = np.exp(w)
     return weights / weights.sum()
 
 
 def spectral_baseline(
-    obs: ObservationSet,
-    tol: float = 1e-10,
-    max_iters: int = 100000,
-    sweeps: int = 20,
+    obs: ObservationSet, tol: float = 1e-10, max_iters: int = 100000
 ) -> np.ndarray:
-    """Rank-Centrality stage followed by BTL likelihood refinement.
+    """Rank-Centrality stage followed by Newton refinement of the BTL likelihood.
 
-    The combined score vector is positive and sums to 1; ranking by it
-    is the "spectral_baseline" estimator used in benchmarks.
+    The stationary distribution of :func:`rank_centrality` starts
+    :func:`mle_refine`; both are looked up as module attributes at call
+    time.  The combined score vector is positive and sums to 1; ranking
+    by it is the "spectral_baseline" estimator used in benchmarks.
     """
     init = rank_centrality(obs, tol=tol, max_iters=max_iters)
-    return mle_refine(obs, init, sweeps=sweeps)
+    return mle_refine(obs, init)
 
 
 def topk_from_scores(score_vector, k: int) -> TopKEstimate:

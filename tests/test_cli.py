@@ -61,6 +61,23 @@ class TestErrorJson:
             assert err.rstrip().endswith("pairrank: error: TypeError: boom")
 
 
+class TestNoThreadPool:
+    CONFIG = "model = btl\nn = 8\nk = 2\nr = 2\ntrials = 2\n"
+
+    def test_threads_environment_variable_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PAIRRANK_THREADS", "abc")
+        config = tmp_path / "bench.cfg"
+        config.write_text(self.CONFIG, encoding="utf-8")
+        assert cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]) == 0
+
+    def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text(self.CONFIG, encoding="utf-8")
+        argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
+        assert cli.main(argv + ["--threads", "2"]) == 1
+        assert "--threads" in error_payload(capsys)["error"]
+
+
 def test_end_to_end(tmp_path, rng):
     def run(*argv):
         assert cli.main([str(a) for a in argv]) == 0

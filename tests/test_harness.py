@@ -58,6 +58,18 @@ class TestRunRealdata:
         with pytest.raises(ValueError, match="'f'"):
             run_realdata(obs_path, truth_path, q_grid=(1.0,), trials=1)
 
+    def test_zero_mass_item_is_ranked_not_fatal(self, tmp_path):
+        # c never wins and is compared with both others: its random-walk
+        # mass is exactly zero, which used to abort the whole run
+        obs_path, truth_path = tmp_path / "cmp.csv", tmp_path / "truth.txt"
+        rows = ["a,b,a", "a,b,a", "a,b,b", "a,c,a", "b,c,b"]
+        obs_path.write_text("item_a,item_b,winner\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        truth_path.write_text("a\nb\nc\n", encoding="utf-8")
+        result = run_realdata(obs_path, truth_path, k=1, q_grid=(1.0,), trials=1)
+        by_name = {row.estimator: row for row in result.rows}
+        assert by_name["spectral_baseline"].error is None
+        assert by_name["spectral_baseline"].hamming_error == 0
+
     def test_rerun_is_byte_identical(self, tmp_path, rng):
         obs_path, truth_path = write_dataset(tmp_path, rng)
         outs = []
