@@ -18,6 +18,7 @@ results table is fully deterministic.
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -359,11 +360,13 @@ def run_realdata(
     averages go into the summary.  Estimator failures (a subsample may
     disconnect the comparison graph) are recorded, not fatal.
     """
-    records = sample.read_comparisons_csv(obs_file)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     truth_ids = [line.strip() for line in Path(truth_file).read_text(encoding="utf-8").splitlines() if line.strip()]
     if not truth_ids:
         raise ValueError(f"{truth_file}: no items listed")
-    obs, _ = sample.ingest_comparisons(records, items=truth_ids)
+    with closing(sample.iter_comparisons_csv(obs_file)) as rows:
+        obs, _ = sample.ingest_comparisons(rows, items=truth_ids)
     n = obs.n
     if k is None:
         k = default_k(n)

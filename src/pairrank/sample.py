@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import re
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,6 +67,9 @@ class ComparisonRecord:
             raise ValueError(
                 f"winner {self.winner!r} is neither {self.item_a!r} nor {self.item_b!r}"
             )
+
+    def __iter__(self):
+        return iter((self.item_a, self.item_b, self.winner))
 
 
 def _row_rng(seed: int, tag: int, row: int) -> np.random.Generator:
@@ -137,9 +139,13 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
 def ingest_comparisons(rows, items=None) -> tuple[ObservationSet, dict[str, int]]:
     """Aggregate named comparison records into an observation set.
 
-    Items are indexed in first-appearance order or, when ``items`` is
-    given, in that order (items never compared keep their index); a
-    record naming an item outside ``items`` raises ``ValueError``.
+    ``rows`` is any iterable of ``(item_a, item_b, winner)`` triples
+    (tuples, lists or :class:`ComparisonRecord` objects); it is consumed
+    once and no row is kept.  Items are indexed in first-appearance
+    order or, when ``items`` is given, in that order (items never
+    compared keep their index); a record naming an item outside
+    ``items`` raises ``ValueError``.  A bad row raises the same error as
+    :class:`ComparisonRecord`, and the first bad row decides which.
     ``r`` is set to the maximum per-pair comparison count and ``p`` is
     recorded as unknown.  Returns the observation set and the item-id
     to index mapping.
@@ -147,47 +153,70 @@ def ingest_comparisons(rows, items=None) -> tuple[ObservationSet, dict[str, int]
     index: dict[str, int] = {} if items is None else {item: i for i, item in enumerate(items)}
     if items is not None and len(index) != len(items):
         raise ValueError("duplicate item ids")
-    # one counter per ordered (winner, loser) pair, not one entry per record
-    pair_wins: Counter[tuple[int, int]] = Counter()
-    for row in rows:
-        if not isinstance(row, ComparisonRecord):
-            row = ComparisonRecord(*row)
-        for item in (row.item_a, row.item_b):
-            if item not in index:
-                if items is not None:
-                    raise ValueError(f"item {item!r} appears in comparisons but not in the item list")
-                index[item] = len(index)
-        a, b, w = index[row.item_a], index[row.item_b], index[row.winner]
-        pair_wins[w, a + b - w] += 1
-    if not pair_wins:
+    # only the winner and loser indices of a row are kept
+    winners: list[int] = []
+    losers: list[int] = []
+    add_winner, add_loser = winners.append, losers.append
+    for a, b, w in rows:
+        if a == b:
+            raise ValueError(f"self-comparison of item {a!r}")
+        if w != a and w != b:
+            raise ValueError(f"winner {w!r} is neither {a!r} nor {b!r}")
+        try:
+            ia, ib = index[a], index[b]
+        except KeyError as exc:
+            if items is not None:
+                raise ValueError(
+                    f"item {exc.args[0]!r} appears in comparisons but not in the item list"
+                ) from None
+            ia = index.setdefault(a, len(index))
+            ib = index.setdefault(b, len(index))
+        if w == a:
+            add_winner(ia)
+            add_loser(ib)
+        else:
+            add_winner(ib)
+            add_loser(ia)
+    if not winners:
         raise ValueError("no comparison records supplied")
     n = len(index)
-    wins = np.zeros((n, n), dtype=np.int64)
-    for pair, count in pair_wins.items():
-        wins[pair] = count
+    codes = np.array(winners, dtype=np.int64) * n + np.array(losers, dtype=np.int64)
+    wins = np.bincount(codes, minlength=n * n).reshape(n, n)
     comparisons = wins + wins.T
     r = int(comparisons.max())
     return ObservationSet(n=n, r=r, p=None, comparisons=comparisons, wins=wins), index
 
 
-def read_comparisons_csv(path) -> list[ComparisonRecord]:
-    """Read comparison records from CSV with header ``item_a,item_b,winner``."""
+def iter_comparisons_csv(path):
+    """Yield the ``[item_a, item_b, winner]`` rows of a comparisons CSV.
+
+    The header must read ``item_a,item_b,winner``; blank lines are
+    skipped.  A row without exactly three fields, or a row the CSV
+    reader rejects (an oversize field, say), raises ``ValueError``
+    naming the file and line.  Rows are read lazily, one at a time.
+    """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["item_a", "item_b", "winner"]:
-            raise ValueError(
-                f"{path}: expected header 'item_a,item_b,winner', got {header}"
-            )
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            records.append(ComparisonRecord(*row))
-    return records
+        try:
+            header = next(reader, None)
+            if header != ["item_a", "item_b", "winner"]:
+                raise ValueError(
+                    f"{path}: expected header 'item_a,item_b,winner', got {header}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 3:
+                    if not row:
+                        continue
+                    raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+                yield row
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def read_comparisons_csv(path) -> list[ComparisonRecord]:
+    """Read comparison records from CSV with header ``item_a,item_b,winner``."""
+    return [ComparisonRecord(*row) for row in iter_comparisons_csv(path)]
 
 
 def write_comparisons_csv(records, path) -> None:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -29,6 +30,29 @@ class TestErrorJson:
             "category": "data",
             "exit_code": 2,
         }
+
+    def test_oversize_csv_field_is_a_data_error(self, tmp_path, rng, capsys):
+        obs_path, truth_path = write_dataset(tmp_path, rng, records=3)
+        with obs_path.open("a", encoding="utf-8") as fh:
+            fh.write("\n" + "x" * (csv.field_size_limit() + 1) + ",a,a\n")
+        argv = ["--error-json", "eval-real", "--obs", str(obs_path), "--truth", str(truth_path),
+                "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 2
+        assert error_payload(capsys) == {
+            "error": f"{obs_path}:6: field larger than field limit ({csv.field_size_limit()})",
+            "category": "data",
+            "exit_code": 2,
+        }
+
+    def test_zero_trials_is_a_data_error(self, tmp_path, capsys):
+        argv = ["--error-json", "eval-real", "--obs", str(tmp_path / "missing.csv"),
+                "--truth", str(tmp_path / "missing.txt"), "--trials", "0",
+                "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 2
+        assert error_payload(capsys) == {
+            "error": "trials must be at least 1", "category": "data", "exit_code": 2
+        }
+        assert not (tmp_path / "out.csv").exists()
 
     def test_runtime_error(self, tmp_path, monkeypatch, capsys):
         def disconnected(*args, **kwargs):

@@ -52,6 +52,10 @@ class TestRunRealdata:
                 assert row.tie_broken is expected.tie_broken
         assert result.summary["items"] == NAMES
 
+    def test_zero_trials_rejected_before_reading(self, tmp_path):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_realdata(tmp_path / "missing.csv", tmp_path / "missing.txt", trials=0)
+
     def test_unknown_item_rejected(self, tmp_path, rng):
         obs_path, truth_path = write_dataset(tmp_path, rng)
         truth_path.write_text("\n".join(NAMES[:-1]) + "\n", encoding="utf-8")

@@ -1,7 +1,11 @@
+import csv
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairrank import (
     ComparisonRecord,
@@ -9,6 +13,7 @@ from pairrank import (
     gen_parametric,
     gen_planted,
     ingest_comparisons,
+    iter_comparisons_csv,
     make_matrix,
     read_comparisons_csv,
     read_observations_csv,
@@ -196,6 +201,93 @@ class TestIngest:
         with pytest.raises(ValueError, match="no comparison records"):
             ingest_comparisons([])
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([("a", "b", "a"), ("c", "c", "c"), ("a", "x", "a")], "self-comparison of item 'c'"),
+            ([("a", "b", "a"), ("a", "x", "a"), ("c", "c", "c")], "item 'x' appears in comparisons"),
+            ([("a", "b", "c"), ("a", "x", "a")], "winner 'c' is neither 'a' nor 'b'"),
+            ([("a", "x", "a"), ("a", "b", "c")], "item 'x' appears in comparisons"),
+        ],
+    )
+    def test_first_bad_row_decides_the_error(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            ingest_comparisons(rows, items=["a", "b", "c"])
+
+    @pytest.mark.parametrize("row", [("a", "a", "a"), ("a", "b", "c")])
+    def test_same_message_as_record(self, row):
+        with pytest.raises(ValueError) as from_record:
+            ComparisonRecord(*row)
+        with pytest.raises(ValueError) as from_ingest:
+            ingest_comparisons([("a", "b", "a"), row])
+        assert str(from_ingest.value) == str(from_record.value)
+
+    def test_rows_consumed_lazily_once(self):
+        seen = []
+
+        def rows():
+            for row in [("a", "b", "a"), ("b", "c", "c")]:
+                seen.append(row)
+                yield row
+
+        obs, index = ingest_comparisons(rows())
+        assert len(seen) == 2 and index == {"a": 0, "b": 1, "c": 2}
+        assert obs.total_comparisons() == 2
+
+
+NAMES = "pqrstu"
+
+
+def counter_oracle(records, items=None):
+    """Restated aggregation: a Counter of (winner, loser) name pairs,
+    items indexed by ``items`` order, then by first appearance."""
+    order = list(items) if items is not None else []
+    for a, b, _ in records:
+        for item in (a, b):
+            if item not in order:
+                order.append(item)
+    beats = Counter()
+    for a, b, w in records:
+        beats[w, b if w == a else a] += 1
+    n = len(order)
+    wins = np.zeros((n, n), dtype=np.int64)
+    for (w, loser), count in beats.items():
+        wins[order.index(w), order.index(loser)] = count
+    return wins, {item: i for i, item in enumerate(order)}
+
+
+@st.composite
+def record_lists(draw):
+    pairs = st.lists(st.sampled_from(NAMES), min_size=2, max_size=2, unique=True)
+    rows = draw(st.lists(st.tuples(pairs, st.booleans()), min_size=1, max_size=40))
+    return [(a, b, a if first else b) for (a, b), first in rows]
+
+
+class TestIngestOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=record_lists(),
+        shape=st.sampled_from(["tuple", "list", "record"]),
+        with_items=st.booleans(),
+        extra=st.sampled_from(["", "v", "vw"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_counter(self, records, shape, with_items, extra, seed):
+        items = None
+        if with_items:
+            named = sorted({x for a, b, _ in records for x in (a, b)} | set(extra))
+            items = [named[i] for i in np.random.default_rng(seed).permutation(len(named))]
+        make = {"tuple": tuple, "list": list, "record": lambda r: ComparisonRecord(*r)}[shape]
+        obs, index = ingest_comparisons([make(r) for r in records], items=items)
+        wins, expected_index = counter_oracle(records, items)
+        assert index == expected_index
+        np.testing.assert_array_equal(obs.wins, wins)
+        np.testing.assert_array_equal(obs.wins + obs.wins.T, obs.comparisons)
+        pair_counts = Counter(frozenset((a, b)) for a, b, _ in records)
+        assert obs.r == max(pair_counts.values())
+        assert obs.n == len(index) and obs.p is None
+        assert obs.wins.dtype == np.int64 and obs.comparisons.dtype == np.int64
+
 
 class TestComparisonsCsv:
     def test_round_trip(self, tmp_path):
@@ -213,6 +305,35 @@ class TestComparisonsCsv:
         path.write_text("a,b,w\nx,y,x\n")
         with pytest.raises(ValueError, match="header"):
             read_comparisons_csv(path)
+
+    def test_field_count_error_names_physical_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("item_a,item_b,winner\nx,y,x\n\n\ny,z\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_comparisons_csv(path)
+        assert str(exc.value) == f"{path}:5: expected 3 fields, got 2"
+
+    def test_oversize_field_is_a_value_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        big = "x" * (csv.field_size_limit() + 1)
+        path.write_text(f"item_a,item_b,winner\nx,y,x\n\n{big},y,y\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_comparisons_csv(path)
+        limit = csv.field_size_limit()
+        assert str(exc.value) == f"{path}:4: field larger than field limit ({limit})"
+
+    def test_rows_skip_blank_lines(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("item_a,item_b,winner\n\nx,y,x\n\ny,z,z\n", encoding="utf-8")
+        assert list(iter_comparisons_csv(path)) == [["x", "y", "x"], ["y", "z", "z"]]
+
+    def test_rows_validate_like_records(self, tmp_path):
+        path = tmp_path / "self.csv"
+        path.write_text("item_a,item_b,winner\nx,y,x\nz,z,z\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="self-comparison of item 'z'"):
+            read_comparisons_csv(path)
+        with pytest.raises(ValueError, match="self-comparison of item 'z'"):
+            ingest_comparisons(iter_comparisons_csv(path))
 
 
 class TestObservationsCsv:
