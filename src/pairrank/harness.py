@@ -357,11 +357,15 @@ def run_realdata(
     comparison is kept independently with probability ``q``, the
     estimators select ``k`` items (default :func:`default_k`), and the
     Hamming error against the true top-k is recorded; per-``q``
-    averages go into the summary.  Estimator failures (a subsample may
+    averages go into the summary, one entry per ``q``, so ``q_grid``
+    must not repeat a value.  Estimator failures (a subsample may
     disconnect the comparison graph) are recorded, not fatal.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    for qi, q in enumerate(q_grid):
+        if q in q_grid[:qi]:
+            raise ValueError(f"q_grid repeats {q}")
     truth_ids = [line.strip() for line in Path(truth_file).read_text(encoding="utf-8").splitlines() if line.strip()]
     if not truth_ids:
         raise ValueError(f"{truth_file}: no items listed")

@@ -11,7 +11,8 @@ criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +29,9 @@ class GroundTruth:
 
     ``true_order`` lists items by descending score (ties by smaller
     index) and ``true_topk`` is its length-k prefix as a set.
-    ``tie_classes`` groups items with equal scores, best class first.
+    ``tie_classes`` groups items with equal scores, best class first;
+    ``class_of[i]`` is the index of item ``i``'s class and
+    ``class_start[c]`` the first true position (1-based) of class ``c``.
     """
 
     tau: np.ndarray
@@ -36,6 +39,20 @@ class GroundTruth:
     true_topk: frozenset[int]
     true_order: tuple[int, ...]
     tie_classes: tuple[tuple[int, ...], ...]
+    class_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    class_start: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        class_of = [0] * len(self.true_order)
+        class_start = []
+        start = 1
+        for c, cls in enumerate(self.tie_classes):
+            for item in cls:
+                class_of[item] = c
+            class_start.append(start)
+            start += len(cls)
+        object.__setattr__(self, "class_of", tuple(class_of))
+        object.__setattr__(self, "class_start", tuple(class_start))
 
     @property
     def n(self) -> int:
@@ -103,15 +120,13 @@ def favorable_positions(est, truth: GroundTruth) -> tuple[int, ...]:
     lenient (best-case) evaluation.
     """
     items = _estimate_items(est)
-    chosen = set(items)
-    if not chosen <= set(range(truth.n)):
+    if not all(0 <= item < truth.n for item in items):
         raise ValueError("estimate refers to unknown items")
+    hits = Counter(truth.class_of[item] for item in items)
     positions: list[int] = []
-    block_start = 1
-    for cls in truth.tie_classes:
-        hits = sum(1 for item in cls if item in chosen)
-        positions.extend(range(block_start, block_start + hits))
-        block_start += len(cls)
+    for c in sorted(hits):
+        start = truth.class_start[c]
+        positions.extend(range(start, start + hits[c]))
     return tuple(positions)
 
 

@@ -50,6 +50,11 @@ def _freeze(entries: np.ndarray) -> ComparisonMatrix:
     return ComparisonMatrix(np.ascontiguousarray(entries, dtype=np.float64))
 
 
+def _upper_mask(n: int) -> np.ndarray:
+    """Boolean mask of the strict upper triangle of an ``n x n`` grid."""
+    return np.triu(np.ones((n, n), dtype=bool), k=1)
+
+
 def _mirror_upper(upper: np.ndarray) -> np.ndarray:
     """Build a full matrix from its strict upper triangle.
 
@@ -57,11 +62,8 @@ def _mirror_upper(upper: np.ndarray) -> np.ndarray:
     diagonal to exactly ``1/2``, so the complementarity invariant holds
     to the last bit by construction.
     """
-    n = upper.shape[0]
-    out = np.full((n, n), 0.5, dtype=np.float64)
-    iu, ju = np.triu_indices(n, k=1)
-    out[iu, ju] = upper[iu, ju]
-    out[ju, iu] = 1.0 - upper[iu, ju]
+    out = np.where(_upper_mask(upper.shape[0]), upper, 1.0 - upper.T)
+    np.fill_diagonal(out, 0.5)
     return out
 
 

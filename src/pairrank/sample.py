@@ -6,9 +6,9 @@ probability ``M[i, j]``.  Observations are stored aggregated (per-pair
 comparison and win counts): the counting estimator and both baselines
 depend only on counts, so memory stays ``O(n^2)`` regardless of ``r``.
 
-Sampling is reproducible: row ``i`` of the pair grid draws from a
-substream seeded by ``(seed, stream_tag, i)``, so the output is a pure
-function of the inputs regardless of scheduling.
+Sampling is reproducible: each call draws from one stream seeded by
+``(seed, stream_tag)``, one quantity at a time for all pairs ``i < j``
+in row-major order, so the output is a pure function of the inputs.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ComparisonMatrix, _check_seed
+from .model import ComparisonMatrix, _check_seed, _upper_mask
 
-# Stream tags keep the observation and subsampling substreams disjoint
+# Stream tags keep the observation and subsampling streams disjoint
 # even when both derive from the same master seed.
 _DRAW_TAG = 0x0B5E
 _THIN_TAG = 0x7811
@@ -72,10 +72,6 @@ class ComparisonRecord:
         return iter((self.item_a, self.item_b, self.winner))
 
 
-def _row_rng(seed: int, tag: int, row: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, tag, row)))
-
-
 def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> ObservationSet:
     """Sample an observation set from a comparison matrix.
 
@@ -90,21 +86,22 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
         raise ValueError("r must be at least 1")
     seed = _check_seed(seed)
     n = matrix.n
-    comparisons = np.zeros((n, n), dtype=np.int64)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _DRAW_TAG)))
+    upper = _upper_mask(n)
+    probs = matrix.entries[upper]
+    if p == 1.0:
+        counts = np.full(probs.size, r, dtype=np.int64)
+    else:
+        counts = rng.binomial(r, p, size=probs.size)
+    row_wins = rng.binomial(counts, probs)
+    # free each pair-length temporary before the next n x n array
+    del probs
+    counts -= row_wins
     wins = np.zeros((n, n), dtype=np.int64)
-    for i in range(n - 1):
-        rng = _row_rng(seed, _DRAW_TAG, i)
-        m = n - i - 1
-        if p == 1.0:
-            counts = np.full(m, r, dtype=np.int64)
-        else:
-            counts = rng.binomial(r, p, size=m)
-        row_wins = rng.binomial(counts, matrix.entries[i, i + 1 :])
-        comparisons[i, i + 1 :] = counts
-        comparisons[i + 1 :, i] = counts
-        wins[i, i + 1 :] = row_wins
-        wins[i + 1 :, i] = counts - row_wins
-    return ObservationSet(n=n, r=r, p=p, comparisons=comparisons, wins=wins)
+    wins[upper] = row_wins
+    wins.T[upper] = counts
+    del counts, row_wins
+    return ObservationSet(n=n, r=r, p=p, comparisons=wins + wins.T, wins=wins)
 
 
 def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
@@ -121,19 +118,13 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
         return ObservationSet(
             n=n, r=obs.r, p=obs.p, comparisons=obs.comparisons.copy(), wins=obs.wins.copy()
         )
-    comparisons = np.zeros((n, n), dtype=np.int64)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _THIN_TAG)))
+    upper = _upper_mask(n)
     wins = np.zeros((n, n), dtype=np.int64)
-    for i in range(n - 1):
-        rng = _row_rng(seed, _THIN_TAG, i)
-        w = rng.binomial(obs.wins[i, i + 1 :], q)
-        losses = rng.binomial(obs.wins[i + 1 :, i], q)
-        counts = w + losses
-        comparisons[i, i + 1 :] = counts
-        comparisons[i + 1 :, i] = counts
-        wins[i, i + 1 :] = w
-        wins[i + 1 :, i] = losses
+    wins[upper] = rng.binomial(obs.wins[upper], q)
+    wins.T[upper] = rng.binomial(obs.wins.T[upper], q)
     p = None if obs.p is None else obs.p * q
-    return ObservationSet(n=n, r=obs.r, p=p, comparisons=comparisons, wins=wins)
+    return ObservationSet(n=n, r=obs.r, p=p, comparisons=wins + wins.T, wins=wins)
 
 
 def ingest_comparisons(rows, items=None) -> tuple[ObservationSet, dict[str, int]]:

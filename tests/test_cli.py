@@ -54,6 +54,16 @@ class TestErrorJson:
         }
         assert not (tmp_path / "out.csv").exists()
 
+    def test_repeated_q_is_a_data_error(self, tmp_path, capsys):
+        argv = ["--error-json", "eval-real", "--obs", str(tmp_path / "missing.csv"),
+                "--truth", str(tmp_path / "missing.txt"), "--q-grid", "0.2,0.5,0.5",
+                "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 2
+        assert error_payload(capsys) == {
+            "error": "q_grid repeats 0.5", "category": "data", "exit_code": 2
+        }
+        assert not (tmp_path / "out.csv").exists()
+
     def test_runtime_error(self, tmp_path, monkeypatch, capsys):
         def disconnected(*args, **kwargs):
             raise rank.DisconnectedGraphError("comparison graph is not connected")

@@ -56,6 +56,11 @@ class TestRunRealdata:
         with pytest.raises(ValueError, match="trials must be at least 1"):
             run_realdata(tmp_path / "missing.csv", tmp_path / "missing.txt", trials=0)
 
+    @pytest.mark.parametrize("q_grid", [(0.5, 0.5), [0.1, 1.0, 0.1]])
+    def test_repeated_q_rejected_before_reading(self, tmp_path, q_grid):
+        with pytest.raises(ValueError, match=f"q_grid repeats {q_grid[0]}"):
+            run_realdata(tmp_path / "missing.csv", tmp_path / "missing.txt", q_grid=q_grid)
+
     def test_unknown_item_rejected(self, tmp_path, rng):
         obs_path, truth_path = write_dataset(tmp_path, rng)
         truth_path.write_text("\n".join(NAMES[:-1]) + "\n", encoding="utf-8")

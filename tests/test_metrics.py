@@ -101,3 +101,16 @@ def test_allowed_is_the_best_case(spec):
             assert allowed_success(est, truth, family) == best
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_unknown_items_rejected(bad):
+    truth = ground_truth(gen_parametric(np.array([2.0, 1.0, 1.0, 0.0, 0.0]), "logistic"), 2)
+    with pytest.raises(ValueError, match="unknown items"):
+        favorable_positions([0, bad], truth)
+
+
+def test_positions_accept_numpy_items():
+    _, _, truth = next(tied_cases())
+    est = np.arange(truth.k)
+    assert favorable_positions(est, truth) == favorable_positions(est.tolist(), truth)

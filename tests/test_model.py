@@ -20,6 +20,7 @@ from pairrank import (
     scores,
     write_matrix_csv,
 )
+from pairrank.model import _mirror_upper
 
 LOGISTIC_1 = 0.7310585786300049  # 1 / (1 + e^-1) to double precision
 
@@ -290,6 +291,26 @@ class TestGeneratorInvariants:
         assert is_sst(gen_planted(10, 4, 0.3))
         ordering = [7, 3, 1, 9, 0, 2, 4, 5, 6, 8]
         assert is_sst(gen_hamming_planted(10, 4, 0.3, ordering), order=ordering)
+
+
+def mirror_by_pair_indices(upper):
+    """The fancy-index construction: copy each pair i < j, then 1 - it."""
+    n = upper.shape[0]
+    out = np.full((n, n), 0.5, dtype=np.float64)
+    iu, ju = np.triu_indices(n, k=1)
+    out[iu, ju] = upper[iu, ju]
+    out[ju, iu] = 1.0 - upper[iu, ju]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 300])
+def test_mirror_upper_is_byte_identical_to_pair_indexing(n):
+    rng = np.random.default_rng(n)
+    for upper in (rng.random((n, n)), rng.normal(size=(n, n)), np.full((n, n), 0.1)):
+        got = _mirror_upper(upper)
+        expected = mirror_by_pair_indices(upper)
+        assert got.dtype == expected.dtype and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -159,6 +159,7 @@ class TestSubsample:
         a = subsample(obs, 0.3, seed=1)
         b = subsample(obs, 0.3, seed=1)
         assert np.array_equal(a.wins, b.wins)
+        assert not np.array_equal(a.wins, subsample(obs, 0.3, seed=2).wins)
 
     def test_p_metadata_scales(self):
         obs = draw_observations(gen_planted(6, 2, 0.2), 0.8, 10, seed=0)
@@ -168,6 +169,118 @@ class TestSubsample:
         obs = draw_observations(gen_planted(6, 2, 0.2), 0.8, 10, seed=0)
         with pytest.raises(ValueError):
             subsample(obs, 1.5, seed=0)
+
+
+# The stream contract, restated: one generator per call seeded by
+# (seed, tag), each quantity drawn for all pairs i < j in row-major order.
+DRAW_TAG, THIN_TAG = 0x0B5E, 0x7811
+
+
+def _from_upper(n, row_wins, col_wins):
+    iu, ju = np.triu_indices(n, 1)
+    wins = np.zeros((n, n), dtype=np.int64)
+    for i, j, w, x in zip(iu, ju, row_wins, col_wins):
+        wins[i, j], wins[j, i] = w, x
+    return wins + wins.T, wins
+
+
+def draw_oracle(matrix, p, r, seed):
+    """All pair counts, then all row wins, from one generator."""
+    n = matrix.n
+    rng = np.random.default_rng(np.random.SeedSequence((seed, DRAW_TAG)))
+    iu, ju = np.triu_indices(n, 1)
+    counts = np.full(iu.size, r) if p == 1.0 else rng.binomial(r, p, size=iu.size)
+    row_wins = rng.binomial(counts, matrix.entries[iu, ju])
+    return _from_upper(n, row_wins, counts - row_wins)
+
+
+def subsample_oracle(obs, q, seed):
+    """All kept row wins, then all kept column wins, from one generator."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, THIN_TAG)))
+    iu, ju = np.triu_indices(obs.n, 1)
+    kept = rng.binomial(obs.wins[iu, ju], q)
+    return _from_upper(obs.n, kept, rng.binomial(obs.wins[ju, iu], q))
+
+
+@st.composite
+def matrices(draw, max_n=12):
+    """Comparison matrices with some certain (0/1) and coin-flip entries."""
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = rng.random((n, n))
+    special = rng.random((n, n)) < 0.2
+    upper[special] = rng.choice([0.0, 0.5, 1.0], size=int(special.sum()))
+    grid = np.triu(upper, 1) + np.tril(1.0 - upper.T, -1) + np.eye(n) / 2
+    return make_matrix(grid)
+
+
+def assert_valid(obs, r):
+    assert np.array_equal(obs.comparisons, obs.comparisons.T)
+    assert np.array_equal(obs.wins + obs.wins.T, obs.comparisons)
+    assert not np.diagonal(obs.comparisons).any()
+    assert np.all(0 <= obs.wins) and np.all(obs.wins <= obs.comparisons)
+    assert np.all(obs.comparisons <= r)
+    assert obs.wins.dtype == np.int64 and obs.comparisons.dtype == np.int64
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize("n, p, r, seed", [(2, 0.5, 3, 0), (7, 1.0, 9, 5), (30, 0.3, 20, 2**40)])
+    def test_draw_matches_oracle(self, n, p, r, seed):
+        m = gen_parametric(np.linspace(1.5, -1.5, n), "logistic")
+        obs = draw_observations(m, p, r, seed)
+        comparisons, wins = draw_oracle(m, p, r, seed)
+        np.testing.assert_array_equal(obs.comparisons, comparisons)
+        np.testing.assert_array_equal(obs.wins, wins)
+
+    @pytest.mark.parametrize("n, q, seed", [(2, 0.5, 0), (7, 0.0, 5), (30, 0.3, 2**40)])
+    def test_subsample_matches_oracle(self, n, q, seed):
+        obs = draw_observations(gen_planted(n, 1, 0.2), 0.7, 12, seed=1)
+        thin = subsample(obs, q, seed)
+        comparisons, wins = subsample_oracle(obs, q, seed)
+        np.testing.assert_array_equal(thin.comparisons, comparisons)
+        np.testing.assert_array_equal(thin.wins, wins)
+
+    def test_outputs_are_read_only(self):
+        obs = draw_observations(gen_planted(6, 2, 0.2), 0.5, 4, seed=3)
+        thin = subsample(obs, 0.5, seed=4)
+        for arr in (obs.comparisons, obs.wins, thin.comparisons, thin.wins):
+            with pytest.raises(ValueError):
+                arr[0, 1] = 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=matrices(),
+        p=st.floats(0.01, 1.0) | st.just(1.0),
+        r=st.integers(1, 30),
+        seed=st.integers(0, 2**63),
+    )
+    def test_draw_properties(self, m, p, r, seed):
+        obs = draw_observations(m, p, r, seed)
+        assert_valid(obs, r)
+        assert (obs.n, obs.r, obs.p) == (m.n, r, p)
+        if p == 1.0:
+            assert np.all(obs.comparisons[np.triu_indices(m.n, 1)] == r)
+        certain = np.triu(m.entries == 1.0, 1)
+        assert np.array_equal(obs.wins[certain], obs.comparisons[certain])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=matrices(),
+        p=st.floats(0.01, 1.0),
+        r=st.integers(1, 30),
+        q=st.floats(0.0, 1.0),
+        seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+    )
+    def test_subsample_properties(self, m, p, r, q, seeds):
+        obs = draw_observations(m, p, r, seeds[0])
+        thin = subsample(obs, q, seeds[1])
+        assert_valid(thin, r)
+        assert np.all(thin.wins <= obs.wins)
+        assert np.all(thin.comparisons <= obs.comparisons)
+        assert thin.r == obs.r and thin.p == pytest.approx(p * q)
+        again = subsample(obs, q, seeds[1])
+        assert np.array_equal(again.wins, thin.wins)
+        assert np.array_equal(again.comparisons, thin.comparisons)
 
 
 class TestIngest:
