@@ -2,20 +2,25 @@
 
 The score of an item is the probability that it beats an opponent
 chosen uniformly at random; all separation thresholds are gaps between
-order statistics of the score vector.  The sample-complexity inversion
-and the Kullback-Leibler / Fano calculators quantify, respectively, how
-many comparison rounds suffice for recovery and when no estimator can
-succeed.
+order statistics of the score vector, and ``separation_report`` is
+the one place that turns a separation into threshold arithmetic.  The
+sample-complexity inversion and the Kullback-Leibler / Fano calculators
+quantify, respectively, how many comparison rounds suffice for recovery
+and when no estimator can succeed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import ComparisonMatrix
+
+if TYPE_CHECKING:
+    from .setfamily import SetFamily
 
 
 def scores(matrix: ComparisonMatrix) -> np.ndarray:
@@ -63,6 +68,90 @@ def separation_hamming(matrix: ComparisonMatrix, k: int, h: int) -> float:
         raise ValueError(f"need k + h + 1 <= n, got k={k}, h={h}, n={n}")
     ordered = sorted_scores(scores(matrix))
     return float(ordered[k - h - 1] - ordered[k + h])
+
+
+def _predicate_separation(tau_sorted: np.ndarray, family: SetFamily) -> float:
+    n, k = family.n, family.k
+    rows = np.arange(k)
+    # Coordinate j (0-based) at position t has the gap tau[j] - tau[b] with
+    # b = k - j + t - 1, so row j's gaps are tau[j] - tau[b] for b >= k - j,
+    # non-decreasing in b.  No k x n table is built: a probe counts every
+    # row's gaps below v with one searchsorted on the scores.
+    skip = k - rows
+    head = tau_sorted[:k]
+    ascending = -tau_sorted
+    # padded[b + 1] is tau[b]; the sentinels make the gap "before" b = 0
+    # read -inf and the gap "after" b = n - 1 read +inf
+    padded = np.concatenate(([np.inf], tau_sorted, [-np.inf]))
+
+    def below(v: float) -> np.ndarray:
+        """Per row j, the number of b with ``tau[j] - tau[b] < v``, exactly."""
+        m = ascending.searchsorted(v - head)  # off only by the rounding of v - head
+        while True:
+            over = head - padded[m] >= v  # the gap at b = m - 1 already reaches v
+            short = head - padded[m + 1] < v  # the gap at b = m is still below v
+            if not (over | short).any():
+                return m
+            # equal scores give equal gaps, so step over a whole run of them
+            m = np.where(over, ascending.searchsorted(-padded[m]), m)
+            m = np.where(short, ascending.searchsorted(-padded[m + 1], side="right"), m)
+
+    def feasible(v: float) -> bool:
+        # coordinate j's smallest position whose gap reaches v is
+        # first_j + 1; lift so positions strictly increase:
+        # t_j = max(first_j + 1, t_{j-1} + 1)
+        first = np.maximum(below(v) - skip, 0)
+        lifted = np.maximum.accumulate(first - rows) + rows + 1
+        return lifted[-1] <= n and bool(family.predicate(tuple(lifted.tolist())))
+
+    def last_feasible(values: np.ndarray) -> int:
+        """Index of the largest feasible entry of a sorted array, or -1."""
+        lo, hi = -1, values.size - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if feasible(float(values[mid])):
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
+    if feasible(math.inf):
+        return math.inf
+    # search the gaps to every isqrt(n)-th order statistic first, then
+    # only the gaps between the two sample values that bracket the answer
+    cols = np.arange(0, n, math.isqrt(n))
+    sample = np.unique((head[:, None] - tau_sorted[cols])[cols >= skip[:, None]])
+    i = last_feasible(sample)
+    start = np.maximum(below(sample[i]) if i >= 0 else 0, skip)
+    stop = np.maximum(below(sample[i + 1]) if i + 1 < sample.size else n, skip)
+    width = stop - start
+    owner = np.repeat(rows, width)
+    b = start[owner] + np.arange(owner.size) - (np.cumsum(width) - width)[owner]
+    window = np.unique(head[owner] - tau_sorted[b])
+    best = last_feasible(window)
+    return float(window[best]) if best >= 0 else 0.0
+
+
+def separation_family(tau, family: SetFamily) -> float:
+    """Generalized separation threshold of a score vector for a family.
+
+    The value is ``max`` over allowed sets ``T`` of ``min`` over
+    coordinates ``j`` of ``tau_(j) - tau_(k + T_j - j + 1)``, where
+    order statistics beyond position ``n`` count as ``-inf`` (their
+    terms drop out of the minimum), so a family that allows a set with
+    every term dropped has separation ``+inf``.  For the exact family
+    this is the top-k separation; for the Hamming family it is the
+    widened-window separation.  The gap of coordinate ``j`` grows with
+    ``T_j``, so the maximum is found by a binary search over candidate
+    gaps, each checked with the family's predicate on the smallest set
+    attaining it: first over the gaps to a sample of the order
+    statistics, then over the gaps between the two sample values that
+    bracket the answer.
+    """
+    tau = np.asarray(tau, dtype=np.float64)
+    if tau.shape != (family.n,):
+        raise ValueError(f"score vector has length {tau.size}, expected {family.n}")
+    return _predicate_separation(sorted_scores(tau), family)
 
 
 def _meets_threshold(n: int, p: float, r: int, delta: float, alpha: float) -> bool:
@@ -169,13 +258,21 @@ def adjacent_swap_kl_bound(n: int, p: float, r: int, delta0: float) -> float:
     return 50.0 * n * p * r * delta0**2
 
 
+def _finite_or_none(value: float | None) -> float | None:
+    return value if value is not None and math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class SeparationReport:
-    """Separation value of an instance plus its sample-complexity reading."""
+    """Separation of an instance under a family (its ``kind``) plus its
+    sample-complexity reading.  A family that allows every set has
+    infinite ``delta`` and ``alpha_implied`` and ``r_required`` 1;
+    :meth:`to_dict` writes infinite fields as ``None`` (strict JSON).
+    """
 
     n: int
     k: int
-    h: int
+    family: str
     delta: float
     alpha_implied: float | None
     r_required: int | None
@@ -184,32 +281,31 @@ class SeparationReport:
         return {
             "n": self.n,
             "k": self.k,
-            "h": self.h,
-            "delta": self.delta,
-            "alpha_implied": self.alpha_implied,
+            "family": self.family,
+            "delta": _finite_or_none(self.delta),
+            "alpha_implied": _finite_or_none(self.alpha_implied),
             "r_required": self.r_required,
         }
 
 
 def separation_report(
     matrix: ComparisonMatrix,
-    k: int,
-    h: int = 0,
+    family: SetFamily,
     p: float | None = None,
     r: int | None = None,
     alpha: float | None = None,
 ) -> SeparationReport:
-    """Bundle the separation of a matrix with its threshold arithmetic.
+    """Bundle the separation of a matrix under a family with its threshold arithmetic.
 
     ``alpha_implied`` needs ``(p, r)``; ``r_required`` needs a target
     ``alpha`` and ``p``.  Either is omitted (``None``) when its inputs
-    are missing or the separation is zero.
+    are missing, and ``r_required`` also when the separation is zero.
     """
-    delta = separation_hamming(matrix, k, h)
+    delta = separation_family(scores(matrix), family)
     alpha_implied = None
     if p is not None and r is not None:
         alpha_implied = implied_alpha(matrix.n, p, r, delta)
     r_required = None
     if alpha is not None and p is not None and delta > 0:
         r_required = required_repetitions(matrix.n, p, delta, alpha)
-    return SeparationReport(matrix.n, k, h, delta, alpha_implied, r_required)
+    return SeparationReport(matrix.n, family.k, family.kind, delta, alpha_implied, r_required)

@@ -2,9 +2,15 @@
 
 Subcommands: ``gen-matrix`` (model spec to matrix CSV), ``simulate``
 (matrix to observations CSV), ``rank`` (observations to top-k /
-ranking JSON), ``thresholds`` (separation report JSON), ``bench``
-(experiment config to results CSV + summary JSON), and ``eval-real``
-(subsampling evaluation of an ingested dataset).
+ranking JSON), ``thresholds`` (separation report JSON for the family
+``--family``, or else ``hamming:h=H``), ``bench`` (experiment config
+to results CSV + summary JSON), and ``eval-real`` (subsampling
+evaluation of an ingested dataset).  ``gen-matrix`` and ``bench`` build
+their model through one builder, so a missing model parameter is the
+same data error under both.
+
+JSON output is strict (RFC 8259): a separation that is infinite
+because the family allows every set is written as ``null``.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime failure
 (including any unexpected exception, whose traceback goes to stderr
@@ -18,8 +24,6 @@ import argparse
 import json
 import sys
 import traceback
-
-import numpy as np
 
 from . import analysis, harness, model, rank, sample, setfamily
 
@@ -47,14 +51,14 @@ def _build_parser() -> _Parser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--out", required=True)
     gen.add_argument("--quality", help="comma-separated quality values (parametric models)")
-    gen.add_argument("--quality-spread", type=float, default=6.0)
-    gen.add_argument("--lam", type=float, default=0.8, help="mixture weight in (1/2, 1]")
+    gen.add_argument("--quality-spread", type=float)
+    gen.add_argument("--lam", type=float, help="mixture weight in (1/2, 1]")
     gen.add_argument("--gap", type=float, help="diagonal increment bound (sst_diagonal)")
     gen.add_argument("--delta", type=float, help="planted gap")
     gen.add_argument("--delta0", type=float, help="adjacent-swap / top-block gap")
     gen.add_argument("--k", type=int, help="planted / top-block size")
     gen.add_argument("--outlier", type=int, help="outlier item index")
-    gen.add_argument("--swap-index", type=int, default=0)
+    gen.add_argument("--swap-index", type=int)
     gen.add_argument("--plant-index", type=int)
     gen.add_argument("--ordering-seed", type=int, help="shuffle seed for hamming_planted ordering")
     gen.add_argument("--seed", type=int, help="model seed (sst_diagonal)")
@@ -74,8 +78,12 @@ def _build_parser() -> _Parser:
     th = sub.add_parser("thresholds", help="separation report for a matrix")
     th.add_argument("--matrix", required=True)
     th.add_argument("--k", type=int, required=True)
-    th.add_argument("--h", type=int, default=0)
-    th.add_argument("--family", help="requirement spec (overrides the h-window separation)")
+    th.add_argument("--h", type=int, default=0, help="Hamming tolerance (family hamming:h=H)")
+    th.add_argument(
+        "--family",
+        help="requirement spec such as exact, hamming:h=1, topband:eps=0.5, mult:eps=0.5, "
+        "add:eps=2, ranksum:eps=0.5 or explicit:@sets.csv (overrides --h)",
+    )
     th.add_argument("--p", type=float)
     th.add_argument("--r", type=int)
     th.add_argument("--alpha", type=float, default=8.0, help="target threshold constant")
@@ -109,40 +117,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_MODEL_REQUIRED_FLAGS = {
-    "sst_diagonal": ("seed",),
-    "planted": ("k", "delta"),
-    "adjacent_swap": ("delta0",),
-    "hamming_planted": ("k", "delta0"),
-}
-
-
 def _cmd_gen_matrix(args) -> int:
-    for attr in _MODEL_REQUIRED_FLAGS.get(args.model, ()):
-        if getattr(args, attr) is None:
-            raise _UsageError(f"model {args.model!r} requires --{attr.replace('_', '-')}")
-    w = None
+    values = dict(vars(args), model_seed=args.seed)
     if args.quality is not None:
-        w = tuple(float(x) for x in args.quality.split(","))
-    ordering = None
-    if args.ordering_seed is not None:
-        ordering = tuple(int(x) for x in np.random.default_rng(args.ordering_seed).permutation(args.n))
-    spec = model.ModelSpec(
-        kind=args.model,
-        w=w,
-        quality_spread=args.quality_spread,
-        lam=args.lam,
-        gap=args.gap,
-        delta=args.delta,
-        delta0=args.delta0,
-        k=args.k,
-        outlier=args.outlier,
-        swap_index=args.swap_index,
-        plant_index=args.plant_index,
-        ordering=ordering,
-        seed=args.seed,
-    )
-    matrix = model.instantiate(spec, args.n)
+        values["w"] = tuple(float(x) for x in args.quality.split(","))
+    matrix = model.instantiate(model.spec_from_mapping(args.model, args.n, values), args.n)
     model.write_matrix_csv(matrix, args.out)
     return 0
 
@@ -155,7 +134,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _emit(payload: dict, out_path) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -186,41 +165,15 @@ def _cmd_thresholds(args) -> int:
     matrix = model.read_matrix_csv(args.matrix)
     if args.family:
         family = setfamily.parse_family_spec(args.family, matrix.n, args.k)
-        delta = setfamily.separation_family(analysis.scores(matrix), family)
-        report = analysis.SeparationReport(
-            n=matrix.n,
-            k=args.k,
-            h=args.h,
-            delta=delta,
-            alpha_implied=(
-                analysis.implied_alpha(matrix.n, args.p, args.r, delta)
-                if args.p is not None and args.r is not None
-                else None
-            ),
-            r_required=(
-                analysis.required_repetitions(matrix.n, args.p, delta, args.alpha)
-                if args.p is not None and 0 < delta < float("inf")
-                else None
-            ),
-        )
     else:
-        report = analysis.separation_report(
-            matrix, args.k, args.h, p=args.p, r=args.r, alpha=args.alpha
-        )
+        family = setfamily.family_hamming(matrix.n, args.k, args.h)
+    report = analysis.separation_report(matrix, family, p=args.p, r=args.r, alpha=args.alpha)
     _emit(report.to_dict(), args.out)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    overrides = {}
-    for key in (
-        "model", "label", "family", "estimators", "n", "k", "h", "r", "trials",
-        "master_seed", "swap_index", "outlier", "plant_index", "model_seed",
-        "ordering_seed", "p", "alpha", "quality_spread", "lam", "gap", "delta", "delta0",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {k: v for k, v in vars(args).items() if k in harness._CONFIG_KEYS and v is not None}
     cfg = harness.load_config(args.config, overrides)
     result = harness.run_experiment(cfg)
     harness.write_results_csv(result, args.out, timing_in_csv=args.timing_in_csv)

@@ -4,8 +4,8 @@ An experiment fixes a comparison model, a recovery requirement, and a
 sampling design, then repeats: draw observations, run each estimator,
 and score it under the exact, Hamming, and allowed-set criteria.  The
 repetition count ``r`` is either given explicitly or derived from a
-target threshold constant ``alpha`` by inverting the separation of the
-instantiated matrix.
+target threshold constant ``alpha`` by inverting the Hamming-``h``
+separation of the instantiated matrix.
 
 Every random quantity derives from the master seed through stable
 per-stage tags, so results are bit-identical across runs.  Trials run
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +77,10 @@ class ExperimentConfig:
     Exactly one of ``alpha`` (threshold constant, from which ``r`` is
     derived) and ``r`` (explicit repetition count) must be given.
     ``family`` is a requirement spec string; empty means exact recovery
-    when ``h = 0`` and Hamming tolerance ``h`` otherwise.
+    when ``h = 0`` and Hamming tolerance ``h`` otherwise.  ``alpha`` and
+    ``r`` are read against the separation of the Hamming-``h`` family,
+    whatever family scores the run, so a relaxed ``family`` does not
+    change the repetition count.
     """
 
     model: model.ModelSpec
@@ -106,6 +109,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown estimator {name!r}, expected subset of {ESTIMATORS}")
         if not 0 <= self.h:
             raise ValueError("h must be nonnegative")
+        if self.k + self.h + 1 > self.n:
+            # the h-window separation would be infinite, and alpha with it
+            raise ValueError(f"need k + h + 1 <= n, got k={self.k}, h={self.h}, n={self.n}")
 
     @property
     def display_label(self) -> str:
@@ -201,23 +207,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials of an experiment and aggregate the outcomes.
 
     The comparison matrix is instantiated once (per-trial when
-    ``cfg.per_trial_model``); ``r`` is derived from the instantiated
-    separation when ``alpha`` is given.  Records are emitted in trial
-    order.
+    ``cfg.per_trial_model``); its Hamming-``h`` separation report gives
+    ``r`` when ``alpha`` is given and ``alpha`` when ``r`` is.  Records
+    are emitted in trial order.
     """
     base_seed = derive_seed(cfg.master_seed, _MODEL_STAGE, 0)
     base_matrix = model.instantiate(cfg.model, cfg.n, base_seed)
-    delta = analysis.separation_hamming(base_matrix, cfg.k, cfg.h)
+    hamming = setfamily.family_hamming(cfg.n, cfg.k, cfg.h)
+    report = analysis.separation_report(base_matrix, hamming, p=cfg.p, r=cfg.r, alpha=cfg.alpha)
     if cfg.r is not None:
-        r = cfg.r
-        alpha = analysis.implied_alpha(cfg.n, cfg.p, r, delta)
+        r, alpha = cfg.r, report.alpha_implied
+    elif report.r_required is None:
+        raise ValueError("alpha target is infeasible: the instantiated matrix has zero separation")
     else:
-        if delta <= 0:
-            raise ValueError(
-                "alpha target is infeasible: the instantiated matrix has zero separation"
-            )
-        r = analysis.required_repetitions(cfg.n, cfg.p, delta, cfg.alpha)
-        alpha = cfg.alpha
+        r, alpha = report.r_required, cfg.alpha
     family = setfamily.parse_family_spec(cfg.family_spec(), cfg.n, cfg.k)
     base_truth = metrics.ground_truth(base_matrix, cfg.k)
 
@@ -231,8 +234,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         seed = derive_seed(cfg.master_seed, _OBS_STAGE, trial)
         records += _run_trial(trial, m, t, family, cfg, r, seed)
     records = tuple(records)
-    summary = _summarize(cfg, r, alpha, delta, records)
-    return ExperimentResult(cfg, r, alpha, delta, records, summary)
+    summary = _summarize(cfg, r, alpha, report.delta, records)
+    return ExperimentResult(cfg, r, alpha, report.delta, records, summary)
 
 
 def _summarize(cfg, r, alpha, delta, records) -> dict:
@@ -494,6 +497,8 @@ _CONFIG_KEYS = {
     "entries_path": str,
 }
 
+_EXPERIMENT_FIELDS = frozenset(f.name for f in fields(ExperimentConfig)) - {"model"}
+
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -522,63 +527,27 @@ def parse_config_text(text: str) -> dict:
 
 
 def config_from_mapping(values: dict) -> ExperimentConfig:
-    """Build an experiment config from parsed key/value pairs."""
-    values = dict(values)
-    kind = values.pop("model", None)
-    if kind is None:
-        raise ValueError("configuration must set 'model'")
-    n = values.pop("n", None)
-    if n is None:
-        raise ValueError("configuration must set 'n'")
-    k = values.pop("k", None)
-    if k is None:
-        raise ValueError("configuration must set 'k'")
-    ordering = None
-    if "ordering_seed" in values:
-        rng = np.random.default_rng(values.pop("ordering_seed"))
-        ordering = tuple(int(x) for x in rng.permutation(n))
-    spec = model.ModelSpec(
-        kind=kind,
-        quality_spread=values.pop("quality_spread", 6.0),
-        lam=values.pop("lam", 0.8),
-        gap=values.pop("gap", None),
-        k=k if kind in ("planted", "hamming_planted") else None,
-        delta=values.pop("delta", None),
-        delta0=values.pop("delta0", None),
-        outlier=values.pop("outlier", None),
-        swap_index=values.pop("swap_index", 0),
-        plant_index=values.pop("plant_index", None),
-        ordering=ordering,
-        seed=values.pop("model_seed", None),
-        entries_path=values.pop("entries_path", None),
-    )
-    estimators = values.pop("estimators", None)
-    if estimators is not None:
-        estimators = tuple(name.strip() for name in estimators.split(",") if name.strip())
-    else:
-        estimators = ESTIMATORS
-    return ExperimentConfig(
-        model=spec,
-        n=n,
-        k=k,
-        trials=values.pop("trials", 1),
-        master_seed=values.pop("master_seed", 0),
-        h=values.pop("h", 0),
-        p=values.pop("p", 1.0),
-        alpha=values.pop("alpha", None),
-        r=values.pop("r", None),
-        estimators=estimators,
-        family=values.pop("family", ""),
-        label=values.pop("label", None),
-        per_trial_model=values.pop("per_trial_model", False),
-    )
+    """Build an experiment config from parsed key/value pairs.
+
+    ``model`` names the model kind; the model's own keys go to
+    :func:`model.spec_from_mapping`.  Absent keys keep the defaults of
+    :class:`ExperimentConfig`, except ``trials`` (1) and
+    ``master_seed`` (0).
+    """
+    for key in ("model", "n", "k"):
+        if values.get(key) is None:
+            raise ValueError(f"configuration must set {key!r}")
+    spec = model.spec_from_mapping(values["model"], values["n"], values)
+    settings = {"trials": 1, "master_seed": 0}
+    settings.update((key, values[key]) for key in _EXPERIMENT_FIELDS if key in values)
+    if "estimators" in settings:
+        settings["estimators"] = tuple(
+            name.strip() for name in settings["estimators"].split(",") if name.strip()
+        )
+    return ExperimentConfig(model=spec, **settings)
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Load a config file; ``overrides`` replace file values key by key."""
+    """Load a config file; ``overrides`` (set keys only, no ``None``) replace file values."""
     values = parse_config_text(Path(path).read_text(encoding="utf-8"))
-    if overrides:
-        for key, value in overrides.items():
-            if value is not None:
-                values[key] = value
-    return config_from_mapping(values)
+    return config_from_mapping({**values, **(overrides or {})})

@@ -13,7 +13,7 @@ calculators in :mod:`pairrank.analysis`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +336,33 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
+
+
+# ModelSpec fields a flat mapping sets under their own name
+_FLAT_FIELDS = frozenset(f.name for f in fields(ModelSpec)) - {"kind", "ordering", "seed"}
+
+
+def spec_from_mapping(kind: str, n: int, values: dict) -> ModelSpec:
+    """Build a model spec for ``n`` items from flat configuration keys.
+
+    ``values`` holds :class:`ModelSpec` fields under their own names,
+    except ``model_seed`` (the spec's ``seed``) and ``ordering_seed``
+    (seeds a random permutation of the items, the spec's ``ordering``).
+    ``k`` reaches the planted kinds only and other keys are ignored.
+    Absent or ``None`` keys keep the spec's defaults; :func:`instantiate`
+    reports a missing required parameter.
+    """
+    params = {
+        key: value for key, value in values.items() if key in _FLAT_FIELDS and value is not None
+    }
+    if kind not in ("planted", "hamming_planted"):
+        params.pop("k", None)
+    if values.get("model_seed") is not None:
+        params["seed"] = values["model_seed"]
+    if values.get("ordering_seed") is not None:
+        rng = np.random.default_rng(values["ordering_seed"])
+        params["ordering"] = tuple(int(x) for x in rng.permutation(n))
+    return ModelSpec(kind=kind, **params)
 
 
 def instantiate(spec: ModelSpec, n: int, seed: int | None = None) -> ComparisonMatrix:

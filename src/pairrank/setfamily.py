@@ -11,8 +11,8 @@ closures ``{S : S_j <= T_j for all j}``.
 Besides exact and Hamming-tolerance recovery, constructors cover four
 common relaxations: membership in a top band, multiplicative or
 additive rank slack relative to the excluded items, and a bound on the
-sum of ranks.  ``separation_family`` generalizes the top-k score gap
-to any such family.
+sum of ranks.  The separation of a family lives with the other
+separations, in :func:`pairrank.analysis.separation_family`.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 from typing import Callable
-
-import numpy as np
-
-from .analysis import sorted_scores
 
 ENUMERATION_LIMIT = 10**6
 
@@ -215,62 +211,6 @@ def is_monotone(members, n: int, k: int) -> bool:
             if s[:j] + (lower,) + s[j + 1 :] not in member_set:
                 return False
     return True
-
-
-def _predicate_separation(tau_sorted: np.ndarray, family: SetFamily) -> float:
-    n, k = family.n, family.k
-    # gap[j-1][t-1] attained by putting the j-th chosen item at position t
-    gaps = np.full((k, n), np.inf)
-    for j in range(1, k + 1):
-        ts = np.arange(1, n + 1)
-        idx = k + ts - j + 1
-        valid = idx <= n
-        gaps[j - 1, valid] = tau_sorted[j - 1] - tau_sorted[idx[valid] - 1]
-
-    def feasible(v: float) -> bool:
-        prev = 0
-        lifted = []
-        for j in range(1, k + 1):
-            t = int(np.searchsorted(gaps[j - 1], v, side="left")) + 1
-            t = max(t, prev + 1)
-            prev = t
-            lifted.append(t)
-        if lifted[-1] > n:
-            return False
-        return bool(family.predicate(tuple(lifted)))
-
-    if feasible(math.inf):
-        return math.inf
-    candidates = np.unique(gaps[np.isfinite(gaps)])
-    lo, hi = 0, candidates.size - 1  # invariant: feasible(candidates[lo])
-    if not feasible(float(candidates[0])):
-        return 0.0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if feasible(float(candidates[mid])):
-            lo = mid
-        else:
-            hi = mid - 1
-    return float(candidates[lo])
-
-
-def separation_family(tau, family: SetFamily) -> float:
-    """Generalized separation threshold of a score vector for a family.
-
-    The value is ``max`` over allowed sets ``T`` of ``min`` over
-    coordinates ``j`` of ``tau_(j) - tau_(k + T_j - j + 1)``, where
-    order statistics beyond position ``n`` count as ``-inf`` (their
-    terms drop out of the minimum).  For the exact family this is the
-    top-k separation; for the Hamming family it is the widened-window
-    separation.  The gap of coordinate ``j`` grows with ``T_j``, so the
-    maximum is found by a binary search over candidate gaps, each
-    checked with the family's predicate on the smallest set attaining
-    it.
-    """
-    tau = np.asarray(tau, dtype=np.float64)
-    if tau.shape != (family.n,):
-        raise ValueError(f"score vector has length {tau.size}, expected {family.n}")
-    return _predicate_separation(sorted_scores(tau), family)
 
 
 def parse_family_spec(text: str, n: int, k: int) -> SetFamily:

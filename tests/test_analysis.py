@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from pairrank import (
     adjacent_swap_kl_bound,
+    family_exact,
+    family_hamming,
     fano_lower_bound,
     gen_adjacent_swap,
     gen_hamming_planted,
@@ -241,14 +244,33 @@ class TestFano:
 class TestSeparationReport:
     def test_fields_and_inversion(self):
         m = gen_planted(50, 10, 0.1)
-        rep = separation_report(m, 10, 0, p=1.0, r=200, alpha=8.0)
-        assert rep.n == 50 and rep.k == 10 and rep.h == 0
+        rep = separation_report(m, family_hamming(50, 10, 0), p=1.0, r=200, alpha=8.0)
+        assert rep.n == 50 and rep.k == 10 and rep.family == "hamming(h=0)"
         assert rep.delta == pytest.approx(0.1, abs=1e-12)
         assert rep.alpha_implied == pytest.approx(implied_alpha(50, 1.0, 200, rep.delta))
         assert rep.r_required == required_repetitions(50, 1.0, rep.delta, 8.0)
         d = rep.to_dict()
-        assert set(d) == {"n", "k", "h", "delta", "alpha_implied", "r_required"}
+        assert set(d) == {"n", "k", "family", "delta", "alpha_implied", "r_required"}
 
     def test_missing_inputs_give_none(self):
-        rep = separation_report(gen_planted(20, 5, 0.2), 5)
+        rep = separation_report(gen_planted(20, 5, 0.2), family_exact(20, 5))
         assert rep.alpha_implied is None and rep.r_required is None
+
+    def test_unconstrained_family_serializes_as_strict_json(self):
+        # k + h == n allows every set: the separation is infinite
+        family = family_hamming(8, 5, 3)
+        rep = separation_report(gen_planted(8, 5, 0.2), family, p=1.0, r=2, alpha=8.0)
+        assert rep.delta == math.inf and rep.alpha_implied == math.inf and rep.r_required == 1
+        assert json.dumps(rep.to_dict(), allow_nan=False, sort_keys=True) == (
+            '{"alpha_implied": null, "delta": null, "family": "hamming(h=3)", '
+            '"k": 5, "n": 8, "r_required": 1}'
+        )
+
+    @pytest.mark.parametrize("h", [0, 1, 2])
+    def test_report_delta_is_the_hamming_closed_form(self, rng, h):
+        for _ in range(30):
+            n = int(rng.integers(h + 3, 40))
+            k = int(rng.integers(h + 1, n - h))
+            m = gen_parametric(rng.normal(size=n))
+            rep = separation_report(m, family_hamming(n, k, h))
+            assert rep.delta == separation_hamming(m, k, h)

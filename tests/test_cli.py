@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from pairrank import cli, harness, rank
+from pairrank import cli, harness, model, rank
 
 from conftest import NAMES, boolean_cells, write_dataset
 
@@ -64,6 +66,17 @@ class TestErrorJson:
         }
         assert not (tmp_path / "out.csv").exists()
 
+    def test_bench_rejects_an_infinite_separation(self, tmp_path, capsys):
+        # thresholds reads k + h == n as delta null; a results CSV must not carry inf
+        config = tmp_path / "bench.cfg"
+        config.write_text("model = btl\nn = 8\nk = 5\nh = 3\nr = 2\n", encoding="utf-8")
+        argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
+        assert cli.main(argv) == 2
+        assert error_payload(capsys) == {
+            "error": "need k + h + 1 <= n, got k=5, h=3, n=8", "category": "data", "exit_code": 2
+        }
+        assert not (tmp_path / "b.csv").exists()
+
     def test_runtime_error(self, tmp_path, monkeypatch, capsys):
         def disconnected(*args, **kwargs):
             raise rank.DisconnectedGraphError("comparison graph is not connected")
@@ -112,6 +125,138 @@ class TestNoThreadPool:
         assert "--threads" in error_payload(capsys)["error"]
 
 
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture
+def btl8(tmp_path):
+    path = tmp_path / "m.csv"
+    assert cli.main(["gen-matrix", "--model", "btl", "--n", "8", "--out", str(path)]) == 0
+    return path
+
+
+class TestThresholds:
+    def test_unconstrained_family_is_strict_json(self, btl8, capsys):
+        argv = ["thresholds", "--matrix", str(btl8), "--k", "2", "--family", "topband:eps=3",
+                "--p", "1", "--r", "2"]
+        assert cli.main(argv) == 0
+        expected = {"alpha_implied": None, "delta": None, "family": "topband(eps=3)",
+                    "k": 2, "n": 8, "r_required": 1}
+        out = capsys.readouterr().out
+        assert strict_json(out) == expected
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("k, h", [(3, 2), (5, 3)])  # k + h == n reads delta null
+    def test_h_is_the_hamming_family(self, btl8, capsys, k, h):
+        base = ["thresholds", "--matrix", str(btl8), "--k", str(k), "--p", "0.5", "--r", "3"]
+        assert cli.main(base + ["--h", str(h)]) == 0
+        by_h = capsys.readouterr().out
+        assert cli.main(base + ["--family", f"hamming:h={h}"]) == 0
+        assert capsys.readouterr().out == by_h
+        report = strict_json(by_h)
+        assert report["family"] == f"hamming(h={h})"
+        assert (report["delta"] is None) == (k + h == 8)
+
+
+# flags and config keys that build the same matrix; k only reaches planted kinds
+GEN_MATRIX_CASES = {
+    "btl": {"quality_spread": 4.0},
+    "thurstone": {},
+    "btl_outlier": {"outlier": 2},
+    "sst_diagonal": {"gap": 0.02, "model_seed": 7},
+    "btl_mixture": {"lam": 0.9},
+    "planted": {"k": 3, "delta": 0.2, "plant_index": 4},
+    "adjacent_swap": {"delta0": 0.01, "swap_index": 2},
+    "hamming_planted": {"k": 3, "delta0": 0.1, "ordering_seed": 5},
+}
+
+
+class TestOneModelBuilder:
+    def test_every_kind_is_covered(self):
+        assert set(GEN_MATRIX_CASES) == set(model.MODEL_KINDS) - {"explicit"}
+
+    @pytest.mark.parametrize("kind", sorted(GEN_MATRIX_CASES))
+    def test_gen_matrix_equals_config(self, tmp_path, kind):
+        keys = GEN_MATRIX_CASES[kind]
+        argv = ["gen-matrix", "--model", kind, "--n", "10", "--out", str(tmp_path / "gen.csv")]
+        for key, value in keys.items():
+            flag = "--seed" if key == "model_seed" else "--" + key.replace("_", "-")
+            argv += [flag, str(value)]
+        assert cli.main(argv) == 0
+        cfg = harness.config_from_mapping({"model": kind, "n": 10, "k": 2, "r": 1, **keys})
+        model.write_matrix_csv(model.instantiate(cfg.model, 10), tmp_path / "cfg.csv")
+        assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "cfg.csv").read_bytes()
+
+    def test_missing_parameter_is_one_data_error(self, tmp_path, capsys):
+        expected = {"error": "planted model requires k and delta", "category": "data",
+                    "exit_code": 2}
+        argv = ["--error-json", "gen-matrix", "--model", "planted", "--n", "8", "--k", "2",
+                "--out", str(tmp_path / "m.csv")]
+        assert cli.main(argv) == 2
+        assert error_payload(capsys) == expected
+        config = tmp_path / "bench.cfg"
+        config.write_text("model = planted\nn = 8\nk = 2\nr = 2\n", encoding="utf-8")
+        argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
+        assert cli.main(argv) == 2
+        assert error_payload(capsys) == expected
+
+
+def _bench_override_keys():
+    bench = cli._build_parser()._subparsers._group_actions[0].choices["bench"]
+    return [a.dest for a in bench._actions if a.dest in harness._CONFIG_KEYS]
+
+
+# a value for each override that differs from the base config and its defaults
+OVERRIDE_VALUES = {
+    "model": "thurstone", "label": "x", "family": "mult:eps=0.5", "estimators": "copeland",
+    "n": 9, "k": 3, "h": 1, "r": 3, "trials": 3, "master_seed": 3, "swap_index": 3,
+    "outlier": 3, "plant_index": 3, "model_seed": 3, "ordering_seed": 3, "p": 0.5,
+    "alpha": 2.5, "quality_spread": 2.5, "lam": 0.9, "gap": 0.01, "delta": 0.1, "delta0": 0.01,
+}
+
+
+class TestBenchOverrides:
+    def test_every_key_but_two_has_a_flag(self):
+        assert set(_bench_override_keys()) == set(harness._CONFIG_KEYS) - {
+            "per_trial_model", "entries_path"
+        }
+        assert set(OVERRIDE_VALUES) == set(_bench_override_keys())
+
+    @pytest.mark.parametrize("key", _bench_override_keys())
+    def test_flag_lands_in_config(self, tmp_path, monkeypatch, key):
+        loaded = []
+
+        def capture(cfg):
+            loaded.append(cfg)
+            raise RuntimeError("stop before running")
+
+        monkeypatch.setattr(harness, "run_experiment", capture)
+        config = tmp_path / "bench.cfg"
+        budget = "alpha = 1.0" if key == "alpha" else "r = 2"
+        config.write_text(f"model = btl\nn = 8\nk = 2\n{budget}\n", encoding="utf-8")
+        value = OVERRIDE_VALUES[key]
+        argv = ["bench", "--config", str(config), "--out", str(tmp_path / "b.csv"),
+                "--" + key.replace("_", "-"), str(value)]
+        assert cli.main(argv) == 3
+        (cfg,) = loaded
+        if key == "model":
+            assert cfg.model.kind == value
+        elif key == "estimators":
+            assert cfg.estimators == (value,)
+        elif key == "model_seed":
+            assert cfg.model.seed == value
+        elif key == "ordering_seed":
+            assert cfg.model.ordering == tuple(np.random.default_rng(value).permutation(8))
+        elif key in {f.name for f in dataclasses.fields(harness.ExperimentConfig)}:
+            assert getattr(cfg, key) == value
+        else:
+            assert getattr(cfg.model, key) == value
+
+
 def test_end_to_end(tmp_path, rng):
     def run(*argv):
         assert cli.main([str(a) for a in argv]) == 0
@@ -125,13 +270,13 @@ def test_end_to_end(tmp_path, rng):
     assert isinstance(ranked["tie_broken"], bool)
     run("thresholds", "--matrix", matrix, "--k", 2, "--family", "mult:eps=0.5",
         "--out", tmp_path / "th.json")
-    assert json.loads((tmp_path / "th.json").read_text(encoding="utf-8"))["delta"] > 0
+    assert strict_json((tmp_path / "th.json").read_text(encoding="utf-8"))["delta"] > 0
 
     config = tmp_path / "bench.cfg"
     config.write_text("model = btl\nn = 10\nk = 3\nr = 2\ntrials = 2\n", encoding="utf-8")
     run("bench", "--config", config, "--out", tmp_path / "bench.csv",
         "--summary", tmp_path / "bench.json")
-    summary = json.loads((tmp_path / "bench.json").read_text(encoding="utf-8"))
+    summary = strict_json((tmp_path / "bench.json").read_text(encoding="utf-8"))
     assert set(summary["estimators"]) == set(harness.ESTIMATORS)
 
     obs_path, truth_path = write_dataset(tmp_path, rng)
@@ -141,5 +286,5 @@ def test_end_to_end(tmp_path, rng):
             "--trials", 2, "--seed", 1, "--out", out, "--summary", tmp_path / "real.json")
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert boolean_cells(outs[0], ["tie_broken"]) <= {"true", "false"}
-    real = json.loads((tmp_path / "real.json").read_text(encoding="utf-8"))
+    real = strict_json((tmp_path / "real.json").read_text(encoding="utf-8"))
     assert real["items"] == NAMES

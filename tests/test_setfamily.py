@@ -220,6 +220,74 @@ class TestExactAndHamming:
                 parse_family_spec(bad, 6, 2)
 
 
+def loop_separation(tau, family):
+    """The separation search written one coordinate at a time.
+
+    Same candidate gaps and binary search as the library, but each
+    probe places coordinate ``j`` with its own ``searchsorted`` and
+    lifts it past coordinate ``j - 1`` in a Python loop.
+    """
+    n, k = family.n, family.k
+    ordered = np.sort(np.asarray(tau, dtype=np.float64))[::-1]
+    gaps = np.full((k, n), np.inf)
+    for j in range(1, k + 1):
+        for t in range(1, n + 1):
+            if k + t - j + 1 <= n:
+                gaps[j - 1, t - 1] = ordered[j - 1] - ordered[k + t - j]
+
+    def feasible(v):
+        lifted, prev = [], 0
+        for j in range(k):
+            prev = max(int(np.searchsorted(gaps[j], v, side="left")) + 1, prev + 1)
+            lifted.append(prev)
+        return lifted[-1] <= n and family.predicate(tuple(lifted))
+
+    if feasible(math.inf):
+        return math.inf
+    candidates = np.unique(gaps[np.isfinite(gaps)])
+    if not feasible(candidates[0]):
+        return 0.0
+    lo, hi = 0, candidates.size - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if feasible(candidates[mid]) else (lo, mid - 1)
+    return float(candidates[lo])
+
+
+class TestSeparationSearch:
+    """The vectorized search against the loop, past enumerable sizes."""
+
+    SPECS = ("exact", "hamming:h=1", "hamming:h=3", "topband:eps=0.5", "topband:eps=3",
+             "mult:eps=0.5", "add:eps=2", "ranksum:eps=0.5")
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_matches_loop(self, spec, rng):
+        for _ in range(40):
+            n = int(rng.integers(2, 100))
+            k = int(rng.integers(1, n + 1))
+            try:
+                family = parse_family_spec(spec, n, k)
+            except ValueError:  # h out of range for this (n, k)
+                continue
+            # coarse grids tie often; normal draws almost never
+            tau = random_scores(rng, n) if rng.random() < 0.5 else rng.normal(size=n)
+            assert separation_family(tau, family) == loop_separation(tau, family)
+
+    def test_explicit_matches_loop(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(2, 60))
+            k = int(rng.integers(1, n + 1))
+            gens = [np.sort(rng.choice(np.arange(1, n + 1), size=k, replace=False))
+                    for _ in range(int(rng.integers(1, 4)))]
+            family = family_explicit(n, k, gens)
+            tau = random_scores(rng, n)
+            assert separation_family(tau, family) == loop_separation(tau, family)
+
+    def test_unconstrained_family_is_infinite(self):
+        family = parse_family_spec("topband:eps=3", 8, 2)
+        assert separation_family(np.linspace(1, 0, 8), family) == math.inf
+
+
 def test_position_set_checks():
     assert position_set([1, 3], 4, 2) == (1, 3)
     with pytest.raises(ValueError):
