@@ -6,6 +6,13 @@ chains a Rank-Centrality-style stationary-distribution stage with a
 Newton refinement of the Bradley-Terry-Luce likelihood; it is
 labeled "spectral_baseline" throughout and makes the parametric
 assumptions the counting rule avoids.
+
+When the "j beat i" digraph is strongly connected the random walk is
+irreducible, and the stationary stage solves for its distribution
+directly; power iteration from there only confirms it.  Otherwise
+(an item that never wins, or one that never loses) it iterates from
+the uniform vector.  Each Newton trial computes one logistic matrix,
+which both judges the trial and, once accepted, starts the next step.
 """
 
 from __future__ import annotations
@@ -82,15 +89,46 @@ def copeland_ranking(obs: ObservationSet) -> RankingEstimate:
     return RankingEstimate(order=tuple(int(i) for i in order))
 
 
-def _connected(adjacency: np.ndarray) -> bool:
-    """Whether the graph is connected: breadth-first, one frontier per step."""
-    seen = np.zeros(adjacency.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = adjacency[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
+def _connected(adjacency: np.ndarray, strongly: bool = False) -> bool:
+    """Whether the graph is connected: breadth-first from item 0, one frontier per step.
+
+    ``adjacency[i, j]`` is an edge ``i -> j``.  Connectivity means every
+    item is reached from item 0, which on a symmetric adjacency is
+    undirected connectivity.  With ``strongly`` the same search also
+    runs over the transpose, so item 0 must be reached from every item
+    too: strong connectivity of the digraph.
+    """
+    for edges in (adjacency, adjacency.T) if strongly else (adjacency,):
+        seen = np.zeros(edges.shape[0], dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = edges[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
+
+
+def _exact_start(rates: np.ndarray) -> np.ndarray | None:
+    """The walk's stationary vector from one linear solve, or ``None``.
+
+    ``pi (P - I) = 0`` with ``P - I = (R - diag(R 1)) / d_max`` does not
+    depend on ``d_max``; adding ``1 1^T`` to the transposed system fixes
+    ``sum(pi) = 1`` and makes it regular when the walk is irreducible.
+    ``None`` when the walk is reducible or the solve gives a vector that
+    is not finite and strictly positive.
+    """
+    if not _connected(rates > 0, strongly=True):
+        return None
+    system = rates.T - np.diag(rates.sum(axis=1)) + 1.0
+    try:
+        pi = np.linalg.solve(system, np.ones(rates.shape[0]))
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(np.isfinite(pi)) and np.all(pi > 0)):
+        return None
+    return pi / pi.sum()
 
 
 def rank_centrality(obs: ObservationSet, tol: float = 1e-10, max_iters: int = 100000) -> np.ndarray:
@@ -100,9 +138,13 @@ def rank_centrality(obs: ObservationSet, tol: float = 1e-10, max_iters: int = 10
     ``(wins_j / comparisons_ij) / d_max`` where ``d_max`` is the
     maximum degree of the comparison graph; remaining mass stays put.
     Items that beat many others accumulate stationary mass.  Requires a
-    connected comparison graph; raises :class:`ConvergenceError` when
-    successive iterates still differ by ``tol`` after ``max_iters``
-    steps.
+    connected comparison graph.  Power iteration starts at the exact
+    stationary vector when the "j beat i" digraph is strongly connected
+    (the walk is irreducible, so one dense solve gives it) and the first
+    step then confirms it; otherwise, or if the solve yields a vector
+    that is not strictly positive, it starts uniform.  Raises
+    :class:`ConvergenceError` when successive iterates still differ by
+    ``tol`` after ``max_iters`` steps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -119,7 +161,9 @@ def rank_centrality(obs: ObservationSet, tol: float = 1e-10, max_iters: int = 10
     transition = rates / d_max
     np.fill_diagonal(transition, 0.0)
     np.fill_diagonal(transition, 1.0 - transition.sum(axis=1))
-    pi = np.full(n, 1.0 / n)
+    pi = _exact_start(rates)
+    if pi is None:
+        pi = np.full(n, 1.0 / n)
     for _ in range(max_iters):
         nxt = pi @ transition
         nxt /= nxt.sum()
@@ -180,19 +224,20 @@ def mle_refine(obs: ObservationSet, init) -> np.ndarray:
     won_i, won_j = np.nonzero(obs.wins)
     won = obs.wins[won_i, won_j].astype(np.float64)
 
-    def gain(w, cand):
+    def gain(w, cand, s_cand):
         # log-likelihood of cand minus that of w, summed over won pairs as
         # log1p(expm1(d' - d) * sigma(-d')) with d' - d taken from cand - w:
         # the difference of two totals is lost to rounding near the optimum.
-        # A pair pushed ~37 logits against its result reads -inf: rejected.
-        d_new = cand[won_i] - cand[won_j]
+        # sigma(-d') is read from cand's logistic matrix at the mirrored
+        # pair (a - b == -(b - a) exactly).  A pair pushed ~37 logits
+        # against its result reads -inf: rejected.
         delta = cand - w
         with np.errstate(divide="ignore"):
-            terms = np.log1p(np.expm1(delta[won_i] - delta[won_j]) * expit(-d_new))
+            terms = np.log1p(np.expm1(delta[won_i] - delta[won_j]) * s_cand[won_j, won_i])
         return float(won @ terms)
 
+    s = expit(w[:, None] - w[None, :])
     for _ in range(_NEWTON_ITERS):
-        s = expit(w[:, None] - w[None, :])
         cs = comps * s
         grad = win_totals - cs.sum(axis=1)
         if np.all(np.abs(grad) <= gtol):
@@ -202,12 +247,13 @@ def mle_refine(obs: ObservationSet, init) -> np.ndarray:
         for _ in range(60):  # 2**-60 of a step moves no log-weight
             cand = w + step
             cand = np.clip(cand - cand.mean(), -_W_BOUND, _W_BOUND)
-            if gain(w, cand) >= 0:
+            s_cand = expit(cand[:, None] - cand[None, :])
+            if gain(w, cand, s_cand) >= 0:
                 break
             step *= 0.5
         else:
             break
-        w = cand
+        w, s = cand, s_cand
     weights = np.exp(w)
     return weights / weights.sum()
 

@@ -203,3 +203,157 @@ def test_rank_centrality_is_stationary(rng):
         step = move + np.diag(1.0 - move.sum(axis=1))
         assert np.all(pi >= 0) and pi.sum() == pytest.approx(1.0)
         np.testing.assert_allclose(pi @ step, pi, atol=1e-9)
+
+
+def test_strongly_connected_matches_scipy(rng):
+    seen = set()
+    for n in [1] * 5 + list(range(2, 40)) * 5:
+        density = rng.uniform(0.0, 3.0 * np.log(n + 1) / n)
+        adjacency = rng.random((n, n)) < density
+        np.fill_diagonal(adjacency, False)
+        strong = connected_components(adjacency, directed=True, connection="strong")[0] == 1
+        assert rank._connected(adjacency, strongly=True) == strong
+        seen.add(strong)
+    assert seen == {True, False}
+    for n in (1, 2, 5):  # no edges: only a single item is strongly connected
+        assert rank._connected(np.zeros((n, n), dtype=bool), strongly=True) == (n == 1)
+    cycle = np.roll(np.eye(6, dtype=bool), 1, axis=1)
+    assert rank._connected(cycle, strongly=True)
+    cycle[5, 0] = False  # a path: every item reached from 0, but 0 from none
+    assert rank._connected(cycle) and not rank._connected(cycle, strongly=True)
+
+
+def uniform_start_walk(obs, tol=1e-10, max_iters=100000):
+    """The power iteration of rank_centrality restated from a uniform
+    start; ``None`` where it does not converge in ``max_iters`` steps."""
+    compared = obs.comparisons > 0
+    rates = np.where(compared, obs.wins.T / np.maximum(obs.comparisons, 1), 0.0)
+    transition = rates / int(compared.sum(axis=1).max())
+    np.fill_diagonal(transition, 0.0)
+    np.fill_diagonal(transition, 1.0 - transition.sum(axis=1))
+    pi = np.full(obs.n, 1.0 / obs.n)
+    for _ in range(max_iters):
+        nxt = pi @ transition
+        nxt /= nxt.sum()
+        if np.abs(nxt - pi).max() < tol:
+            return nxt
+        pi = nxt
+    return None
+
+
+def random_design(rng, n_max=30):
+    """Random counts, dense or sparse, over a connected comparison graph."""
+    while True:
+        obs = random_observation_set(rng, int(rng.integers(2, n_max)),
+                                     max_count=int(rng.integers(1, 7)))
+        if connected_components(obs.comparisons > 0)[0] == 1:
+            return obs
+
+
+def with_extreme_item(obs, item, wins_all):
+    """The same comparisons with ``item`` winning (or losing) every one."""
+    wins = obs.wins.copy()
+    wins[item, :] = obs.comparisons[item, :] if wins_all else 0
+    wins[:, item] = obs.comparisons[:, item] - wins[item, :]
+    return observation_set(wins)
+
+
+class TestExactStart:
+    def test_one_step_on_strongly_connected_designs(self, rng):
+        checked = 0
+        while checked < 150:
+            obs = random_design(rng)
+            if not finite_mle_exists(obs):
+                continue
+            checked += 1
+            pi = rank_centrality(obs, max_iters=1)
+            assert np.all(pi > 0) and pi.sum() == pytest.approx(1.0)
+            np.testing.assert_allclose(pi, uniform_start_walk(obs), rtol=0, atol=1e-8)
+
+    def test_reducible_designs_keep_the_uniform_start(self, rng):
+        converged = 0
+        for _ in range(120):
+            obs = random_design(rng)
+            extreme = with_extreme_item(obs, int(rng.integers(obs.n)), bool(rng.integers(2)))
+            assert not finite_mle_exists(extreme)
+            expected = uniform_start_walk(extreme, max_iters=3000)
+            if expected is None:
+                with pytest.raises(rank.ConvergenceError):
+                    rank_centrality(extreme, max_iters=3000)
+                continue
+            converged += 1
+            assert np.array_equal(rank_centrality(extreme, max_iters=3000), expected)
+        assert converged >= 60
+
+    def test_hand_made_reducible_designs(self):
+        for wins in ([[0, 3, 3], [0, 0, 2], [0, 1, 0]], [[0, 2, 1], [1, 0, 1], [0, 0, 0]]):
+            obs = observation_set(np.array(wins))
+            assert np.array_equal(rank_centrality(obs), uniform_start_walk(obs))
+
+
+def reference_mle_refine(obs, init):
+    """mle_refine with the line search that evaluates the logistic on the
+    won pairs of each trial and recomputes the full matrix per Newton step."""
+    init = np.asarray(init, dtype=np.float64)
+    n = obs.n
+    w = np.full(n, -rank._W_BOUND)
+    positive = init > 0
+    logs = np.log(init[positive])
+    w[positive] = np.clip(logs - logs.mean(), -rank._W_BOUND, rank._W_BOUND)
+    comps = obs.comparisons.astype(np.float64)
+    win_totals = obs.wins.sum(axis=1).astype(np.float64)
+    degree = comps.sum(axis=1)
+    gtol = 1e-10 * (1.0 + degree)
+    regular = np.diag(1e-9 * (1.0 + degree)) + 1.0 / n
+    won_i, won_j = np.nonzero(obs.wins)
+    won = obs.wins[won_i, won_j].astype(np.float64)
+
+    def gain(w, cand):
+        d_new = cand[won_i] - cand[won_j]
+        delta = cand - w
+        with np.errstate(divide="ignore"):
+            terms = np.log1p(np.expm1(delta[won_i] - delta[won_j]) * expit(-d_new))
+        return float(won @ terms)
+
+    for _ in range(rank._NEWTON_ITERS):
+        s = expit(w[:, None] - w[None, :])
+        cs = comps * s
+        grad = win_totals - cs.sum(axis=1)
+        if np.all(np.abs(grad) <= gtol):
+            break
+        a = cs * (1.0 - s)
+        step = np.linalg.solve(np.diag(a.sum(axis=1)) - a + regular, grad)
+        for _ in range(60):
+            cand = w + step
+            cand = np.clip(cand - cand.mean(), -rank._W_BOUND, rank._W_BOUND)
+            if gain(w, cand) >= 0:
+                break
+            step *= 0.5
+        else:
+            break
+        w = cand
+    weights = np.exp(w)
+    return weights / weights.sum()
+
+
+class TestLineSearchReference:
+    def test_matches_the_won_pair_line_search(self, rng):
+        for _ in range(300):
+            obs = random_design(rng)
+            if rng.random() < 0.3:
+                obs = with_extreme_item(obs, int(rng.integers(obs.n)), bool(rng.integers(2)))
+            if rng.random() < 0.5:
+                init = rng.random(obs.n) * (rng.random(obs.n) < 0.8)
+                init[int(rng.integers(obs.n))] += 0.5
+            else:
+                init = uniform_start_walk(obs, max_iters=3000)
+                if init is None:
+                    continue
+            assert np.array_equal(mle_refine(obs, init), reference_mle_refine(obs, init))
+
+    def test_hand_made_designs(self):
+        # the saturated and zero-mass designs above, from their walk starts
+        for wins in ([[0, 3, 3], [0, 0, 2], [0, 1, 0]], [[0, 2, 1], [1, 0, 1], [0, 0, 0]]):
+            obs = observation_set(np.array(wins))
+            init = rank_centrality(obs)
+            assert np.array_equal(mle_refine(obs, init), reference_mle_refine(obs, init))
