@@ -2,10 +2,11 @@
 
 Usage, from anywhere:
 
-    python3 scripts/bench_file.py CHECKOUT [CHECKOUT ...] --seconds 8 --rounds 3 --seeds 1 4099
+    python3 scripts/bench_file.py CHECKOUT [CHECKOUT ...] [--out-dir DIR]
 
 For every checkout it runs that checkout's own ``benchmark/run.py`` on
-each workload and seed with ``--trace 0``, and times the estimator
+each workload and seed with ``--trace 0``, each run as long as the
+checkout's ``BENCHMARK.json`` sets (``run_seconds``), and times the estimator
 layers (``copeland_topk``, ``rank_centrality``, ``mle_refine``) in a
 fresh interpreter that imports ``pairrank`` from the checkout's
 ``src/``.  Rounds alternate the order of the checkouts, so side-by-side
@@ -28,6 +29,8 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("figure-suite", "threshold-sweep", "eval-real")
+SEEDS = (1, 4099)
+ROUNDS = 3
 LAYER_SIZES = (50, 200, 1000)
 # BTL with quality spread 6, every pair compared 4 times: the figure
 # suite's p = 1 design, at three sizes
@@ -89,6 +92,11 @@ def _layer_run(checkout: Path) -> dict:
     return json.loads(_run([sys.executable, __file__, "--layers"], checkout, env)[-1])
 
 
+def _run_seconds(checkout: Path) -> float:
+    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return float(spec["run_seconds"])
+
+
 def _dirty(checkout: Path) -> bool:
     status = _run(["git", "status", "--porcelain", "--untracked-files=no"], checkout)
     return bool(status)
@@ -99,23 +107,24 @@ def _median_metrics(runs: list[dict]) -> dict:
     return {m: statistics.median(r["metrics"][m]["value"] for r in runs) for m in names}
 
 
-def bench(checkouts: list[Path], seeds: list[int], seconds: float, rounds: int) -> list[dict]:
+def bench(checkouts: list[Path]) -> list[dict]:
+    seconds = [_run_seconds(checkout) for checkout in checkouts]
     records = [{"workloads": {}, "layers": []} for _ in checkouts]
-    for round_ in range(rounds):
+    for round_ in range(ROUNDS):
         order = list(enumerate(checkouts))
         if round_ % 2:
             order.reverse()
         for workload in WORKLOADS:
-            for seed in seeds:
+            for seed in SEEDS:
                 for i, checkout in order:
-                    provenance, result = _workload_run(checkout, workload, seed, seconds)
+                    provenance, result = _workload_run(checkout, workload, seed, seconds[i])
                     records[i]["provenance"] = provenance
                     runs = records[i]["workloads"].setdefault(workload, {}).setdefault(str(seed), [])
                     runs.append(result)
         for i, checkout in order:
             records[i]["layers"].append(_layer_run(checkout))
     files = []
-    for checkout, record in zip(checkouts, records):
+    for checkout, record, run_seconds in zip(checkouts, records, seconds):
         provenance = record["provenance"]
         dirty = _dirty(checkout)
         files.append({
@@ -123,9 +132,9 @@ def bench(checkouts: list[Path], seeds: list[int], seconds: float, rounds: int) 
             "git_sha": provenance["git_sha"],
             "dirty": dirty,
             **{key: provenance[key] for key in ("python", "numpy", "scipy", "nproc")},
-            "seeds": seeds,
-            "seconds": seconds,
-            "rounds": rounds,
+            "seeds": list(SEEDS),
+            "seconds": run_seconds,
+            "rounds": ROUNDS,
             "workloads": {
                 w: {seed: {"median": _median_metrics(runs), "runs": runs}
                     for seed, runs in by_seed.items()}
@@ -151,9 +160,6 @@ def bench(checkouts: list[Path], seeds: list[int], seconds: float, rounds: int) 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="*", type=Path)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 4099])
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--out-dir", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -162,9 +168,7 @@ def main(argv=None) -> int:
         return 0
     if not args.checkouts:
         parser.error("give at least one checkout")
-    if args.rounds < 1 or args.seconds <= 0:
-        parser.error("--rounds must be at least 1 and --seconds positive")
-    for record in bench([c.resolve() for c in args.checkouts], args.seeds, args.seconds, args.rounds):
+    for record in bench([c.resolve() for c in args.checkouts]):
         path = args.out_dir / f"BENCH_{record['label']}.json"
         path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
         print(path)
