@@ -230,7 +230,7 @@ def main(argv=None) -> int:
         message, category, code = str(exc), "usage", 1
     except (ValueError, OSError, KeyError) as exc:
         message, category, code = str(exc), "data", 2
-    except (rank.DisconnectedGraphError, rank.ConvergenceError, RuntimeError) as exc:
+    except RuntimeError as exc:
         message, category, code = str(exc), "runtime", 3
     except Exception as exc:  # the last boundary: no input ends in a bare traceback
         if not as_json:

@@ -155,12 +155,12 @@ def _estimate(
 ) -> tuple[rank.TopKEstimate | None, str | None]:
     """Run a registered estimator; an estimate, or the reason it failed.
 
-    A disconnected comparison graph or a non-converging power iteration
-    is an outcome to record, not a fatal error.
+    A disconnected comparison graph, or a random walk without a unique
+    stationary distribution, is an outcome to record, not a fatal error.
     """
     try:
         return _ESTIMATOR_FNS[name](obs, k), None
-    except (rank.DisconnectedGraphError, rank.ConvergenceError) as exc:
+    except (rank.DisconnectedGraphError, rank.StationaryError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
@@ -361,8 +361,8 @@ def run_realdata(
     estimators select ``k`` items (default :func:`default_k`), and the
     Hamming error against the true top-k is recorded; per-``q``
     averages go into the summary, one entry per ``q``, so ``q_grid``
-    must not repeat a value.  Estimator failures (a subsample may
-    disconnect the comparison graph) are recorded, not fatal.
+    must not repeat a value.  Estimator failures (a disconnected graph or
+    a walk with several closed classes) are recorded, not fatal.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -7,12 +7,10 @@ Newton refinement of the Bradley-Terry-Luce likelihood; it is
 labeled "spectral_baseline" throughout and makes the parametric
 assumptions the counting rule avoids.
 
-When the "j beat i" digraph is strongly connected the random walk is
-irreducible, and the stationary stage solves for its distribution
-directly; power iteration from there only confirms it.  Otherwise
-(an item that never wins, or one that never loses) it iterates from
-the uniform vector.  Each Newton trial computes one logistic matrix,
-which both judges the trial and, once accepted, starts the next step.
+The stationary stage solves for the walk's distribution on its one
+closed class and gives every other item zero mass.  Each Newton trial
+computes one logistic matrix, which both judges the trial and, once
+accepted, starts the next step.
 """
 
 from __future__ import annotations
@@ -29,8 +27,11 @@ class DisconnectedGraphError(RuntimeError):
     """The comparison graph has more than one connected component."""
 
 
-class ConvergenceError(RuntimeError):
-    """Power iteration did not converge within the iteration budget."""
+class StationaryError(RuntimeError):
+    """The Rank Centrality walk has no unique stationary distribution."""
+
+
+STATIONARY_ATOL = 1e-10  # the most one walk step may move a solved stationary vector
 
 
 @dataclass(frozen=True)
@@ -110,67 +111,69 @@ def _connected(adjacency: np.ndarray, strongly: bool = False) -> bool:
     return True
 
 
-def _exact_start(rates: np.ndarray) -> np.ndarray | None:
-    """The walk's stationary vector from one linear solve, or ``None``.
+def _closed_class(moves: np.ndarray) -> np.ndarray:
+    """Mask of the walk's one closed class; ``moves[i, j]`` marks a step ``i -> j``.
+
+    Closed classes are the strong components no move leaves, the whole
+    walk if strongly connected; :class:`StationaryError` if not exactly one.
+    """
+    if _connected(moves, strongly=True):
+        return np.ones(moves.shape[0], dtype=bool)
+    from scipy.sparse.csgraph import connected_components  # reducible walks only
+
+    _, labels = connected_components(moves, directed=True, connection="strong")
+    src, dst = np.nonzero(moves)
+    closed = np.setdiff1d(labels, labels[src[labels[src] != labels[dst]]])
+    if closed.size != 1:
+        raise StationaryError(f"the random walk has {closed.size} closed classes, not one")
+    return labels == closed[0]
+
+
+def _stationary(rates: np.ndarray) -> np.ndarray:
+    """Stationary vector of an irreducible walk, from one linear solve.
 
     ``pi (P - I) = 0`` with ``P - I = (R - diag(R 1)) / d_max`` does not
     depend on ``d_max``; adding ``1 1^T`` to the transposed system fixes
-    ``sum(pi) = 1`` and makes it regular when the walk is irreducible.
-    ``None`` when the walk is reducible or the solve gives a vector that
-    is not finite and strictly positive.
+    ``sum(pi) = 1`` and makes it regular.  Round-off negatives clip to 0.
     """
-    if not _connected(rates > 0, strongly=True):
-        return None
     system = rates.T - np.diag(rates.sum(axis=1)) + 1.0
     try:
-        pi = np.linalg.solve(system, np.ones(rates.shape[0]))
-    except np.linalg.LinAlgError:
-        return None
-    if not (np.all(np.isfinite(pi)) and np.all(pi > 0)):
-        return None
+        pi = np.maximum(np.linalg.solve(system, np.ones(rates.shape[0])), 0.0)
+    except np.linalg.LinAlgError as exc:
+        raise StationaryError("the stationary system is singular") from exc
     return pi / pi.sum()
 
 
-def rank_centrality(obs: ObservationSet, tol: float = 1e-10, max_iters: int = 100000) -> np.ndarray:
+def rank_centrality(obs: ObservationSet) -> np.ndarray:
     """Stationary distribution of the empirical win-rate random walk.
 
     The walk moves from ``i`` to ``j`` with probability
     ``(wins_j / comparisons_ij) / d_max`` where ``d_max`` is the
     maximum degree of the comparison graph; remaining mass stays put.
     Items that beat many others accumulate stationary mass.  Requires a
-    connected comparison graph.  Power iteration starts at the exact
-    stationary vector when the "j beat i" digraph is strongly connected
-    (the walk is irreducible, so one dense solve gives it) and the first
-    step then confirms it; otherwise, or if the solve yields a vector
-    that is not strictly positive, it starts uniform.  Raises
-    :class:`ConvergenceError` when successive iterates still differ by
-    ``tol`` after ``max_iters`` steps.
+    connected comparison graph (else :class:`DisconnectedGraphError`).
+    Solved for on the walk's closed class, with zero mass on transient
+    items (say, one that never wins), and returned after one confirming
+    walk step.  Raises :class:`StationaryError` when the walk has several
+    closed classes or that step moves it by ``STATIONARY_ATOL`` or more.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    n = obs.n
     compared = obs.comparisons > 0
     if not _connected(compared):
         raise DisconnectedGraphError("comparison graph is not connected")
-    degrees = compared.sum(axis=1)
-    d_max = int(degrees.max())
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rates = np.where(compared, obs.wins.T / np.maximum(obs.comparisons, 1), 0.0)
+    d_max = int(compared.sum(axis=1).max())
+    rates = np.where(compared, obs.wins.T / np.maximum(obs.comparisons, 1), 0.0)
     transition = rates / d_max
     np.fill_diagonal(transition, 0.0)
     np.fill_diagonal(transition, 1.0 - transition.sum(axis=1))
-    pi = _exact_start(rates)
-    if pi is None:
-        pi = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
-        nxt = pi @ transition
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).max() < tol:
-            return nxt
-        pi = nxt
-    raise ConvergenceError(f"power iteration did not converge in {max_iters} iterations")
+    closed = _closed_class(rates > 0)
+    pi = np.zeros(obs.n)
+    pi[closed] = _stationary(rates if closed.all() else rates[np.ix_(closed, closed)])
+    nxt = pi @ transition
+    nxt /= nxt.sum()
+    residual = np.abs(nxt - pi).max()
+    if not residual < STATIONARY_ATOL:
+        raise StationaryError(f"one walk step moves the solved stationary vector by {residual:.3g}")
+    return nxt
 
 
 def btl_loglikelihood(obs: ObservationSet, weights) -> float:
@@ -258,18 +261,15 @@ def mle_refine(obs: ObservationSet, init) -> np.ndarray:
     return weights / weights.sum()
 
 
-def spectral_baseline(
-    obs: ObservationSet, tol: float = 1e-10, max_iters: int = 100000
-) -> np.ndarray:
+def spectral_baseline(obs: ObservationSet) -> np.ndarray:
     """Rank-Centrality stage followed by Newton refinement of the BTL likelihood.
 
-    The stationary distribution of :func:`rank_centrality` starts
-    :func:`mle_refine`; both are looked up as module attributes at call
-    time.  The combined score vector is positive and sums to 1; ranking
-    by it is the "spectral_baseline" estimator used in benchmarks.
+    The stationary distribution of :func:`rank_centrality` (and its
+    errors) starts :func:`mle_refine`; both are looked up as module
+    attributes at call time.  The combined score vector is positive and
+    sums to 1; ranking by it is the "spectral_baseline" estimator.
     """
-    init = rank_centrality(obs, tol=tol, max_iters=max_iters)
-    return mle_refine(obs, init)
+    return mle_refine(obs, rank_centrality(obs))
 
 
 def topk_from_scores(score_vector, k: int) -> TopKEstimate:

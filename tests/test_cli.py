@@ -90,6 +90,15 @@ class TestErrorJson:
             "exit_code": 3,
         }
 
+    def test_stationary_error_is_runtime(self, monkeypatch, capsys):
+        def reducible(*args, **kwargs):
+            raise rank.StationaryError("the random walk has 2 closed classes")
+
+        monkeypatch.setattr(harness, "run_realdata", reducible)
+        argv = ["--error-json", "eval-real", "--obs", "x", "--truth", "y", "--out", "z"]
+        assert cli.main(argv) == 3
+        assert error_payload(capsys)["category"] == "runtime"
+
     @pytest.mark.parametrize("as_json", [True, False])
     def test_unexpected_exception_is_runtime(self, monkeypatch, capsys, as_json):
         def broken(*args, **kwargs):

@@ -79,6 +79,23 @@ class TestRunRealdata:
         assert by_name["spectral_baseline"].error is None
         assert by_name["spectral_baseline"].hamming_error == 0
 
+    def test_several_closed_classes_are_a_failed_trial(self, tmp_path):
+        # a and b each beat c and d and never met: the baseline's walk has
+        # two closed classes and no unique stationary vector
+        obs_path, truth_path = tmp_path / "cmp.csv", tmp_path / "truth.txt"
+        rows = ["a,c,a", "a,c,a", "a,d,a", "b,c,b", "b,d,b", "c,d,c", "c,d,d"]
+        obs_path.write_text("item_a,item_b,winner\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        truth_path.write_text("a\nb\nc\nd\n", encoding="utf-8")
+        result = run_realdata(obs_path, truth_path, k=1, q_grid=(1.0,), trials=1)
+        by_name = {row.estimator: row for row in result.rows}
+        failed = by_name["spectral_baseline"]
+        assert failed.hamming_error is None
+        assert failed.error.startswith("StationaryError: ") and "2 closed classes" in failed.error
+        assert by_name["copeland"].error is None
+        stats = result.summary["per_q"][0]["estimators"]
+        assert stats["spectral_baseline"]["failed_trials"] == 1
+        assert stats["copeland"]["failed_trials"] == 0
+
     def test_rerun_is_byte_identical(self, tmp_path, rng):
         obs_path, truth_path = write_dataset(tmp_path, rng)
         outs = []

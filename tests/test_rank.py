@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -144,7 +146,11 @@ class TestMleRefine:
         start = rank_centrality(obs)
         scores = spectral_baseline(obs)
         assert np.all(np.isfinite(scores)) and np.all(scores > 0)
-        assert btl_loglikelihood(obs, scores) >= btl_loglikelihood(obs, start)
+        # item 0 absorbs the walk; the refinement starts the zero-mass
+        # items at the log-weight bound
+        assert start.tolist() == [1.0, 0.0, 0.0]
+        bounded = np.exp([0.0, -rank._W_BOUND, -rank._W_BOUND])
+        assert btl_loglikelihood(obs, scores) >= btl_loglikelihood(obs, bounded)
         assert topk_from_scores(scores, 1).items == (0,)
 
     def test_zero_mass_item_starts_at_the_bound(self):
@@ -266,29 +272,146 @@ class TestExactStart:
             if not finite_mle_exists(obs):
                 continue
             checked += 1
-            pi = rank_centrality(obs, max_iters=1)
+            pi = rank_centrality(obs)
             assert np.all(pi > 0) and pi.sum() == pytest.approx(1.0)
             np.testing.assert_allclose(pi, uniform_start_walk(obs), rtol=0, atol=1e-8)
 
-    def test_reducible_designs_keep_the_uniform_start(self, rng):
-        converged = 0
-        for _ in range(120):
-            obs = random_design(rng)
-            extreme = with_extreme_item(obs, int(rng.integers(obs.n)), bool(rng.integers(2)))
-            assert not finite_mle_exists(extreme)
-            expected = uniform_start_walk(extreme, max_iters=3000)
-            if expected is None:
-                with pytest.raises(rank.ConvergenceError):
-                    rank_centrality(extreme, max_iters=3000)
-                continue
-            converged += 1
-            assert np.array_equal(rank_centrality(extreme, max_iters=3000), expected)
-        assert converged >= 60
-
     def test_hand_made_reducible_designs(self):
-        for wins in ([[0, 3, 3], [0, 0, 2], [0, 1, 0]], [[0, 2, 1], [1, 0, 1], [0, 0, 0]]):
-            obs = observation_set(np.array(wins))
-            assert np.array_equal(rank_centrality(obs), uniform_start_walk(obs))
+        # item 0 never loses, so it absorbs the walk
+        obs = observation_set(np.array([[0, 3, 3], [0, 0, 2], [0, 1, 0]]))
+        assert rank_centrality(obs).tolist() == [1.0, 0.0, 0.0]
+        # item 2 never wins, so the walk never enters it; on {0, 1} the
+        # flows balance at pi_0 / 3 == 2 pi_1 / 3
+        obs = observation_set(np.array([[0, 2, 1], [1, 0, 1], [0, 0, 0]]))
+        pi = rank_centrality(obs)
+        assert pi[2] == 0.0
+        np.testing.assert_allclose(pi, [2 / 3, 1 / 3, 0.0], rtol=0, atol=1e-15)
+
+
+def walk_moves(obs):
+    """The walk's possible steps: ``i -> j`` when j beat i."""
+    return obs.wins.T > 0
+
+
+def closed_class_oracle(moves):
+    """(items reached from every item, number of closed classes), from a
+    boolean transitive closure.  With one closed class the first is that
+    class; with several it is empty."""
+    n = moves.shape[0]
+    reach = moves | np.eye(n, dtype=bool)
+    for k in range(n):  # Warshall: paths through items 0..k
+        reach |= reach[:, [k]] & reach[[k], :]
+    # an item is in a closed class when every item it reaches reaches it back
+    in_closed = ~(reach & ~reach.T).any(axis=1)
+    return reach.all(axis=0), len({tuple(row) for row in reach[in_closed]})
+
+
+# A uniform-start walk that meets its 1e-10 step tolerance within 3,000
+# steps contracts by at least (1e-10) ** (1 / 3000) ~ 0.9924 per step, so
+# it stops within about 1e-10 / (1 - 0.9924) ~ 1.3e-8 of its limit.
+UNIFORM_LIMIT_ATOL = 1e-6
+
+
+def drain_design():
+    """Items 0-28 beat each other 3 times each; item 29 beats item 0 once
+    in 6; item 30 meets only item 29 and beats it 6 times.  Item 30 never
+    loses, so the walk drains into it through the one weak item 29."""
+    wins = np.zeros((31, 31), dtype=np.int64)
+    wins[:29, :29] = 3
+    np.fill_diagonal(wins, 0)
+    wins[29, 0], wins[0, 29] = 1, 5
+    wins[30, 29] = 6
+    return observation_set(wins)
+
+
+class TestClosedClass:
+    def test_matches_transitive_closure(self, rng):
+        outcomes = set()
+        for n in [1] * 3 + list(range(2, 30)) * 6:
+            moves = rng.random((n, n)) < rng.uniform(0.0, 3.0 * np.log(n + 1) / n)
+            np.fill_diagonal(moves, False)
+            expected, count = closed_class_oracle(moves)
+            if count == 1:
+                assert np.array_equal(rank._closed_class(moves), expected)
+            else:
+                with pytest.raises(rank.StationaryError, match=f"has {count} closed classes"):
+                    rank._closed_class(moves)
+            outcomes.add((count, bool(expected.all())) if count == 1 else "several")
+        assert outcomes == {(1, True), (1, False), "several"}
+
+    def test_one_closed_class_is_stationary_and_zero_off_it(self, rng):
+        reducible = near_walk_limit = 0
+        while reducible < 150:
+            obs = random_design(rng)
+            if rng.random() < 0.5:
+                obs = with_extreme_item(obs, int(rng.integers(obs.n)), bool(rng.integers(2)))
+            closed, count = closed_class_oracle(walk_moves(obs))
+            if count != 1 or closed.all():
+                continue
+            reducible += 1
+            pi = rank_centrality(obs)
+            assert np.all(pi >= 0) and pi.sum() == pytest.approx(1.0)
+            assert np.all(pi[~closed] == 0.0) and np.all(pi[closed] > 0)
+            degrees = (obs.comparisons > 0).sum(axis=1)
+            move = obs.wins.T / obs.comparisons.clip(1) / degrees.max()
+            step = move + np.diag(1.0 - move.sum(axis=1))
+            np.testing.assert_allclose(pi @ step, pi, rtol=0, atol=1e-12)
+            limit = uniform_start_walk(obs, max_iters=3000)
+            if limit is not None:
+                near_walk_limit += 1
+                assert np.abs(pi - limit).max() <= UNIFORM_LIMIT_ATOL
+        assert near_walk_limit >= 50
+
+    def test_unbeaten_items_that_never_met(self):
+        # items 0 and 1 each beat items 2 and 3 and never met: each one
+        # alone is a closed class of the walk
+        obs = observation_set(np.array([[0, 0, 2, 1], [0, 0, 1, 3], [0, 0, 0, 2], [0, 0, 1, 0]]))
+        assert connected_components(obs.comparisons > 0)[0] == 1
+        for estimator in (rank_centrality, spectral_baseline):
+            with pytest.raises(rank.StationaryError, match="has 2 closed classes"):
+                estimator(obs)
+
+    @pytest.mark.parametrize("n", [8, 12, 20])
+    def test_lopsided_chain(self, n):
+        # item i + 1 beats item i 174 times and loses once; by detailed
+        # balance the walk's mass grows 174-fold along the chain, so the
+        # bottom items hold less than round-off of the solve
+        wins = np.zeros((n, n), dtype=np.int64)
+        i = np.arange(n - 1)
+        wins[i + 1, i], wins[i, i + 1] = 174, 1
+        expected = 174.0 ** np.arange(n)
+        expected /= expected.sum()
+        for design, mass in ((wins, expected), (wins[::-1, ::-1], expected[::-1])):
+            pi = rank_centrality(observation_set(design))
+            assert np.all(pi >= 0)
+            np.testing.assert_allclose(pi, mass, rtol=0, atol=1e-12)
+
+    def test_a_failed_solve_is_a_stationary_error(self, monkeypatch):
+        obs = observation_set(np.array([[0, 2, 1], [1, 0, 1], [1, 1, 0]]))
+        with monkeypatch.context() as patch:
+            # the confirming step rejects a vector that is not stationary
+            patch.setattr(rank, "_stationary", lambda rates: np.full(len(rates), 1 / 3))
+            with pytest.raises(rank.StationaryError, match="one walk step moves"):
+                rank_centrality(obs)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(rank.StationaryError, match="singular"):
+            rank_centrality(obs)
+
+    def test_drain_returns_in_milliseconds(self):
+        obs = drain_design()
+        # the uniform-start power iteration does not settle in 20,000 steps
+        assert uniform_start_walk(obs, max_iters=20000) is None
+        expected = np.zeros(31)
+        expected[30] = 1.0
+        assert np.array_equal(rank_centrality(obs), expected)
+        start = time.perf_counter()
+        scores = spectral_baseline(obs)
+        assert time.perf_counter() - start < 0.05
+        assert topk_from_scores(scores, 1).items == (30,)
 
 
 def reference_mle_refine(obs, init):
