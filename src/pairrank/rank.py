@@ -123,7 +123,7 @@ def _closed_class(moves: np.ndarray) -> np.ndarray:
 
     _, labels = connected_components(moves, directed=True, connection="strong")
     src, dst = np.nonzero(moves)
-    closed = np.setdiff1d(labels, labels[src[labels[src] != labels[dst]]])
+    closed = np.setdiff1d(labels, labels[src[labels[src] != labels[dst]]])  # no move leaves
     if closed.size != 1:
         raise StationaryError(f"the random walk has {closed.size} closed classes, not one")
     return labels == closed[0]
@@ -264,10 +264,10 @@ def mle_refine(obs: ObservationSet, init) -> np.ndarray:
 def spectral_baseline(obs: ObservationSet) -> np.ndarray:
     """Rank-Centrality stage followed by Newton refinement of the BTL likelihood.
 
-    The stationary distribution of :func:`rank_centrality` (and its
-    errors) starts :func:`mle_refine`; both are looked up as module
-    attributes at call time.  The combined score vector is positive and
-    sums to 1; ranking by it is the "spectral_baseline" estimator.
+    :func:`rank_centrality` (whose errors pass through) starts
+    :func:`mle_refine` at its stationary distribution; both are looked
+    up as module attributes at call time.  Ranking by the positive,
+    sum-1 score vector is the "spectral_baseline" estimator.
     """
     return mle_refine(obs, rank_centrality(obs))
 
