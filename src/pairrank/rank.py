@@ -8,9 +8,8 @@ labeled "spectral_baseline" throughout and makes the parametric
 assumptions the counting rule avoids.
 
 The stationary stage solves for the walk's distribution on its one
-closed class and gives every other item zero mass.  Each Newton trial
-computes one logistic matrix, which both judges the trial and, once
-accepted, starts the next step.
+closed class, zero elsewhere.  Each Newton trial computes one logistic
+matrix, which judges the trial and, once accepted, starts the next step.
 """
 
 from __future__ import annotations
@@ -91,13 +90,10 @@ def copeland_ranking(obs: ObservationSet) -> RankingEstimate:
 
 
 def _connected(adjacency: np.ndarray, strongly: bool = False) -> bool:
-    """Whether the graph is connected: breadth-first from item 0, one frontier per step.
+    """Whether every item is reached from item 0: breadth-first, one frontier per step.
 
-    ``adjacency[i, j]`` is an edge ``i -> j``.  Connectivity means every
-    item is reached from item 0, which on a symmetric adjacency is
-    undirected connectivity.  With ``strongly`` the same search also
-    runs over the transpose, so item 0 must be reached from every item
-    too: strong connectivity of the digraph.
+    ``adjacency[i, j]`` is an edge ``i -> j``; on a symmetric adjacency this is
+    connectivity.  ``strongly`` also searches the transpose: strong connectivity.
     """
     for edges in (adjacency, adjacency.T) if strongly else (adjacency,):
         seen = np.zeros(edges.shape[0], dtype=bool)
@@ -117,9 +113,9 @@ def _closed_class(moves: np.ndarray) -> np.ndarray:
     Closed classes are the strong components no move leaves, the whole
     walk if strongly connected; :class:`StationaryError` if not exactly one.
     """
-    if _connected(moves, strongly=True):
+    if _connected(moves, strongly=True):  # far cheaper than labelling a dense matrix
         return np.ones(moves.shape[0], dtype=bool)
-    from scipy.sparse.csgraph import connected_components  # reducible walks only
+    from scipy.sparse.csgraph import connected_components  # ~0.1 s to import: on demand
 
     _, labels = connected_components(moves, directed=True, connection="strong")
     src, dst = np.nonzero(moves)
@@ -148,14 +144,13 @@ def rank_centrality(obs: ObservationSet) -> np.ndarray:
     """Stationary distribution of the empirical win-rate random walk.
 
     The walk moves from ``i`` to ``j`` with probability
-    ``(wins_j / comparisons_ij) / d_max`` where ``d_max`` is the
-    maximum degree of the comparison graph; remaining mass stays put.
-    Items that beat many others accumulate stationary mass.  Requires a
-    connected comparison graph (else :class:`DisconnectedGraphError`).
-    Solved for on the walk's closed class, with zero mass on transient
-    items (say, one that never wins), and returned after one confirming
-    walk step.  Raises :class:`StationaryError` when the walk has several
-    closed classes or that step moves it by ``STATIONARY_ATOL`` or more.
+    ``(wins_j / comparisons_ij) / d_max`` (``d_max`` the comparison graph's
+    maximum degree); remaining mass stays put, so items that beat many
+    others accumulate mass.  Solved for on the walk's closed class, with
+    transient items (say, one that never wins) at zero, and returned after
+    one confirming step.  Raises :class:`DisconnectedGraphError` on a
+    disconnected comparison graph, and :class:`StationaryError` on several
+    closed classes or a step that moves it by ``STATIONARY_ATOL`` or more.
     """
     compared = obs.comparisons > 0
     if not _connected(compared):
@@ -167,7 +162,7 @@ def rank_centrality(obs: ObservationSet) -> np.ndarray:
     np.fill_diagonal(transition, 1.0 - transition.sum(axis=1))
     closed = _closed_class(rates > 0)
     pi = np.zeros(obs.n)
-    pi[closed] = _stationary(rates if closed.all() else rates[np.ix_(closed, closed)])
+    pi[closed] = _stationary(rates[np.ix_(closed, closed)])
     nxt = pi @ transition
     nxt /= nxt.sum()
     residual = np.abs(nxt - pi).max()
@@ -176,29 +171,39 @@ def rank_centrality(obs: ObservationSet) -> np.ndarray:
     return nxt
 
 
-def btl_loglikelihood(obs: ObservationSet, weights) -> float:
-    """BTL log-likelihood of aggregated counts at positive weights."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (obs.n,) or np.any(weights <= 0):
-        raise ValueError("weights must be a strictly positive vector of length n")
-    w = np.log(weights)
-    iu, ju = np.triu_indices(obs.n, k=1)
-    diffs = w[iu] - w[ju]
-    return float(
-        np.sum(obs.wins[iu, ju] * log_expit(diffs) + obs.wins[ju, iu] * log_expit(-diffs))
-    )
-
-
 _W_BOUND = 40.0  # beyond this the logistic CDF saturates at double precision
 _NEWTON_ITERS = 100
+
+
+def _log_weights(scores: np.ndarray) -> np.ndarray:
+    """Centred logs of nonnegative scores within ``[-_W_BOUND, _W_BOUND]``, zeros at the floor."""
+    w = np.full(scores.size, -_W_BOUND)
+    positive = scores > 0
+    logs = np.log(scores[positive])
+    w[positive] = np.clip(logs - logs.mean(), -_W_BOUND, _W_BOUND)
+    return w
+
+
+def btl_loglikelihood(obs: ObservationSet, weights) -> float:
+    """BTL log-likelihood of aggregated counts at nonnegative weights.
+
+    Exact at positive weights.  A zero weight (a transient Rank Centrality
+    item) has no log: a vector with zeros is read as :func:`mle_refine` reads its start.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    valid = weights.shape == (obs.n,) and np.isfinite(weights).all() and weights.min() >= 0
+    if not valid or not weights.any():
+        raise ValueError("weights must be nonnegative, finite, not all zero and of length n")
+    w = np.log(weights) if np.all(weights > 0) else _log_weights(weights)
+    return float(np.sum(obs.wins * log_expit(w[:, None] - w[None, :])))
 
 
 def mle_refine(obs: ObservationSet, init) -> np.ndarray:
     """Newton ascent on the BTL likelihood, started from a score vector.
 
-    ``init`` is nonnegative, finite and not all zero; its log is the
-    starting point, with zero entries at ``-_W_BOUND``.  Each step
-    solves the weighted graph Laplacian ``diag(A 1) - A``, with
+    ``init`` is nonnegative, finite and not all zero; ``_log_weights``
+    gives the start, zero entries at ``-_W_BOUND``.  Each step solves
+    the weighted graph Laplacian ``diag(A 1) - A``, with
     ``A = C * sigma * (1 - sigma)``, plus ``1 1^T / n`` (the likelihood
     ignores a common shift) and a small ridge, which keeps the system
     regular when an item wins or loses every comparison.  A
@@ -211,14 +216,9 @@ def mle_refine(obs: ObservationSet, init) -> np.ndarray:
     """
     init = np.asarray(init, dtype=np.float64)
     n = obs.n
-    if init.shape != (n,):
-        raise ValueError(f"init must have length {n}")
-    if np.any(init < 0) or not np.all(np.isfinite(init)) or not init.any():
-        raise ValueError("init must be nonnegative, finite and not all zero")
-    w = np.full(n, -_W_BOUND)
-    positive = init > 0
-    logs = np.log(init[positive])
-    w[positive] = np.clip(logs - logs.mean(), -_W_BOUND, _W_BOUND)
+    if init.shape != (n,) or np.any(init < 0) or not np.isfinite(init).all() or not init.any():
+        raise ValueError(f"init must be nonnegative, finite, not all zero and of length {n}")
+    w = _log_weights(init)
     comps = obs.comparisons.astype(np.float64)
     win_totals = obs.wins.sum(axis=1).astype(np.float64)
     degree = comps.sum(axis=1)

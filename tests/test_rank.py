@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -146,11 +144,8 @@ class TestMleRefine:
         start = rank_centrality(obs)
         scores = spectral_baseline(obs)
         assert np.all(np.isfinite(scores)) and np.all(scores > 0)
-        # item 0 absorbs the walk; the refinement starts the zero-mass
-        # items at the log-weight bound
-        assert start.tolist() == [1.0, 0.0, 0.0]
-        bounded = np.exp([0.0, -rank._W_BOUND, -rank._W_BOUND])
-        assert btl_loglikelihood(obs, scores) >= btl_loglikelihood(obs, bounded)
+        assert start.tolist() == [1.0, 0.0, 0.0]  # item 0 absorbs the walk
+        assert btl_loglikelihood(obs, scores) >= btl_loglikelihood(obs, start)
         assert topk_from_scores(scores, 1).items == (0,)
 
     def test_zero_mass_item_starts_at_the_bound(self):
@@ -172,6 +167,36 @@ class TestMleRefine:
         obs = observation_set(np.array([[0, 2, 1], [1, 0, 1], [1, 1, 0]]))
         with pytest.raises(ValueError):
             mle_refine(obs, init)
+
+    def test_loglikelihood_at_positive_weights(self, rng):
+        for _ in range(30):
+            obs = random_observation_set(rng, int(rng.integers(2, 10)))
+            weights = rng.uniform(0.01, 1.0, obs.n)
+            expected = sum(
+                obs.wins[i, j] * np.log(weights[i] / (weights[i] + weights[j]))
+                for i in range(obs.n) for j in range(obs.n) if i != j
+            )
+            assert btl_loglikelihood(obs, weights) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_loglikelihood_reads_zero_weights_as_the_refinement_start(self, rng):
+        # a zero weight sits _W_BOUND logits below the mean log of the
+        # positive ones, where mle_refine starts it
+        for _ in range(30):
+            obs = random_observation_set(rng, int(rng.integers(2, 10)))
+            weights = np.where(rng.random(obs.n) < 0.5, 0.0, rng.uniform(0.01, 1.0, obs.n))
+            weights[int(rng.integers(obs.n))] = 0.5
+            floor = np.exp(np.log(weights[weights > 0]).mean() - rank._W_BOUND)
+            bounded = np.where(weights > 0, weights, floor)
+            expected = btl_loglikelihood(obs, bounded)
+            assert btl_loglikelihood(obs, weights) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "weights", [[0.5, 0.5], [0.0, 0.0, 0.0], [0.5, -0.1, 0.6], [0.5, np.inf, 0.5], [0.5, np.nan, 0.5]]
+    )
+    def test_loglikelihood_weights_validated(self, weights):
+        obs = observation_set(np.array([[0, 2, 1], [1, 0, 1], [1, 1, 0]]))
+        with pytest.raises(ValueError):
+            btl_loglikelihood(obs, weights)
 
     def test_baseline_calls_stages_through_the_module(self, monkeypatch):
         obs = observation_set(np.array([[0, 2, 1], [1, 0, 1], [1, 1, 0]]))
@@ -360,6 +385,10 @@ class TestClosedClass:
             if limit is not None:
                 near_walk_limit += 1
                 assert np.abs(pi - limit).max() <= UNIFORM_LIMIT_ATOL
+            # the refinement keeps the likelihood of the zero-mass start
+            start_ll = btl_loglikelihood(obs, pi)
+            refined_ll = btl_loglikelihood(obs, spectral_baseline(obs))
+            assert refined_ll >= start_ll - 1e-12 * abs(start_ll)
         assert near_walk_limit >= 50
 
     def test_unbeaten_items_that_never_met(self):
@@ -401,17 +430,15 @@ class TestClosedClass:
         with pytest.raises(rank.StationaryError, match="singular"):
             rank_centrality(obs)
 
-    def test_drain_returns_in_milliseconds(self):
+    def test_drain_is_solved_without_iterating(self):
         obs = drain_design()
-        # the uniform-start power iteration does not settle in 20,000 steps
+        # the uniform-start power iteration does not settle in 20,000 steps,
+        # while the closed-class solve is exact
         assert uniform_start_walk(obs, max_iters=20000) is None
         expected = np.zeros(31)
         expected[30] = 1.0
         assert np.array_equal(rank_centrality(obs), expected)
-        start = time.perf_counter()
-        scores = spectral_baseline(obs)
-        assert time.perf_counter() - start < 0.05
-        assert topk_from_scores(scores, 1).items == (30,)
+        assert topk_from_scores(spectral_baseline(obs), 1).items == (30,)
 
 
 def reference_mle_refine(obs, init):
