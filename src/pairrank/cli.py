@@ -93,17 +93,9 @@ def _build_parser() -> _Parser:
     be.add_argument("--config", required=True)
     be.add_argument("--out", required=True, help="results CSV path")
     be.add_argument("--summary", help="summary JSON path")
-    be.add_argument(
-        "--timing-in-csv",
-        action="store_true",
-        help="write wall-clock timings into the results CSV (breaks byte-identical reruns)",
-    )
-    for key in ("model", "label", "family", "estimators"):
-        be.add_argument(f"--{key}", help=f"override config key '{key}'")
-    for key in ("n", "k", "h", "r", "trials", "master-seed", "swap-index", "outlier", "plant-index", "model-seed", "ordering-seed"):
-        be.add_argument(f"--{key}", type=int, help=f"override config key '{key.replace('-', '_')}'")
-    for key in ("p", "alpha", "quality-spread", "lam", "gap", "delta", "delta0"):
-        be.add_argument(f"--{key}", type=float, help=f"override config key '{key.replace('-', '_')}'")
+    for key, cast in harness._CONFIG_KEYS.items():
+        if key != "entries_path":  # only the config file names an explicit model's matrix
+            be.add_argument(f"--{key.replace('_', '-')}", type=cast, help=f"override config key '{key}'")
 
     ev = sub.add_parser("eval-real", help="subsampling evaluation on ingested comparisons")
     ev.add_argument("--obs", required=True, help="comparisons CSV (item_a,item_b,winner)")
@@ -176,7 +168,7 @@ def _cmd_bench(args) -> int:
     overrides = {k: v for k, v in vars(args).items() if k in harness._CONFIG_KEYS and v is not None}
     cfg = harness.load_config(args.config, overrides)
     result = harness.run_experiment(cfg)
-    harness.write_results_csv(result, args.out, timing_in_csv=args.timing_in_csv)
+    harness.write_results_csv(result, args.out)
     if args.summary:
         _emit(result.summary, args.summary)
     return 0

@@ -7,12 +7,14 @@ repetition count ``r`` is either given explicitly or derived from a
 target threshold constant ``alpha`` by inverting the Hamming-``h``
 separation of the instantiated matrix.
 
-Every random quantity derives from the master seed through stable
-per-stage tags, so results are bit-identical across runs.  Trials run
-one after another in the calling thread: the estimators are numpy-bound
-and a thread pool made runs slower.  Wall-clock timings are measured
-around the estimator calls only and reported through the summary; the
-results table is fully deterministic.
+The comparison matrix is instantiated once per experiment and every
+trial draws fresh observations from it.  Every random quantity derives
+from the master seed through stable per-stage tags, so results are
+bit-identical across runs.  Trials run one after another in the calling
+thread: the estimators are numpy-bound and a thread pool made runs
+slower.  Wall-clock timings are measured around the estimator calls
+only and reported through the summary, never in the results table,
+which is fully deterministic.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class ExperimentConfig:
     when ``h = 0`` and Hamming tolerance ``h`` otherwise.  ``alpha`` and
     ``r`` are read against the separation of the Hamming-``h`` family,
     whatever family scores the run, so a relaxed ``family`` does not
-    change the repetition count.
+    change the repetition count.  ``label`` names the rows of the results
+    CSV, so it may not contain a comma or a line break.
     """
 
     model: model.ModelSpec
@@ -95,7 +98,6 @@ class ExperimentConfig:
     estimators: tuple[str, ...] = ESTIMATORS
     family: str = ""
     label: str | None = None
-    per_trial_model: bool = False
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -107,6 +109,8 @@ class ExperimentConfig:
         for name in self.estimators:
             if name not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {name!r}, expected subset of {ESTIMATORS}")
+        if self.label is not None and any(c in self.label for c in ",\r\n"):
+            raise ValueError(f"label must not contain a comma or a line break, got {self.label!r}")
         if not 0 <= self.h:
             raise ValueError("h must be nonnegative")
         if self.k + self.h + 1 > self.n:
@@ -206,15 +210,13 @@ def _run_trial(
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials of an experiment and aggregate the outcomes.
 
-    The comparison matrix is instantiated once (per-trial when
-    ``cfg.per_trial_model``); its Hamming-``h`` separation report gives
-    ``r`` when ``alpha`` is given and ``alpha`` when ``r`` is.  Records
-    are emitted in trial order.
+    The comparison matrix is instantiated once; its Hamming-``h``
+    separation report gives ``r`` when ``alpha`` is given and ``alpha``
+    when ``r`` is.  Records are emitted in trial order.
     """
-    base_seed = derive_seed(cfg.master_seed, _MODEL_STAGE, 0)
-    base_matrix = model.instantiate(cfg.model, cfg.n, base_seed)
+    matrix = model.instantiate(cfg.model, cfg.n, derive_seed(cfg.master_seed, _MODEL_STAGE, 0))
     hamming = setfamily.family_hamming(cfg.n, cfg.k, cfg.h)
-    report = analysis.separation_report(base_matrix, hamming, p=cfg.p, r=cfg.r, alpha=cfg.alpha)
+    report = analysis.separation_report(matrix, hamming, p=cfg.p, r=cfg.r, alpha=cfg.alpha)
     if cfg.r is not None:
         r, alpha = cfg.r, report.alpha_implied
     elif report.r_required is None:
@@ -222,17 +224,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         r, alpha = report.r_required, cfg.alpha
     family = setfamily.parse_family_spec(cfg.family_spec(), cfg.n, cfg.k)
-    base_truth = metrics.ground_truth(base_matrix, cfg.k)
+    truth = metrics.ground_truth(matrix, cfg.k)
 
     records = []
     for trial in range(cfg.trials):
-        if cfg.per_trial_model:
-            m = model.instantiate(cfg.model, cfg.n, derive_seed(cfg.master_seed, _MODEL_STAGE, trial))
-            t = metrics.ground_truth(m, cfg.k)
-        else:
-            m, t = base_matrix, base_truth
         seed = derive_seed(cfg.master_seed, _OBS_STAGE, trial)
-        records += _run_trial(trial, m, t, family, cfg, r, seed)
+        records += _run_trial(trial, matrix, truth, family, cfg, r, seed)
     records = tuple(records)
     summary = _summarize(cfg, r, alpha, report.delta, records)
     return ExperimentResult(cfg, r, alpha, report.delta, records, summary)
@@ -274,39 +271,27 @@ def _summarize(cfg, r, alpha, delta, records) -> dict:
 
 def figure_suite(
     n: int,
-    k: int | None = None,
     p: float = 1.0,
     trials: int = 50,
     alpha: float = 4.0,
     master_seed: int = 20240901,
-    quality_spread: float = 6.0,
-    estimators: tuple[str, ...] = ESTIMATORS,
 ) -> list[ExperimentConfig]:
-    """The six-model benchmark suite at a common (n, k, p, trials).
+    """The six-model benchmark suite at a common (n, p, trials).
 
     Models: BTL, Thurstone, BTL with a non-transitive outlier, the
     independent-diagonals SST construction, a BTL mixture, and BTL run
     at one tenth of the target threshold constant (so the separation
-    condition is deliberately violated).  ``k`` defaults to
-    :func:`default_k`.
+    condition is deliberately violated).  Every experiment selects
+    :func:`default_k` items with all of :data:`ESTIMATORS`; the
+    parametric models use the ``ModelSpec`` default quality spread.
     """
-    if k is None:
-        k = default_k(n)
     specs = [
-        ("btl", model.ModelSpec(kind="btl", quality_spread=quality_spread), alpha),
-        ("thurstone", model.ModelSpec(kind="thurstone", quality_spread=quality_spread), alpha),
-        (
-            "btl_outlier",
-            model.ModelSpec(kind="btl_outlier", quality_spread=quality_spread, outlier=n - 1),
-            alpha,
-        ),
+        ("btl", model.ModelSpec(kind="btl"), alpha),
+        ("thurstone", model.ModelSpec(kind="thurstone"), alpha),
+        ("btl_outlier", model.ModelSpec(kind="btl_outlier", outlier=n - 1), alpha),
         ("sst_diagonal", model.ModelSpec(kind="sst_diagonal"), alpha),
-        (
-            "btl_mixture",
-            model.ModelSpec(kind="btl_mixture", quality_spread=quality_spread, lam=0.8),
-            alpha,
-        ),
-        ("btl_lowsep", model.ModelSpec(kind="btl", quality_spread=quality_spread), alpha / 10.0),
+        ("btl_mixture", model.ModelSpec(kind="btl_mixture", lam=0.8), alpha),
+        ("btl_lowsep", model.ModelSpec(kind="btl"), alpha / 10.0),
     ]
     configs = []
     for idx, (label, spec, a) in enumerate(specs):
@@ -315,11 +300,10 @@ def figure_suite(
                 model=spec,
                 label=label,
                 n=n,
-                k=k,
+                k=default_k(n),
                 trials=trials,
                 p=p,
                 alpha=a,
-                estimators=estimators,
                 master_seed=derive_seed(master_seed, _SUITE_STAGE, idx),
             )
         )
@@ -351,15 +335,14 @@ def run_realdata(
     q_grid=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
     trials: int = 100,
     seed: int = 0,
-    estimators: tuple[str, ...] = ESTIMATORS,
 ) -> RealDataResult:
     """Subsampling evaluation on an ingested comparison dataset.
 
     ``truth_file`` lists every item id, one per line, best first.  For
     each subsampling fraction ``q`` and each trial, every recorded
-    comparison is kept independently with probability ``q``, the
-    estimators select ``k`` items (default :func:`default_k`), and the
-    Hamming error against the true top-k is recorded; per-``q``
+    comparison is kept independently with probability ``q``, each of
+    :data:`ESTIMATORS` selects ``k`` items (default :func:`default_k`),
+    and the Hamming error against the true top-k is recorded; per-``q``
     averages go into the summary, one entry per ``q``, so ``q_grid``
     must not repeat a value.  Estimator failures (a disconnected graph or
     a walk with several closed classes) are recorded, not fatal.
@@ -384,7 +367,7 @@ def run_realdata(
     for qi, q in enumerate(q_grid):
         for trial in range(trials):
             sub = sample.subsample(obs, q, derive_seed(seed, _REAL_STAGE, qi, trial))
-            for name in estimators:
+            for name in ESTIMATORS:
                 est, error = _estimate(name, sub, k)
                 rows.append(
                     RealDataRow(
@@ -401,7 +384,7 @@ def run_realdata(
     summary: dict = {"n": n, "k": k, "trials": trials, "items": truth_ids, "per_q": []}
     for q in q_grid:
         entry = {"q": q, "estimators": {}}
-        for name in estimators:
+        for name in ESTIMATORS:
             got = [row for row in rows if row.estimator == name and row.q == q]
             ok = [row.hamming_error for row in got if row.error is None]
             entry["estimators"][name] = {
@@ -420,12 +403,11 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def write_results_csv(result: ExperimentResult, path, timing_in_csv: bool = False) -> None:
+def write_results_csv(result: ExperimentResult, path) -> None:
     """Write per-trial records with the fixed benchmark column set.
 
-    The ``elapsed_ns`` column is zeroed unless ``timing_in_csv`` is
-    set, keeping the default output byte-identical across reruns
-    (timing statistics live in the summary).
+    The ``elapsed_ns`` column is always 0, so reruns are byte-identical;
+    timing statistics live in the summary.
     """
     cfg = result.config
     lines = [",".join(RESULT_COLUMNS)]
@@ -444,7 +426,7 @@ def write_results_csv(result: ExperimentResult, path, timing_in_csv: bool = Fals
             rec.hamming_error,
             rec.allowed_success,
             rec.tie_broken,
-            rec.elapsed_ns if timing_in_csv else 0,
+            0,
             rec.derived_seed,
         )
         lines.append(",".join(_format_value(v) for v in row))
@@ -483,7 +465,6 @@ _CONFIG_KEYS = {
     "estimators": str,
     "family": str,
     "master_seed": int,
-    "per_trial_model": bool,
     "quality_spread": float,
     "lam": float,
     "gap": float,
@@ -499,8 +480,6 @@ _CONFIG_KEYS = {
 
 _EXPERIMENT_FIELDS = frozenset(f.name for f in fields(ExperimentConfig)) - {"model"}
 
-_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
 
 def parse_config_text(text: str) -> dict:
     """Parse flat ``key = value`` configuration text with ``#`` comments."""
@@ -515,14 +494,7 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown configuration key {key!r}")
-        caster = _CONFIG_KEYS[key]
-        if caster is bool:
-            try:
-                values[key] = _BOOL_VALUES[value.lower()]
-            except KeyError:
-                raise ValueError(f"line {lineno}: expected a boolean, got {value!r}")
-        else:
-            values[key] = caster(value)
+        values[key] = _CONFIG_KEYS[key](value)
     return values
 
 

@@ -59,10 +59,10 @@ class GroundTruth:
         return len(self.true_order)
 
 
-def ground_truth(matrix: ComparisonMatrix, k: int, atol: float = TIE_ATOL) -> GroundTruth:
+def ground_truth(matrix: ComparisonMatrix, k: int) -> GroundTruth:
     """Compute the ground truth of a matrix for top-k recovery.
 
-    Scores within ``atol`` of each other are chained into one tie
+    Scores within ``TIE_ATOL`` of each other are chained into one tie
     class; the generators in :mod:`pairrank.model` produce either exact
     ties or gaps far above this tolerance.
     """
@@ -72,7 +72,7 @@ def ground_truth(matrix: ComparisonMatrix, k: int, atol: float = TIE_ATOL) -> Gr
     order = rank_order(tau)
     classes: list[list[int]] = [[int(order[0])]]
     for prev, item in zip(order, order[1:]):
-        if tau[prev] - tau[item] <= atol:
+        if tau[prev] - tau[item] <= TIE_ATOL:
             classes[-1].append(int(item))
         else:
             classes.append([int(item)])
@@ -82,25 +82,6 @@ def ground_truth(matrix: ComparisonMatrix, k: int, atol: float = TIE_ATOL) -> Gr
         true_topk=frozenset(int(i) for i in order[:k]),
         true_order=tuple(int(i) for i in order),
         tie_classes=tuple(tuple(c) for c in classes),
-    )
-
-
-def ground_truth_from_ranking(order, k: int) -> GroundTruth:
-    """Ground truth for an explicitly ranked item list (no ties)."""
-    order = tuple(int(i) for i in order)
-    n = len(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of 0..n-1")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    tau = np.empty(n)
-    tau[list(order)] = np.linspace(1.0, 0.0, n)
-    return GroundTruth(
-        tau=tau,
-        k=k,
-        true_topk=frozenset(order[:k]),
-        true_order=order,
-        tie_classes=tuple((i,) for i in order),
     )
 
 

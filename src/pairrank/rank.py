@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit
 
+from .analysis import rank_order
 from .sample import ObservationSet
 
 
@@ -35,10 +36,10 @@ STATIONARY_ATOL = 1e-10  # the most one walk step may move a solved stationary v
 
 @dataclass(frozen=True)
 class TopKEstimate:
-    """A selected k-subset, ordered by descending win count.
+    """A selected k-subset, ordered by descending score (win count for Copeland).
 
     ``tie_broken`` is set when the boundary was decided by the
-    smallest-index rule rather than by a strict count gap.
+    smallest-index rule rather than by a strict score gap.
     """
 
     items: tuple[int, ...]
@@ -61,23 +62,26 @@ def win_counts(obs: ObservationSet) -> np.ndarray:
     return obs.wins.sum(axis=1)
 
 
-def _count_order(counts: np.ndarray) -> np.ndarray:
-    """Items by descending count, ties broken by smaller index."""
-    return np.lexsort((np.arange(counts.size), -counts))
+def topk_from_scores(score_vector, k: int) -> TopKEstimate:
+    """Top-k selection from a real score vector, ties by smaller index.
+
+    ``tie_broken`` flags a tie straddling the k-boundary.
+    """
+    score_vector = np.asarray(score_vector, dtype=np.float64)
+    n = score_vector.size
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    order = rank_order(score_vector)
+    tie = k < n and score_vector[order[k - 1]] == score_vector[order[k]]
+    return TopKEstimate(items=tuple(int(i) for i in order[:k]), tie_broken=bool(tie))
 
 
 def copeland_topk(obs: ObservationSet, k: int) -> TopKEstimate:
-    """The k items with the most pairwise wins.
+    """The k items with the most pairwise wins, ties by smaller index.
 
-    Ties are resolved in favor of smaller item indices; ``tie_broken``
-    flags a tie straddling the k-boundary.
+    Win counts stay far below ``2**53``, so they order as floats do.
     """
-    if not 1 <= k <= obs.n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={obs.n}")
-    counts = win_counts(obs)
-    order = _count_order(counts)
-    tie_broken = k < obs.n and counts[order[k - 1]] == counts[order[k]]
-    return TopKEstimate(items=tuple(int(i) for i in order[:k]), tie_broken=bool(tie_broken))
+    return topk_from_scores(win_counts(obs), k)
 
 
 def copeland_ranking(obs: ObservationSet) -> RankingEstimate:
@@ -85,8 +89,7 @@ def copeland_ranking(obs: ObservationSet) -> RankingEstimate:
 
     Its length-k prefix equals :func:`copeland_topk` for every k.
     """
-    order = _count_order(win_counts(obs))
-    return RankingEstimate(order=tuple(int(i) for i in order))
+    return RankingEstimate(order=tuple(int(i) for i in rank_order(win_counts(obs))))
 
 
 def _connected(adjacency: np.ndarray, strongly: bool = False) -> bool:
@@ -155,7 +158,7 @@ def rank_centrality(obs: ObservationSet) -> np.ndarray:
     compared = obs.comparisons > 0
     if not _connected(compared):
         raise DisconnectedGraphError("comparison graph is not connected")
-    d_max = int(compared.sum(axis=1).max())
+    d_max = max(int(compared.sum(axis=1).max()), 1)  # 0 only for a lone item
     rates = np.where(compared, obs.wins.T / np.maximum(obs.comparisons, 1), 0.0)
     transition = rates / d_max
     np.fill_diagonal(transition, 0.0)
@@ -272,13 +275,3 @@ def spectral_baseline(obs: ObservationSet) -> np.ndarray:
     """
     return mle_refine(obs, rank_centrality(obs))
 
-
-def topk_from_scores(score_vector, k: int) -> TopKEstimate:
-    """Top-k selection from a real score vector, ties by smaller index."""
-    score_vector = np.asarray(score_vector, dtype=np.float64)
-    n = score_vector.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    order = np.lexsort((np.arange(n), -score_vector))
-    tie = k < n and score_vector[order[k - 1]] == score_vector[order[k]]
-    return TopKEstimate(items=tuple(int(i) for i in order[:k]), tie_broken=bool(tie))

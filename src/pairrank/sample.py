@@ -9,6 +9,10 @@ depend only on counts, so memory stays ``O(n^2)`` regardless of ``r``.
 Sampling is reproducible: each call draws from one stream seeded by
 ``(seed, stream_tag)``, one quantity at a time for all pairs ``i < j``
 in row-major order, so the output is a pure function of the inputs.
+
+Named comparisons have one path in: :func:`iter_comparisons_csv` reads
+the rows of a comparisons CSV and :func:`ingest_comparisons`, which
+alone holds the row rules, counts them.
 """
 
 from __future__ import annotations
@@ -50,26 +54,6 @@ class ObservationSet:
 
     def total_comparisons(self) -> int:
         return int(self.comparisons.sum()) // 2
-
-
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """One observed comparison between two named items."""
-
-    item_a: str
-    item_b: str
-    winner: str
-
-    def __post_init__(self) -> None:
-        if self.item_a == self.item_b:
-            raise ValueError(f"self-comparison of item {self.item_a!r}")
-        if self.winner not in (self.item_a, self.item_b):
-            raise ValueError(
-                f"winner {self.winner!r} is neither {self.item_a!r} nor {self.item_b!r}"
-            )
-
-    def __iter__(self):
-        return iter((self.item_a, self.item_b, self.winner))
 
 
 def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> ObservationSet:
@@ -128,18 +112,17 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
 
 
 def ingest_comparisons(rows, items=None) -> tuple[ObservationSet, dict[str, int]]:
-    """Aggregate named comparison records into an observation set.
+    """Aggregate named comparisons into an observation set.
 
     ``rows`` is any iterable of ``(item_a, item_b, winner)`` triples
-    (tuples, lists or :class:`ComparisonRecord` objects); it is consumed
-    once and no row is kept.  Items are indexed in first-appearance
-    order or, when ``items`` is given, in that order (items never
-    compared keep their index); a record naming an item outside
-    ``items`` raises ``ValueError``.  A bad row raises the same error as
-    :class:`ComparisonRecord`, and the first bad row decides which.
-    ``r`` is set to the maximum per-pair comparison count and ``p`` is
-    recorded as unknown.  Returns the observation set and the item-id
-    to index mapping.
+    (tuples or lists); it is consumed once and no row is kept.  Items
+    are indexed in first-appearance order or, when ``items`` is given,
+    in that order (items never compared keep their index); a row naming
+    an item outside ``items`` raises ``ValueError``.  So does a
+    self-comparison, or a winner that is neither item; the first bad
+    row decides which error.  ``r`` is set to the maximum per-pair
+    comparison count and ``p`` is recorded as unknown.  Returns the
+    observation set and the item-id to index mapping.
     """
     index: dict[str, int] = {} if items is None else {item: i for i, item in enumerate(items)}
     if items is not None and len(index) != len(items):
@@ -203,20 +186,6 @@ def iter_comparisons_csv(path):
                 yield row
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-
-
-def read_comparisons_csv(path) -> list[ComparisonRecord]:
-    """Read comparison records from CSV with header ``item_a,item_b,winner``."""
-    return [ComparisonRecord(*row) for row in iter_comparisons_csv(path)]
-
-
-def write_comparisons_csv(records, path) -> None:
-    """Write comparison records as CSV with header ``item_a,item_b,winner``."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item_a", "item_b", "winner"])
-        for rec in records:
-            writer.writerow([rec.item_a, rec.item_b, rec.winner])
 
 
 _OBS_META = re.compile(r"^# n=(\d+) r=(\d+) p=(\S+)$")

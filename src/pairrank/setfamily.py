@@ -27,7 +27,6 @@ from typing import Callable
 ENUMERATION_LIMIT = 10**6
 
 REQUIREMENT_VARIANTS = ("topband", "multiplicative", "additive", "ranksum")
-ROUND_MODES = ("floor", "ceil")
 
 
 def position_set(positions, n: int, k: int | None = None) -> tuple[int, ...]:
@@ -95,10 +94,10 @@ def family_hamming(n: int, k: int, h: int) -> SetFamily:
     return SetFamily(n=n, k=k, kind=f"hamming(h={h})", predicate=pred)
 
 
-def _round_bound(x: float, round_mode: str) -> int:
-    # nudge before rounding so products like 1.45 * 20 = 28.999999...
+def _floor_bound(x: float) -> int:
+    # nudge before flooring so products like 1.45 * 20 = 28.999999...
     # land on the intended integer
-    return math.floor(x + 1e-9) if round_mode == "floor" else math.ceil(x - 1e-9)
+    return math.floor(x + 1e-9)
 
 
 def _prefix_len(s: tuple[int, ...]) -> int:
@@ -111,10 +110,10 @@ def _prefix_len(s: tuple[int, ...]) -> int:
 
 
 def _requirement_predicate(
-    n: int, k: int, epsilon: float, variant: str, round_mode: str
+    n: int, k: int, epsilon: float, variant: str
 ) -> Callable[[tuple[int, ...]], bool]:
     if variant == "topband":
-        bound = _round_bound((1.0 + epsilon) * k, round_mode)
+        bound = _floor_bound((1.0 + epsilon) * k)
 
         def pred(s: tuple[int, ...]) -> bool:
             return s[-1] <= bound
@@ -122,15 +121,15 @@ def _requirement_predicate(
     elif variant == "multiplicative":
 
         def pred(s: tuple[int, ...]) -> bool:
-            return s[-1] <= _round_bound((1.0 + epsilon) * (_prefix_len(s) + 1), round_mode)
+            return s[-1] <= _floor_bound((1.0 + epsilon) * (_prefix_len(s) + 1))
 
     elif variant == "additive":
 
         def pred(s: tuple[int, ...]) -> bool:
-            return s[-1] <= _round_bound(_prefix_len(s) + 1 + epsilon, round_mode)
+            return s[-1] <= _floor_bound(_prefix_len(s) + 1 + epsilon)
 
     else:  # ranksum
-        budget = _round_bound((1.0 + epsilon) * k * (k + 1) / 2.0, round_mode)
+        budget = _floor_bound((1.0 + epsilon) * k * (k + 1) / 2.0)
 
         def pred(s: tuple[int, ...]) -> bool:
             return sum(s) <= budget
@@ -138,13 +137,7 @@ def _requirement_predicate(
     return pred
 
 
-def family_requirement(
-    n: int,
-    k: int,
-    epsilon: float,
-    variant: str,
-    round_mode: str = "floor",
-) -> SetFamily:
+def family_requirement(n: int, k: int, epsilon: float, variant: str) -> SetFamily:
     """One of four standard relaxations of exact top-k recovery.
 
     * ``topband``: every chosen item ranks within the top
@@ -157,7 +150,7 @@ def family_requirement(
       the smallest possible sum ``k (k + 1) / 2``.
 
     All four reduce to exact recovery at ``eps = 0``.  Fractional rank
-    bounds are floored by default (``round_mode="ceil"`` to widen).
+    bounds are floored.
     """
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
@@ -165,9 +158,7 @@ def family_requirement(
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     if variant not in REQUIREMENT_VARIANTS:
         raise ValueError(f"variant must be one of {REQUIREMENT_VARIANTS}, got {variant!r}")
-    if round_mode not in ROUND_MODES:
-        raise ValueError(f"round_mode must be one of {ROUND_MODES}, got {round_mode!r}")
-    pred = _requirement_predicate(n, k, epsilon, variant, round_mode)
+    pred = _requirement_predicate(n, k, epsilon, variant)
     return SetFamily(n=n, k=k, kind=f"{variant}(eps={epsilon:g})", predicate=pred)
 
 

@@ -77,6 +77,20 @@ class TestErrorJson:
         }
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("label", ["a,b", "a\nb"])
+    def test_bench_label_that_would_split_a_row_is_a_data_error(self, tmp_path, capsys, label):
+        config = tmp_path / "bench.cfg"
+        config.write_text("model = btl\nn = 8\nk = 2\nr = 2\n", encoding="utf-8")
+        argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv"),
+                "--label", label]
+        assert cli.main(argv) == 2
+        assert error_payload(capsys) == {
+            "error": f"label must not contain a comma or a line break, got {label!r}",
+            "category": "data",
+            "exit_code": 2,
+        }
+        assert not (tmp_path / "b.csv").exists()
+
     def test_runtime_error(self, tmp_path, monkeypatch, capsys):
         def disconnected(*args, **kwargs):
             raise rank.DisconnectedGraphError("comparison graph is not connected")
@@ -132,6 +146,24 @@ class TestNoThreadPool:
         argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
         assert cli.main(argv + ["--threads", "2"]) == 1
         assert "--threads" in error_payload(capsys)["error"]
+
+
+class TestNoUnusedOptions:
+    CONFIG = "model = btl\nn = 8\nk = 2\nr = 2\n"
+
+    def test_per_trial_model_is_an_unknown_key(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text(self.CONFIG + "per_trial_model = true\n", encoding="utf-8")
+        argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
+        assert cli.main(argv) == 2
+        assert error_payload(capsys)["error"] == "line 5: unknown configuration key 'per_trial_model'"
+
+    def test_timing_in_csv_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text(self.CONFIG, encoding="utf-8")
+        argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
+        assert cli.main(argv + ["--timing-in-csv"]) == 1
+        assert "--timing-in-csv" in error_payload(capsys)["error"]
 
 
 def strict_json(text):
@@ -230,9 +262,7 @@ OVERRIDE_VALUES = {
 
 class TestBenchOverrides:
     def test_every_key_but_two_has_a_flag(self):
-        assert set(_bench_override_keys()) == set(harness._CONFIG_KEYS) - {
-            "per_trial_model", "entries_path"
-        }
+        assert set(_bench_override_keys()) == set(harness._CONFIG_KEYS) - {"entries_path"}
         assert set(OVERRIDE_VALUES) == set(_bench_override_keys())
 
     @pytest.mark.parametrize("key", _bench_override_keys())

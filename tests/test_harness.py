@@ -8,7 +8,7 @@ from pairrank import (
     figure_suite,
     hamming_distance,
     ingest_comparisons,
-    read_comparisons_csv,
+    iter_comparisons_csv,
     run_experiment,
     run_realdata,
     write_results_csv,
@@ -41,7 +41,7 @@ class TestIngestWithItems:
 class TestRunRealdata:
     def test_matches_ingest(self, tmp_path, rng):
         obs_path, truth_path = write_dataset(tmp_path, rng)
-        obs, _ = ingest_comparisons(read_comparisons_csv(obs_path), items=NAMES)
+        obs, _ = ingest_comparisons(iter_comparisons_csv(obs_path), items=NAMES)
         k = default_k(len(NAMES))
         result = run_realdata(obs_path, truth_path, q_grid=(1.0,), trials=2, seed=3)
         assert (result.n, result.k) == (len(NAMES), k)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -234,6 +236,13 @@ def test_rank_centrality_is_stationary(rng):
         step = move + np.diag(1.0 - move.sum(axis=1))
         assert np.all(pi >= 0) and pi.sum() == pytest.approx(1.0)
         np.testing.assert_allclose(pi @ step, pi, atol=1e-9)
+
+
+def test_rank_centrality_on_one_item():
+    obs = observation_set(np.zeros((1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rank_centrality(obs).tolist() == [1.0]
 
 
 def test_strongly_connected_matches_scipy(rng):

@@ -8,17 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairrank import (
-    ComparisonRecord,
     draw_observations,
     gen_parametric,
     gen_planted,
     ingest_comparisons,
     iter_comparisons_csv,
     make_matrix,
-    read_comparisons_csv,
     read_observations_csv,
     subsample,
-    write_comparisons_csv,
     write_observations_csv,
 )
 
@@ -327,14 +324,6 @@ class TestIngest:
         with pytest.raises(ValueError, match=message):
             ingest_comparisons(rows, items=["a", "b", "c"])
 
-    @pytest.mark.parametrize("row", [("a", "a", "a"), ("a", "b", "c")])
-    def test_same_message_as_record(self, row):
-        with pytest.raises(ValueError) as from_record:
-            ComparisonRecord(*row)
-        with pytest.raises(ValueError) as from_ingest:
-            ingest_comparisons([("a", "b", "a"), row])
-        assert str(from_ingest.value) == str(from_record.value)
-
     def test_rows_consumed_lazily_once(self):
         seen = []
 
@@ -380,7 +369,7 @@ class TestIngestOracle:
     @settings(max_examples=150, deadline=None)
     @given(
         records=record_lists(),
-        shape=st.sampled_from(["tuple", "list", "record"]),
+        shape=st.sampled_from([tuple, list]),
         with_items=st.booleans(),
         extra=st.sampled_from(["", "v", "vw"]),
         seed=st.integers(0, 2**16),
@@ -390,8 +379,7 @@ class TestIngestOracle:
         if with_items:
             named = sorted({x for a, b, _ in records for x in (a, b)} | set(extra))
             items = [named[i] for i in np.random.default_rng(seed).permutation(len(named))]
-        make = {"tuple": tuple, "list": list, "record": lambda r: ComparisonRecord(*r)}[shape]
-        obs, index = ingest_comparisons([make(r) for r in records], items=items)
+        obs, index = ingest_comparisons([shape(r) for r in records], items=items)
         wins, expected_index = counter_oracle(records, items)
         assert index == expected_index
         np.testing.assert_array_equal(obs.wins, wins)
@@ -403,27 +391,17 @@ class TestIngestOracle:
 
 
 class TestComparisonsCsv:
-    def test_round_trip(self, tmp_path):
-        records = [
-            ComparisonRecord("x", "y", "x"),
-            ComparisonRecord("y", "z", "z"),
-            ComparisonRecord("x", "z", "x"),
-        ]
-        path = tmp_path / "comparisons.csv"
-        write_comparisons_csv(records, path)
-        assert read_comparisons_csv(path) == records
-
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,w\nx,y,x\n")
         with pytest.raises(ValueError, match="header"):
-            read_comparisons_csv(path)
+            list(iter_comparisons_csv(path))
 
     def test_field_count_error_names_physical_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("item_a,item_b,winner\nx,y,x\n\n\ny,z\n", encoding="utf-8")
         with pytest.raises(ValueError) as exc:
-            read_comparisons_csv(path)
+            list(iter_comparisons_csv(path))
         assert str(exc.value) == f"{path}:5: expected 3 fields, got 2"
 
     def test_oversize_field_is_a_value_error(self, tmp_path):
@@ -431,7 +409,7 @@ class TestComparisonsCsv:
         big = "x" * (csv.field_size_limit() + 1)
         path.write_text(f"item_a,item_b,winner\nx,y,x\n\n{big},y,y\n", encoding="utf-8")
         with pytest.raises(ValueError) as exc:
-            read_comparisons_csv(path)
+            list(iter_comparisons_csv(path))
         limit = csv.field_size_limit()
         assert str(exc.value) == f"{path}:4: field larger than field limit ({limit})"
 
@@ -443,8 +421,6 @@ class TestComparisonsCsv:
     def test_rows_validate_like_records(self, tmp_path):
         path = tmp_path / "self.csv"
         path.write_text("item_a,item_b,winner\nx,y,x\nz,z,z\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="self-comparison of item 'z'"):
-            read_comparisons_csv(path)
         with pytest.raises(ValueError, match="self-comparison of item 'z'"):
             ingest_comparisons(iter_comparisons_csv(path))
 
