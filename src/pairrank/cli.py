@@ -139,14 +139,13 @@ def _cmd_rank(args) -> int:
     if not 1 <= args.k <= obs.n:
         raise _UsageError(f"--k must lie in [1, {obs.n}], got {args.k}")
     top = rank.copeland_topk(obs, args.k)
-    ranking = rank.copeland_ranking(obs)
     _emit(
         {
             "n": obs.n,
             "k": args.k,
             "topk": list(top.items),
             "tie_broken": top.tie_broken,
-            "ranking": list(ranking.order),
+            "ranking": list(rank.copeland_ranking(obs)),
         },
         args.out,
     )

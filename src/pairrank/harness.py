@@ -189,20 +189,9 @@ def _run_trial(
                 TrialRecord(trial, name, False, 2 * cfg.k, False, False, elapsed, seed, error)
             )
             continue
-        ok_exact = metrics.exact_success(est, truth)
-        _, distance = metrics.hamming_success(est, truth, cfg.h)
-        ok_allowed = metrics.allowed_success(est, truth, family)
+        exact, distance, allowed = metrics.evaluate(est.items, truth, family)
         records.append(
-            TrialRecord(
-                trial=trial,
-                estimator=name,
-                exact_success=ok_exact,
-                hamming_error=distance,
-                allowed_success=ok_allowed,
-                tie_broken=est.tie_broken,
-                elapsed_ns=elapsed,
-                derived_seed=seed,
-            )
+            TrialRecord(trial, name, exact, distance, allowed, est.tie_broken, elapsed, seed)
         )
     return records
 

@@ -373,7 +373,7 @@ def instantiate(spec: ModelSpec, n: int, seed: int | None = None) -> ComparisonM
     """
     kind = spec.kind
     if kind in ("btl", "thurstone", "btl_outlier", "btl_mixture"):
-        w = np.asarray(spec.w, dtype=np.float64) if spec.w is not None else equispaced_quality(n, spec.quality_spread)
+        w = resolved_quality(spec, n)
         if w.size != n:
             raise ValueError(f"quality vector has length {w.size}, expected {n}")
         if kind == "btl":
@@ -412,7 +412,10 @@ def instantiate(spec: ModelSpec, n: int, seed: int | None = None) -> ComparisonM
 
 
 def resolved_quality(spec: ModelSpec, n: int) -> np.ndarray | None:
-    """Quality vector a parametric spec resolves to, for metadata output."""
+    """Quality vector of a parametric spec: ``spec.w``, else equispaced with its spread.
+
+    ``None`` for the other kinds.
+    """
     if spec.kind not in ("btl", "thurstone", "btl_outlier", "btl_mixture"):
         return None
     if spec.w is not None:

@@ -50,13 +50,6 @@ class TopKEstimate:
         return len(self.items)
 
 
-@dataclass(frozen=True)
-class RankingEstimate:
-    """Full permutation of the items, best first."""
-
-    order: tuple[int, ...]
-
-
 def win_counts(obs: ObservationSet) -> np.ndarray:
     """Total comparisons won per item."""
     return obs.wins.sum(axis=1)
@@ -84,12 +77,12 @@ def copeland_topk(obs: ObservationSet, k: int) -> TopKEstimate:
     return topk_from_scores(win_counts(obs), k)
 
 
-def copeland_ranking(obs: ObservationSet) -> RankingEstimate:
-    """Full ranking by descending win count, ties by smaller index.
+def copeland_ranking(obs: ObservationSet) -> tuple[int, ...]:
+    """All items by descending win count, ties by smaller index.
 
     Its length-k prefix equals :func:`copeland_topk` for every k.
     """
-    return RankingEstimate(order=tuple(int(i) for i in rank_order(win_counts(obs))))
+    return tuple(int(i) for i in rank_order(win_counts(obs)))
 
 
 def _connected(adjacency: np.ndarray, strongly: bool = False) -> bool:

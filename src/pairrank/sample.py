@@ -210,7 +210,13 @@ def write_observations_csv(obs: ObservationSet, path) -> None:
 
 
 def read_observations_csv(path) -> ObservationSet:
-    """Read an observation set written by :func:`write_observations_csv`."""
+    """Read an observation set written by :func:`write_observations_csv`.
+
+    A row without four integer fields, a pair outside ``i < j < n``, a
+    repeated pair, counts outside ``0 <= wins <= comparisons <= r`` or a
+    row the CSV reader rejects raise ``ValueError`` naming the file and
+    line.
+    """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         meta_line = fh.readline().rstrip("\n")
@@ -225,15 +231,28 @@ def read_observations_csv(path) -> ObservationSet:
             raise ValueError(f"{path}: expected header 'i,j,comparisons,wins_i'")
         comparisons = np.zeros((n, n), dtype=np.int64)
         wins = np.zeros((n, n), dtype=np.int64)
-        for lineno, row in enumerate(reader, start=3):
-            if not row:
-                continue
-            i, j, c, w = (int(x) for x in row)
-            if not (0 <= i < j < n):
-                raise ValueError(f"{path}:{lineno}: invalid pair ({i}, {j}) for n={n}")
-            if not 0 <= w <= c <= r:
-                raise ValueError(f"{path}:{lineno}: counts violate 0 <= wins <= comparisons <= r")
-            comparisons[i, j] = comparisons[j, i] = c
-            wins[i, j] = w
-            wins[j, i] = c - w
+        seen = set()
+        try:
+            for lineno, row in enumerate(reader, start=3):
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+                try:
+                    i, j, c, w = (int(x) for x in row)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: fields must be integers, got {row}") from None
+                if not (0 <= i < j < n):
+                    raise ValueError(f"{path}:{lineno}: invalid pair ({i}, {j}) for n={n}")
+                if (i, j) in seen:
+                    raise ValueError(f"{path}:{lineno}: pair ({i}, {j}) repeated")
+                seen.add((i, j))
+                if not 0 <= w <= c <= r:
+                    raise ValueError(f"{path}:{lineno}: counts violate 0 <= wins <= comparisons <= r")
+                comparisons[i, j] = comparisons[j, i] = c
+                wins[i, j] = w
+                wins[j, i] = c - w
+        except csv.Error as exc:
+            # the reader did not see the metadata line
+            raise ValueError(f"{path}:{reader.line_num + 1}: {exc}") from None
     return ObservationSet(n=n, r=r, p=p, comparisons=comparisons, wins=wins)

@@ -33,6 +33,25 @@ class TestErrorJson:
             "exit_code": 2,
         }
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,1,5,5\n0,1,2,0\n", "5: pair (0, 1) repeated"),
+            ("0,1,5\n", "4: expected 4 fields, got 3"),
+            ("0,1,5,x\n", "4: fields must be integers, got ['0', '1', '5', 'x']"),
+            ("0,1," + "5" * (csv.field_size_limit() + 1) + ",5\n",
+             f"4: field larger than field limit ({csv.field_size_limit()})"),
+        ],
+        ids=["repeated-pair", "field-count", "non-integer", "oversize-field"],
+    )
+    def test_bad_observation_row_is_a_data_error(self, tmp_path, capsys, rows, message):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("# n=3 r=5 p=na\ni,j,comparisons,wins_i\n0,2,1,1\n" + rows, encoding="utf-8")
+        assert cli.main(["--error-json", "rank", "--obs", str(obs), "--k", "1"]) == 2
+        assert error_payload(capsys) == {
+            "error": f"{obs}:{message}", "category": "data", "exit_code": 2
+        }
+
     def test_oversize_csv_field_is_a_data_error(self, tmp_path, rng, capsys):
         obs_path, truth_path = write_dataset(tmp_path, rng, records=3)
         with obs_path.open("a", encoding="utf-8") as fh:

@@ -34,7 +34,7 @@ class TestCopeland:
         for _ in range(100):
             n = int(rng.integers(2, 12))
             obs = random_observation_set(rng, n)
-            order = copeland_ranking(obs).order
+            order = copeland_ranking(obs)
             assert sorted(order) == list(range(n))
             for k in range(1, n + 1):
                 assert copeland_topk(obs, k).items == order[:k]
