@@ -6,9 +6,10 @@ Usage, from anywhere:
 
 For every checkout it runs that checkout's own ``benchmark/run.py`` on
 each workload and seed with ``--trace 0``, each run as long as the
-checkout's ``BENCHMARK.json`` sets (``run_seconds``), and times the estimator
-layers (``copeland_topk``, ``rank_centrality``, ``mle_refine``) in a
-fresh interpreter that imports ``pairrank`` from the checkout's
+checkout's ``BENCHMARK.json`` sets (``run_seconds``), and times the
+sampling layer (``draw_observations``) and the estimator layers
+(``copeland_topk``, ``rank_centrality``, ``mle_refine``) under two
+sampling designs in a fresh interpreter that imports ``pairrank`` from the checkout's
 ``src/``.  Rounds alternate the order of the checkouts, so side-by-side
 files see the same drift of a shared machine.  Each file records every
 run, the medians, the git SHA (with ``-dirty`` in the label when the
@@ -32,15 +33,20 @@ WORKLOADS = ("figure-suite", "threshold-sweep", "eval-real")
 SEEDS = (1, 4099)
 ROUNDS = 3
 LAYER_SIZES = (50, 200, 1000)
-# BTL with quality spread 6, every pair compared 4 times: the figure
-# suite's p = 1 design, at three sizes
-LAYER_DESIGN = {"model": "btl", "quality_spread": 6.0, "p": 1.0, "r": 4, "seed": 1}
+# BTL with quality spread 6 and 4 expected comparisons per pair, at three
+# sizes: the figure suite's p = 1 design, and threshold-sweep's p = 0.25.
+# At p = 1 the baseline's ranking is Copeland's, so only the sparse
+# design times two estimators that can give different answers.
+LAYER_DESIGNS = {
+    "p1": {"model": "btl", "quality_spread": 6.0, "p": 1.0, "r": 4, "seed": 1},
+    "p0.25": {"model": "btl", "quality_spread": 6.0, "p": 0.25, "r": 16, "seed": 1},
+}
 LAYER_BUDGET_S = 1.0
 LAYER_MIN_CALLS = 3
 
 
 def time_layers() -> dict:
-    """Median milliseconds per call of each estimator layer, by n.
+    """Median milliseconds per call of each layer, by design and n.
 
     Runs inside the measured checkout's interpreter (``--layers``).
     """
@@ -49,23 +55,29 @@ def time_layers() -> dict:
     from pairrank.sample import draw_observations
 
     layers: dict = {}
-    for n in LAYER_SIZES:
-        matrix = gen_parametric(equispaced_quality(n, LAYER_DESIGN["quality_spread"]))
-        obs = draw_observations(matrix, LAYER_DESIGN["p"], LAYER_DESIGN["r"], LAYER_DESIGN["seed"])
-        init = rank_centrality(obs)
-        calls = {
-            "copeland_topk": lambda: copeland_topk(obs, n // 4),
-            "rank_centrality": lambda: rank_centrality(obs),
-            "mle_refine": lambda: mle_refine(obs, init),
-        }
-        for name, call in calls.items():
-            times = []
-            start = time.perf_counter()
-            while len(times) < LAYER_MIN_CALLS or time.perf_counter() - start < LAYER_BUDGET_S:
-                t0 = time.perf_counter()
-                call()
-                times.append(time.perf_counter() - t0)
-            layers.setdefault(name, {})[str(n)] = statistics.median(times) * 1e3
+    for design, spec in LAYER_DESIGNS.items():
+        for n in LAYER_SIZES:
+            matrix = gen_parametric(equispaced_quality(n, spec["quality_spread"]))
+            obs = draw_observations(matrix, spec["p"], spec["r"], spec["seed"])
+            init = rank_centrality(obs)
+            calls = {
+                "draw_observations": lambda: draw_observations(
+                    matrix, spec["p"], spec["r"], spec["seed"]
+                ),
+                "copeland_topk": lambda: copeland_topk(obs, n // 4),
+                "rank_centrality": lambda: rank_centrality(obs),
+                "mle_refine": lambda: mle_refine(obs, init),
+            }
+            for name, call in calls.items():
+                times = []
+                start = time.perf_counter()
+                while len(times) < LAYER_MIN_CALLS or time.perf_counter() - start < LAYER_BUDGET_S:
+                    t0 = time.perf_counter()
+                    call()
+                    times.append(time.perf_counter() - t0)
+                layers.setdefault(design, {}).setdefault(name, {})[str(n)] = (
+                    statistics.median(times) * 1e3
+                )
     return layers
 
 
@@ -140,19 +152,25 @@ def bench(checkouts: list[Path]) -> list[dict]:
                     for seed, runs in by_seed.items()}
                 for w, by_seed in record["workloads"].items()
             },
-            "layer_design": LAYER_DESIGN,
+            "layer_designs": LAYER_DESIGNS,
             "layers_ms": {
-                name: {n: statistics.median(r[name][n] for r in record["layers"])
-                       for n in record["layers"][0][name]}
-                for name in record["layers"][0]
+                design: {
+                    name: {n: statistics.median(r[design][name][n] for r in record["layers"])
+                           for n in by_name[name]}
+                    for name in by_name
+                }
+                for design, by_name in record["layers"][0].items()
             },
             "layer_runs_ms": record["layers"],
         })
-        layers = files[-1]["layers_ms"]
         # claim (a) of the paper as a number: counting time over baseline time
         files[-1]["copeland_over_spectral"] = {
-            n: layers["copeland_topk"][n] / (layers["rank_centrality"][n] + layers["mle_refine"][n])
-            for n in layers["copeland_topk"]
+            design: {
+                n: layers["copeland_topk"][n]
+                / (layers["rank_centrality"][n] + layers["mle_refine"][n])
+                for n in layers["copeland_topk"]
+            }
+            for design, layers in files[-1]["layers_ms"].items()
         }
     return files
 

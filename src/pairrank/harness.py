@@ -11,10 +11,12 @@ The comparison matrix is instantiated once per experiment and every
 trial draws fresh observations from it.  Every random quantity derives
 from the master seed through stable per-stage tags, so results are
 bit-identical across runs.  Trials run one after another in the calling
-thread: the estimators are numpy-bound and a thread pool made runs
-slower.  Wall-clock timings are measured around the estimator calls
-only and reported through the summary, never in the results table,
-which is fully deterministic.
+thread: a whole trial holds the interpreter lock, and a thread pool over
+trials made runs slower.  Only the sampler's binomial kernel, which
+releases the lock, runs on threads (see :mod:`pairrank.sample`), and its
+output does not depend on the thread count.  Wall-clock timings are
+measured around the estimator calls only and reported through the
+summary, never in the results table, which is fully deterministic.
 """
 
 from __future__ import annotations
@@ -471,7 +473,11 @@ _EXPERIMENT_FIELDS = frozenset(f.name for f in fields(ExperimentConfig)) - {"mod
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` configuration text with ``#`` comments."""
+    """Parse flat ``key = value`` configuration text with ``#`` comments.
+
+    A line that is not ``key = value``, an unknown key or a key set twice
+    raises ``ValueError`` naming the line.
+    """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -483,6 +489,8 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown configuration key {key!r}")
+        if key in values:
+            raise ValueError(f"line {lineno}: repeated configuration key {key!r}")
         values[key] = _CONFIG_KEYS[key](value)
     return values
 

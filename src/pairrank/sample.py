@@ -6,9 +6,13 @@ probability ``M[i, j]``.  Observations are stored aggregated (per-pair
 comparison and win counts): the counting estimator and both baselines
 depend only on counts, so memory stays ``O(n^2)`` regardless of ``r``.
 
-Sampling is reproducible: each call draws from one stream seeded by
-``(seed, stream_tag)``, one quantity at a time for all pairs ``i < j``
-in row-major order, so the output is a pure function of the inputs.
+Sampling is reproducible: the output is a pure function of the inputs,
+whatever the CPU count.  :func:`draw_observations` cuts the pairs into
+fixed blocks, each drawn from its own stream derived from ``(seed,
+_DRAW_TAG)``, and runs the blocks on threads, because numpy's binomial
+sampler releases the interpreter lock; its docstring gives the order.
+:func:`subsample` draws from one stream seeded by ``(seed, _THIN_TAG)``,
+one quantity at a time for all pairs ``i < j`` in row-major order.
 
 Named comparisons have one path in: :func:`iter_comparisons_csv` reads
 the rows of a comparisons CSV and :func:`ingest_comparisons`, which
@@ -18,7 +22,9 @@ alone holds the row rules, counts them.
 from __future__ import annotations
 
 import csv
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +36,16 @@ from .model import ComparisonMatrix, _check_seed, _upper_mask
 # even when both derive from the same master seed.
 _DRAW_TAG = 0x0B5E
 _THIN_TAG = 0x7811
+# Pairs per draw block: a draw of up to this many pairs (n <= 128) is
+# one block and reads only the root stream.
+_DRAW_BLOCK = 8192
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -61,8 +77,13 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
 
     Per unordered pair, the number of comparisons is ``Binomial(r, p)``
     and each comparison is won by the row item with its matrix
-    probability.  Bit-identical output for equal ``(matrix, p, r,
-    seed)``.
+    probability.  The pairs ``i < j``, in row-major order, are cut into
+    blocks of ``_DRAW_BLOCK``; block 0 draws from
+    ``SeedSequence((seed, _DRAW_TAG))`` and block ``b >= 1`` from
+    child ``b - 1`` of ``spawn(blocks - 1)`` on that sequence, counts
+    first, then row wins.  Blocks run on up to one thread per usable
+    CPU; the output is bit-identical for equal ``(matrix, p, r, seed)``
+    whatever the CPU count.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
@@ -70,21 +91,39 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
         raise ValueError("r must be at least 1")
     seed = _check_seed(seed)
     n = matrix.n
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _DRAW_TAG)))
     upper = _upper_mask(n)
     probs = matrix.entries[upper]
-    if p == 1.0:
-        counts = np.full(probs.size, r, dtype=np.int64)
+    row_wins = np.empty(probs.size, dtype=np.int64)
+    col_wins = np.empty(probs.size, dtype=np.int64)
+    root = np.random.SeedSequence((seed, _DRAW_TAG))
+    blocks = -(-probs.size // _DRAW_BLOCK)
+    streams = [root, *root.spawn(blocks - 1)]
+
+    def draw_block(b: int) -> None:
+        # block-local only: its own generator and its own output slices
+        block = slice(b * _DRAW_BLOCK, (b + 1) * _DRAW_BLOCK)
+        block_probs = probs[block]
+        rng = np.random.default_rng(streams[b])
+        if p == 1.0:
+            counts = np.full(block_probs.size, r, dtype=np.int64)
+        else:
+            counts = rng.binomial(r, p, size=block_probs.size)
+        row_wins[block] = rng.binomial(counts, block_probs)
+        col_wins[block] = counts - row_wins[block]
+
+    workers = min(blocks, _usable_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(draw_block, range(blocks)))
     else:
-        counts = rng.binomial(r, p, size=probs.size)
-    row_wins = rng.binomial(counts, probs)
-    # free each pair-length temporary before the next n x n array
+        for b in range(blocks):
+            draw_block(b)
+    # free the pair-length probabilities before the n x n arrays
     del probs
-    counts -= row_wins
     wins = np.zeros((n, n), dtype=np.int64)
     wins[upper] = row_wins
-    wins.T[upper] = counts
-    del counts, row_wins
+    wins.T[upper] = col_wins
+    del row_wins, col_wins
     return ObservationSet(n=n, r=r, p=p, comparisons=wins + wins.T, wins=wins)
 
 
@@ -212,10 +251,11 @@ def write_observations_csv(obs: ObservationSet, path) -> None:
 def read_observations_csv(path) -> ObservationSet:
     """Read an observation set written by :func:`write_observations_csv`.
 
-    A row without four integer fields, a pair outside ``i < j < n``, a
-    repeated pair, counts outside ``0 <= wins <= comparisons <= r`` or a
-    row the CSV reader rejects raise ``ValueError`` naming the file and
-    line.
+    A metadata ``p`` that is neither ``na`` nor a number in ``(0, 1]``
+    raises ``ValueError`` naming the file.  A row without four integer
+    fields, a pair outside ``i < j < n``, a repeated pair, counts outside
+    ``0 <= wins <= comparisons <= r`` or a row the CSV reader rejects
+    raise ``ValueError`` naming the file and line.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -224,7 +264,15 @@ def read_observations_csv(path) -> ObservationSet:
         if meta is None:
             raise ValueError(f"{path}: missing '# n=.. r=.. p=..' metadata line")
         n, r = int(meta.group(1)), int(meta.group(2))
-        p = None if meta.group(3) == "na" else float(meta.group(3))
+        p_text = meta.group(3)
+        try:
+            p = None if p_text == "na" else float(p_text)
+            if p is not None and not 0.0 < p <= 1.0:
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"{path}: metadata p must be a number in (0, 1] or 'na', got {p_text!r}"
+            ) from None
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["i", "j", "comparisons", "wins_i"]:

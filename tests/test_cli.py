@@ -52,6 +52,29 @@ class TestErrorJson:
             "error": f"{obs}:{message}", "category": "data", "exit_code": 2
         }
 
+    @pytest.mark.parametrize("p", ["7", "0", "-0.5", "nan", "inf", "abc"])
+    def test_bad_metadata_p_is_a_data_error(self, tmp_path, capsys, p):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(f"# n=3 r=5 p={p}\ni,j,comparisons,wins_i\n0,1,2,1\n", encoding="utf-8")
+        assert cli.main(["--error-json", "rank", "--obs", str(obs), "--k", "1"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": f"{obs}: metadata p must be a number in (0, 1] or 'na', got {p!r}",
+            "category": "data",
+            "exit_code": 2,
+        }
+
+    def test_repeated_config_key_is_a_data_error(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text("model = btl\nn = 8\nk = 2\nr = 2\nn = 9\n", encoding="utf-8")
+        argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
+        assert cli.main(argv) == 2
+        assert error_payload(capsys) == {
+            "error": "line 5: repeated configuration key 'n'", "category": "data", "exit_code": 2
+        }
+        assert not (tmp_path / "b.csv").exists()
+
     def test_oversize_csv_field_is_a_data_error(self, tmp_path, rng, capsys):
         obs_path, truth_path = write_dataset(tmp_path, rng, records=3)
         with obs_path.open("a", encoding="utf-8") as fh:

@@ -18,6 +18,7 @@ from pairrank import (
     subsample,
     write_observations_csv,
 )
+from pairrank import sample
 
 
 def certain_matrix():
@@ -60,12 +61,13 @@ class TestDrawObservations:
         c = draw_observations(m, 0.5, 9, seed=78)
         assert not np.array_equal(a.wins, c.wins)
 
-    def test_mean_comparisons_matches_binomial(self):
-        # n=50, p=0.5, r=20: mean count per pair is 10; the pooled mean
-        # over 1e4 replications must land within 3 standard errors
-        m = gen_planted(50, 10, 0.1)
-        reps = 10_000
-        iu, ju = np.triu_indices(50, 1)
+    @pytest.mark.parametrize("n, reps", [(50, 10_000), (300, 20)])
+    def test_mean_comparisons_matches_binomial(self, n, reps):
+        # p=0.5, r=20: mean count per pair is 10; the pooled mean over
+        # all pairs and replications must land within 3 standard errors
+        # (n=300 draws six pair blocks)
+        m = gen_planted(n, 10, 0.1)
+        iu, ju = np.triu_indices(n, 1)
         total = 0
         for i in range(reps):
             total += int(draw_observations(m, 0.5, 20, seed=i).comparisons[iu, ju].sum())
@@ -168,9 +170,14 @@ class TestSubsample:
             subsample(obs, 1.5, seed=0)
 
 
-# The stream contract, restated: one generator per call seeded by
-# (seed, tag), each quantity drawn for all pairs i < j in row-major order.
+# The stream contract, restated.  A draw cuts the pairs i < j, in
+# row-major order, into blocks of DRAW_BLOCK pairs: block 0 reads the
+# generator seeded by (seed, tag), block b >= 1 child b - 1 of that seed
+# sequence, and each block draws all its counts, then all its row wins.
+# A thinning reads one generator seeded by (seed, tag), each quantity
+# drawn for all pairs in row-major order.
 DRAW_TAG, THIN_TAG = 0x0B5E, 0x7811
+DRAW_BLOCK = 8192
 
 
 def _from_upper(n, row_wins, col_wins):
@@ -182,13 +189,22 @@ def _from_upper(n, row_wins, col_wins):
 
 
 def draw_oracle(matrix, p, r, seed):
-    """All pair counts, then all row wins, from one generator."""
+    """Per pair block, one after another: its counts, then its row wins."""
     n = matrix.n
-    rng = np.random.default_rng(np.random.SeedSequence((seed, DRAW_TAG)))
     iu, ju = np.triu_indices(n, 1)
-    counts = np.full(iu.size, r) if p == 1.0 else rng.binomial(r, p, size=iu.size)
-    row_wins = rng.binomial(counts, matrix.entries[iu, ju])
-    return _from_upper(n, row_wins, counts - row_wins)
+    root = np.random.SeedSequence((seed, DRAW_TAG))
+    starts = range(0, iu.size, DRAW_BLOCK)
+    children = root.spawn(len(starts) - 1)
+    row_wins, col_wins = [], []
+    for b, start in enumerate(starts):
+        rng = np.random.default_rng(root if b == 0 else children[b - 1])
+        stop = start + DRAW_BLOCK
+        probs = matrix.entries[iu[start:stop], ju[start:stop]]
+        counts = np.full(probs.size, r) if p == 1.0 else rng.binomial(r, p, size=probs.size)
+        wins = rng.binomial(counts, probs)
+        row_wins.extend(wins)
+        col_wins.extend(counts - wins)
+    return _from_upper(n, row_wins, col_wins)
 
 
 def subsample_oracle(obs, q, seed):
@@ -221,13 +237,44 @@ def assert_valid(obs, r):
 
 
 class TestStreamContract:
-    @pytest.mark.parametrize("n, p, r, seed", [(2, 0.5, 3, 0), (7, 1.0, 9, 5), (30, 0.3, 20, 2**40)])
+    @pytest.mark.parametrize(
+        "n, p, r, seed",
+        [
+            (2, 0.5, 3, 0),
+            (7, 1.0, 9, 5),
+            (30, 0.3, 20, 2**40),
+            (128, 0.4, 6, 3),  # 8,128 pairs: one block
+            (129, 0.5, 7, 11),  # 8,256 pairs: two blocks
+            (300, 0.25, 9, 2**40),  # 44,850 pairs: six blocks, the last short
+            (300, 1.0, 5, 1),
+        ],
+    )
     def test_draw_matches_oracle(self, n, p, r, seed):
         m = gen_parametric(np.linspace(1.5, -1.5, n), "logistic")
         obs = draw_observations(m, p, r, seed)
         comparisons, wins = draw_oracle(m, p, r, seed)
         np.testing.assert_array_equal(obs.comparisons, comparisons)
         np.testing.assert_array_equal(obs.wins, wins)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_draw_does_not_depend_on_worker_count(self, monkeypatch, cpus):
+        m = gen_parametric(np.linspace(2.0, -2.0, 300), "logistic")
+        default = draw_observations(m, 0.5, 7, seed=4)
+        monkeypatch.setattr(sample, "_usable_cpus", lambda: cpus)
+        again = draw_observations(m, 0.5, 7, seed=4)
+        np.testing.assert_array_equal(again.wins, default.wins)
+        np.testing.assert_array_equal(again.comparisons, default.comparisons)
+
+    def test_blocks_draw_distinct_counts(self):
+        n = 300
+        obs = draw_observations(gen_planted(n, 10, 0.1), 0.5, 20, seed=6)
+        counts = obs.comparisons[np.triu_indices(n, 1)]
+        blocks = [counts[start:start + DRAW_BLOCK] for start in range(0, counts.size, DRAW_BLOCK)]
+        assert len(blocks) == 6
+        for a in range(len(blocks)):
+            for b in range(a + 1, len(blocks)):
+                size = min(blocks[a].size, blocks[b].size)
+                assert not np.array_equal(blocks[a][:size], blocks[b][:size]), (a, b)
 
     @pytest.mark.parametrize("n, q, seed", [(2, 0.5, 0), (7, 0.0, 5), (30, 0.3, 2**40)])
     def test_subsample_matches_oracle(self, n, q, seed):
