@@ -9,8 +9,8 @@ each workload and seed with ``--trace 0``, each run as long as the
 checkout's ``BENCHMARK.json`` sets (``run_seconds``), and times the
 sampling layer (``draw_observations``) and the estimator layers
 (``copeland_topk``, ``rank_centrality``, ``mle_refine``) under two
-sampling designs in a fresh interpreter that imports ``pairrank`` from the checkout's
-``src/``.  Rounds alternate the order of the checkouts, so side-by-side
+sampling designs in a fresh interpreter that imports ``pairrank`` from
+the checkout's ``src/``.  Rounds alternate the order of the checkouts, so side-by-side
 files see the same drift of a shared machine.  Each file records every
 run, the medians, the git SHA (with ``-dirty`` in the label when the
 tracked files differ from it), the Python, numpy and scipy versions,

@@ -15,10 +15,10 @@ from pairrank import (
     iter_comparisons_csv,
     make_matrix,
     read_observations_csv,
+    sample,
     subsample,
     write_observations_csv,
 )
-from pairrank import sample
 
 
 def certain_matrix():
@@ -61,20 +61,20 @@ class TestDrawObservations:
         c = draw_observations(m, 0.5, 9, seed=78)
         assert not np.array_equal(a.wins, c.wins)
 
-    @pytest.mark.parametrize("n, reps", [(50, 10_000), (300, 20)])
-    def test_mean_comparisons_matches_binomial(self, n, reps):
+    def test_mean_comparisons_matches_binomial(self):
         # p=0.5, r=20: mean count per pair is 10; the pooled mean over
-        # all pairs and replications must land within 3 standard errors
-        # (n=300 draws six pair blocks)
-        m = gen_planted(n, 10, 0.1)
-        iu, ju = np.triu_indices(n, 1)
-        total = 0
-        for i in range(reps):
-            total += int(draw_observations(m, 0.5, 20, seed=i).comparisons[iu, ju].sum())
-        samples = reps * iu.size
-        mean = total / samples
-        se = math.sqrt(20 * 0.5 * 0.5 / samples)
-        assert abs(mean - 10.0) <= 3 * se
+        # all pairs and replications must land within 3 standard errors,
+        # at n=50 (one pair block) and n=300 (six blocks)
+        for n, reps in ((50, 10_000), (300, 20)):
+            m = gen_planted(n, 10, 0.1)
+            iu, ju = np.triu_indices(n, 1)
+            total = 0
+            for i in range(reps):
+                total += int(draw_observations(m, 0.5, 20, seed=i).comparisons[iu, ju].sum())
+            samples = reps * iu.size
+            mean = total / samples
+            se = math.sqrt(20 * 0.5 * 0.5 / samples)
+            assert abs(mean - 10.0) <= 3 * se, n
 
     def test_empirical_frequency_tracks_matrix(self):
         # r*p = 1e4: every pair's win frequency within 5 binomial sigmas
