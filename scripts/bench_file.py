@@ -36,10 +36,17 @@ LAYER_SIZES = (50, 200, 1000)
 # BTL with quality spread 6 and 4 expected comparisons per pair, at three
 # sizes: the figure suite's p = 1 design, and threshold-sweep's p = 0.25.
 # At p = 1 the baseline's ranking is Copeland's, so only the sparse
-# design times two estimators that can give different answers.
+# design times two estimators that can give different answers.  The
+# r = 400 design times sampling alone, past r * p = 30, where numpy's
+# binomial sampler leaves inversion for BTPE.
+LAYERS = ("draw_observations", "copeland_topk", "rank_centrality", "mle_refine")
 LAYER_DESIGNS = {
     "p1": {"model": "btl", "quality_spread": 6.0, "p": 1.0, "r": 4, "seed": 1},
     "p0.25": {"model": "btl", "quality_spread": 6.0, "p": 0.25, "r": 16, "seed": 1},
+    "p0.25-r400": {
+        "model": "btl", "quality_spread": 6.0, "p": 0.25, "r": 400, "seed": 1,
+        "layers": ["draw_observations"],
+    },
 }
 LAYER_BUDGET_S = 1.0
 LAYER_MIN_CALLS = 3
@@ -56,10 +63,11 @@ def time_layers() -> dict:
 
     layers: dict = {}
     for design, spec in LAYER_DESIGNS.items():
+        names = spec.get("layers", LAYERS)
         for n in LAYER_SIZES:
             matrix = gen_parametric(equispaced_quality(n, spec["quality_spread"]))
             obs = draw_observations(matrix, spec["p"], spec["r"], spec["seed"])
-            init = rank_centrality(obs)
+            init = rank_centrality(obs) if "mle_refine" in names else None
             calls = {
                 "draw_observations": lambda: draw_observations(
                     matrix, spec["p"], spec["r"], spec["seed"]
@@ -68,7 +76,8 @@ def time_layers() -> dict:
                 "rank_centrality": lambda: rank_centrality(obs),
                 "mle_refine": lambda: mle_refine(obs, init),
             }
-            for name, call in calls.items():
+            for name in names:
+                call = calls[name]
                 times = []
                 start = time.perf_counter()
                 while len(times) < LAYER_MIN_CALLS or time.perf_counter() - start < LAYER_BUDGET_S:
@@ -171,6 +180,7 @@ def bench(checkouts: list[Path]) -> list[dict]:
                 for n in layers["copeland_topk"]
             }
             for design, layers in files[-1]["layers_ms"].items()
+            if "copeland_topk" in layers
         }
     return files
 

@@ -11,6 +11,13 @@ whatever the CPU count.  :func:`draw_observations` cuts the pairs into
 fixed blocks, each drawn from its own stream derived from ``(seed,
 _DRAW_TAG)``, and runs the blocks on threads, because numpy's binomial
 sampler releases the interpreter lock; its docstring gives the order.
+A block draws each pair's comparison count by inverting the CDF of
+``Binomial(r, p)``: one uniform per pair, read through a cached table
+and its guide index (Chen & Asau 1974) rather than numpy's per-element
+binomial, since every pair shares ``(r, p)``.  Where numpy inverts too
+(``r * min(p, 1 - p) <= 30``) the counts are numpy's, so those streams
+are unchanged; above that numpy switches to BTPE (Kachitvichyanukul &
+Schmeiser 1988) and the streams differ.
 :func:`subsample` draws from one stream seeded by ``(seed, _THIN_TAG)``,
 one quantity at a time for all pairs ``i < j`` in row-major order.
 
@@ -22,13 +29,16 @@ alone holds the row rules, counts them.
 from __future__ import annotations
 
 import csv
+import operator
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from scipy.special import bdtr, bdtrc
 
 from .model import ComparisonMatrix, _check_seed, _upper_mask
 
@@ -39,6 +49,10 @@ _THIN_TAG = 0x7811
 # Pairs per draw block: a draw of up to this many pairs (n <= 128) is
 # one block and reads only the root stream.
 _DRAW_BLOCK = 8192
+# Most CDF entries in a count table; its guide has under 8x as many
+# buckets.  A wider window (r * p * (1 - p) above ~2.5e5) takes longer
+# to build than it saves on an n = 1000 draw, so numpy draws it instead.
+_TABLE_CAP = 1 << 13
 
 
 def _usable_cpus() -> int:
@@ -72,6 +86,70 @@ class ObservationSet:
         return int(self.comparisons.sum()) // 2
 
 
+def _first(pred, lo: int, hi: int) -> int:
+    """Smallest ``k`` in ``[lo, hi]`` with ``pred(k)``, for ``pred`` monotone and true at ``hi``."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@lru_cache(maxsize=8)
+def _count_table(r: int, q: float) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """Inverse-CDF table of ``Binomial(r, q)``, ``q <= 0.5``: ``(offset, cdf, guide)``.
+
+    ``cdf[i]`` is the CDF at ``k = offset + i`` over the window where it
+    lies strictly inside (0, 1): ``bdtr`` up to the mean and one minus
+    ``bdtrc`` above it, each accurate in its own tail, with values below
+    ``2**-53`` (one step of ``Generator.random``) read as 0.  The window
+    is found by bisection, so it costs ``O(log r)`` CDF calls and holds
+    ``O(sqrt(r q))`` entries.  ``guide`` has ``m`` buckets, ``m`` a power
+    of two: ``guide[j]`` is the count ``offset + #{i : cdf[i] <= j / m}``
+    when no ``cdf`` entry lies in ``(j / m, (j + 1) / m]``, else -1.
+    ``None`` when the window exceeds ``_TABLE_CAP`` entries.
+    """
+    mean = int(r * q)
+    offset = _first(lambda k: bdtr(k, r, q) >= 2.0**-53, 0, mean)
+    stop = _first(lambda k: 1.0 - bdtrc(k, r, q) >= 1.0, mean + 1, r)
+    if stop - offset > _TABLE_CAP:
+        return None
+    cdf = np.concatenate([
+        bdtr(np.arange(offset, mean + 1), r, q),
+        1.0 - bdtrc(np.arange(mean + 1, stop), r, q),
+    ])
+    np.maximum.accumulate(cdf, out=cdf)
+    m = 1 << (4 * cdf.size).bit_length()
+    below = np.searchsorted(cdf, np.arange(m + 1) / m, side="right")
+    guide = below[:-1] + offset
+    guide[below[1:] != below[:-1]] = -1
+    cdf.setflags(write=False)
+    guide.setflags(write=False)
+    return offset, cdf, guide
+
+
+def _draw_counts(rng: np.random.Generator, r: int, p: float, size: int, table) -> np.ndarray:
+    """``size`` draws of ``Binomial(r, p)``, one uniform each.
+
+    The count is ``#{k : cdf[k] <= u}`` for ``u = rng.random()`` and the
+    CDF of ``Binomial(r, q)``, ``q = min(p, 1 - p)``, reflected as
+    ``r - X`` when ``p > 0.5``, as numpy does.  ``table`` is
+    ``_count_table(r, q)``.
+    """
+    if table is None:
+        return rng.binomial(r, p, size=size)
+    offset, cdf, guide = table
+    u = rng.random(size)
+    counts = guide[(u * guide.size).astype(np.intp)]
+    steps = np.flatnonzero(counts < 0)
+    counts[steps] = offset + np.searchsorted(cdf, u[steps], side="right")
+    if p > 0.5:
+        np.subtract(r, counts, out=counts)
+    return counts
+
+
 def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> ObservationSet:
     """Sample an observation set from a comparison matrix.
 
@@ -84,9 +162,27 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
     first, then row wins.  Blocks run on up to one thread per usable
     CPU; the output is bit-identical for equal ``(matrix, p, r, seed)``
     whatever the CPU count.
+
+    Counts: at ``p = 1`` every pair gets ``r`` and no uniform is read.
+    Otherwise a pair reads one ``u = rng.random()`` and gets
+    ``X = #{k : F(k) <= u}``, for ``F`` the CDF of ``Binomial(r, q)`` and
+    ``q = min(p, 1 - p)``, or ``r - X`` when ``p > 0.5``.  numpy's
+    binomial inverts the same CDF with one uniform where ``r * q <= 30``,
+    so there the counts, and the wins after them, are those of the
+    ``rng.binomial(r, p, size)`` stream (bar ``u`` falling within
+    rounding of some ``F(k)``, which 10**6 draws per design never hit);
+    above 30 numpy's BTPE sampler reads more uniforms and the streams
+    differ.  Past ``r * p * (1 - p)`` of ~2.5e5 the counts are numpy's
+    own draws.  ``r`` must be an integer (not a bool).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
+    if isinstance(r, bool):
+        raise ValueError("r must be an integer, got bool")
+    try:
+        r = operator.index(r)
+    except TypeError:
+        raise ValueError(f"r must be an integer, got {type(r).__name__}") from None
     if r < 1:
         raise ValueError("r must be at least 1")
     seed = _check_seed(seed)
@@ -98,6 +194,7 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
     root = np.random.SeedSequence((seed, _DRAW_TAG))
     blocks = -(-probs.size // _DRAW_BLOCK)
     streams = [root, *root.spawn(blocks - 1)]
+    table = None if p == 1.0 else _count_table(r, 1.0 - p if p > 0.5 else p)
 
     def draw_block(b: int) -> None:
         # block-local only: its own generator and its own output slices
@@ -107,7 +204,7 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
         if p == 1.0:
             counts = np.full(block_probs.size, r, dtype=np.int64)
         else:
-            counts = rng.binomial(r, p, size=block_probs.size)
+            counts = _draw_counts(rng, r, p, block_probs.size, table)
         row_wins[block] = rng.binomial(counts, block_probs)
         col_wins[block] = counts - row_wins[block]
 

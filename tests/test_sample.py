@@ -1,6 +1,8 @@
 import csv
 import math
+import time
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,6 +98,102 @@ class TestDrawObservations:
         with pytest.raises(ValueError):
             draw_observations(m, 0.5, 5, seed=-1)
 
+    @pytest.mark.parametrize("r", [2.5, 3.0, True, "4", None])
+    def test_r_must_be_an_integer(self, r):
+        with pytest.raises(ValueError, match="r must be an integer"):
+            draw_observations(gen_planted(5, 2, 0.1), 0.5, r, seed=0)
+
+    def test_numpy_integer_r_is_stored_as_int(self, tmp_path):
+        obs = draw_observations(gen_planted(5, 2, 0.1), 0.5, np.int64(6), seed=0)
+        assert type(obs.r) is int and obs.r == 6
+        path = tmp_path / "obs.csv"
+        write_observations_csv(obs, path)
+        assert path.read_text().splitlines()[0] == "# n=5 r=6 p=0.5"
+        assert read_observations_csv(path).r == 6
+
+
+def binomial_pmf(r, p):
+    """Exact ``Binomial(r, p)`` probabilities of k = 0..r, as floats."""
+    p = Fraction(p)
+    return [float(math.comb(r, k) * p**k * (1 - p) ** (r - k)) for k in range(r + 1)]
+
+
+def binomial_cdf(r, p):
+    """The exact ``Binomial(r, p)`` CDF at k = 0..r, each rounded once."""
+    p = Fraction(p)
+    total, cdf = Fraction(0), []
+    for k in range(r + 1):
+        total += math.comb(r, k) * p**k * (1 - p) ** (r - k)
+        cdf.append(float(total))
+    return np.array(cdf)
+
+
+class TestCountDraw:
+    # (r, p) with r * min(p, 1 - p) <= 30, where numpy's binomial inverts
+    # the CDF with one uniform per draw, as the count draw does
+    @pytest.mark.parametrize(
+        "r, p",
+        [(1, 0.3), (16, 0.25), (65, 0.25), (120, 0.25), (60, 0.5), (30, 0.7), (40, 0.75),
+         (100, 0.9), (3 * 10**7, 1e-6)],
+    )
+    def test_counts_match_numpy_where_numpy_inverts(self, r, p):
+        n, seed = 128, 12
+        obs = draw_observations(gen_planted(n, 4, 0.2), p, r, seed)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, DRAW_TAG)))
+        expected = rng.binomial(r, p, size=n * (n - 1) // 2)
+        np.testing.assert_array_equal(obs.comparisons[np.triu_indices(n, 1)], expected)
+
+    @pytest.mark.parametrize("r, p", [(405, 0.25), (2177, 0.75)])
+    def test_counts_fit_the_binomial(self, r, p):
+        # chi-square goodness of fit at r * min(p, 1 - p) > 30 on one
+        # 44,850-pair draw; each tail pooled into the outermost count that
+        # expects >= 5 draws; 0.1% level
+        from scipy.stats import chi2
+
+        n = 300
+        counts = draw_observations(gen_planted(n, 10, 0.1), p, r, seed=5).comparisons
+        counts = counts[np.triu_indices(n, 1)]
+        expected = counts.size * np.array(binomial_pmf(r, p))
+        observed = np.bincount(counts, minlength=r + 1).astype(float)
+        lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
+        cells_e, cells_o = (
+            np.array([x[: lo + 1].sum(), *x[lo + 1 : hi], x[hi:].sum()])
+            for x in (expected, observed)
+        )
+        stat = ((cells_o - cells_e) ** 2 / cells_e).sum()
+        assert stat <= chi2.ppf(0.999, cells_e.size - 1)
+
+    @pytest.mark.parametrize("r, p", [(1, 0.5), (7, 0.5), (4, 0.75), (40, 0.3), (400, 0.25)])
+    def test_count_at_table_steps(self, r, p):
+        # u exactly on each tabulated CDF value and guide bucket edge, and
+        # one step below each: the count is offset + #{i : cdf[i] <= u}
+        class FixedUniforms:
+            def random(self, size):
+                return us
+
+        q = 1.0 - p if p > 0.5 else p
+        offset, cdf, guide = sample._count_table(r, q)
+        exact = binomial_cdf(r, q)
+        assert np.all(exact[:offset] < 2**-53)
+        np.testing.assert_allclose(cdf, exact[offset : offset + cdf.size], rtol=1e-12, atol=2**-52)
+        assert np.all(exact[offset + cdf.size :] == 1.0)
+        steps = np.concatenate([cdf, np.arange(guide.size) / guide.size, [1.0]])
+        us = np.unique(np.concatenate([steps, np.nextafter(steps, 0.0)]))[:-1]
+        expected = offset + (cdf[None, :] <= us[:, None]).sum(axis=1)
+        if p > 0.5:
+            expected = r - expected
+        counts = sample._draw_counts(FixedUniforms(), r, p, us.size, (offset, cdf, guide))
+        np.testing.assert_array_equal(counts, expected)
+
+    @pytest.mark.parametrize("p", [0.25, 1e-6, 0.999])
+    def test_huge_r_is_fast(self, p):
+        sample._count_table.cache_clear()
+        start = time.perf_counter()
+        obs = draw_observations(gen_planted(4, 1, 0.2), p, 10**9, seed=3)
+        assert time.perf_counter() - start < 1.0
+        assert_valid(obs, 10**9)
+        assert obs.r == 10**9
+
 
 class TestSubsample:
     def test_q_one_is_identity(self):
@@ -174,6 +272,8 @@ class TestSubsample:
 # row-major order, into blocks of DRAW_BLOCK pairs: block 0 reads the
 # generator seeded by (seed, tag), block b >= 1 child b - 1 of that seed
 # sequence, and each block draws all its counts, then all its row wins.
+# Below p = 1 a count is #{k : F(k) <= u}, for one uniform u and F the
+# CDF of Binomial(r, min(p, 1 - p)), reflected to r - count above 1/2.
 # A thinning reads one generator seeded by (seed, tag), each quantity
 # drawn for all pairs in row-major order.
 DRAW_TAG, THIN_TAG = 0x0B5E, 0x7811
@@ -195,12 +295,20 @@ def draw_oracle(matrix, p, r, seed):
     root = np.random.SeedSequence((seed, DRAW_TAG))
     starts = range(0, iu.size, DRAW_BLOCK)
     children = root.spawn(len(starts) - 1)
+    q = 1.0 - p if p > 0.5 else p
+    cdf = binomial_cdf(r, q)[:-1]
     row_wins, col_wins = [], []
     for b, start in enumerate(starts):
         rng = np.random.default_rng(root if b == 0 else children[b - 1])
         stop = start + DRAW_BLOCK
         probs = matrix.entries[iu[start:stop], ju[start:stop]]
-        counts = np.full(probs.size, r) if p == 1.0 else rng.binomial(r, p, size=probs.size)
+        if p == 1.0:
+            counts = np.full(probs.size, r)
+        else:
+            u = rng.random(probs.size)
+            counts = (cdf[None, :] <= u[:, None]).sum(axis=1)
+            if p > 0.5:
+                counts = r - counts
         wins = rng.binomial(counts, probs)
         row_wins.extend(wins)
         col_wins.extend(counts - wins)
@@ -247,6 +355,8 @@ class TestStreamContract:
             (129, 0.5, 7, 11),  # 8,256 pairs: two blocks
             (300, 0.25, 9, 2**40),  # 44,850 pairs: six blocks, the last short
             (300, 1.0, 5, 1),
+            (129, 0.25, 400, 3),  # r * p > 30: numpy would switch to BTPE
+            (200, 0.8, 300, 9),  # r * (1 - p) > 30, reflected
         ],
     )
     def test_draw_matches_oracle(self, n, p, r, seed):
@@ -295,7 +405,7 @@ class TestStreamContract:
     @given(
         m=matrices(),
         p=st.floats(0.01, 1.0) | st.just(1.0),
-        r=st.integers(1, 30),
+        r=st.integers(1, 30) | st.integers(31, 5000),
         seed=st.integers(0, 2**63),
     )
     def test_draw_properties(self, m, p, r, seed):
