@@ -49,7 +49,7 @@ _THIN_TAG = 0x7811
 # Pairs per draw block: a draw of up to this many pairs (n <= 128) is
 # one block and reads only the root stream.
 _DRAW_BLOCK = 8192
-# Most CDF entries in a count table; its guide has under 8x as many
+# Most CDF entries in a count table; its guide has 4-8x as many
 # buckets.  A wider window (r * p * (1 - p) above ~2.5e5) takes longer
 # to build than it saves on an n = 1000 draw, so numpy draws it instead.
 _TABLE_CAP = 1 << 13
