@@ -7,11 +7,13 @@ Usage, from anywhere:
 For every checkout it runs that checkout's own ``benchmark/run.py`` on
 each workload and seed with ``--trace 0``, each run as long as the
 checkout's ``BENCHMARK.json`` sets (``run_seconds``), and times the
-sampling layer (``draw_observations``) and the estimator layers
-(``copeland_topk``, ``rank_centrality``, ``mle_refine``) under two
-sampling designs in a fresh interpreter that imports ``pairrank`` from
-the checkout's ``src/``.  Rounds alternate the order of the checkouts, so side-by-side
-files see the same drift of a shared machine.  Each file records every
+model layer (``instantiate``: a first call with its memo cleared, and a
+repeated call), the sampling layer (``draw_observations``) and the
+estimator layers (``copeland_topk``, ``rank_centrality``,
+``mle_refine``) under two sampling designs in a fresh interpreter that
+imports ``pairrank`` from the checkout's ``src/``.  Rounds alternate the
+order of the checkouts, so side-by-side files see the same drift of a
+shared machine.  Each file records every
 run, the medians, the git SHA (with ``-dirty`` in the label when the
 tracked files differ from it), the Python, numpy and scipy versions,
 ``nproc`` and the seeds.  Files go to ``--out-dir`` (default: the root
@@ -38,9 +40,14 @@ LAYER_SIZES = (50, 200, 1000)
 # At p = 1 the baseline's ranking is Copeland's, so only the sparse
 # design times two estimators that can give different answers.  The
 # r = 400 design times sampling alone, past r * p = 30, where numpy's
-# binomial sampler leaves inversion for BTPE.
+# binomial sampler leaves inversion for BTPE.  The model design times
+# ``instantiate`` alone: a first call builds the matrix, a repeated call
+# is a memo hit where ``instantiate`` has a memo and a build where not.
 LAYERS = ("draw_observations", "copeland_topk", "rank_centrality", "mle_refine")
 LAYER_DESIGNS = {
+    "model": {
+        "model": "btl", "quality_spread": 6.0, "layers": ["instantiate_first", "instantiate_repeat"],
+    },
     "p1": {"model": "btl", "quality_spread": 6.0, "p": 1.0, "r": 4, "seed": 1},
     "p0.25": {"model": "btl", "quality_spread": 6.0, "p": 0.25, "r": 16, "seed": 1},
     "p0.25-r400": {
@@ -57,25 +64,38 @@ def time_layers() -> dict:
 
     Runs inside the measured checkout's interpreter (``--layers``).
     """
-    from pairrank import copeland_topk, mle_refine, rank_centrality
-    from pairrank.model import equispaced_quality, gen_parametric
+    from pairrank import copeland_topk, mle_refine, model, rank_centrality
     from pairrank.sample import draw_observations
+
+    # a checkout from before the memo has nothing to clear
+    memo = getattr(model, "_build_memoized", None)
+    clear_memo = memo.cache_clear if memo is not None else lambda: None
+
+    def instantiate_first(model_spec, n):
+        clear_memo()
+        return model.instantiate(model_spec, n)
 
     layers: dict = {}
     for design, spec in LAYER_DESIGNS.items():
         names = spec.get("layers", LAYERS)
         for n in LAYER_SIZES:
-            matrix = gen_parametric(equispaced_quality(n, spec["quality_spread"]))
-            obs = draw_observations(matrix, spec["p"], spec["r"], spec["seed"])
-            init = rank_centrality(obs) if "mle_refine" in names else None
+            model_spec = model.ModelSpec(kind=spec["model"], quality_spread=spec["quality_spread"])
+            matrix = model.instantiate(model_spec, n)
             calls = {
-                "draw_observations": lambda: draw_observations(
-                    matrix, spec["p"], spec["r"], spec["seed"]
-                ),
-                "copeland_topk": lambda: copeland_topk(obs, n // 4),
-                "rank_centrality": lambda: rank_centrality(obs),
-                "mle_refine": lambda: mle_refine(obs, init),
+                "instantiate_first": lambda: instantiate_first(model_spec, n),
+                "instantiate_repeat": lambda: model.instantiate(model_spec, n),
             }
+            if "p" in spec:
+                obs = draw_observations(matrix, spec["p"], spec["r"], spec["seed"])
+                init = rank_centrality(obs) if "mle_refine" in names else None
+                calls.update({
+                    "draw_observations": lambda: draw_observations(
+                        matrix, spec["p"], spec["r"], spec["seed"]
+                    ),
+                    "copeland_topk": lambda: copeland_topk(obs, n // 4),
+                    "rank_centrality": lambda: rank_centrality(obs),
+                    "mle_refine": lambda: mle_refine(obs, init),
+                })
             for name in names:
                 call = calls[name]
                 times = []

@@ -7,16 +7,19 @@ repetition count ``r`` is either given explicitly or derived from a
 target threshold constant ``alpha`` by inverting the Hamming-``h``
 separation of the instantiated matrix.
 
-The comparison matrix is instantiated once per experiment and every
-trial draws fresh observations from it.  Every random quantity derives
-from the master seed through stable per-stage tags, so results are
-bit-identical across runs.  Trials run one after another in the calling
-thread: a whole trial holds the interpreter lock, and a thread pool over
-trials made runs slower.  Only the sampler's binomial kernel, which
-releases the lock, runs on threads (see :mod:`pairrank.sample`), and its
-output does not depend on the thread count.  Wall-clock timings are
-measured around the estimator calls only and reported through the
-summary, never in the results table, which is fully deterministic.
+Every trial of an experiment draws fresh observations from one
+comparison matrix.  :func:`pairrank.model.instantiate` memoizes the last
+matrix it built, so consecutive experiments over the same model and
+``n`` (a threshold sweep over ``alpha``) share one build.  Every random
+quantity derives from the master seed through stable per-stage tags, so
+results are bit-identical across runs.  Trials run one after another
+in the calling thread: a whole trial holds the interpreter lock, and a
+thread pool over trials made runs slower.  Only the sampler's binomial
+kernel, which releases the lock, runs on threads (see
+:mod:`pairrank.sample`), and its output does not depend on the thread
+count.  Wall-clock timings are measured around the estimator calls only
+and reported through the summary, never in the results table, which is
+fully deterministic.
 """
 
 from __future__ import annotations
@@ -201,7 +204,8 @@ def _run_trial(
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials of an experiment and aggregate the outcomes.
 
-    The comparison matrix is instantiated once; its Hamming-``h``
+    The comparison matrix comes from :func:`pairrank.model.instantiate`,
+    built anew or taken from its memo of the last build; its Hamming-``h``
     separation report gives ``r`` when ``alpha`` is given and ``alpha``
     when ``r`` is.  Records are emitted in trial order.
     """

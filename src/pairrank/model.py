@@ -13,7 +13,9 @@ calculators in :mod:`pairrank.analysis`.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +52,15 @@ def _freeze(entries: np.ndarray) -> ComparisonMatrix:
     return ComparisonMatrix(np.ascontiguousarray(entries, dtype=np.float64))
 
 
+@lru_cache(maxsize=8)
 def _upper_mask(n: int) -> np.ndarray:
-    """Boolean mask of the strict upper triangle of an ``n x n`` grid."""
-    return np.triu(np.ones((n, n), dtype=bool), k=1)
+    """Read-only boolean mask of the strict upper triangle of an ``n x n`` grid.
+
+    Cached: a sweep draws hundreds of times at a few sizes.
+    """
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.setflags(write=False)
+    return mask
 
 
 def _mirror_upper(upper: np.ndarray) -> np.ndarray:
@@ -315,7 +323,9 @@ class ModelSpec:
     """Declarative description of a comparison model instance.
 
     Only the parameters used by ``kind`` need to be set; the rest stay
-    ``None``.  ``instantiate`` resolves the spec into a matrix.
+    ``None``.  ``instantiate`` resolves the spec into a matrix.  ``w``
+    is stored as a tuple of floats and ``ordering`` as a tuple of ints,
+    whatever sequence they are given as, so every spec is hashable.
     """
 
     kind: str
@@ -336,6 +346,17 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
+        if self.w is not None:
+            object.__setattr__(self, "w", _as_tuple(self.w, float, "w"))
+        if self.ordering is not None:
+            object.__setattr__(self, "ordering", _as_tuple(self.ordering, int, "ordering"))
+
+
+def _as_tuple(values, cast, name: str) -> tuple:
+    try:
+        return tuple(cast(x) for x in values)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a sequence of numbers") from None
 
 
 # ModelSpec fields a flat mapping sets under their own name
@@ -370,7 +391,23 @@ def instantiate(spec: ModelSpec, n: int, seed: int | None = None) -> ComparisonM
 
     ``seed`` is a fallback for kinds with internal randomness when the
     spec itself carries none.
+
+    The last matrix built is memoized under ``(spec, n, seed)``, with
+    ``seed`` in the key only where the build reads it (``sst_diagonal``
+    without ``spec.seed``), so a sweep over one model builds its matrix
+    once.  Callers share that matrix, which is safe because a
+    :class:`ComparisonMatrix` is read-only.  The memo holds one entry:
+    it keeps the last matrix alive and nothing more.  An ``explicit``
+    spec is never memoized; its file is read again on every call.
     """
+    if spec.kind == "explicit":
+        return _build(spec, n, seed)
+    if spec.kind != "sst_diagonal" or spec.seed is not None:
+        seed = None
+    return _build_memoized(spec, n, seed)
+
+
+def _build(spec: ModelSpec, n: int, seed: int | None) -> ComparisonMatrix:
     kind = spec.kind
     if kind in ("btl", "thurstone", "btl_outlier", "btl_mixture"):
         w = resolved_quality(spec, n)
@@ -411,6 +448,10 @@ def instantiate(spec: ModelSpec, n: int, seed: int | None = None) -> ComparisonM
     return matrix
 
 
+# ``typed`` keeps a call with ``n=8.0`` from returning an ``n=8`` build
+_build_memoized = lru_cache(maxsize=1, typed=True)(_build)
+
+
 def resolved_quality(spec: ModelSpec, n: int) -> np.ndarray | None:
     """Quality vector of a parametric spec: ``spec.w``, else equispaced with its spread.
 
@@ -431,5 +472,10 @@ def write_matrix_csv(matrix: ComparisonMatrix, path) -> None:
 def read_matrix_csv(path) -> ComparisonMatrix:
     """Read and validate a matrix written by :func:`write_matrix_csv`."""
     path = Path(path)
-    grid = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    with warnings.catch_warnings():
+        # an empty file is reported below, once, as a data error
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        grid = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    if grid.size == 0:
+        raise ValueError(f"{path}: matrix file holds no data")
     return make_matrix(grid)

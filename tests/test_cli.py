@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,20 @@ class TestErrorJson:
             "error": f"{obs}: metadata p must be a number in (0, 1] or 'na', got {p!r}",
             "category": "data",
             "exit_code": 2,
+        }
+
+    def test_empty_matrix_file_is_one_data_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        argv = ["--error-json", "thresholds", "--matrix", str(empty), "--k", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2
+        assert [str(w.message) for w in caught] == []
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": f"{empty}: matrix file holds no data", "category": "data", "exit_code": 2
         }
 
     def test_repeated_config_key_is_a_data_error(self, tmp_path, capsys):

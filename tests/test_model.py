@@ -20,7 +20,8 @@ from pairrank import (
     scores,
     write_matrix_csv,
 )
-from pairrank.model import _mirror_upper
+from pairrank import model
+from pairrank.model import MODEL_KINDS, _mirror_upper
 
 LOGISTIC_1 = 0.7310585786300049  # 1 / (1 + e^-1) to double precision
 
@@ -353,6 +354,108 @@ class TestModelSpec:
     def test_sst_requires_seed(self):
         with pytest.raises(ValueError, match="seed"):
             instantiate(ModelSpec(kind="sst_diagonal"), 6)
+
+    @pytest.mark.parametrize(
+        "as_list, as_tuple",
+        [
+            (ModelSpec(kind="btl", w=[1.0, 0.0, -1.0]), ModelSpec(kind="btl", w=(1.0, 0.0, -1.0))),
+            (
+                ModelSpec(kind="hamming_planted", k=1, delta0=0.2, ordering=[2, 0, 1]),
+                ModelSpec(kind="hamming_planted", k=1, delta0=0.2, ordering=(2, 0, 1)),
+            ),
+        ],
+        ids=["w", "ordering"],
+    )
+    def test_list_and_tuple_specs_are_one_spec(self, as_list, as_tuple):
+        assert as_list == as_tuple
+        assert hash(as_list) == hash(as_tuple)
+        model._build_memoized.cache_clear()
+        first = instantiate(as_list, 3).entries.tobytes()
+        model._build_memoized.cache_clear()
+        assert instantiate(as_tuple, 3).entries.tobytes() == first
+
+    def test_non_numeric_quality_rejected(self):
+        with pytest.raises(ValueError, match="w must be a sequence of numbers"):
+            ModelSpec(kind="btl", w=1.0)
+
+
+class TestInstantiateMemo:
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        model._build_memoized.cache_clear()
+        yield
+        model._build_memoized.cache_clear()
+
+    @staticmethod
+    def fresh(spec, n, seed):
+        model._build_memoized.cache_clear()
+        return instantiate(spec, n, seed).entries.tobytes()
+
+    def test_memo_matches_fresh_builds(self, tmp_path):
+        path = tmp_path / "m.csv"
+        specs = {
+            "btl": ModelSpec(kind="btl"),
+            "thurstone": ModelSpec(kind="thurstone", quality_spread=2.0),
+            "btl_outlier": ModelSpec(kind="btl_outlier"),
+            "sst_diagonal": ModelSpec(kind="sst_diagonal"),
+            "btl_mixture": ModelSpec(kind="btl_mixture", lam=0.7),
+            "planted": ModelSpec(kind="planted", k=2, delta=0.1),
+            "adjacent_swap": ModelSpec(kind="adjacent_swap", delta0=0.01),
+            "hamming_planted": ModelSpec(kind="hamming_planted", k=2, delta0=0.2),
+            "explicit": ModelSpec(kind="explicit", entries_path=str(path)),
+        }
+        assert sorted(specs) == sorted(MODEL_KINDS)
+        # each call repeated, so every memoized kind is hit and then replaced
+        calls = [
+            (kind, n, seed) for n in (5, 11) for kind in MODEL_KINDS for seed in (1, 1, 2)
+        ]
+        got = []
+        for kind, n, seed in calls:
+            write_matrix_csv(gen_planted(n, 1, 0.1 * seed), path)
+            got.append(instantiate(specs[kind], n, seed).entries.tobytes())
+        info = model._build_memoized.cache_info()
+        assert info.hits > 0 and info.misses > 0
+        for (kind, n, seed), entries in zip(calls, got):
+            write_matrix_csv(gen_planted(n, 1, 0.1 * seed), path)
+            assert entries == self.fresh(specs[kind], n, seed), (kind, n, seed)
+
+    def test_repeated_call_returns_the_shared_matrix(self):
+        spec = ModelSpec(kind="btl")
+        assert instantiate(spec, 6) is instantiate(spec, 6, seed=4)
+        assert not instantiate(spec, 6).entries.flags.writeable
+
+    def test_fallback_seed_is_part_of_the_key(self):
+        spec = ModelSpec(kind="sst_diagonal")
+        one, two = instantiate(spec, 9, seed=1), instantiate(spec, 9, seed=2)
+        assert not np.array_equal(one.entries, two.entries)
+        assert two.entries.tobytes() == self.fresh(spec, 9, 2)
+
+    def test_spec_seed_overrides_the_fallback(self):
+        spec = ModelSpec(kind="sst_diagonal", seed=5)
+        assert instantiate(spec, 9, seed=1) is instantiate(spec, 9, seed=2)
+
+    def test_explicit_file_is_read_again(self, tmp_path):
+        path = tmp_path / "m.csv"
+        spec = ModelSpec(kind="explicit", entries_path=str(path))
+        write_matrix_csv(gen_planted(4, 1, 0.1), path)
+        before = instantiate(spec, 4)
+        write_matrix_csv(gen_planted(4, 1, 0.3), path)
+        after = instantiate(spec, 4)
+        assert np.array_equal(after.entries, gen_planted(4, 1, 0.3).entries)
+        assert not np.array_equal(before.entries, after.entries)
+
+    def test_failed_build_is_not_memoized(self):
+        spec = ModelSpec(kind="planted", k=2, delta=0.1)
+        with pytest.raises(ValueError, match="k must satisfy"):
+            instantiate(spec, 2)
+        assert model._build_memoized.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+    def test_upper_mask_is_cached_read_only(self, n):
+        mask = model._upper_mask(n)
+        assert mask is model._upper_mask(n)
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, np.triu(np.ones((n, n), bool), 1))
 
 
 class TestMatrixCsv:
