@@ -10,8 +10,9 @@ checkout's ``BENCHMARK.json`` sets (``run_seconds``), and times the
 model layer (``instantiate``: a first call with its memo cleared, and a
 repeated call), the sampling layer (``draw_observations``) and the
 estimator layers (``copeland_topk``, ``rank_centrality``,
-``mle_refine``) under two sampling designs in a fresh interpreter that
-imports ``pairrank`` from the checkout's ``src/``.  Rounds alternate the
+``mle_refine``) under two sampling designs, and ``rank_centrality`` on a
+reducible walk, in a fresh interpreter that imports ``pairrank`` from
+the checkout's ``src/``.  Rounds alternate the
 order of the checkouts, so side-by-side files see the same drift of a
 shared machine.  Each file records every
 run, the medians, the git SHA (with ``-dirty`` in the label when the
@@ -43,6 +44,9 @@ LAYER_SIZES = (50, 200, 1000)
 # binomial sampler leaves inversion for BTPE.  The model design times
 # ``instantiate`` alone: a first call builds the matrix, a repeated call
 # is a memo hit where ``instantiate`` has a memo and a build where not.
+# The p1-ordered design (quality spread 10^4) is nearly a total order:
+# item 0 never loses, so its walk is reducible and ``rank_centrality``
+# must find the one closed class, {0}, before it solves.
 LAYERS = ("draw_observations", "copeland_topk", "rank_centrality", "mle_refine")
 LAYER_DESIGNS = {
     "model": {
@@ -50,6 +54,10 @@ LAYER_DESIGNS = {
     },
     "p1": {"model": "btl", "quality_spread": 6.0, "p": 1.0, "r": 4, "seed": 1},
     "p0.25": {"model": "btl", "quality_spread": 6.0, "p": 0.25, "r": 16, "seed": 1},
+    "p1-ordered": {
+        "model": "btl", "quality_spread": 1e4, "p": 1.0, "r": 4, "seed": 1,
+        "layers": ["rank_centrality"],
+    },
     "p0.25-r400": {
         "model": "btl", "quality_spread": 6.0, "p": 0.25, "r": 400, "seed": 1,
         "layers": ["draw_observations"],

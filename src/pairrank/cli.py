@@ -14,8 +14,10 @@ because the family allows every set is written as ``null``.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime failure
 (including any unexpected exception, whose traceback goes to stderr
-unless ``--error-json`` is set).  ``--error-json`` switches error
-reporting to machine-readable JSON on stderr.
+unless ``--error-json`` is set).  ``--error-json``, before or after the
+subcommand, switches error reporting to machine-readable JSON on stderr.
+Every float flag, config value and family ``eps`` must be finite: a bad
+flag is a usage error, a bad config key or family spec a data error.
 """
 
 from __future__ import annotations
@@ -37,25 +39,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def float_list(text: str) -> tuple[float, ...]:
+    """Comma-separated finite floats (the type of list flags); empty fields are skipped."""
+    return tuple(model.finite_float(x) for x in text.split(",") if x.strip())
+
+
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="pairrank", description=__doc__)
-    parser.add_argument(
+    # every parser takes --error-json; SUPPRESS keeps a subcommand from resetting it
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
         "--error-json",
         action="store_true",
+        default=argparse.SUPPRESS,
         help="report errors as JSON on stderr",
     )
+    parser = _Parser(prog="pairrank", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen-matrix", help="generate a comparison matrix CSV")
+    gen = sub.add_parser("gen-matrix", parents=[common], help="generate a comparison matrix CSV")
     gen.add_argument("--model", required=True, choices=[k for k in model.MODEL_KINDS if k != "explicit"])
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--quality", help="comma-separated quality values (parametric models)")
-    gen.add_argument("--quality-spread", type=float)
-    gen.add_argument("--lam", type=float, help="mixture weight in (1/2, 1]")
-    gen.add_argument("--gap", type=float, help="diagonal increment bound (sst_diagonal)")
-    gen.add_argument("--delta", type=float, help="planted gap")
-    gen.add_argument("--delta0", type=float, help="adjacent-swap / top-block gap")
+    gen.add_argument(
+        "--quality", type=float_list, help="comma-separated quality values (parametric models)"
+    )
+    gen.add_argument("--quality-spread", type=model.finite_float)
+    gen.add_argument("--lam", type=model.finite_float, help="mixture weight in (1/2, 1]")
+    gen.add_argument("--gap", type=model.finite_float, help="diagonal increment bound (sst_diagonal)")
+    gen.add_argument("--delta", type=model.finite_float, help="planted gap")
+    gen.add_argument("--delta0", type=model.finite_float, help="adjacent-swap / top-block gap")
     gen.add_argument("--k", type=int, help="planted / top-block size")
     gen.add_argument("--outlier", type=int, help="outlier item index")
     gen.add_argument("--swap-index", type=int)
@@ -63,19 +75,19 @@ def _build_parser() -> _Parser:
     gen.add_argument("--ordering-seed", type=int, help="shuffle seed for hamming_planted ordering")
     gen.add_argument("--seed", type=int, help="model seed (sst_diagonal)")
 
-    sim = sub.add_parser("simulate", help="draw observations from a matrix")
+    sim = sub.add_parser("simulate", parents=[common], help="draw observations from a matrix")
     sim.add_argument("--matrix", required=True)
-    sim.add_argument("--p", type=float, required=True)
+    sim.add_argument("--p", type=model.finite_float, required=True)
     sim.add_argument("--r", type=int, required=True)
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--out", required=True)
 
-    rk = sub.add_parser("rank", help="rank items from observations")
+    rk = sub.add_parser("rank", parents=[common], help="rank items from observations")
     rk.add_argument("--obs", required=True)
     rk.add_argument("--k", type=int, required=True)
     rk.add_argument("--out", help="write JSON here instead of stdout")
 
-    th = sub.add_parser("thresholds", help="separation report for a matrix")
+    th = sub.add_parser("thresholds", parents=[common], help="separation report for a matrix")
     th.add_argument("--matrix", required=True)
     th.add_argument("--k", type=int, required=True)
     th.add_argument("--h", type=int, default=0, help="Hamming tolerance (family hamming:h=H)")
@@ -84,12 +96,12 @@ def _build_parser() -> _Parser:
         help="requirement spec such as exact, hamming:h=1, topband:eps=0.5, mult:eps=0.5, "
         "add:eps=2, ranksum:eps=0.5 or explicit:@sets.csv (overrides --h)",
     )
-    th.add_argument("--p", type=float)
+    th.add_argument("--p", type=model.finite_float)
     th.add_argument("--r", type=int)
-    th.add_argument("--alpha", type=float, default=8.0, help="target threshold constant")
+    th.add_argument("--alpha", type=model.finite_float, default=8.0, help="target threshold constant")
     th.add_argument("--out", help="write JSON here instead of stdout")
 
-    be = sub.add_parser("bench", help="run a benchmark experiment")
+    be = sub.add_parser("bench", parents=[common], help="run a benchmark experiment")
     be.add_argument("--config", required=True)
     be.add_argument("--out", required=True, help="results CSV path")
     be.add_argument("--summary", help="summary JSON path")
@@ -97,11 +109,13 @@ def _build_parser() -> _Parser:
         if key != "entries_path":  # only the config file names an explicit model's matrix
             be.add_argument(f"--{key.replace('_', '-')}", type=cast, help=f"override config key '{key}'")
 
-    ev = sub.add_parser("eval-real", help="subsampling evaluation on ingested comparisons")
+    ev = sub.add_parser(
+        "eval-real", parents=[common], help="subsampling evaluation on ingested comparisons"
+    )
     ev.add_argument("--obs", required=True, help="comparisons CSV (item_a,item_b,winner)")
     ev.add_argument("--truth", required=True, help="item ids in rank order, one per line")
     ev.add_argument("--k", type=int)
-    ev.add_argument("--q-grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
+    ev.add_argument("--q-grid", type=float_list, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     ev.add_argument("--trials", type=int, default=100)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out", required=True, help="per-trial results CSV path")
@@ -110,9 +124,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen_matrix(args) -> int:
-    values = dict(vars(args), model_seed=args.seed)
-    if args.quality is not None:
-        values["w"] = tuple(float(x) for x in args.quality.split(","))
+    values = dict(vars(args), model_seed=args.seed, w=args.quality)
     matrix = model.instantiate(model.spec_from_mapping(args.model, args.n, values), args.n)
     model.write_matrix_csv(matrix, args.out)
     return 0
@@ -174,14 +186,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_eval_real(args) -> int:
-    q_grid = tuple(float(x) for x in args.q_grid.split(",") if x.strip())
-    if not q_grid:
+    if not args.q_grid:
         raise _UsageError("--q-grid must list at least one fraction")
     result = harness.run_realdata(
         args.obs,
         args.truth,
         k=args.k,
-        q_grid=q_grid,
+        q_grid=args.q_grid,
         trials=args.trials,
         seed=args.seed,
     )
@@ -215,7 +226,7 @@ def main(argv=None) -> int:
     as_json = "--error-json" in (argv if argv is not None else sys.argv[1:])
     try:
         args = _build_parser().parse_args(argv)
-        as_json = args.error_json
+        as_json = getattr(args, "error_json", False)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         message, category, code = str(exc), "usage", 1

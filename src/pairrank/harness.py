@@ -453,18 +453,18 @@ _CONFIG_KEYS = {
     "n": int,
     "k": int,
     "h": int,
-    "p": float,
-    "alpha": float,
+    "p": model.finite_float,
+    "alpha": model.finite_float,
     "r": int,
     "trials": int,
     "estimators": str,
     "family": str,
     "master_seed": int,
-    "quality_spread": float,
-    "lam": float,
-    "gap": float,
-    "delta": float,
-    "delta0": float,
+    "quality_spread": model.finite_float,
+    "lam": model.finite_float,
+    "gap": model.finite_float,
+    "delta": model.finite_float,
+    "delta0": model.finite_float,
     "outlier": int,
     "swap_index": int,
     "plant_index": int,
@@ -479,8 +479,9 @@ _EXPERIMENT_FIELDS = frozenset(f.name for f in fields(ExperimentConfig)) - {"mod
 def parse_config_text(text: str) -> dict:
     """Parse flat ``key = value`` configuration text with ``#`` comments.
 
-    A line that is not ``key = value``, an unknown key or a key set twice
-    raises ``ValueError`` naming the line.
+    A line that is not ``key = value``, an unknown key, a key set twice or
+    a value its key cannot cast (a float must be finite) raises
+    ``ValueError`` naming the line.
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -495,7 +496,10 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"line {lineno}: unknown configuration key {key!r}")
         if key in values:
             raise ValueError(f"line {lineno}: repeated configuration key {key!r}")
-        values[key] = _CONFIG_KEYS[key](value)
+        try:
+            values[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: configuration key {key!r}: {exc}") from None
     return values
 
 

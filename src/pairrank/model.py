@@ -195,6 +195,16 @@ def gen_btl_mixture(w, lam: float) -> ComparisonMatrix:
     return _freeze(_mirror_upper(upper))
 
 
+def _two_block(n: int, top, gap: float) -> ComparisonMatrix:
+    """``1/2 + gap`` from the items ``top`` to the rest, ``1/2 - gap`` back, ``1/2`` within."""
+    mask = np.zeros(n, dtype=bool)
+    mask[top] = True
+    upper = np.full((n, n), 0.5)
+    upper[np.ix_(mask, ~mask)] = 0.5 + gap
+    upper[np.ix_(~mask, mask)] = 0.5 - gap
+    return _freeze(_mirror_upper(upper))
+
+
 def gen_planted(n: int, k: int, delta: float, plant_index: int | None = None) -> ComparisonMatrix:
     """Two-block planted instance with score gap exactly ``delta``.
 
@@ -215,12 +225,7 @@ def gen_planted(n: int, k: int, delta: float, plant_index: int | None = None) ->
         if not k - 1 <= plant_index < n:
             raise ValueError(f"plant_index must lie in [k-1, n), got {plant_index}")
         planted = np.concatenate([np.arange(k - 1), [plant_index]])
-    mask = np.zeros(n, dtype=bool)
-    mask[planted] = True
-    upper = np.full((n, n), 0.5)
-    upper[np.ix_(mask, ~mask)] = 0.5 + delta
-    upper[np.ix_(~mask, mask)] = 0.5 - delta
-    return _freeze(_mirror_upper(upper))
+    return _two_block(n, planted, delta)
 
 
 def gen_adjacent_swap(n: int, delta0: float, a: int) -> ComparisonMatrix:
@@ -265,12 +270,7 @@ def gen_hamming_planted(n: int, k: int, delta0: float, ordering=None) -> Compari
         ordering = np.asarray(ordering, dtype=np.int64)
         if ordering.shape != (n,) or not np.array_equal(np.sort(ordering), np.arange(n)):
             raise ValueError("ordering must be a permutation of 0..n-1")
-    mask = np.zeros(n, dtype=bool)
-    mask[ordering[:k]] = True
-    upper = np.full((n, n), 0.5)
-    upper[np.ix_(mask, ~mask)] = 0.5 + delta0
-    upper[np.ix_(~mask, mask)] = 0.5 - delta0
-    return _freeze(_mirror_upper(upper))
+    return _two_block(n, ordering[:k], delta0)
 
 
 def is_sst(matrix: ComparisonMatrix, order=None) -> bool:
@@ -295,6 +295,14 @@ def equispaced_quality(n: int, spread: float = 6.0) -> np.ndarray:
     if spread <= 0:
         raise ValueError("spread must be positive")
     return np.linspace(spread / 2.0, -spread / 2.0, n)
+
+
+def finite_float(text) -> float:
+    """``float(text)``, rejecting NaN and +-inf; the cast of every float input."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _check_seed(seed: int) -> int:

@@ -7,9 +7,10 @@ Newton refinement of the Bradley-Terry-Luce likelihood; it is
 labeled "spectral_baseline" throughout and makes the parametric
 assumptions the counting rule avoids.
 
-The stationary stage solves for the walk's distribution on its one
-closed class, zero elsewhere.  Each Newton trial computes one logistic
-matrix, which judges the trial and, once accepted, starts the next step.
+The stationary stage finds the walk's one closed class by breadth-first
+descent and solves for the walk's distribution on it, zero elsewhere.
+Each Newton trial computes one logistic matrix, which judges the trial
+and, once accepted, starts the next step.
 """
 
 from __future__ import annotations
@@ -85,22 +86,16 @@ def copeland_ranking(obs: ObservationSet) -> tuple[int, ...]:
     return tuple(int(i) for i in rank_order(win_counts(obs)))
 
 
-def _connected(adjacency: np.ndarray, strongly: bool = False) -> bool:
-    """Whether every item is reached from item 0: breadth-first, one frontier per step.
-
-    ``adjacency[i, j]`` is an edge ``i -> j``; on a symmetric adjacency this is
-    connectivity.  ``strongly`` also searches the transpose: strong connectivity.
-    """
-    for edges in (adjacency, adjacency.T) if strongly else (adjacency,):
-        seen = np.zeros(edges.shape[0], dtype=bool)
-        seen[0] = True
-        frontier = seen.copy()
-        while frontier.any():
-            frontier = edges[frontier].any(axis=0) & ~seen
-            seen |= frontier
-        if not seen.all():
-            return False
-    return True
+def _reach(edges: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Items reached from the ``start`` mask along edges ``i -> j`` (``edges[i, j]``),
+    breadth-first, and the last frontier: the items farthest from the start."""
+    reached, layer = start.copy(), start
+    while True:
+        frontier = edges[layer].any(axis=0) & ~reached
+        if not frontier.any():
+            return reached, layer
+        reached |= frontier
+        layer = frontier
 
 
 def _closed_class(moves: np.ndarray) -> np.ndarray:
@@ -108,17 +103,32 @@ def _closed_class(moves: np.ndarray) -> np.ndarray:
 
     Closed classes are the strong components no move leaves, the whole
     walk if strongly connected; :class:`StationaryError` if not exactly one.
+    Each class is found by descent from an item that reaches no class yet:
+    while the item reaches items that do not reach it back (the leak), step
+    to one of those, from the deepest search layer with the fewest moves out,
+    or else with the fewest moves out.  A strongly connected walk costs one
+    search each way.
     """
-    if _connected(moves, strongly=True):  # far cheaper than labelling a dense matrix
-        return np.ones(moves.shape[0], dtype=bool)
-    from scipy.sparse.csgraph import connected_components  # ~0.1 s to import: on demand
-
-    _, labels = connected_components(moves, directed=True, connection="strong")
-    src, dst = np.nonzero(moves)
-    closed = np.setdiff1d(labels, labels[src[labels[src] != labels[dst]]])  # no move leaves
-    if closed.size != 1:
-        raise StationaryError(f"the random walk has {closed.size} closed classes, not one")
-    return labels == closed[0]
+    items = np.arange(moves.shape[0])
+    feeds = np.zeros(items.size, dtype=bool)  # items that reach a class found so far
+    classes, out_degree = [], None
+    while not feeds.all():
+        y = int(np.argmin(feeds))
+        while True:
+            ahead, deepest = _reach(moves, items == y)
+            behind, _ = _reach(moves.T, items == y)
+            leak = ahead & ~behind
+            if not leak.any():
+                break
+            if out_degree is None:
+                out_degree = moves.sum(axis=1)
+            pick = items[leak & deepest if (leak & deepest).any() else leak]
+            y = int(pick[np.argmin(out_degree[pick])])
+        classes.append(ahead)
+        feeds |= behind
+    if len(classes) != 1:
+        raise StationaryError(f"the random walk has {len(classes)} closed classes, not one")
+    return classes[0]
 
 
 def _stationary(rates: np.ndarray) -> np.ndarray:
@@ -149,7 +159,7 @@ def rank_centrality(obs: ObservationSet) -> np.ndarray:
     closed classes or a step that moves it by ``STATIONARY_ATOL`` or more.
     """
     compared = obs.comparisons > 0
-    if not _connected(compared):
+    if not _reach(compared, np.arange(obs.n) == 0)[0].all():
         raise DisconnectedGraphError("comparison graph is not connected")
     d_max = max(int(compared.sum(axis=1).max()), 1)  # 0 only for a lone item
     rates = np.where(compared, obs.wins.T / np.maximum(obs.comparisons, 1), 0.0)

@@ -24,6 +24,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
+from .model import finite_float
+
 ENUMERATION_LIMIT = 10**6
 
 REQUIREMENT_VARIANTS = ("topband", "multiplicative", "additive", "ranksum")
@@ -223,7 +225,7 @@ def parse_family_spec(text: str, n: int, k: int) -> SetFamily:
         return family_hamming(n, k, _spec_param(arg, "h", int, text))
     if name in ("topband", "mult", "add", "ranksum"):
         variant = {"mult": "multiplicative", "add": "additive"}.get(name, name)
-        return family_requirement(n, k, _spec_param(arg, "eps", float, text), variant)
+        return family_requirement(n, k, _spec_param(arg, "eps", finite_float, text), variant)
     if name == "explicit":
         if not arg.startswith("@"):
             raise ValueError(f"explicit spec must reference a file: 'explicit:@file.csv', got {text!r}")
@@ -235,7 +237,10 @@ def _spec_param(arg: str, key: str, cast, full: str):
     param, _, value = arg.partition("=")
     if param.strip() != key or not value.strip():
         raise ValueError(f"expected '{key}=<value>' in family spec {full!r}")
-    return cast(value.strip())
+    try:
+        return cast(value.strip())
+    except ValueError as exc:
+        raise ValueError(f"family spec {full!r}: {exc}") from None
 
 
 def read_position_sets_csv(path) -> list[tuple[int, ...]]:

@@ -80,6 +80,64 @@ class TestErrorJson:
             "error": f"{empty}: matrix file holds no data", "category": "data", "exit_code": 2
         }
 
+    @pytest.mark.parametrize("before", [False, True], ids=["after", "both-sides"])
+    def test_error_json_after_the_subcommand(self, tmp_path, capsys, before):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        argv = ["thresholds", "--matrix", str(empty), "--k", "1", "--error-json"]
+        assert cli.main(["--error-json"] * before + argv) == 2
+        assert error_payload(capsys) == {
+            "error": f"{empty}: matrix file holds no data", "category": "data", "exit_code": 2
+        }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "thresholds --matrix m.csv --k 1 --alpha={}",
+            "thresholds --matrix m.csv --k 1 --p={}",
+            "gen-matrix --model sst_diagonal --n 5 --out x.csv --gap={}",
+            "gen-matrix --model btl --n 2 --out x.csv --quality=1,{}",
+            "bench --config c.cfg --out b.csv --lam={}",
+        ],
+    )
+    def test_non_finite_flag_is_a_usage_error(self, capsys, command, value):
+        argv = command.format(value).split()
+        flag, _, text = argv[-1].partition("=")
+        assert cli.main(["--error-json"] + argv) == 1
+        payload = error_payload(capsys)
+        assert payload["category"] == "usage"
+        assert payload["error"].startswith(f"pairrank {argv[0]}: argument {flag}: invalid ")
+        assert payload["error"].endswith(f" value: {text!r}")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["alpha", "p", "quality_spread", "lam"])
+    def test_non_finite_config_value_is_a_data_error(self, tmp_path, capsys, key, value):
+        config = tmp_path / "bench.cfg"
+        config.write_text(f"model = btl\nn = 8\nk = 2\n{key} = {value}\n", encoding="utf-8")
+        argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
+        assert cli.main(argv) == 2
+        assert error_payload(capsys) == {
+            "error": f"line 4: configuration key {key!r}: expected a finite number, got {value!r}",
+            "category": "data",
+            "exit_code": 2,
+        }
+        assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("family", ["topband", "mult", "add", "ranksum"])
+    def test_non_finite_family_eps_is_a_data_error(self, tmp_path, capsys, family, value):
+        matrix = tmp_path / "m.csv"
+        model.write_matrix_csv(model.gen_parametric(np.linspace(1.0, -1.0, 6)), matrix)
+        spec = f"{family}:eps={value}"
+        argv = ["thresholds", "--matrix", str(matrix), "--k", "2", "--family", spec, "--error-json"]
+        assert cli.main(argv) == 2
+        assert error_payload(capsys) == {
+            "error": f"family spec {spec!r}: expected a finite number, got {value!r}",
+            "category": "data",
+            "exit_code": 2,
+        }
+
     def test_repeated_config_key_is_a_data_error(self, tmp_path, capsys):
         config = tmp_path / "bench.cfg"
         config.write_text("model = btl\nn = 8\nk = 2\nr = 2\nn = 9\n", encoding="utf-8")

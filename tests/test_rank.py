@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.special import expit, log_expit
 
 from pairrank import (
@@ -16,7 +16,8 @@ from pairrank import (
     topk_from_scores,
     win_counts,
 )
-from pairrank import rank
+from pairrank import model, rank
+from pairrank.sample import draw_observations
 
 from conftest import observation_set, oracle_topk, random_observation_set
 
@@ -139,6 +140,25 @@ class TestMleRefine:
             higher = totals[:, None] > totals[None, :]
             assert np.all((scores[:, None] > scores[None, :])[higher])
 
+    def test_p1_draws_order_by_wins(self, rng):
+        # an exact oracle: at p = 1 every pair is compared r times, and the
+        # converged MLE is a function of the win totals, increasing in them
+        checked = 0
+        while checked < 40:
+            n, r = int(rng.integers(3, 40)), int(rng.integers(1, 8))
+            matrix = model.gen_parametric(rng.normal(0.0, rng.uniform(0.1, 2.0), n))
+            obs = draw_observations(matrix, 1.0, r, seed=int(rng.integers(2**32)))
+            if not finite_mle_exists(obs):
+                continue
+            checked += 1
+            scores = spectral_baseline(obs)
+            totals = win_counts(obs)
+            order = np.argsort(-totals, kind="stable")
+            assert np.all(np.diff(scores[order]) <= 1e-9 * scores.max())
+            same = totals[:, None] == totals[None, :]
+            gaps = np.abs(scores[:, None] - scores[None, :])
+            assert np.all(gaps[same] <= 1e-9 * scores.max())
+
     def test_saturated_counts_do_not_lower_the_likelihood(self):
         # item 0 wins every comparison: no finite MLE exists, and without
         # a ridge the Newton system is singular
@@ -214,11 +234,16 @@ def test_connected_matches_scipy(rng):
     for n in [1] * 5 + list(range(2, 40)) * 5:
         adjacency = np.triu(rng.random((n, n)) < rng.uniform(0.0, 3.0 / n), k=1)
         adjacency |= adjacency.T
-        assert rank._connected(adjacency) == (connected_components(adjacency)[0] == 1)
+        reached, last = rank._reach(adjacency, np.arange(n) == 0)
+        _, labels = connected_components(adjacency)
+        assert np.array_equal(reached, labels == labels[0])
+        # the last frontier is the items farthest from item 0
+        hops = shortest_path(adjacency, unweighted=True, indices=0)
+        assert np.array_equal(last, hops == hops[reached].max())
     isolated = np.ones((4, 4), dtype=bool)
     np.fill_diagonal(isolated, False)
     isolated[3, :] = isolated[:, 3] = False
-    assert not rank._connected(isolated)
+    assert rank._reach(isolated, np.arange(4) == 0)[0].tolist() == [True, True, True, False]
 
 
 def test_rank_centrality_is_stationary(rng):
@@ -252,15 +277,24 @@ def test_strongly_connected_matches_scipy(rng):
         adjacency = rng.random((n, n)) < density
         np.fill_diagonal(adjacency, False)
         strong = connected_components(adjacency, directed=True, connection="strong")[0] == 1
-        assert rank._connected(adjacency, strongly=True) == strong
+        try:
+            whole = rank._closed_class(adjacency).all()
+        except rank.StationaryError:
+            whole = False
+        assert whole == strong
         seen.add(strong)
     assert seen == {True, False}
-    for n in (1, 2, 5):  # no edges: only a single item is strongly connected
-        assert rank._connected(np.zeros((n, n), dtype=bool), strongly=True) == (n == 1)
+    for n in (1, 2, 5):  # no edges: each item is its own closed class
+        if n == 1:
+            assert rank._closed_class(np.zeros((1, 1), dtype=bool)).tolist() == [True]
+        else:
+            with pytest.raises(rank.StationaryError, match=f"has {n} closed classes"):
+                rank._closed_class(np.zeros((n, n), dtype=bool))
     cycle = np.roll(np.eye(6, dtype=bool), 1, axis=1)
-    assert rank._connected(cycle, strongly=True)
+    assert rank._closed_class(cycle).all()
     cycle[5, 0] = False  # a path: every item reached from 0, but 0 from none
-    assert rank._connected(cycle) and not rank._connected(cycle, strongly=True)
+    assert rank._reach(cycle, np.arange(6) == 0)[0].all()
+    assert rank._closed_class(cycle).tolist() == [False] * 5 + [True]
 
 
 def uniform_start_walk(obs, tol=1e-10, max_iters=100000):
@@ -448,6 +482,45 @@ class TestClosedClass:
         expected[30] = 1.0
         assert np.array_equal(rank_centrality(obs), expected)
         assert topk_from_scores(spectral_baseline(obs), 1).items == (30,)
+
+
+    @pytest.mark.parametrize("design", ["chain", "total_order", "chain_into_dense_class"])
+    def test_descent_takes_few_searches(self, rng, monkeypatch, design):
+        # a step rule that follows the walk one item at a time, or to a
+        # random item ahead, makes many searches on one of these designs;
+        # the descent starts at label 0, here the item farthest from the class
+        n = 300
+        moves = np.zeros((n, n), dtype=bool)
+        start = 0
+        if design == "chain":  # item i + 1 beats item i, so i -> i + 1
+            moves[np.arange(n - 1), np.arange(1, n)] = True
+        elif design == "total_order":  # item j beats every item after it
+            moves = np.tril(np.ones((n, n), dtype=bool), k=-1)
+            start = n - 1
+        else:  # items 0..149 chain into items 150..299, which beat each other
+            moves[np.arange(n // 2), np.arange(1, n // 2 + 1)] = True
+            moves[n // 2:, n // 2:] = True
+            np.fill_diagonal(moves, False)
+        expected, _ = closed_class_oracle(moves)
+        perm = np.concatenate([[start], rng.permutation(np.delete(np.arange(n), start))])
+        calls = []
+        reach = rank._reach
+        monkeypatch.setattr(rank, "_reach", lambda *args: calls.append(1) or reach(*args))
+        assert np.array_equal(rank._closed_class(moves[np.ix_(perm, perm)]), expected[perm])
+        assert len(calls) <= 6
+        calls.clear()
+        strong = moves | moves.T  # strongly connected: one search each way
+        assert rank._closed_class(strong[np.ix_(perm, perm)]).all()
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("n", [50, 200, 1000])
+    def test_best_item_absorbs_a_wide_btl_draw(self, n):
+        # at quality spread 10^4 item 0 wins nearly every comparison it
+        # makes, and the walk ends in it
+        spec = model.ModelSpec(kind="btl", quality_spread=1e4)
+        obs = draw_observations(model.instantiate(spec, n), 1.0, 4, seed=1)
+        assert np.flatnonzero(rank._closed_class(walk_moves(obs))).tolist() == [0]
+        assert rank_centrality(obs)[0] == 1.0
 
 
 def reference_mle_refine(obs, init):
