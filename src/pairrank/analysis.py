@@ -165,7 +165,8 @@ def required_repetitions(n: int, p: float, delta: float, alpha: float) -> int:
     ``delta >= alpha * sqrt(log(n) / (n * p * r))``, i.e. essentially
     ``ceil(alpha^2 log(n) / (n p delta^2))``, adjusted so the returned
     value (and not ``r - 1``) satisfies the inequality in floating
-    point.
+    point.  A count above ``2**53``, where ``r`` and ``r - 1`` round to
+    the same float, raises ``ValueError``.
     """
     if n < 2:
         raise ValueError("need at least 2 items")
@@ -175,7 +176,14 @@ def required_repetitions(n: int, p: float, delta: float, alpha: float) -> int:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if delta <= 0:
         raise ValueError("separation is zero: no repetition count can satisfy the threshold")
-    r = max(1, math.ceil(alpha**2 * math.log(n) / (n * p * delta**2) - 1e-12))
+    # alpha / delta first: alpha**2 can overflow and delta**2 underflow
+    ratio = alpha / delta
+    estimate = ratio * ratio * math.log(n) / (n * p)
+    if not estimate <= 2.0**53:
+        raise ValueError(
+            f"alpha={alpha:g} needs about {estimate:.3g} repetitions at p={p:g}, more than 2**53"
+        )
+    r = max(1, math.ceil(estimate - 1e-12))
     while not _meets_threshold(n, p, r, delta, alpha):
         r += 1
     while r > 1 and _meets_threshold(n, p, r - 1, delta, alpha):

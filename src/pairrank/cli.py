@@ -188,6 +188,9 @@ def _cmd_bench(args) -> int:
 def _cmd_eval_real(args) -> int:
     if not args.q_grid:
         raise _UsageError("--q-grid must list at least one fraction")
+    for q in args.q_grid:
+        if not 0.0 < q <= 1.0:
+            raise _UsageError(f"--q-grid fractions must lie in (0, 1], got {q:g}")
     result = harness.run_realdata(
         args.obs,
         args.truth,

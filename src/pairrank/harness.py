@@ -339,12 +339,17 @@ def run_realdata(
     :data:`ESTIMATORS` selects ``k`` items (default :func:`default_k`),
     and the Hamming error against the true top-k is recorded; per-``q``
     averages go into the summary, one entry per ``q``, so ``q_grid``
-    must not repeat a value.  Estimator failures (a disconnected graph or
-    a walk with several closed classes) are recorded, not fatal.
+    must not repeat a value.  Each ``q`` lies in ``(0, 1]``: at ``q = 0``
+    no comparison is kept, and Copeland's smaller-index tie rule would
+    hand it the true top-k, since items are indexed in truth order.
+    Estimator failures (a disconnected graph or a walk with several
+    closed classes) are recorded, not fatal.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     for qi, q in enumerate(q_grid):
+        if not 0.0 < q <= 1.0:
+            raise ValueError(f"q_grid fractions must lie in (0, 1], got {q}")
         if q in q_grid[:qi]:
             raise ValueError(f"q_grid repeats {q}")
     truth_ids = [line.strip() for line in Path(truth_file).read_text(encoding="utf-8").splitlines() if line.strip()]

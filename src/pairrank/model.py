@@ -19,13 +19,14 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit, ndtr
+
+from . import _special
 
 SYMMETRY_TOL = 1e-9
 
 _PARAMETRIC_CDFS = {
-    "logistic": lambda x: expit(x),
-    "gaussian": lambda x: ndtr(x),
+    "logistic": lambda x: _special.expit(x),
+    "gaussian": lambda x: _special.ndtr(x),
 }
 
 
@@ -137,7 +138,7 @@ def gen_btl_outlier(w, outlier: int) -> ComparisonMatrix:
         raise ValueError(f"outlier index {outlier} out of range for n={n}")
     if not np.all(np.isfinite(w)):
         raise ValueError("w must be finite")
-    upper = expit(w[:, None] - w[None, :])
+    upper = _special.expit(w[:, None] - w[None, :])
     others = np.array([i for i in range(n) if i != outlier])
     # highest-quality others first; ties broken by smaller index
     by_quality = others[np.lexsort((others, -w[others]))]
@@ -191,7 +192,7 @@ def gen_btl_mixture(w, lam: float) -> ComparisonMatrix:
     if not np.all(np.isfinite(w)):
         raise ValueError("w must be finite")
     diffs = w[:, None] - w[None, :]
-    upper = lam * expit(diffs) + (1.0 - lam) * expit(-diffs)
+    upper = lam * _special.expit(diffs) + (1.0 - lam) * _special.expit(-diffs)
     return _freeze(_mirror_upper(upper))
 
 

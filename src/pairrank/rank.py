@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_expit
 
+from . import _special
 from .analysis import rank_order
 from .sample import ObservationSet
 
@@ -202,7 +202,7 @@ def btl_loglikelihood(obs: ObservationSet, weights) -> float:
     if not valid or not weights.any():
         raise ValueError("weights must be nonnegative, finite, not all zero and of length n")
     w = np.log(weights) if np.all(weights > 0) else _log_weights(weights)
-    return float(np.sum(obs.wins * log_expit(w[:, None] - w[None, :])))
+    return float(np.sum(obs.wins * _special.log_expit(w[:, None] - w[None, :])))
 
 
 def mle_refine(obs: ObservationSet, init) -> np.ndarray:
@@ -246,7 +246,7 @@ def mle_refine(obs: ObservationSet, init) -> np.ndarray:
             terms = np.log1p(np.expm1(delta[won_i] - delta[won_j]) * s_cand[won_j, won_i])
         return float(won @ terms)
 
-    s = expit(w[:, None] - w[None, :])
+    s = _special.expit(w[:, None] - w[None, :])
     for _ in range(_NEWTON_ITERS):
         cs = comps * s
         grad = win_totals - cs.sum(axis=1)
@@ -257,7 +257,7 @@ def mle_refine(obs: ObservationSet, init) -> np.ndarray:
         for _ in range(60):  # 2**-60 of a step moves no log-weight
             cand = w + step
             cand = np.clip(cand - cand.mean(), -_W_BOUND, _W_BOUND)
-            s_cand = expit(cand[:, None] - cand[None, :])
+            s_cand = _special.expit(cand[:, None] - cand[None, :])
             if gain(w, cand, s_cand) >= 0:
                 break
             step *= 0.5

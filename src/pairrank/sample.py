@@ -38,8 +38,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import bdtr, bdtrc
 
+from . import _special
 from .model import ComparisonMatrix, _check_seed, _upper_mask
 
 # Stream tags keep the observation and subsampling streams disjoint
@@ -60,6 +60,16 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=None)
+def _draw_pool() -> ThreadPoolExecutor:
+    """The sampler's one thread pool, of ``_usable_cpus()`` workers, started on first use."""
+    return ThreadPoolExecutor(max_workers=_usable_cpus(), thread_name_prefix="pairrank-draw")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_draw_pool.cache_clear)
 
 
 @dataclass(frozen=True)
@@ -112,13 +122,13 @@ def _count_table(r: int, q: float) -> tuple[int, np.ndarray, np.ndarray] | None:
     ``None`` when the window exceeds ``_TABLE_CAP`` entries.
     """
     mean = int(r * q)
-    offset = _first(lambda k: bdtr(k, r, q) >= 2.0**-53, 0, mean)
-    stop = _first(lambda k: 1.0 - bdtrc(k, r, q) >= 1.0, mean + 1, r)
+    offset = _first(lambda k: _special.bdtr(k, r, q) >= 2.0**-53, 0, mean)
+    stop = _first(lambda k: 1.0 - _special.bdtrc(k, r, q) >= 1.0, mean + 1, r)
     if stop - offset > _TABLE_CAP:
         return None
     cdf = np.concatenate([
-        bdtr(np.arange(offset, mean + 1), r, q),
-        1.0 - bdtrc(np.arange(mean + 1, stop), r, q),
+        _special.bdtr(np.arange(offset, mean + 1), r, q),
+        1.0 - _special.bdtrc(np.arange(mean + 1, stop), r, q),
     ])
     np.maximum.accumulate(cdf, out=cdf)
     m = 1 << (4 * cdf.size).bit_length()
@@ -159,9 +169,10 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
     blocks of ``_DRAW_BLOCK``; block 0 draws from
     ``SeedSequence((seed, _DRAW_TAG))`` and block ``b >= 1`` from
     child ``b - 1`` of ``spawn(blocks - 1)`` on that sequence, counts
-    first, then row wins.  Blocks run on up to one thread per usable
-    CPU; the output is bit-identical for equal ``(matrix, p, r, seed)``
-    whatever the CPU count.
+    first, then row wins.  A draw of two or more blocks runs them on
+    one thread pool of one worker per usable CPU, started on the first
+    such draw and reused by every later one; the output is bit-identical
+    for equal ``(matrix, p, r, seed)`` whatever the CPU count.
 
     Counts: at ``p = 1`` every pair gets ``r`` and no uniform is read.
     Otherwise a pair reads one ``u = rng.random()`` and gets
@@ -173,7 +184,7 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
     rounding of some ``F(k)``, which 10**6 draws per design never hit);
     above 30 numpy's BTPE sampler reads more uniforms and the streams
     differ.  Past ``r * p * (1 - p)`` of ~2.5e5 the counts are numpy's
-    own draws.  ``r`` must be an integer (not a bool).
+    own draws.  ``r`` must be an integer (not a bool) in ``[1, 2**63)``.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
@@ -185,6 +196,8 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
         raise ValueError(f"r must be an integer, got {type(r).__name__}") from None
     if r < 1:
         raise ValueError("r must be at least 1")
+    if r >= 2**63:
+        raise ValueError(f"r must be below 2**63, got {r}")
     seed = _check_seed(seed)
     n = matrix.n
     upper = _upper_mask(n)
@@ -210,8 +223,7 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
 
     workers = min(blocks, _usable_cpus())
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(draw_block, range(blocks)))
+        list(_draw_pool().map(draw_block, range(blocks)))
     else:
         for b in range(blocks):
             draw_block(b)

@@ -128,6 +128,20 @@ class TestRequiredRepetitions:
         with pytest.raises(ValueError, match="separation is zero"):
             required_repetitions(100, 1.0, 0.0, 8.0)
 
+    @pytest.mark.parametrize(
+        "p, delta, alpha",
+        [(1.0, 0.1, 1e308), (1.0, 1e-200, 8.0), (1e-300, 0.1, 8.0), (1.0, 1e-8, 1e2)],
+        ids=["alpha-squared-overflows", "delta-squared-underflows", "tiny-p", "large-ratio"],
+    )
+    def test_count_past_two_to_the_53_rejected(self, p, delta, alpha):
+        with pytest.raises(ValueError, match=r"more than 2\*\*53"):
+            required_repetitions(100, p, delta, alpha)
+
+    def test_count_just_below_the_cap_is_exact(self):
+        r = required_repetitions(100, 1.0, 1e-7, 1.0)
+        assert r == math.ceil(math.log(100) / (100 * 1e-14) - 1e-12)
+        assert r < 2**53
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(2, 5000),

@@ -181,6 +181,39 @@ class TestErrorJson:
         }
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("grid, bad", [("0", "0"), ("0.5,1.5", "1.5"), ("-0.2", "-0.2")])
+    def test_q_outside_unit_interval_is_a_usage_error(self, tmp_path, capsys, grid, bad):
+        argv = ["--error-json", "eval-real", "--obs", str(tmp_path / "missing.csv"),
+                "--truth", str(tmp_path / "missing.txt"), f"--q-grid={grid}",
+                "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 1
+        assert error_payload(capsys) == {
+            "error": f"--q-grid fractions must lie in (0, 1], got {bad}",
+            "category": "usage",
+            "exit_code": 1,
+        }
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--p", "0.5", "--alpha", "1e308"], ["--p", "1e-320"]])
+    def test_unreachable_repetition_count_is_a_data_error(self, btl8, capsys, flags):
+        argv = ["--error-json", "thresholds", "--matrix", str(btl8), "--k", "2", *flags]
+        assert cli.main(argv) == 2
+        assert "more than 2**53" in error_payload(capsys)["error"]
+
+    def test_bench_alpha_past_the_repetition_cap_is_a_data_error(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text("model = btl\nn = 8\nk = 2\nalpha = 1e150\n", encoding="utf-8")
+        argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
+        assert cli.main(argv) == 2
+        assert "more than 2**53" in error_payload(capsys)["error"]
+
+    @pytest.mark.parametrize("r", [str(2**63), "99999999999999999999999"])
+    def test_simulate_r_past_int64_is_a_data_error(self, btl8, tmp_path, capsys, r):
+        argv = ["--error-json", "simulate", "--matrix", str(btl8), "--p", "0.5", "--r", r,
+                "--seed", "1", "--out", str(tmp_path / "obs.csv")]
+        assert cli.main(argv) == 2
+        assert error_payload(capsys)["error"] == f"r must be below 2**63, got {r}"
+
     def test_bench_rejects_an_infinite_separation(self, tmp_path, capsys):
         # thresholds reads k + h == n as delta null; a results CSV must not carry inf
         config = tmp_path / "bench.cfg"

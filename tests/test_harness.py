@@ -61,6 +61,11 @@ class TestRunRealdata:
         with pytest.raises(ValueError, match=f"q_grid repeats {q_grid[0]}"):
             run_realdata(tmp_path / "missing.csv", tmp_path / "missing.txt", q_grid=q_grid)
 
+    @pytest.mark.parametrize("q", [0.0, -0.1, 1.5])
+    def test_q_outside_unit_interval_rejected_before_reading(self, tmp_path, q):
+        with pytest.raises(ValueError, match=rf"q_grid fractions must lie in \(0, 1\], got {q}"):
+            run_realdata(tmp_path / "missing.csv", tmp_path / "missing.txt", q_grid=(0.5, q))
+
     def test_unknown_item_rejected(self, tmp_path, rng):
         obs_path, truth_path = write_dataset(tmp_path, rng)
         truth_path.write_text("\n".join(NAMES[:-1]) + "\n", encoding="utf-8")

@@ -1,8 +1,12 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +378,25 @@ class TestStreamContract:
         again = draw_observations(m, 0.5, 7, seed=4)
         np.testing.assert_array_equal(again.wins, default.wins)
         np.testing.assert_array_equal(again.comparisons, default.comparisons)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_after_the_parent(self):
+        # the child inherits the started pool but none of its threads
+        code = (
+            "import os, signal, numpy as np\n"
+            "from pairrank import gen_parametric, draw_observations\n"
+            "m = gen_parametric(np.linspace(2.0, -2.0, 300), 'logistic')\n"
+            "first = draw_observations(m, 0.5, 7, seed=4)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(20)  # a hung child dies, and the parent sees it\n"
+            "    again = draw_observations(m, 0.5, 7, seed=4)\n"
+            "    os._exit(0 if np.array_equal(again.wins, first.wins) else 1)\n"
+            "assert os.waitpid(pid, 0)[1] == 0\n"
+        )
+        src = str(Path(sample.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_blocks_draw_distinct_counts(self):
         n = 300
