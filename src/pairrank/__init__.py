@@ -21,9 +21,7 @@ from .analysis import (
     required_repetitions,
     scores,
     separation_family,
-    separation_hamming,
     separation_report,
-    separation_topk,
 )
 from .harness import (
     ExperimentConfig,
@@ -55,7 +53,6 @@ from .model import (
     gen_planted,
     gen_sst_diagonal,
     instantiate,
-    is_sst,
     make_matrix,
     read_matrix_csv,
     write_matrix_csv,
@@ -84,13 +81,10 @@ from .sample import (
 )
 from .setfamily import (
     SetFamily,
-    enumerate_allowed,
     family_exact,
     family_explicit,
     family_hamming,
     family_requirement,
-    is_monotone,
-    membership,
     parse_family_spec,
     position_set,
 )
@@ -117,7 +111,6 @@ __all__ = [
     "copeland_topk",
     "derive_seed",
     "draw_observations",
-    "enumerate_allowed",
     "equispaced_quality",
     "evaluate",
     "family_exact",
@@ -139,12 +132,9 @@ __all__ = [
     "implied_alpha",
     "ingest_comparisons",
     "instantiate",
-    "is_monotone",
-    "is_sst",
     "iter_comparisons_csv",
     "kl_divergence",
     "make_matrix",
-    "membership",
     "mle_refine",
     "parse_family_spec",
     "planted_kl_bound",
@@ -158,9 +148,7 @@ __all__ = [
     "run_realdata",
     "scores",
     "separation_family",
-    "separation_hamming",
     "separation_report",
-    "separation_topk",
     "spectral_baseline",
     "subsample",
     "topk_from_scores",

@@ -38,38 +38,6 @@ def rank_order(tau) -> np.ndarray:
     return np.lexsort((np.arange(tau.size), -tau))
 
 
-def sorted_scores(tau) -> np.ndarray:
-    """Order statistics of the score vector, descending."""
-    tau = np.asarray(tau, dtype=np.float64)
-    return tau[rank_order(tau)]
-
-
-def separation_topk(matrix: ComparisonMatrix, k: int) -> float:
-    """Score gap between the k-th and (k+1)-th ranked items."""
-    n = matrix.n
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    ordered = sorted_scores(scores(matrix))
-    return float(ordered[k - 1] - ordered[k])
-
-
-def separation_hamming(matrix: ComparisonMatrix, k: int, h: int) -> float:
-    """Score gap between the (k-h)-th and (k+h+1)-th ranked items.
-
-    The tolerance ``h`` widens the boundary window; ``h = 0`` recovers
-    :func:`separation_topk`.
-    """
-    n = matrix.n
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    if not 0 <= h < k:
-        raise ValueError(f"h must satisfy 0 <= h < k, got h={h}")
-    if k + h + 1 > n:
-        raise ValueError(f"need k + h + 1 <= n, got k={k}, h={h}, n={n}")
-    ordered = sorted_scores(scores(matrix))
-    return float(ordered[k - h - 1] - ordered[k + h])
-
-
 def _predicate_separation(tau_sorted: np.ndarray, family: SetFamily) -> float:
     n, k = family.n, family.k
     rows = np.arange(k)
@@ -151,7 +119,7 @@ def separation_family(tau, family: SetFamily) -> float:
     tau = np.asarray(tau, dtype=np.float64)
     if tau.shape != (family.n,):
         raise ValueError(f"score vector has length {tau.size}, expected {family.n}")
-    return _predicate_separation(sorted_scores(tau), family)
+    return _predicate_separation(tau[rank_order(tau)], family)
 
 
 def _meets_threshold(n: int, p: float, r: int, delta: float, alpha: float) -> bool:

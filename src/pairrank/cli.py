@@ -18,6 +18,8 @@ unless ``--error-json`` is set).  ``--error-json``, before or after the
 subcommand, switches error reporting to machine-readable JSON on stderr.
 Every float flag, config value and family ``eps`` must be finite: a bad
 flag is a usage error, a bad config key or family spec a data error.
+``thresholds`` range-checks ``--p``, ``--r``, ``--alpha`` and ``--h``
+even when the report would not read them.
 """
 
 from __future__ import annotations
@@ -165,6 +167,15 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_thresholds(args) -> int:
+    # checked whatever else is given: the report reads --r and --alpha only with --p
+    if args.p is not None and not 0.0 < args.p <= 1.0:
+        raise _UsageError(f"--p must lie in (0, 1], got {args.p:g}")
+    if args.r is not None and args.r < 1:
+        raise _UsageError(f"--r must be at least 1, got {args.r}")
+    if not args.alpha > 0.0:
+        raise _UsageError(f"--alpha must be positive, got {args.alpha:g}")
+    if args.h < 0:
+        raise _UsageError(f"--h must be nonnegative, got {args.h}")
     matrix = model.read_matrix_csv(args.matrix)
     if args.family:
         family = setfamily.parse_family_spec(args.family, matrix.n, args.k)

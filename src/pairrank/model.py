@@ -274,21 +274,6 @@ def gen_hamming_planted(n: int, k: int, delta0: float, ordering=None) -> Compari
     return _two_block(n, ordering[:k], delta0)
 
 
-def is_sst(matrix: ComparisonMatrix, order=None) -> bool:
-    """Exhaustively check strong stochastic transitivity for an ordering.
-
-    ``order`` lists items from best to worst (identity by default).
-    True iff every better-ranked item dominates every worse-ranked item
-    row-wise against all opponents.
-    """
-    m = matrix.entries
-    n = matrix.n
-    if order is None:
-        order = np.arange(n)
-    rows = m[np.asarray(order)]
-    return bool(np.all(rows[:-1, :] >= rows[1:, :] - 1e-12))
-
-
 def equispaced_quality(n: int, spread: float = 6.0) -> np.ndarray:
     """Equispaced quality vector from ``+spread/2`` down to ``-spread/2``."""
     if n < 2:

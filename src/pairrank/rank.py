@@ -46,10 +46,6 @@ class TopKEstimate:
     items: tuple[int, ...]
     tie_broken: bool
 
-    @property
-    def k(self) -> int:
-        return len(self.items)
-
 
 def win_counts(obs: ObservationSet) -> np.ndarray:
     """Total comparisons won per item."""

@@ -240,16 +240,15 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
     """Keep each individual comparison independently with probability ``q``.
 
     Thinning a draw with design ``(p, r)`` matches the distribution of
-    a fresh draw with design ``(p * q, r)``.
+    a fresh draw with design ``(p * q, r)``.  At ``q = 1`` the
+    (read-only) input set itself is returned.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     seed = _check_seed(seed)
-    n = obs.n
     if q == 1.0:
-        return ObservationSet(
-            n=n, r=obs.r, p=obs.p, comparisons=obs.comparisons.copy(), wins=obs.wins.copy()
-        )
+        return obs
+    n = obs.n
     rng = np.random.default_rng(np.random.SeedSequence((seed, _THIN_TAG)))
     upper = _upper_mask(n)
     wins = np.zeros((n, n), dtype=np.int64)

@@ -11,8 +11,8 @@ closures ``{S : S_j <= T_j for all j}``.
 Besides exact and Hamming-tolerance recovery, constructors cover four
 common relaxations: membership in a top band, multiplicative or
 additive rank slack relative to the excluded items, and a bound on the
-sum of ranks.  The separation of a family lives with the other
-separations, in :func:`pairrank.analysis.separation_family`.
+sum of ranks.  The separation of a family is computed in one place,
+:func:`pairrank.analysis.separation_family`.
 """
 
 from __future__ import annotations
@@ -20,13 +20,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
 from .model import finite_float
-
-ENUMERATION_LIMIT = 10**6
 
 REQUIREMENT_VARIANTS = ("topband", "multiplicative", "additive", "ranksum")
 
@@ -61,11 +58,6 @@ class SetFamily:
     k: int
     kind: str
     predicate: Callable[[tuple[int, ...]], bool] = field(repr=False)
-
-
-def membership(family: SetFamily, s) -> bool:
-    """True iff the position set belongs to the family."""
-    return bool(family.predicate(position_set(s, family.n, family.k)))
 
 
 def family_exact(n: int, k: int) -> SetFamily:
@@ -175,35 +167,6 @@ def family_explicit(n: int, k: int, generators) -> SetFamily:
     return SetFamily(
         n=n, k=k, kind="explicit", predicate=lambda s: any(_dominates(t, s) for t in gens)
     )
-
-
-def enumerate_allowed(family: SetFamily) -> list[tuple[int, ...]]:
-    """All allowed sets in lexicographic order (small instances only)."""
-    if math.comb(family.n, family.k) > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"instance too large to enumerate: C({family.n}, {family.k}) > {ENUMERATION_LIMIT}"
-        )
-    return [s for s in combinations(range(1, family.n + 1), family.k) if membership(family, s)]
-
-
-def is_monotone(members, n: int, k: int) -> bool:
-    """Check that an explicit member list is closed under improvement.
-
-    True iff for every member, decreasing any single position by one
-    (keeping the set valid) lands on another member; by induction this
-    is equivalent to closure under all monotone transformations.
-    """
-    member_set = {position_set(s, n, k) for s in members}
-    if len(member_set) > 5_000_000:
-        raise ValueError("instance too large")
-    for s in member_set:
-        for j in range(k):
-            lower = s[j] - 1
-            if lower < 1 or (j > 0 and s[j - 1] >= lower):
-                continue
-            if s[:j] + (lower,) + s[j + 1 :] not in member_set:
-                return False
-    return True
 
 
 def parse_family_spec(text: str, n: int, k: int) -> SetFamily:

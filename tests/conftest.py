@@ -1,4 +1,9 @@
-"""Shared test helpers: independent oracles and small builders."""
+"""Shared test helpers: independent oracles and small builders.
+
+The separation oracles restate the closed forms for top-k and Hamming
+recovery with their own ``np.sort``, so they check
+:func:`pairrank.separation_family` without sharing its ordering code.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,69 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pairrank import ObservationSet
+from pairrank import ObservationSet, position_set
+
+
+def ordered_scores(matrix) -> np.ndarray:
+    """Row-mean scores of a matrix, largest first, by a plain ``np.sort``."""
+    return np.sort(matrix.entries.mean(axis=1))[::-1]
+
+
+def separation_topk(matrix, k: int) -> float:
+    """Closed-form oracle: score gap between the k-th and (k+1)-th ranked items."""
+    n = matrix.n
+    if not 1 <= k < n:
+        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    ordered = ordered_scores(matrix)
+    return float(ordered[k - 1] - ordered[k])
+
+
+def separation_hamming(matrix, k: int, h: int) -> float:
+    """Closed-form oracle: score gap between the (k-h)-th and (k+h+1)-th
+    ranked items; ``h = 0`` is :func:`separation_topk`."""
+    n = matrix.n
+    if not 1 <= k < n:
+        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    if not 0 <= h < k:
+        raise ValueError(f"h must satisfy 0 <= h < k, got h={h}")
+    if k + h + 1 > n:
+        raise ValueError(f"need k + h + 1 <= n, got k={k}, h={h}, n={n}")
+    ordered = ordered_scores(matrix)
+    return float(ordered[k - h - 1] - ordered[k + h])
+
+
+def is_sst(matrix, order=None) -> bool:
+    """Strong stochastic transitivity for an ordering (best first,
+    identity by default): every better-ranked item's row dominates every
+    worse-ranked item's row against all opponents."""
+    order = np.arange(matrix.n) if order is None else np.asarray(order)
+    rows = matrix.entries[order]
+    return bool(np.all(rows[:-1, :] >= rows[1:, :] - 1e-12))
+
+
+def membership(family, s) -> bool:
+    """True iff the validated position set belongs to the family."""
+    return bool(family.predicate(position_set(s, family.n, family.k)))
+
+
+def enumerate_allowed(family) -> list[tuple[int, ...]]:
+    """Every allowed set of a small family, in lexicographic order."""
+    return [s for s in combinations(range(1, family.n + 1), family.k) if membership(family, s)]
+
+
+def is_monotone(members, n: int, k: int) -> bool:
+    """True iff lowering any one position of a member by one (keeping
+    the set strictly increasing and inside ``1..n``) lands on another
+    member; by induction, closure under every improvement."""
+    member_set = {position_set(s, n, k) for s in members}
+    for s in member_set:
+        for j in range(k):
+            lower = s[j] - 1
+            if lower < 1 or (j > 0 and s[j - 1] >= lower):
+                continue
+            if s[:j] + (lower,) + s[j + 1 :] not in member_set:
+                return False
+    return True
 
 
 def observation_set(wins: np.ndarray, r: int | None = None, p: float | None = 1.0) -> ObservationSet:

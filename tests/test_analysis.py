@@ -21,10 +21,10 @@ from pairrank import (
     planted_kl_bound,
     required_repetitions,
     scores,
-    separation_hamming,
     separation_report,
-    separation_topk,
 )
+
+from conftest import separation_hamming, separation_topk
 
 
 def uniform_matrix(n):

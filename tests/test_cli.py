@@ -350,6 +350,27 @@ class TestThresholds:
         assert report["family"] == f"hamming(h={h})"
         assert (report["delta"] is None) == (k + h == 8)
 
+    # without --p the report reads neither --r nor --alpha, and --family
+    # replaces --h; each flag is still range-checked
+    OUT_OF_RANGE = {
+        "--r 0": "--r must be at least 1, got 0",
+        "--r -1": "--r must be at least 1, got -1",
+        "--alpha 0": "--alpha must be positive, got 0",
+        "--alpha -1": "--alpha must be positive, got -1",
+        "--h -1 --family exact": "--h must be nonnegative, got -1",
+        "--p 0.5 --r 0": "--r must be at least 1, got 0",
+        "--p 0 --r 2": "--p must lie in (0, 1], got 0",
+        "--p 1.5": "--p must lie in (0, 1], got 1.5",
+    }
+
+    @pytest.mark.parametrize("flags", OUT_OF_RANGE)
+    def test_out_of_range_flag_is_a_usage_error(self, btl8, capsys, flags):
+        argv = ["--error-json", "thresholds", "--matrix", str(btl8), "--k", "2", *flags.split()]
+        assert cli.main(argv) == 1
+        assert error_payload(capsys) == {
+            "error": self.OUT_OF_RANGE[flags], "category": "usage", "exit_code": 1
+        }
+
 
 # flags and config keys that build the same matrix; k only reaches planted kinds
 GEN_MATRIX_CASES = {

@@ -3,8 +3,10 @@
 Each example takes a valid command line for ``gen-matrix``, ``simulate``,
 ``thresholds``, ``eval-real`` or ``bench`` (8 items), then sets one to
 three of its numeric flags to values drawn from :data:`VALUES`, as
-``--flag=value`` or as two tokens.  Under ``--error-json`` a failure
-must print exactly one JSON line on stderr and a success nothing there.
+``--flag=value`` or as two tokens.  A value no flag accepts, or one
+outside its flag's range in :data:`FLAG_RANGES`, must fail.  Under
+``--error-json`` a failure must print exactly one JSON line on stderr
+and a success nothing there.
 pytest turns every warning into an error, so a numpy warning that would
 add a stray stderr line fails an example as exit 3.
 """
@@ -12,6 +14,7 @@ add a stray stderr line fails an example as exit 3.
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +28,38 @@ from conftest import write_dataset
 VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "abc")
 # no numeric flag accepts these; 0, -1 and 1e308 are valid for some
 NEVER_VALID = frozenset({"nan", "inf", "-inf", "abc"})
+
+
+def within(cast, lo, hi=math.inf, open_lo=False):
+    """A check that a flag value parses with ``cast`` and lies in ``[lo, hi]``
+    (``(lo, hi]`` when ``open_lo``)."""
+
+    def valid(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            return False
+        return (lo < value if open_lo else lo <= value) and value <= hi
+
+    return valid
+
+
+# the values each flag accepts, on the 8-item matrix the commands read; a
+# value inside its range may still fail together with the other flags
+FLAG_RANGES = {
+    "simulate": {
+        "--p": within(float, 0.0, 1.0, open_lo=True),
+        "--r": within(int, 1),
+        "--seed": within(int, 0, 2**64 - 1),
+    },
+    "thresholds": {
+        "--k": within(int, 1, 8),
+        "--h": within(int, 0, 7),
+        "--p": within(float, 0.0, 1.0, open_lo=True),
+        "--r": within(int, 1),
+        "--alpha": within(float, 0.0, open_lo=True),
+    },
+}
 
 # the parameters each model kind needs, so that the base command line is valid
 MODEL_PARAMS = {
@@ -71,8 +106,10 @@ def base_command(draw, files):
         return (["simulate", "--matrix", str(files["matrix"]), "--p", "0.5", "--r", "3",
                  "--seed", "1", "--out", out], ("--p", "--r", "--seed"))
     if command == "thresholds":
-        return (["thresholds", "--matrix", str(files["matrix"]), "--k", "2", "--p", "0.5",
-                 "--r", "3", "--out", out], ("--k", "--h", "--p", "--r", "--alpha"))
+        # without --p the report reads neither --r nor --alpha
+        design = ["--p", "0.5", "--r", "3"] if draw(st.booleans()) else []
+        return (["thresholds", "--matrix", str(files["matrix"]), "--k", "2", *design,
+                 "--out", out], ("--k", "--h", "--p", "--r", "--alpha"))
     if command == "eval-real":
         return (["eval-real", "--obs", str(files["comparisons"]), "--truth", str(files["truth"]),
                  "--q-grid", "0.5,1", "--trials", "2", "--out", out],
@@ -98,7 +135,10 @@ def test_bad_numbers_fail_as_one_json_line(files, data):
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["--error-json", *argv])
     lines = err.getvalue().splitlines()
-    if NEVER_VALID & set(values):
+    ranges = FLAG_RANGES.get(argv[0], {})
+    if NEVER_VALID & set(values) or any(
+        flag in ranges and not ranges[flag](value) for flag, value in zip(chosen, values)
+    ):
         assert code in (1, 2), (argv, lines)
     assert code in (0, 1, 2), (argv, lines)
     if code == 0:

@@ -19,11 +19,12 @@ from pairrank import (
     gen_parametric,
     ground_truth,
     make_matrix,
-    membership,
     parse_family_spec,
     scores,
 )
 from pairrank import metrics
+
+from conftest import membership
 
 SPECS = ("exact", "hamming:h=1", "topband:eps=0.5", "mult:eps=0.5", "add:eps=1", "ranksum:eps=0.5")
 

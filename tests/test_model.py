@@ -14,7 +14,6 @@ from pairrank import (
     gen_planted,
     gen_sst_diagonal,
     instantiate,
-    is_sst,
     make_matrix,
     read_matrix_csv,
     scores,
@@ -22,6 +21,8 @@ from pairrank import (
 )
 from pairrank import model
 from pairrank.model import MODEL_KINDS, _mirror_upper
+
+from conftest import is_sst
 
 LOGISTIC_1 = 0.7310585786300049  # 1 / (1 + e^-1) to double precision
 

@@ -15,18 +15,21 @@ import numpy as np
 import pytest
 
 from pairrank import (
-    enumerate_allowed,
     family_exact,
     family_explicit,
     family_hamming,
     family_requirement,
     gen_parametric,
-    is_monotone,
-    membership,
     parse_family_spec,
     position_set,
     scores,
     separation_family,
+)
+
+from conftest import (
+    enumerate_allowed,
+    is_monotone,
+    membership,
     separation_hamming,
     separation_topk,
 )
