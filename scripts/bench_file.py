@@ -8,11 +8,13 @@ For every checkout it runs that checkout's own ``benchmark/run.py`` on
 each workload and seed with ``--trace 0``, each run as long as the
 checkout's ``BENCHMARK.json`` sets (``run_seconds``), and times the
 model layer (``instantiate``: a first call with its memo cleared, and a
-repeated call), the sampling layer (``draw_observations``) and the
+repeated call), the sampling layer (``draw_observations``), the
 estimator layers (``copeland_topk``, ``rank_centrality``,
-``mle_refine``) under two sampling designs, and ``rank_centrality`` on a
-reducible walk, in a fresh interpreter that imports ``pairrank`` from
-the checkout's ``src/``.  Rounds alternate the
+``mle_refine``) under two sampling designs, the scoring layer
+(``ground_truth`` and ``evaluate``), ``rank_centrality`` on a reducible
+walk and ``ingest_comparisons`` on named comparison rows, in a fresh
+interpreter that imports ``pairrank`` from the checkout's ``src/``.
+Rounds alternate the
 order of the checkouts, so side-by-side files see the same drift of a
 shared machine.  Each file records every
 run, the medians, the git SHA (with ``-dirty`` in the label when the
@@ -46,14 +48,23 @@ LAYER_SIZES = (50, 200, 1000)
 # is a memo hit where ``instantiate`` has a memo and a build where not.
 # The p1-ordered design (quality spread 10^4) is nearly a total order:
 # item 0 never loses, so its walk is reducible and ``rank_centrality``
-# must find the one closed class, {0}, before it solves.
+# must find the one closed class, {0}, before it solves.  Scoring is
+# timed on the p = 0.25 design, where Copeland's top k (k = n / 4) is
+# often wrong: ``ground_truth`` once per matrix, ``evaluate`` once per
+# estimate against the exact (Hamming h = 0) family, as the harness
+# calls them.  The ingest design feeds ``ingest_comparisons`` 50 named
+# rows per item (uniform pairs, BTL winners) with the item list, as
+# ``eval-real`` does.
 LAYERS = ("draw_observations", "copeland_topk", "rank_centrality", "mle_refine")
 LAYER_DESIGNS = {
     "model": {
         "model": "btl", "quality_spread": 6.0, "layers": ["instantiate_first", "instantiate_repeat"],
     },
     "p1": {"model": "btl", "quality_spread": 6.0, "p": 1.0, "r": 4, "seed": 1},
-    "p0.25": {"model": "btl", "quality_spread": 6.0, "p": 0.25, "r": 16, "seed": 1},
+    "p0.25": {
+        "model": "btl", "quality_spread": 6.0, "p": 0.25, "r": 16, "seed": 1,
+        "layers": [*LAYERS, "ground_truth", "evaluate"],
+    },
     "p1-ordered": {
         "model": "btl", "quality_spread": 1e4, "p": 1.0, "r": 4, "seed": 1,
         "layers": ["rank_centrality"],
@@ -61,6 +72,10 @@ LAYER_DESIGNS = {
     "p0.25-r400": {
         "model": "btl", "quality_spread": 6.0, "p": 0.25, "r": 400, "seed": 1,
         "layers": ["draw_observations"],
+    },
+    "ingest": {
+        "model": "btl", "quality_spread": 6.0, "rows_per_item": 50, "seed": 1,
+        "layers": ["ingest_comparisons"],
     },
 }
 LAYER_BUDGET_S = 1.0
@@ -72,8 +87,10 @@ def time_layers() -> dict:
 
     Runs inside the measured checkout's interpreter (``--layers``).
     """
-    from pairrank import copeland_topk, mle_refine, model, rank_centrality
-    from pairrank.sample import draw_observations
+    import numpy as np
+
+    from pairrank import copeland_topk, metrics, mle_refine, model, rank_centrality, setfamily
+    from pairrank.sample import draw_observations, ingest_comparisons
 
     # a checkout from before the memo has nothing to clear
     memo = getattr(model, "_build_memoized", None)
@@ -96,6 +113,9 @@ def time_layers() -> dict:
             if "p" in spec:
                 obs = draw_observations(matrix, spec["p"], spec["r"], spec["seed"])
                 init = rank_centrality(obs) if "mle_refine" in names else None
+                truth = metrics.ground_truth(matrix, n // 4)
+                family = setfamily.family_hamming(n, n // 4, 0)
+                estimate = copeland_topk(obs, n // 4).items
                 calls.update({
                     "draw_observations": lambda: draw_observations(
                         matrix, spec["p"], spec["r"], spec["seed"]
@@ -103,7 +123,18 @@ def time_layers() -> dict:
                     "copeland_topk": lambda: copeland_topk(obs, n // 4),
                     "rank_centrality": lambda: rank_centrality(obs),
                     "mle_refine": lambda: mle_refine(obs, init),
+                    "ground_truth": lambda: metrics.ground_truth(matrix, n // 4),
+                    "evaluate": lambda: metrics.evaluate(estimate, truth, family),
                 })
+            if "rows_per_item" in spec:
+                rng = np.random.default_rng(spec["seed"])
+                size = spec["rows_per_item"] * n
+                a = rng.integers(n, size=size)
+                b = (a + rng.integers(1, n, size=size)) % n
+                winner = np.where(rng.random(size) < matrix.entries[a, b], a, b)
+                items = [f"item{i}" for i in range(n)]
+                rows = [(items[i], items[j], items[w]) for i, j, w in zip(a, b, winner)]
+                calls["ingest_comparisons"] = lambda: ingest_comparisons(rows, items)
             for name in names:
                 call = calls[name]
                 times = []

@@ -3,8 +3,11 @@
 Importing ``scipy.special`` costs more than numpy and the pairrank
 modules together (about 0.25 s on a 2-CPU machine), and most commands
 never evaluate a special function: ``--help``, usage errors, ``rank``,
-``thresholds``, ``simulate --p 1`` and the non-parametric
-``gen-matrix`` kinds.  So callers write ``_special.expit(x)``, and the
+``thresholds``, ``simulate --p 1``, the non-parametric ``gen-matrix``
+kinds, ``bench`` on a non-parametric model at ``p = 1`` and
+``eval-real`` (the spectral baseline builds its logistic with numpy).
+Parametric models, draws at ``p < 1`` (the count table) and
+``btl_loglikelihood`` load it.  So callers write ``_special.expit(x)``, and the
 module-level ``__getattr__`` (PEP 562) imports ``scipy.special`` on the
 first such lookup and binds all of :data:`_NAMES` as module globals;
 later lookups are plain global reads.  This is the one deferred import

@@ -18,8 +18,12 @@ unless ``--error-json`` is set).  ``--error-json``, before or after the
 subcommand, switches error reporting to machine-readable JSON on stderr.
 Every float flag, config value and family ``eps`` must be finite: a bad
 flag is a usage error, a bad config key or family spec a data error.
-``thresholds`` range-checks ``--p``, ``--r``, ``--alpha`` and ``--h``
-even when the report would not read them.
+A number outside its flag's range is a usage error that names the
+flag: ``simulate`` checks ``--p``, ``--r`` and ``--seed`` before it
+reads the matrix (an ``--r`` of ``2**63`` or more stays a data error),
+``thresholds`` checks ``--p``, ``--r``, ``--alpha`` and ``--h`` even
+when the report would not read them, and ``thresholds`` and ``rank``
+check ``--k`` against the items they read.
 """
 
 from __future__ import annotations
@@ -133,6 +137,13 @@ def _cmd_gen_matrix(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # checked before the matrix is read; r >= 2**63 stays the sampler's data error
+    if not 0.0 < args.p <= 1.0:
+        raise _UsageError(f"--p must lie in (0, 1], got {args.p:g}")
+    if args.r < 1:
+        raise _UsageError(f"--r must be at least 1, got {args.r}")
+    if not 0 <= args.seed < 2**64:
+        raise _UsageError(f"--seed must lie in [0, 2**64 - 1], got {args.seed}")
     matrix = model.read_matrix_csv(args.matrix)
     obs = sample.draw_observations(matrix, args.p, args.r, args.seed)
     sample.write_observations_csv(obs, args.out)
@@ -177,6 +188,8 @@ def _cmd_thresholds(args) -> int:
     if args.h < 0:
         raise _UsageError(f"--h must be nonnegative, got {args.h}")
     matrix = model.read_matrix_csv(args.matrix)
+    if not 1 <= args.k <= matrix.n:
+        raise _UsageError(f"--k must lie in [1, {matrix.n}], got {args.k}")
     if args.family:
         family = setfamily.parse_family_spec(args.family, matrix.n, args.k)
     else:

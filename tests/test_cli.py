@@ -361,6 +361,11 @@ class TestThresholds:
         "--p 0.5 --r 0": "--r must be at least 1, got 0",
         "--p 0 --r 2": "--p must lie in (0, 1], got 0",
         "--p 1.5": "--p must lie in (0, 1], got 1.5",
+        # --k is checked against the 8 items read, as rank checks it
+        "--k 0": "--k must lie in [1, 8], got 0",
+        "--k -1": "--k must lie in [1, 8], got -1",
+        "--k 9": "--k must lie in [1, 8], got 9",
+        "--k 9 --family exact": "--k must lie in [1, 8], got 9",
     }
 
     @pytest.mark.parametrize("flags", OUT_OF_RANGE)
@@ -370,6 +375,35 @@ class TestThresholds:
         assert error_payload(capsys) == {
             "error": self.OUT_OF_RANGE[flags], "category": "usage", "exit_code": 1
         }
+
+
+class TestSimulate:
+    # checked before the matrix is read: the matrix path here does not exist
+    OUT_OF_RANGE = {
+        "--p 0": "--p must lie in (0, 1], got 0",
+        "--p=-0.5": "--p must lie in (0, 1], got -0.5",
+        "--p 1.5": "--p must lie in (0, 1], got 1.5",
+        "--r 0": "--r must be at least 1, got 0",
+        "--r=-1": "--r must be at least 1, got -1",
+        "--seed=-1": "--seed must lie in [0, 2**64 - 1], got -1",
+        f"--seed {2**64}": f"--seed must lie in [0, 2**64 - 1], got {2**64}",
+    }
+
+    @pytest.mark.parametrize("flags", OUT_OF_RANGE)
+    def test_out_of_range_flag_is_a_usage_error(self, tmp_path, capsys, flags):
+        argv = ["--error-json", "simulate", "--matrix", str(tmp_path / "missing.csv"),
+                "--p", "0.5", "--r", "3", "--seed", "1", "--out", str(tmp_path / "obs.csv"),
+                *flags.split()]
+        assert cli.main(argv) == 1
+        assert error_payload(capsys) == {
+            "error": self.OUT_OF_RANGE[flags], "category": "usage", "exit_code": 1
+        }
+        assert not (tmp_path / "obs.csv").exists()
+
+    def test_range_ends_are_accepted(self, btl8, tmp_path):
+        argv = ["simulate", "--matrix", str(btl8), "--p", "1", "--r", "1",
+                "--seed", str(2**64 - 1), "--out", str(tmp_path / "obs.csv")]
+        assert cli.main(argv) == 0
 
 
 # flags and config keys that build the same matrix; k only reaches planted kinds

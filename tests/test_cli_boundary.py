@@ -3,8 +3,9 @@
 Each example takes a valid command line for ``gen-matrix``, ``simulate``,
 ``thresholds``, ``eval-real`` or ``bench`` (8 items), then sets one to
 three of its numeric flags to values drawn from :data:`VALUES`, as
-``--flag=value`` or as two tokens.  A value no flag accepts, or one
-outside its flag's range in :data:`FLAG_RANGES`, must fail.  Under
+``--flag=value`` or as two tokens.  A value outside its flag's range in
+:data:`FLAG_RANGES` must be a usage error (exit 1); any other value no
+flag accepts must fail with exit 1 or 2.  Under
 ``--error-json`` a failure must print exactly one JSON line on stderr
 and a success nothing there.
 pytest turns every warning into an error, so a numpy warning that would
@@ -136,9 +137,9 @@ def test_bad_numbers_fail_as_one_json_line(files, data):
         code = cli.main(["--error-json", *argv])
     lines = err.getvalue().splitlines()
     ranges = FLAG_RANGES.get(argv[0], {})
-    if NEVER_VALID & set(values) or any(
-        flag in ranges and not ranges[flag](value) for flag, value in zip(chosen, values)
-    ):
+    if any(flag in ranges and not ranges[flag](value) for flag, value in zip(chosen, values)):
+        assert code == 1, (argv, lines)
+    elif NEVER_VALID & set(values):
         assert code in (1, 2), (argv, lines)
     assert code in (0, 1, 2), (argv, lines)
     if code == 0:

@@ -11,8 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import pairrank
 from pairrank import cli
+
+from conftest import write_dataset
 
 SRC = str(Path(pairrank.__file__).resolve().parents[1])
 
@@ -49,6 +53,13 @@ def test_help_launch_imports_no_scipy(tmp_path):
 def test_only_special_functions_load_scipy(tmp_path):
     matrix, obs = tmp_path / "m.csv", tmp_path / "obs.csv"
     btl_lazy, btl_eager = tmp_path / "btl-lazy.csv", tmp_path / "btl-eager.csv"
+    config = tmp_path / "sst.cfg"
+    config.write_text("model = sst_diagonal\nn = 8\nk = 2\nr = 3\n", encoding="utf-8")
+    comparisons, truth = write_dataset(tmp_path, np.random.default_rng(7), records=120)
+    # bench and eval-real run the spectral baseline, whose logistic is numpy's
+    bench = ["bench", "--config", str(config)]
+    eval_real = ["eval-real", "--obs", str(comparisons), "--truth", str(truth),
+                 "--q-grid", "0.5,1", "--trials", "2"]
     steps = [
         ["gen-matrix", "--model", "sst_diagonal", "--n", "8", "--gap", "0.05", "--seed", "3",
          "--out", str(matrix)],
@@ -57,14 +68,20 @@ def test_only_special_functions_load_scipy(tmp_path):
         ["rank", "--obs", str(obs), "--k", "2", "--out", str(tmp_path / "rank.json")],
         ["thresholds", "--matrix", str(matrix), "--k", "2", "--p", "1", "--r", "3",
          "--out", str(tmp_path / "thresholds.json")],
+        [*bench, "--out", str(tmp_path / "bench-lazy.csv")],
+        [*eval_real, "--out", str(tmp_path / "eval-lazy.csv")],
         ["gen-matrix", "--model", "btl", "--n", "8", "--out", str(btl_lazy)],
     ]
     done = launch(["-c", STEPS, json.dumps(steps)], tmp_path)
     results = [json.loads(line) for line in done.stdout.splitlines()]
-    assert [code for code, _ in results] == [0] * 6
+    assert [code for code, _ in results] == [0] * 8
     *without, (_, after_btl) = results
     assert all(loaded == [] for _, loaded in without), without
     assert "scipy.special" in after_btl
     # a fresh interpreter's first lookup gives the bytes of a run in this process
     assert cli.main(["gen-matrix", "--model", "btl", "--n", "8", "--out", str(btl_eager)]) == 0
     assert btl_lazy.read_bytes() == btl_eager.read_bytes()
+    for argv, name in ((bench, "bench"), (eval_real, "eval")):
+        assert cli.main([*argv, "--out", str(tmp_path / f"{name}-eager.csv")]) == 0
+        lazy, eager = (tmp_path / f"{name}-{mode}.csv" for mode in ("lazy", "eager"))
+        assert lazy.read_bytes() == eager.read_bytes()

@@ -16,7 +16,8 @@ from pairrank import (
     topk_from_scores,
     win_counts,
 )
-from pairrank import model, rank
+from pairrank import harness, model, rank
+from pairrank.analysis import rank_order
 from pairrank.sample import draw_observations
 
 from conftest import observation_set, oracle_topk, random_observation_set
@@ -504,8 +505,13 @@ class TestClosedClass:
         assert rank_centrality(obs)[0] == 1.0
 
 
-def reference_mle_refine(obs, init):
-    """mle_refine with the line search that evaluates the logistic on the
+def numpy_logistic(x):
+    """The logistic as mle_refine builds it, with numpy's exp."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_mle_refine(obs, init, logistic):
+    """mle_refine with the line search that evaluates ``logistic`` on the
     won pairs of each trial and recomputes the full matrix per Newton step."""
     init = np.asarray(init, dtype=np.float64)
     n = obs.n
@@ -525,11 +531,11 @@ def reference_mle_refine(obs, init):
         d_new = cand[won_i] - cand[won_j]
         delta = cand - w
         with np.errstate(divide="ignore"):
-            terms = np.log1p(np.expm1(delta[won_i] - delta[won_j]) * expit(-d_new))
+            terms = np.log1p(np.expm1(delta[won_i] - delta[won_j]) * logistic(-d_new))
         return float(won @ terms)
 
     for _ in range(rank._NEWTON_ITERS):
-        s = expit(w[:, None] - w[None, :])
+        s = logistic(w[:, None] - w[None, :])
         cs = comps * s
         grad = win_totals - cs.sum(axis=1)
         if np.all(np.abs(grad) <= gtol):
@@ -562,11 +568,38 @@ class TestLineSearchReference:
                 init = uniform_start_walk(obs, max_iters=3000)
                 if init is None:
                     continue
-            assert np.array_equal(mle_refine(obs, init), reference_mle_refine(obs, init))
+            assert np.array_equal(mle_refine(obs, init), reference_mle_refine(obs, init, numpy_logistic))
 
     def test_hand_made_designs(self):
         # the saturated and zero-mass designs above, from their walk starts
         for wins in ([[0, 3, 3], [0, 0, 2], [0, 1, 0]], [[0, 2, 1], [1, 0, 1], [0, 0, 0]]):
             obs = observation_set(np.array(wins))
             init = rank_centrality(obs)
-            assert np.array_equal(mle_refine(obs, init), reference_mle_refine(obs, init))
+            assert np.array_equal(mle_refine(obs, init), reference_mle_refine(obs, init, numpy_logistic))
+
+    def test_logistic_matches_scipy_expit(self):
+        # differences of log-weights in the box span [-80, 80]
+        w = np.linspace(-rank._W_BOUND, rank._W_BOUND, 801)
+        s = rank._logistic(w)
+        assert np.array_equal(s, numpy_logistic(w[:, None] - w[None, :]))
+        d = np.linspace(-2 * rank._W_BOUND, 2 * rank._W_BOUND, 100001)
+        for x in (w[:, None] - w[None, :], d):
+            exact = expit(x)
+            assert np.all(np.abs(numpy_logistic(x) - exact) <= 1e-15 * exact)
+
+    def test_scipy_expit_reference_on_the_figure_suite(self, monkeypatch):
+        calls = []
+        refine = rank.mle_refine
+
+        def recorded(obs, init):
+            calls.append((obs, init))
+            return refine(obs, init)
+
+        monkeypatch.setattr(rank, "mle_refine", recorded)
+        for cfg in harness.figure_suite(n=100, trials=3):
+            harness.run_experiment(cfg)
+        assert len(calls) == 18
+        for obs, init in calls:
+            weights, expected = refine(obs, init), reference_mle_refine(obs, init, expit)
+            assert np.array_equal(rank_order(weights), rank_order(expected))
+            assert np.all(np.abs(weights - expected) <= 1e-12 * expected)
