@@ -568,14 +568,16 @@ class TestLineSearchReference:
                 init = uniform_start_walk(obs, max_iters=3000)
                 if init is None:
                     continue
-            assert np.array_equal(mle_refine(obs, init), reference_mle_refine(obs, init, numpy_logistic))
+            expected = reference_mle_refine(obs, init, numpy_logistic)
+            assert np.array_equal(mle_refine(obs, init), expected)
 
     def test_hand_made_designs(self):
         # the saturated and zero-mass designs above, from their walk starts
         for wins in ([[0, 3, 3], [0, 0, 2], [0, 1, 0]], [[0, 2, 1], [1, 0, 1], [0, 0, 0]]):
             obs = observation_set(np.array(wins))
             init = rank_centrality(obs)
-            assert np.array_equal(mle_refine(obs, init), reference_mle_refine(obs, init, numpy_logistic))
+            expected = reference_mle_refine(obs, init, numpy_logistic)
+            assert np.array_equal(mle_refine(obs, init), expected)
 
     def test_logistic_matches_scipy_expit(self):
         # differences of log-weights in the box span [-80, 80]
