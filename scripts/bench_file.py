@@ -12,8 +12,9 @@ repeated call), the sampling layer (``draw_observations``), the
 estimator layers (``copeland_topk``, ``rank_centrality``,
 ``mle_refine``) under two sampling designs, the scoring layer
 (``ground_truth`` and ``evaluate``), ``rank_centrality`` on a reducible
-walk and ``ingest_comparisons`` on named comparison rows, in a fresh
-interpreter that imports ``pairrank`` from the checkout's ``src/``.
+walk and the ingest layer (``iter_comparisons_csv`` into
+``ingest_comparisons``) on a comparisons CSV, in a fresh interpreter
+that imports ``pairrank`` from the checkout's ``src/``.
 Rounds alternate the
 order of the checkouts, so side-by-side files see the same drift of a
 shared machine.  Each file records every
@@ -31,6 +32,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -52,9 +54,13 @@ LAYER_SIZES = (50, 200, 1000)
 # timed on the p = 0.25 design, where Copeland's top k (k = n / 4) is
 # often wrong: ``ground_truth`` once per matrix, ``evaluate`` once per
 # estimate against the exact (Hamming h = 0) family, as the harness
-# calls them.  The ingest design feeds ``ingest_comparisons`` 50 named
-# rows per item (uniform pairs, BTL winners) with the item list, as
-# ``eval-real`` does.
+# calls them.  The ingest design writes 50 named rows per item (uniform
+# pairs, BTL winners) to a comparisons CSV once, then times the
+# checkout's own ``iter_comparisons_csv`` feeding ``ingest_comparisons``
+# with the item list, as ``eval-real`` does, so every checkout does the
+# same work from the same file.  At n = 1000 nearly every line is
+# distinct, so that size is the worst case for a reader that tallies
+# repeated lines before parsing them.
 LAYERS = ("draw_observations", "copeland_topk", "rank_centrality", "mle_refine")
 LAYER_DESIGNS = {
     "model": {
@@ -75,22 +81,23 @@ LAYER_DESIGNS = {
     },
     "ingest": {
         "model": "btl", "quality_spread": 6.0, "rows_per_item": 50, "seed": 1,
-        "layers": ["ingest_comparisons"],
+        "layers": ["ingest_csv"],
     },
 }
 LAYER_BUDGET_S = 1.0
 LAYER_MIN_CALLS = 3
 
 
-def time_layers() -> dict:
+def time_layers(scratch: Path) -> dict:
     """Median milliseconds per call of each layer, by design and n.
 
-    Runs inside the measured checkout's interpreter (``--layers``).
+    Runs inside the measured checkout's interpreter (``--layers``);
+    input files go to the directory ``scratch``.
     """
     import numpy as np
 
     from pairrank import copeland_topk, metrics, mle_refine, model, rank_centrality, setfamily
-    from pairrank.sample import draw_observations, ingest_comparisons
+    from pairrank.sample import draw_observations, ingest_comparisons, iter_comparisons_csv
 
     # a checkout from before the memo has nothing to clear
     memo = getattr(model, "_build_memoized", None)
@@ -133,8 +140,12 @@ def time_layers() -> dict:
                 b = (a + rng.integers(1, n, size=size)) % n
                 winner = np.where(rng.random(size) < matrix.entries[a, b], a, b)
                 items = [f"item{i}" for i in range(n)]
-                rows = [(items[i], items[j], items[w]) for i, j, w in zip(a, b, winner)]
-                calls["ingest_comparisons"] = lambda: ingest_comparisons(rows, items)
+                csv_path = scratch / f"{design}-{n}.csv"
+                lines = (f"{items[i]},{items[j]},{items[w]}\n" for i, j, w in zip(a, b, winner))
+                csv_path.write_text("item_a,item_b,winner\n" + "".join(lines), encoding="utf-8")
+                calls["ingest_csv"] = lambda: ingest_comparisons(
+                    iter_comparisons_csv(csv_path), items
+                )
             for name in names:
                 call = calls[name]
                 times = []
@@ -251,7 +262,8 @@ def main(argv=None) -> int:
     parser.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.layers:
-        print(json.dumps(time_layers()))
+        with tempfile.TemporaryDirectory() as scratch:
+            print(json.dumps(time_layers(Path(scratch))))
         return 0
     if not args.checkouts:
         parser.error("give at least one checkout")

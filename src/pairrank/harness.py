@@ -25,7 +25,6 @@ fully deterministic.
 from __future__ import annotations
 
 import time
-from contextlib import closing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -333,13 +332,18 @@ def run_realdata(
 ) -> RealDataResult:
     """Subsampling evaluation on an ingested comparison dataset.
 
-    ``truth_file`` lists every item id, one per line, best first.  For
+    ``truth_file`` lists every item id, one per line, best first; a
+    repeated id raises ``ValueError`` naming the file and the id.  For
     each subsampling fraction ``q`` and each trial, every recorded
     comparison is kept independently with probability ``q``, each of
     :data:`ESTIMATORS` selects ``k`` items (default :func:`default_k`),
     and the Hamming error against the true top-k is recorded; per-``q``
     averages go into the summary, one entry per ``q``, so ``q_grid``
-    must not repeat a value.  Each ``q`` lies in ``(0, 1]``: at ``q = 0``
+    must not repeat a value.  The summary's ``comparisons`` entry
+    describes the design of the ingested set: its total comparison count
+    and the minimum, maximum and coefficient of variation (population
+    standard deviation over mean) of the per-item counts, items never
+    compared included.  Each ``q`` lies in ``(0, 1]``: at ``q = 0``
     no comparison is kept, and Copeland's smaller-index tie rule would
     hand it the true top-k, since items are indexed in truth order.
     Estimator failures (a disconnected graph or a walk with several
@@ -355,8 +359,11 @@ def run_realdata(
     truth_ids = [line.strip() for line in Path(truth_file).read_text(encoding="utf-8").splitlines() if line.strip()]
     if not truth_ids:
         raise ValueError(f"{truth_file}: no items listed")
-    with closing(sample.iter_comparisons_csv(obs_file)) as rows:
-        obs, _ = sample.ingest_comparisons(rows, items=truth_ids)
+    try:
+        sample._item_index(truth_ids)
+    except ValueError as exc:
+        raise ValueError(f"{truth_file}: {exc}") from None
+    obs, _ = sample.ingest_comparisons(sample.iter_comparisons_csv(obs_file), items=truth_ids)
     n = obs.n
     if k is None:
         k = default_k(n)
@@ -381,7 +388,20 @@ def run_realdata(
                         error=error,
                     )
                 )
-    summary: dict = {"n": n, "k": k, "trials": trials, "items": truth_ids, "per_q": []}
+    per_item = obs.comparisons.sum(axis=1)
+    summary: dict = {
+        "n": n,
+        "k": k,
+        "trials": trials,
+        "items": truth_ids,
+        "comparisons": {
+            "total": obs.total_comparisons(),
+            "per_item_min": int(per_item.min()),
+            "per_item_max": int(per_item.max()),
+            "per_item_cv": float(per_item.std() / per_item.mean()),
+        },
+        "per_q": [],
+    }
     for q in q_grid:
         entry = {"q": q, "estimators": {}}
         for name in ESTIMATORS:

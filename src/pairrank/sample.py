@@ -21,14 +21,20 @@ Schmeiser 1988) and the streams differ.
 :func:`subsample` draws from one stream seeded by ``(seed, _THIN_TAG)``,
 one quantity at a time for all pairs ``i < j`` in row-major order.
 
-Named comparisons have one path in: :func:`iter_comparisons_csv` reads
-the rows of a comparisons CSV and :func:`ingest_comparisons`, which
-alone holds the row rules, counts them.
+A comparisons CSV has one path in.  :func:`iter_comparisons_csv` tallies
+the file's physical lines before it parses any of them, then parses each
+distinct line once and yields its row with the line's count.
+:func:`ingest_comparisons`, which alone holds the row rules, adds those
+counts up.  So a file costs one hashing pass over its lines plus
+per-row work on its distinct lines only, and memory for the distinct
+lines.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
+import itertools
 import operator
 import os
 import re
@@ -258,27 +264,40 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
     return ObservationSet(n=n, r=obs.r, p=p, comparisons=wins + wins.T, wins=wins)
 
 
-def ingest_comparisons(rows, items=None) -> tuple[ObservationSet, dict[str, int]]:
-    """Aggregate named comparisons into an observation set.
+def _item_index(items) -> dict[str, int]:
+    """Map each id of ``items`` to its position; a repeated id raises ``ValueError`` naming it."""
+    index: dict[str, int] = {}
+    for item in items:
+        if item in index:
+            raise ValueError(f"duplicate item id {item!r}")
+        index[item] = len(index)
+    return index
 
-    ``rows`` is any iterable of ``(item_a, item_b, winner)`` triples
-    (tuples or lists); it is consumed once and no row is kept.  Items
-    are indexed in first-appearance order or, when ``items`` is given,
-    in that order (items never compared keep their index); a row naming
-    an item outside ``items`` raises ``ValueError``.  So does a
-    self-comparison, or a winner that is neither item; the first bad
-    row decides which error.  ``r`` is set to the maximum per-pair
-    comparison count and ``p`` is recorded as unknown.  Returns the
-    observation set and the item-id to index mapping.
+
+def ingest_comparisons(rows, items=None) -> tuple[ObservationSet, dict[str, int]]:
+    """Aggregate counted named comparisons into an observation set.
+
+    ``rows`` is any iterable of ``(row, count)`` pairs, as
+    :func:`iter_comparisons_csv` yields them: ``row`` is an
+    ``(item_a, item_b, winner)`` triple (tuple or list) and ``count``, a
+    positive integer, says how many times it was recorded.  ``rows`` is
+    consumed once and no row is kept.  Items are indexed in
+    first-appearance order or, when ``items`` is given, in that order
+    (items never compared keep their index); a repeated id in ``items``
+    raises ``ValueError`` naming it, and so does a row naming an item
+    outside ``items``.  So does a self-comparison, or a winner that is
+    neither item; the first bad row decides which error.  ``r`` is set
+    to the maximum per-pair comparison count and ``p`` is recorded as
+    unknown.  Returns the observation set and the item-id to index
+    mapping.
     """
-    index: dict[str, int] = {} if items is None else {item: i for i, item in enumerate(items)}
-    if items is not None and len(index) != len(items):
-        raise ValueError("duplicate item ids")
-    # only the winner and loser indices of a row are kept
+    index = {} if items is None else _item_index(items)
+    # only the winner and loser indices of a row, and its count, are kept
     winners: list[int] = []
     losers: list[int] = []
-    add_winner, add_loser = winners.append, losers.append
-    for a, b, w in rows:
+    counts: list[int] = []
+    add_winner, add_loser, add_count = winners.append, losers.append, counts.append
+    for (a, b, w), count in rows:
         if a == b:
             raise ValueError(f"self-comparison of item {a!r}")
         if w != a and w != b:
@@ -298,41 +317,96 @@ def ingest_comparisons(rows, items=None) -> tuple[ObservationSet, dict[str, int]
         else:
             add_winner(ib)
             add_loser(ia)
+        add_count(count)
     if not winners:
         raise ValueError("no comparison records supplied")
     n = len(index)
     codes = np.array(winners, dtype=np.int64) * n + np.array(losers, dtype=np.int64)
-    wins = np.bincount(codes, minlength=n * n).reshape(n, n)
+    wins = np.zeros(n * n, dtype=np.int64)
+    # distinct rows can share a (winner, loser) pair: unbuffered, exact int64 sums
+    np.add.at(wins, codes, np.array(counts, dtype=np.int64))
+    wins = wins.reshape(n, n)
     comparisons = wins + wins.T
     r = int(comparisons.max())
     return ObservationSet(n=n, r=r, p=None, comparisons=comparisons, wins=wins), index
 
 
-def iter_comparisons_csv(path):
-    """Yield the ``[item_a, item_b, winner]`` rows of a comparisons CSV.
+# a byte that is not UTF-8, as the "surrogateescape" error handler decodes it
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
-    The header must read ``item_a,item_b,winner``; blank lines are
-    skipped.  A row without exactly three fields, or a row the CSV
-    reader rejects (an oversize field, say), raises ``ValueError``
-    naming the file and line.  Rows are read lazily, one at a time.
+
+def _first_line(path: Path, found) -> int:
+    """Number of the first physical line of ``path`` for which ``found(line)`` is true.
+
+    Bytes that are not UTF-8 read as ``_UNDECODABLE`` characters.
+    """
+    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if found(line):
+                return lineno
+    raise ValueError(f"{path}: changed while it was read")
+
+
+def iter_comparisons_csv(path):
+    """Yield ``(row, count)`` for each distinct data line of a comparisons CSV.
+
+    The header must read ``item_a,item_b,winner``.  The whole file is
+    read and its physical lines counted before any row is parsed; each
+    distinct line is then parsed once, in order of first appearance, and
+    its ``[item_a, item_b, winner]`` row yielded with the number of
+    lines that read exactly so.  Lines that differ only in quoting or
+    in their line ending (LF, CRLF, none on the last line) parse to the
+    same row but are yielded apart.  Blank lines are skipped.  Errors
+    raise ``ValueError``:
+
+    - a row without exactly three fields, or a line the CSV reader
+      rejects (an oversize field, say), names the file and the first
+      physical line that holds the bad text, found by a second scan of
+      the file;
+    - a quoted field that spans lines names the file and the line it
+      starts on (every row must fit on one line: an item id holds no
+      line break);
+    - a byte that is not UTF-8 names the file and its line, and comes
+      before any row.
+
+    The file is closed before the first row is yielded.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             if header != ["item_a", "item_b", "winner"]:
                 raise ValueError(
                     f"{path}: expected header 'item_a,item_b,winner', got {header}"
                 )
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 3:
-                    if not row:
-                        continue
-                    raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-                yield row
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            tally = collections.Counter(fh)
+    except UnicodeDecodeError as exc:
+        # the exception's position counts from the start of a decoder chunk, not of the file
+        line = _first_line(path, _UNDECODABLE.search)
+        raise ValueError(
+            f"{path}:{line}: 'utf-8' codec can't decode byte {exc.object[exc.start]:#04x}: {exc.reason}"
+        ) from None
+    reader = csv.reader(tally)
+    try:
+        # while every row fits on its line, row ``seen`` ends at distinct line ``seen``
+        for row, count, seen in zip(reader, tally.values(), itertools.count(1)):
+            if len(row) != 3 or reader.line_num != seen:
+                if reader.line_num != seen:
+                    problem = "quoted field spans lines"
+                elif not row:
+                    continue
+                else:
+                    problem = f"expected 3 fields, got {len(row)}"
+                line = _first_line(path, list(tally)[seen - 1].__eq__)
+                raise ValueError(f"{path}:{line}: {problem}")
+            yield row, count
+    except csv.Error as exc:
+        line = _first_line(path, list(tally)[reader.line_num - 1].__eq__)
+        raise ValueError(f"{path}:{line}: {exc}") from None
 
 
 _OBS_META = re.compile(r"^# n=(\d+) r=(\d+) p=(\S+)$")

@@ -21,7 +21,7 @@ from conftest import NAMES, boolean_cells, write_dataset
 class TestIngestWithItems:
     def test_indices_follow_item_order(self):
         rows = [("a", "b", "a"), ("c", "a", "c"), ("a", "b", "b")]
-        obs, index = ingest_comparisons(rows, items=["c", "z", "b", "a"])
+        obs, index = ingest_comparisons([(row, 1) for row in rows], items=["c", "z", "b", "a"])
         assert index == {"c": 0, "z": 1, "b": 2, "a": 3}
         assert obs.n == 4
         assert obs.comparisons[3, 2] == 2 and obs.wins[3, 2] == 1 and obs.wins[2, 3] == 1
@@ -31,11 +31,11 @@ class TestIngestWithItems:
 
     def test_unknown_item_rejected(self):
         with pytest.raises(ValueError, match="'x'"):
-            ingest_comparisons([("a", "x", "a")], items=["a", "b"])
+            ingest_comparisons([(("a", "x", "a"), 1)], items=["a", "b"])
 
     def test_duplicate_items_rejected(self):
         with pytest.raises(ValueError):
-            ingest_comparisons([("a", "b", "a")], items=["a", "b", "a"])
+            ingest_comparisons([(("a", "b", "a"), 1)], items=["a", "b", "a"])
 
 
 class TestRunRealdata:
@@ -51,6 +51,28 @@ class TestRunRealdata:
                 assert row.hamming_error == hamming_distance(expected.items, set(range(k)))
                 assert row.tie_broken is expected.tie_broken
         assert result.summary["items"] == NAMES
+
+    def test_summary_reads_the_design_imbalance(self, tmp_path):
+        obs_path, truth_path = tmp_path / "cmp.csv", tmp_path / "truth.txt"
+        rows = ["a,b,a", "a,b,a", "b,a,b", "a,c,c"]
+        obs_path.write_text("item_a,item_b,winner\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        truth_path.write_text("a\nb\nc\nd\n", encoding="utf-8")
+        summary = run_realdata(obs_path, truth_path, k=1, q_grid=(1.0,), trials=1).summary
+        per_item = np.array([4, 3, 1, 0])
+        assert summary["comparisons"] == {
+            "total": 4,
+            "per_item_min": 0,
+            "per_item_max": 4,
+            "per_item_cv": float(per_item.std() / per_item.mean()),
+        }
+        assert type(summary["comparisons"]["total"]) is int
+
+    def test_duplicate_truth_id_names_the_file(self, tmp_path, rng):
+        obs_path, truth_path = write_dataset(tmp_path, rng)
+        truth_path.write_text("\n".join([*NAMES, NAMES[2]]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            run_realdata(obs_path, truth_path, q_grid=(1.0,), trials=1)
+        assert str(exc.value) == f"{truth_path}: duplicate item id {NAMES[2]!r}"
 
     def test_zero_trials_rejected_before_reading(self, tmp_path):
         with pytest.raises(ValueError, match="trials must be at least 1"):

@@ -463,7 +463,7 @@ class TestStreamContract:
 class TestIngest:
     def test_counts_example(self):
         obs, index = ingest_comparisons(
-            [("A", "B", "A"), ("A", "B", "B"), ("A", "B", "A")]
+            [(("A", "B", "A"), 1), (("A", "B", "B"), 1), (("A", "B", "A"), 1)]
         )
         assert index == {"A": 0, "B": 1}
         assert obs.comparisons[0, 1] == 3
@@ -474,18 +474,28 @@ class TestIngest:
 
     def test_first_appearance_indexing(self):
         obs, index = ingest_comparisons(
-            [("C", "A", "A"), ("B", "C", "B"), ("A", "B", "B")]
+            [(("C", "A", "A"), 1), (("B", "C", "B"), 1), (("A", "B", "B"), 1)]
         )
         assert index == {"C": 0, "A": 1, "B": 2}
         assert obs.n == 3
 
     def test_self_comparison_rejected(self):
         with pytest.raises(ValueError, match="self-comparison"):
-            ingest_comparisons([("A", "A", "A")])
+            ingest_comparisons([(("A", "A", "A"), 1)])
 
     def test_foreign_winner_rejected(self):
         with pytest.raises(ValueError, match="winner"):
-            ingest_comparisons([("A", "B", "C")])
+            ingest_comparisons([(("A", "B", "C"), 1)])
+
+    def test_repeated_item_id_named(self):
+        with pytest.raises(ValueError, match="duplicate item id 'b'"):
+            ingest_comparisons([(("a", "b", "a"), 1)], items=["a", "b", "c", "b", "a"])
+
+    def test_counts_add_up_exactly(self):
+        big = 2**62
+        rows = [(("a", "b", "a"), big), (("b", "a", "a"), 3), (("a", "b", "b"), 1)]
+        obs, _ = ingest_comparisons(rows)
+        assert obs.wins[0, 1] == big + 3 and obs.wins[1, 0] == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no comparison records"):
@@ -502,7 +512,7 @@ class TestIngest:
     )
     def test_first_bad_row_decides_the_error(self, rows, message):
         with pytest.raises(ValueError, match=message):
-            ingest_comparisons(rows, items=["a", "b", "c"])
+            ingest_comparisons([(row, 1) for row in rows], items=["a", "b", "c"])
 
     def test_rows_consumed_lazily_once(self):
         seen = []
@@ -510,7 +520,7 @@ class TestIngest:
         def rows():
             for row in [("a", "b", "a"), ("b", "c", "c")]:
                 seen.append(row)
-                yield row
+                yield row, 1
 
         obs, index = ingest_comparisons(rows())
         assert len(seen) == 2 and index == {"a": 0, "b": 1, "c": 2}
@@ -559,7 +569,7 @@ class TestIngestOracle:
         if with_items:
             named = sorted({x for a, b, _ in records for x in (a, b)} | set(extra))
             items = [named[i] for i in np.random.default_rng(seed).permutation(len(named))]
-        obs, index = ingest_comparisons([shape(r) for r in records], items=items)
+        obs, index = ingest_comparisons([(shape(r), 1) for r in records], items=items)
         wins, expected_index = counter_oracle(records, items)
         assert index == expected_index
         np.testing.assert_array_equal(obs.wins, wins)
@@ -568,6 +578,47 @@ class TestIngestOracle:
         assert obs.r == max(pair_counts.values())
         assert obs.n == len(index) and obs.p is None
         assert obs.wins.dtype == np.int64 and obs.comparisons.dtype == np.int64
+
+
+@st.composite
+def csv_files(draw):
+    """``record_lists()`` records written as a comparisons CSV: ``(records, text)``.
+
+    Each record is written one to three times, every copy with its own
+    quoting of each field, LF or CRLF ending and blank lines before it;
+    the final newline is sometimes dropped.  ``records`` lists every copy.
+    """
+    header = "item_a,item_b,winner" + draw(st.sampled_from(["\n", "\r\n"]))
+    lines, records = [header], []
+    for record in draw(record_lists()):
+        for _ in range(draw(st.integers(1, 3))):
+            quoted = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+            blanks = draw(st.lists(st.sampled_from(["\n", "\r\n"]), max_size=2))
+            text = ",".join(f'"{x}"' if q else x for x, q in zip(record, quoted))
+            lines += [*blanks, text + draw(st.sampled_from(["\n", "\r\n"]))]
+            records.append(record)
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return records, text
+
+
+class TestCsvOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=csv_files(), with_items=st.booleans(), seed=st.integers(0, 2**16))
+    def test_read_back_matches_counter(self, tmp_path_factory, drawn, with_items, seed):
+        records, text = drawn
+        items = None
+        if with_items:
+            named = sorted({x for a, b, _ in records for x in (a, b)})
+            items = [named[i] for i in np.random.default_rng(seed).permutation(len(named))]
+        path = tmp_path_factory.mktemp("oracle") / "cmp.csv"
+        path.write_bytes(text.encode("utf-8"))
+        obs, index = ingest_comparisons(iter_comparisons_csv(path), items=items)
+        wins, expected_index = counter_oracle(records, items)
+        assert index == expected_index
+        np.testing.assert_array_equal(obs.wins, wins)
+        np.testing.assert_array_equal(obs.wins + obs.wins.T, obs.comparisons)
 
 
 class TestComparisonsCsv:
@@ -596,7 +647,41 @@ class TestComparisonsCsv:
     def test_rows_skip_blank_lines(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text("item_a,item_b,winner\n\nx,y,x\n\ny,z,z\n", encoding="utf-8")
-        assert list(iter_comparisons_csv(path)) == [["x", "y", "x"], ["y", "z", "z"]]
+        assert list(iter_comparisons_csv(path)) == [(["x", "y", "x"], 1), (["y", "z", "z"], 1)]
+
+    def test_each_distinct_line_yields_its_count(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b'item_a,item_b,winner\nx,y,x\r\ny,z,z\nx,y,x\r\n"x",y,x\r\ny,z,z')
+        assert list(iter_comparisons_csv(path)) == [
+            (["x", "y", "x"], 2), (["y", "z", "z"], 1), (["x", "y", "x"], 1), (["y", "z", "z"], 1),
+        ]
+
+    @pytest.mark.parametrize("bad", ["y,z", "x" * (csv.field_size_limit() + 1) + ",y,y"])
+    def test_repeated_bad_line_names_its_first_line(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        lines = ["item_a,item_b,winner", "x,y,x", "x,y,x", "", "x,y,x", bad, "x,y,x", bad]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            list(iter_comparisons_csv(path))
+        assert str(exc.value).startswith(f"{path}:6: ")
+
+    @pytest.mark.parametrize("text", ['x,y,x\n"a\nx",b,b\n', 'x,y,x\nb,"a\nx",b\nx,y,x\n'])
+    def test_quoted_field_spanning_lines_rejected(self, tmp_path, text):
+        path = tmp_path / "span.csv"
+        path.write_text("item_a,item_b,winner\n" + text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            list(iter_comparisons_csv(path))
+        assert str(exc.value) == f"{path}:3: quoted field spans lines"
+
+    @pytest.mark.parametrize("before", [1, 20_000])
+    def test_non_utf8_names_the_file_and_line(self, tmp_path, before):
+        # 20,000 lines put the bad byte past the decoder's first chunk
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"item_a,item_b,winner\n" + b"x,y,x\r\n" * before + b"\xff,y,y\n")
+        with pytest.raises(ValueError) as exc:
+            list(iter_comparisons_csv(path))
+        line = before + 2
+        assert str(exc.value) == f"{path}:{line}: 'utf-8' codec can't decode byte 0xff: invalid start byte"
 
     def test_rows_validate_like_records(self, tmp_path):
         path = tmp_path / "self.csv"
@@ -616,7 +701,7 @@ class TestObservationsCsv:
         assert np.array_equal(back.wins, obs.wins)
 
     def test_unknown_p_round_trips(self, tmp_path):
-        obs, _ = ingest_comparisons([("a", "b", "a"), ("b", "c", "c")])
+        obs, _ = ingest_comparisons([(("a", "b", "a"), 1), (("b", "c", "c"), 1)])
         path = tmp_path / "obs.csv"
         write_observations_csv(obs, path)
         assert read_observations_csv(path).p is None
