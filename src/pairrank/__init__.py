@@ -39,7 +39,6 @@ from .metrics import (
     evaluate,
     favorable_positions,
     ground_truth,
-    hamming_distance,
 )
 from .model import (
     ComparisonMatrix,
@@ -128,7 +127,6 @@ __all__ = [
     "gen_planted",
     "gen_sst_diagonal",
     "ground_truth",
-    "hamming_distance",
     "implied_alpha",
     "ingest_comparisons",
     "instantiate",

@@ -20,6 +20,10 @@ kernel, which releases the lock, runs on threads (see
 count.  Wall-clock timings are measured around the estimator calls only
 and reported through the summary, never in the results table, which is
 fully deterministic.
+
+``eval-real`` (:func:`run_realdata`) scores its subsampled trials with
+``bench``'s scorer, against the truth file's order, which has no ties,
+and one table writer formats both results CSVs.
 """
 
 from __future__ import annotations
@@ -172,25 +176,24 @@ def _estimate(
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_trial(
+def _score(
     trial: int,
-    matrix: model.ComparisonMatrix,
+    obs: sample.ObservationSet,
     truth: metrics.GroundTruth,
     family: setfamily.SetFamily,
-    cfg: ExperimentConfig,
-    r: int,
+    estimators,
     seed: int,
 ) -> list[TrialRecord]:
-    obs = sample.draw_observations(matrix, cfg.p, r, seed)
+    """Run each estimator on one trial's observations and score its top ``truth.k``."""
     records = []
-    for name in cfg.estimators:
+    for name in estimators:
         start = time.perf_counter_ns()
-        est, error = _estimate(name, obs, cfg.k)
+        est, error = _estimate(name, obs, truth.k)
         elapsed = time.perf_counter_ns() - start
         if est is None:
             # worst-case outcomes keep failed trials visible in the table
             records.append(
-                TrialRecord(trial, name, False, 2 * cfg.k, False, False, elapsed, seed, error)
+                TrialRecord(trial, name, False, 2 * truth.k, False, False, elapsed, seed, error)
             )
             continue
         exact, distance, allowed = metrics.evaluate(est.items, truth, family)
@@ -223,7 +226,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     records = []
     for trial in range(cfg.trials):
         seed = derive_seed(cfg.master_seed, _OBS_STAGE, trial)
-        records += _run_trial(trial, matrix, truth, family, cfg, r, seed)
+        obs = sample.draw_observations(matrix, cfg.p, r, seed)
+        records += _score(trial, obs, truth, family, cfg.estimators, seed)
     records = tuple(records)
     summary = _summarize(cfg, r, alpha, report.delta, records)
     return ExperimentResult(cfg, r, alpha, report.delta, records, summary)
@@ -305,20 +309,15 @@ def figure_suite(
 
 
 @dataclass(frozen=True)
-class RealDataRow:
-    q: float
-    trial: int
-    estimator: str
-    hamming_error: int | None
-    tie_broken: bool
-    error: str | None
-
-
-@dataclass(frozen=True)
 class RealDataResult:
+    """Records of a subsampling evaluation by ``q``, in grid order, and its summary.
+
+    ``bench``'s scorer made every record, against the truth file's tie-free order.
+    """
+
     n: int
     k: int
-    rows: tuple[RealDataRow, ...]
+    records: dict[float, tuple[TrialRecord, ...]]
     summary: dict
 
 
@@ -337,13 +336,14 @@ def run_realdata(
     each subsampling fraction ``q`` and each trial, every recorded
     comparison is kept independently with probability ``q``, each of
     :data:`ESTIMATORS` selects ``k`` items (default :func:`default_k`),
-    and the Hamming error against the true top-k is recorded; per-``q``
-    averages go into the summary, one entry per ``q``, so ``q_grid``
-    must not repeat a value.  The summary's ``comparisons`` entry
-    describes the design of the ingested set: its total comparison count
-    and the minimum, maximum and coefficient of variation (population
-    standard deviation over mean) of the per-item counts, items never
-    compared included.  Each ``q`` lies in ``(0, 1]``: at ``q = 0``
+    and ``bench``'s scorer scores each against the truth file's order,
+    which has no ties, so a Hamming error is a symmetric difference from
+    the true top-k.  Per-``q`` averages go into the summary, one entry
+    per ``q``, so ``q_grid`` must not repeat a value.  The summary's
+    ``comparisons`` entry describes the design of the ingested set: its
+    total comparison count and the minimum, maximum and coefficient of
+    variation (population standard deviation over mean) of the per-item
+    counts, items never compared included.  Each ``q`` lies in ``(0, 1]``: at ``q = 0``
     no comparison is kept, and Copeland's smaller-index tie rule would
     hand it the true top-k, since items are indexed in truth order.
     Estimator failures (a disconnected graph or a walk with several
@@ -369,25 +369,17 @@ def run_realdata(
         k = default_k(n)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    true_topk = set(range(k))
-    rows = []
+    # items are indexed in truth order: item i holds position i + 1, and no two tie
+    truth = metrics.GroundTruth(k, np.arange(1, n + 1))
+    family = setfamily.family_exact(n, k)
+    by_q = {}
     for qi, q in enumerate(q_grid):
+        records = []
         for trial in range(trials):
-            sub = sample.subsample(obs, q, derive_seed(seed, _REAL_STAGE, qi, trial))
-            for name in ESTIMATORS:
-                est, error = _estimate(name, sub, k)
-                rows.append(
-                    RealDataRow(
-                        q=q,
-                        trial=trial,
-                        estimator=name,
-                        hamming_error=(
-                            None if est is None else metrics.hamming_distance(est.items, true_topk)
-                        ),
-                        tie_broken=est is not None and est.tie_broken,
-                        error=error,
-                    )
-                )
+            trial_seed = derive_seed(seed, _REAL_STAGE, qi, trial)
+            sub = sample.subsample(obs, q, trial_seed)
+            records += _score(trial, sub, truth, family, ESTIMATORS, trial_seed)
+        by_q[q] = tuple(records)
     per_item = obs.comparisons.sum(axis=1)
     summary: dict = {
         "n": n,
@@ -402,17 +394,17 @@ def run_realdata(
         },
         "per_q": [],
     }
-    for q in q_grid:
+    for q, records in by_q.items():
         entry = {"q": q, "estimators": {}}
         for name in ESTIMATORS:
-            got = [row for row in rows if row.estimator == name and row.q == q]
-            ok = [row.hamming_error for row in got if row.error is None]
+            got = [rec for rec in records if rec.estimator == name]
+            ok = [rec.hamming_error for rec in got if rec.error is None]
             entry["estimators"][name] = {
                 "mean_hamming_error": (sum(ok) / len(ok)) if ok else None,
-                "failed_trials": sum(row.error is not None for row in got),
+                "failed_trials": len(got) - len(ok),
             }
         summary["per_q"].append(entry)
-    return RealDataResult(n=n, k=k, rows=tuple(rows), summary=summary)
+    return RealDataResult(n=n, k=k, records=by_q, summary=summary)
 
 
 def _format_value(value) -> str:
@@ -423,6 +415,13 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _write_table(path, columns, rows) -> None:
+    """Write a header of ``columns`` and one line per row, each cell by :func:`_format_value`."""
+    lines = [",".join(columns)]
+    lines += [",".join(_format_value(v) for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_results_csv(result: ExperimentResult, path) -> None:
     """Write per-trial records with the fixed benchmark column set.
 
@@ -430,9 +429,8 @@ def write_results_csv(result: ExperimentResult, path) -> None:
     timing statistics live in the summary.
     """
     cfg = result.config
-    lines = [",".join(RESULT_COLUMNS)]
-    for rec in result.records:
-        row = (
+    rows = (
+        (
             cfg.display_label,
             cfg.n,
             cfg.k,
@@ -449,27 +447,24 @@ def write_results_csv(result: ExperimentResult, path) -> None:
             0,
             rec.derived_seed,
         )
-        lines.append(",".join(_format_value(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for rec in result.records
+    )
+    _write_table(path, RESULT_COLUMNS, rows)
 
 
 def write_realdata_csv(result: RealDataResult, path) -> None:
-    """Write per-trial real-data rows: q,trial,estimator,hamming_error,tie_broken,error."""
-    lines = ["q,trial,estimator,hamming_error,tie_broken,error"]
-    for row in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    repr(float(row.q)),
-                    str(row.trial),
-                    row.estimator,
-                    "" if row.hamming_error is None else str(row.hamming_error),
-                    _format_value(row.tie_broken),
-                    "" if row.error is None else row.error.replace(",", ";"),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write per-trial real-data rows: q,trial,estimator,hamming_error,tie_broken,error.
+
+    A failed trial has an empty ``hamming_error`` cell; commas in its
+    error text read as semicolons.
+    """
+    rows = (
+        (float(q), rec.trial, rec.estimator, "" if rec.error else rec.hamming_error,
+         rec.tie_broken, (rec.error or "").replace(",", ";"))
+        for q, records in result.records.items()
+        for rec in records
+    )
+    _write_table(path, ("q", "trial", "estimator", "hamming_error", "tie_broken", "error"), rows)
 
 
 _CONFIG_KEYS = {

@@ -95,8 +95,3 @@ def evaluate(items, truth: GroundTruth, family: SetFamily) -> tuple[bool, int, b
         raise ValueError(f"estimate has size {len(pos)}, expected k={truth.k}")
     hamming_error = 2 * sum(p > truth.k for p in pos)
     return hamming_error == 0, hamming_error, bool(family.predicate(pos))
-
-
-def hamming_distance(a, b) -> int:
-    """Number of items belonging to exactly one of the two sets."""
-    return len(set(a) ^ set(b))

@@ -110,6 +110,11 @@ def oracle_topk(counts: np.ndarray, k: int) -> set[int]:
     return set(best)
 
 
+def hamming_distance(a, b) -> int:
+    """Symmetric-difference oracle: items belonging to exactly one of the two sets."""
+    return len(set(a) ^ set(b))
+
+
 # item ids of the generated comparison dataset, in truth order (best first)
 NAMES = ["d", "a", "c", "e", "b", "f"]
 

@@ -2,20 +2,25 @@ import numpy as np
 import pytest
 
 from pairrank import (
+    DisconnectedGraphError,
     ExperimentConfig,
     ModelSpec,
+    StationaryError,
     copeland_topk,
+    derive_seed,
     figure_suite,
-    hamming_distance,
     ingest_comparisons,
     iter_comparisons_csv,
     run_experiment,
     run_realdata,
+    spectral_baseline,
+    subsample,
+    topk_from_scores,
     write_results_csv,
 )
-from pairrank.harness import ESTIMATORS, default_k, write_realdata_csv
+from pairrank.harness import _REAL_STAGE, ESTIMATORS, default_k, write_realdata_csv
 
-from conftest import NAMES, boolean_cells, write_dataset
+from conftest import NAMES, boolean_cells, hamming_distance, write_dataset
 
 
 class TestIngestWithItems:
@@ -46,11 +51,56 @@ class TestRunRealdata:
         result = run_realdata(obs_path, truth_path, q_grid=(1.0,), trials=2, seed=3)
         assert (result.n, result.k) == (len(NAMES), k)
         expected = copeland_topk(obs, k)
-        for row in result.rows:
-            if row.estimator == "copeland":
-                assert row.hamming_error == hamming_distance(expected.items, set(range(k)))
-                assert row.tie_broken is expected.tie_broken
+        for rec in result.records[1.0]:
+            if rec.estimator == "copeland":
+                assert rec.hamming_error == hamming_distance(expected.items, set(range(k)))
+                assert rec.tie_broken is expected.tie_broken
         assert result.summary["items"] == NAMES
+
+    def test_records_match_the_symmetric_difference_oracle(self, tmp_path, rng):
+        # at q = 0.02 about 6 of the 300 comparisons survive, so the baseline fails some trials
+        obs_path, truth_path = write_dataset(tmp_path, rng)
+        obs, _ = ingest_comparisons(iter_comparisons_csv(obs_path), items=NAMES)
+        k, q_grid, seed = default_k(len(NAMES)), (0.02, 0.1, 0.3, 1.0), 5
+        result = run_realdata(obs_path, truth_path, q_grid=q_grid, trials=6, seed=seed)
+        write_realdata_csv(result, tmp_path / "real.csv")
+        cells = [line.split(",") for line in (tmp_path / "real.csv").read_text().splitlines()[1:]]
+        estimators = {
+            "copeland": lambda sub: copeland_topk(sub, k),
+            "spectral_baseline": lambda sub: topk_from_scores(spectral_baseline(sub), k),
+        }
+        assert list(result.records) == list(q_grid)
+        failures = 0
+        for qi, (q, entry) in enumerate(zip(q_grid, result.summary["per_q"])):
+            assert [(rec.trial, rec.estimator) for rec in result.records[q]] == [
+                (trial, name) for trial in range(6) for name in ESTIMATORS
+            ]
+            errors = {name: [] for name in ESTIMATORS}
+            failed = {name: 0 for name in ESTIMATORS}
+            for rec in result.records[q]:
+                sub = subsample(obs, q, derive_seed(seed, _REAL_STAGE, qi, rec.trial))
+                row = cells.pop(0)
+                assert row[:3] == [repr(q), str(rec.trial), rec.estimator]
+                try:
+                    est = estimators[rec.estimator](sub)
+                except (DisconnectedGraphError, StationaryError) as exc:
+                    assert rec.error == f"{type(exc).__name__}: {exc}"
+                    assert row[3] == "" and row[4] == "false"
+                    failed[rec.estimator] += 1
+                    continue
+                distance = hamming_distance(est.items, range(k))
+                assert rec.error is None
+                assert (rec.hamming_error, rec.exact_success) == (distance, distance == 0)
+                assert rec.tie_broken is est.tie_broken
+                assert row[3:] == [str(distance), str(est.tie_broken).lower(), ""]
+                errors[rec.estimator].append(distance)
+            for name, stats in entry["estimators"].items():
+                got = errors[name]
+                assert stats["failed_trials"] == failed[name]
+                assert stats["mean_hamming_error"] == (sum(got) / len(got) if got else None)
+            failures += sum(failed.values())
+        assert not cells
+        assert failures > 0
 
     def test_summary_reads_the_design_imbalance(self, tmp_path):
         obs_path, truth_path = tmp_path / "cmp.csv", tmp_path / "truth.txt"
@@ -102,7 +152,7 @@ class TestRunRealdata:
         obs_path.write_text("item_a,item_b,winner\n" + "\n".join(rows) + "\n", encoding="utf-8")
         truth_path.write_text("a\nb\nc\n", encoding="utf-8")
         result = run_realdata(obs_path, truth_path, k=1, q_grid=(1.0,), trials=1)
-        by_name = {row.estimator: row for row in result.rows}
+        by_name = {rec.estimator: rec for rec in result.records[1.0]}
         assert by_name["spectral_baseline"].error is None
         assert by_name["spectral_baseline"].hamming_error == 0
 
@@ -114,9 +164,10 @@ class TestRunRealdata:
         obs_path.write_text("item_a,item_b,winner\n" + "\n".join(rows) + "\n", encoding="utf-8")
         truth_path.write_text("a\nb\nc\nd\n", encoding="utf-8")
         result = run_realdata(obs_path, truth_path, k=1, q_grid=(1.0,), trials=1)
-        by_name = {row.estimator: row for row in result.rows}
+        by_name = {rec.estimator: rec for rec in result.records[1.0]}
         failed = by_name["spectral_baseline"]
-        assert failed.hamming_error is None
+        # the worst-case record that bench writes for a failed trial
+        assert (failed.exact_success, failed.hamming_error, failed.tie_broken) == (False, 2, False)
         assert failed.error.startswith("StationaryError: ") and "2 closed classes" in failed.error
         assert by_name["copeland"].error is None
         stats = result.summary["per_q"][0]["estimators"]
