@@ -14,13 +14,14 @@ estimator layers (``copeland_topk``, ``rank_centrality``,
 (``ground_truth`` and ``evaluate``), ``rank_centrality`` on a reducible
 walk and the ingest layer (``iter_comparisons_csv`` into
 ``ingest_comparisons``) on a comparisons CSV, in a fresh interpreter
-that imports ``pairrank`` from the checkout's ``src/``.
-Rounds alternate the
-order of the checkouts, so side-by-side files see the same drift of a
-shared machine.  Each file records every
-run, the medians, the git SHA (with ``-dirty`` in the label when the
-tracked files differ from it), the Python, numpy and scipy versions,
-``nproc`` and the seeds.  Files go to ``--out-dir`` (default: the root
+that imports ``pairrank`` from the checkout's ``src/``.  Rounds
+alternate the order of the checkouts, so side-by-side files see the
+same drift of a shared machine.  Each file records every run and, per
+workload and seed, each metric's median, minimum and maximum over the
+rounds, so a reader can see when two files' ranges overlap and a
+difference is not resolved.  It also records the git SHA (with
+``-dirty`` in the label when the tracked files differ from it), the
+Python, numpy and scipy versions, ``nproc`` and the seeds.  Files go to ``--out-dir`` (default: the root
 of the repository holding this script).
 """
 
@@ -193,9 +194,13 @@ def _dirty(checkout: Path) -> bool:
     return bool(status)
 
 
-def _median_metrics(runs: list[dict]) -> dict:
-    names = runs[0]["metrics"]
-    return {m: statistics.median(r["metrics"][m]["value"] for r in runs) for m in names}
+def _run_spread(runs: list[dict]) -> dict:
+    """Each metric's median, minimum and maximum over the runs of one workload and seed."""
+    values = {m: [r["metrics"][m]["value"] for r in runs] for m in runs[0]["metrics"]}
+    return {
+        stat: {m: fn(v) for m, v in values.items()}
+        for stat, fn in (("median", statistics.median), ("min", min), ("max", max))
+    }
 
 
 def bench(checkouts: list[Path]) -> list[dict]:
@@ -227,7 +232,7 @@ def bench(checkouts: list[Path]) -> list[dict]:
             "seconds": run_seconds,
             "rounds": ROUNDS,
             "workloads": {
-                w: {seed: {"median": _median_metrics(runs), "runs": runs}
+                w: {seed: {**_run_spread(runs), "runs": runs}
                     for seed, runs in by_seed.items()}
                 for w, by_seed in record["workloads"].items()
             },

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, metrics, model, rank, sample, setfamily
+from . import _textio, analysis, metrics, model, rank, sample, setfamily
 
 # Estimator name -> (observations, k) -> top-k estimate.  The rank
 # functions are looked up on the module at call time, so a replaced
@@ -347,7 +347,8 @@ def run_realdata(
     no comparison is kept, and Copeland's smaller-index tie rule would
     hand it the true top-k, since items are indexed in truth order.
     Estimator failures (a disconnected graph or a walk with several
-    closed classes) are recorded, not fatal.
+    closed classes) are recorded, not fatal.  A byte of the truth file
+    that is not UTF-8 raises ``ValueError`` naming the file and line.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -356,7 +357,9 @@ def run_realdata(
             raise ValueError(f"q_grid fractions must lie in (0, 1], got {q}")
         if q in q_grid[:qi]:
             raise ValueError(f"q_grid repeats {q}")
-    truth_ids = [line.strip() for line in Path(truth_file).read_text(encoding="utf-8").splitlines() if line.strip()]
+    with _textio.utf8_errors(truth_file):
+        text = Path(truth_file).read_text(encoding="utf-8")
+    truth_ids = [line.strip() for line in text.splitlines() if line.strip()]
     if not truth_ids:
         raise ValueError(f"{truth_file}: no items listed")
     try:
@@ -545,6 +548,11 @@ def config_from_mapping(values: dict) -> ExperimentConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Load a config file; ``overrides`` (set keys only, no ``None``) replace file values."""
-    values = parse_config_text(Path(path).read_text(encoding="utf-8"))
+    """Load a config file; ``overrides`` (set keys only, no ``None``) replace file values.
+
+    A byte of the file that is not UTF-8 raises ``ValueError`` naming the file and line.
+    """
+    with _textio.utf8_errors(path):
+        text = Path(path).read_text(encoding="utf-8")
+    values = parse_config_text(text)
     return config_from_mapping({**values, **(overrides or {})})

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _special
+from . import _special, _textio
 
 SYMMETRY_TOL = 1e-9
 
@@ -464,9 +464,12 @@ def write_matrix_csv(matrix: ComparisonMatrix, path) -> None:
 
 
 def read_matrix_csv(path) -> ComparisonMatrix:
-    """Read and validate a matrix written by :func:`write_matrix_csv`."""
+    """Read and validate a matrix written by :func:`write_matrix_csv`.
+
+    A byte that is not UTF-8 raises ``ValueError`` naming the file and line.
+    """
     path = Path(path)
-    with warnings.catch_warnings():
+    with _textio.utf8_errors(path), warnings.catch_warnings():
         # an empty file is reported below, once, as a data error
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         grid = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)

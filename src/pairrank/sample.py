@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _special
+from . import _special, _textio
 from .model import ComparisonMatrix, _check_seed, _upper_mask
 
 # Stream tags keep the observation and subsampling streams disjoint
@@ -331,22 +331,6 @@ def ingest_comparisons(rows, items=None) -> tuple[ObservationSet, dict[str, int]
     return ObservationSet(n=n, r=r, p=None, comparisons=comparisons, wins=wins), index
 
 
-# a byte that is not UTF-8, as the "surrogateescape" error handler decodes it
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
-
-
-def _first_line(path: Path, found) -> int:
-    """Number of the first physical line of ``path`` for which ``found(line)`` is true.
-
-    Bytes that are not UTF-8 read as ``_UNDECODABLE`` characters.
-    """
-    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if found(line):
-                return lineno
-    raise ValueError(f"{path}: changed while it was read")
-
-
 def iter_comparisons_csv(path):
     """Yield ``(row, count)`` for each distinct data line of a comparisons CSV.
 
@@ -360,37 +344,30 @@ def iter_comparisons_csv(path):
     raise ``ValueError``:
 
     - a row without exactly three fields, or a line the CSV reader
-      rejects (an oversize field, say), names the file and the first
-      physical line that holds the bad text, found by a second scan of
-      the file;
-    - a quoted field that spans lines names the file and the line it
-      starts on (every row must fit on one line: an item id holds no
-      line break);
+      rejects (an oversize field, or malformed quoting such as text
+      after a closing quote or a quote left open at the end of the
+      file), names the file and the first physical line that holds the
+      bad text, found by a second scan of the file;
+    - a quoted field that spans lines, closed or not, names the file
+      and the line it starts on (every row must fit on one line: an
+      item id holds no line break);
     - a byte that is not UTF-8 names the file and its line, and comes
       before any row.
 
     The file is closed before the first row is yielded.
     """
     path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, None)
-            except csv.Error as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            if header != ["item_a", "item_b", "winner"]:
-                raise ValueError(
-                    f"{path}: expected header 'item_a,item_b,winner', got {header}"
-                )
-            tally = collections.Counter(fh)
-    except UnicodeDecodeError as exc:
-        # the exception's position counts from the start of a decoder chunk, not of the file
-        line = _first_line(path, _UNDECODABLE.search)
-        raise ValueError(
-            f"{path}:{line}: 'utf-8' codec can't decode byte {exc.object[exc.start]:#04x}: {exc.reason}"
-        ) from None
-    reader = csv.reader(tally)
+    with _textio.utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        if header != ["item_a", "item_b", "winner"]:
+            raise ValueError(f"{path}: expected header 'item_a,item_b,winner', got {header}")
+        tally = collections.Counter(fh)
+    reader = csv.reader(tally, strict=True)
+    seen = 0
     try:
         # while every row fits on its line, row ``seen`` ends at distinct line ``seen``
         for row, count, seen in zip(reader, tally.values(), itertools.count(1)):
@@ -401,12 +378,14 @@ def iter_comparisons_csv(path):
                     continue
                 else:
                     problem = f"expected 3 fields, got {len(row)}"
-                line = _first_line(path, list(tally)[seen - 1].__eq__)
+                line = _textio.first_line(path, list(tally)[seen - 1].__eq__)
                 raise ValueError(f"{path}:{line}: {problem}")
             yield row, count
     except csv.Error as exc:
-        line = _first_line(path, list(tally)[reader.line_num - 1].__eq__)
-        raise ValueError(f"{path}:{line}: {exc}") from None
+        # the rejected row starts on the distinct line after row ``seen``
+        problem = "quoted field spans lines" if reader.line_num > seen + 1 else exc
+        line = _textio.first_line(path, list(tally)[seen].__eq__)
+        raise ValueError(f"{path}:{line}: {problem}") from None
 
 
 _OBS_META = re.compile(r"^# n=(\d+) r=(\d+) p=(\S+)$")
@@ -436,11 +415,12 @@ def read_observations_csv(path) -> ObservationSet:
     A metadata ``p`` that is neither ``na`` nor a number in ``(0, 1]``
     raises ``ValueError`` naming the file.  A row without four integer
     fields, a pair outside ``i < j < n``, a repeated pair, counts outside
-    ``0 <= wins <= comparisons <= r`` or a row the CSV reader rejects
-    raise ``ValueError`` naming the file and line.
+    ``0 <= wins <= comparisons <= r``, a row the CSV reader rejects or
+    a byte that is not UTF-8 raise ``ValueError`` naming the file and
+    line.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with _textio.utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
         meta_line = fh.readline().rstrip("\n")
         meta = _OBS_META.match(meta_line)
         if meta is None:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from . import _textio
 from .model import finite_float
 
 REQUIREMENT_VARIANTS = ("topband", "multiplicative", "additive", "ranksum")
@@ -192,7 +193,7 @@ def parse_family_spec(text: str, n: int, k: int) -> SetFamily:
     if name == "explicit":
         if not arg.startswith("@"):
             raise ValueError(f"explicit spec must reference a file: 'explicit:@file.csv', got {text!r}")
-        return family_explicit(n, k, read_position_sets_csv(arg[1:]))
+        return family_explicit(n, k, read_position_sets_csv(arg[1:], n, k))
     raise ValueError(f"unknown family spec {text!r}")
 
 
@@ -206,18 +207,25 @@ def _spec_param(arg: str, key: str, cast, full: str):
         raise ValueError(f"family spec {full!r}: {exc}") from None
 
 
-def read_position_sets_csv(path) -> list[tuple[int, ...]]:
-    """Read one position set per CSV row (sorted integers)."""
+def read_position_sets_csv(path, n: int, k: int) -> list[tuple[int, ...]]:
+    """Read one position set per CSV row: ``k`` increasing integers in ``1..n``.
+
+    A row that is not such a set, a line the CSV reader rejects (an
+    oversize field, say) or a byte that is not UTF-8 raises
+    ``ValueError`` naming the file and line.
+    """
     path = Path(path)
     out = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                out.append(tuple(int(x) for x in row))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected integers, got {row}")
+    with _textio.utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if row:
+                    out.append(position_set(row, n, k))
+        except UnicodeDecodeError:
+            raise  # utf8_errors finds its line
+        except (csv.Error, ValueError) as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not out:
         raise ValueError(f"{path}: no position sets found")
     return out

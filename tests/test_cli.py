@@ -279,6 +279,55 @@ class TestErrorJson:
             assert err.rstrip().endswith("pairrank: error: TypeError: boom")
 
 
+class TestInputFilesNameTheLine:
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_oversize_family_field_is_one_data_error(self, btl8, tmp_path, capsys, as_json):
+        sets = tmp_path / "sets.csv"
+        sets.write_text("1,2\n1," + "2" * 200_000 + "\n", encoding="utf-8")
+        argv = ["thresholds", "--matrix", str(btl8), "--k", "2", "--family", f"explicit:@{sets}"]
+        assert cli.main(argv + ["--error-json"] * as_json) == 2
+        err = capsys.readouterr().err.splitlines()
+        message = f"{sets}:2: field larger than field limit ({csv.field_size_limit()})"
+        if as_json:
+            assert [json.loads(line) for line in err] == [
+                {"error": message, "category": "data", "exit_code": 2}
+            ]
+        else:
+            assert err == [f"pairrank: error: {message}"]
+
+    @pytest.mark.parametrize("reader", ["truth", "observations", "config", "matrix", "family"])
+    def test_non_utf8_byte_names_the_file_and_line(self, btl8, tmp_path, rng, capsys, reader):
+        obs_path, truth_path = write_dataset(tmp_path, rng, records=30)
+        out = str(tmp_path / "out.csv")
+        lines = {
+            "truth": NAMES,
+            "observations": ["# n=3 r=5 p=na", "i,j,comparisons,wins_i", "0,1,2,1", "1,2,3,3"],
+            # 3,000 comment lines put the bad byte past the decoder's first chunk
+            "config": ["model = btl", "n = 8", *["# pad"] * 3000, "k = 2", "r = 2"],
+            "matrix": btl8.read_text(encoding="utf-8").splitlines(),
+            "family": ["1,2", "1,3", "2,3"],
+        }[reader]
+        line = len(lines) - 1
+        bad = tmp_path / f"bad-{reader}"
+        bad.write_bytes(
+            "\n".join(lines[: line - 1]).encode() + b"\n\xff" + "\n".join(lines[line - 1:]).encode()
+        )
+        argv = {
+            "truth": ["eval-real", "--obs", str(obs_path), "--truth", str(bad), "--out", out],
+            "observations": ["rank", "--obs", str(bad), "--k", "1"],
+            "config": ["bench", "--config", str(bad), "--out", out],
+            "matrix": ["thresholds", "--matrix", str(bad), "--k", "2"],
+            "family": ["thresholds", "--matrix", str(btl8), "--k", "2",
+                       "--family", f"explicit:@{bad}"],
+        }[reader]
+        assert cli.main(["--error-json", *argv]) == 2
+        assert error_payload(capsys) == {
+            "error": f"{bad}:{line}: 'utf-8' codec can't decode byte 0xff: invalid start byte",
+            "category": "data",
+            "exit_code": 2,
+        }
+
+
 class TestNoThreadPool:
     CONFIG = "model = btl\nn = 8\nk = 2\nr = 2\ntrials = 2\n"
 

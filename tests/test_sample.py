@@ -673,6 +673,22 @@ class TestComparisonsCsv:
             list(iter_comparisons_csv(path))
         assert str(exc.value) == f"{path}:3: quoted field spans lines"
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('x,y,x\nx,y,"y', "unexpected end of data"),
+            ('x,y,x\nx,y,"y"z\nx,y,x\n', "',' expected after '\"'"),
+            ('x,y,x\n"x,y,x\nx,y,x\ny,x,y\n', "quoted field spans lines"),
+        ],
+        ids=["open-at-end", "text-after-quote", "never-closed"],
+    )
+    def test_malformed_quoting_names_the_line_it_opens_on(self, tmp_path, text, problem):
+        path = tmp_path / "quote.csv"
+        path.write_text("item_a,item_b,winner\n" + text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            list(iter_comparisons_csv(path))
+        assert str(exc.value) == f"{path}:3: {problem}"
+
     @pytest.mark.parametrize("before", [1, 20_000])
     def test_non_utf8_names_the_file_and_line(self, tmp_path, before):
         # 20,000 lines put the bad byte past the decoder's first chunk

@@ -7,6 +7,7 @@ maximum, over allowed sets ``T``, of ``min_j tau_(j) - tau_(k+T_j-j+1)``
 with out-of-range order statistics dropped from the minimum.
 """
 
+import csv
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -168,6 +169,25 @@ class TestExplicitFamilies:
         path.write_text("1,4\n2,3\n", encoding="utf-8")
         family = parse_family_spec(f"explicit:@{path}", 5, 2)
         assert enumerate_allowed(family) == [(1, 2), (1, 3), (1, 4), (2, 3)]
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("1,2,3", "position set has size 3, expected 2"),
+            ("1,6", "positions must lie in [1, 5]: (1, 6)"),
+            ("3,2", "positions must be strictly increasing: (3, 2)"),
+            ("1,x", "invalid literal for int() with base 10: 'x'"),
+            ("1," + "2" * (csv.field_size_limit() + 1),
+             f"field larger than field limit ({csv.field_size_limit()})"),
+        ],
+        ids=["size", "range", "order", "non-integer", "oversize-field"],
+    )
+    def test_bad_generator_row_names_the_file_and_line(self, tmp_path, row, problem):
+        path = tmp_path / "gens.csv"
+        path.write_text(f"1,4\n\n{row}\n2,3\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            parse_family_spec(f"explicit:@{path}", 5, 2)
+        assert str(exc.value) == f"{path}:3: {problem}"
 
 
 class TestExactAndHamming:
