@@ -14,7 +14,10 @@ estimator layers (``copeland_topk``, ``rank_centrality``,
 (``ground_truth`` and ``evaluate``), ``rank_centrality`` on a reducible
 walk and the ingest layer (``iter_comparisons_csv`` into
 ``ingest_comparisons``) on a comparisons CSV, in a fresh interpreter
-that imports ``pairrank`` from the checkout's ``src/``.  Rounds
+that imports ``pairrank`` from the checkout's ``src/``.  It also times
+whole launches of a fresh interpreter: ``import pairrank``, ``pairrank
+--help`` and ``pairrank rank`` on a 50-item observations file (a real
+command, which loads numpy).  Rounds
 alternate the order of the checkouts, so side-by-side files see the
 same drift of a shared machine.  Each file records every run and, per
 workload and seed, each metric's median, minimum and maximum over the
@@ -87,6 +90,14 @@ LAYER_DESIGNS = {
 }
 LAYER_BUDGET_S = 1.0
 LAYER_MIN_CALLS = 3
+# fresh-interpreter launches, LAUNCHES of each per round; ``{obs}`` is
+# an observations file of 50 items that the first checkout draws once
+LAUNCHES = 7
+LAUNCH_ARGS = {
+    "import": ["-c", "import pairrank"],
+    "help": ["-m", "pairrank", "--help"],
+    "rank": ["-m", "pairrank", "rank", "--obs", "{obs}", "--k", "5"],
+}
 
 
 def time_layers(scratch: Path) -> dict:
@@ -184,6 +195,32 @@ def _layer_run(checkout: Path) -> dict:
     return json.loads(_run([sys.executable, __file__, "--layers"], checkout, env)[-1])
 
 
+def _write_launch_obs(checkout: Path, scratch: Path) -> Path:
+    """Draw the observations file that the ``rank`` launch reads."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    matrix, obs = scratch / "launch-m.csv", scratch / "launch-obs.csv"
+    _run([sys.executable, "-m", "pairrank", "gen-matrix", "--model", "btl", "--n", "50",
+          "--out", str(matrix)], checkout, env)
+    _run([sys.executable, "-m", "pairrank", "simulate", "--matrix", str(matrix), "--p", "1",
+          "--r", "4", "--seed", "1", "--out", str(obs)], checkout, env)
+    return obs
+
+
+def _launch_run(checkout: Path, obs: Path) -> dict:
+    """Median milliseconds of each launch in :data:`LAUNCH_ARGS`, over ``LAUNCHES`` runs."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    medians = {}
+    for name, args in LAUNCH_ARGS.items():
+        cmd = [sys.executable, *(arg.format(obs=obs) for arg in args)]
+        times = []
+        for _ in range(LAUNCHES):
+            start = time.perf_counter()
+            subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL, check=True)
+            times.append(time.perf_counter() - start)
+        medians[name] = statistics.median(times) * 1e3
+    return medians
+
+
 def _run_seconds(checkout: Path) -> float:
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     return float(spec["run_seconds"])
@@ -203,9 +240,10 @@ def _run_spread(runs: list[dict]) -> dict:
     }
 
 
-def bench(checkouts: list[Path]) -> list[dict]:
+def bench(checkouts: list[Path], scratch: Path) -> list[dict]:
     seconds = [_run_seconds(checkout) for checkout in checkouts]
-    records = [{"workloads": {}, "layers": []} for _ in checkouts]
+    records = [{"workloads": {}, "layers": [], "launches": []} for _ in checkouts]
+    obs = _write_launch_obs(checkouts[0], scratch)
     for round_ in range(ROUNDS):
         order = list(enumerate(checkouts))
         if round_ % 2:
@@ -219,6 +257,7 @@ def bench(checkouts: list[Path]) -> list[dict]:
                     runs.append(result)
         for i, checkout in order:
             records[i]["layers"].append(_layer_run(checkout))
+            records[i]["launches"].append(_launch_run(checkout, obs))
     files = []
     for checkout, record, run_seconds in zip(checkouts, records, seconds):
         provenance = record["provenance"]
@@ -246,6 +285,11 @@ def bench(checkouts: list[Path]) -> list[dict]:
                 for design, by_name in record["layers"][0].items()
             },
             "layer_runs_ms": record["layers"],
+            "launch_args": LAUNCH_ARGS,
+            "launch_ms": {
+                name: statistics.median(r[name] for r in record["launches"]) for name in LAUNCH_ARGS
+            },
+            "launch_runs_ms": record["launches"],
         })
         # claim (a) of the paper as a number: counting time over baseline time
         files[-1]["copeland_over_spectral"] = {
@@ -272,7 +316,9 @@ def main(argv=None) -> int:
         return 0
     if not args.checkouts:
         parser.error("give at least one checkout")
-    for record in bench([c.resolve() for c in args.checkouts]):
+    with tempfile.TemporaryDirectory() as scratch:
+        records = bench([c.resolve() for c in args.checkouts], Path(scratch))
+    for record in records:
         path = args.out_dir / f"BENCH_{record['label']}.json"
         path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
         print(path)

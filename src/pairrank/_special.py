@@ -10,8 +10,14 @@ Parametric models, draws at ``p < 1`` (the count table) and
 ``btl_loglikelihood`` load it.  So callers write ``_special.expit(x)``, and the
 module-level ``__getattr__`` (PEP 562) imports ``scipy.special`` on the
 first such lookup and binds all of :data:`_NAMES` as module globals;
-later lookups are plain global reads.  This is the one deferred import
-in the package.
+later lookups are plain global reads.
+
+This is one of three deferred imports in the package, each for a cost
+that some launches need not pay.  The other two keep numpy out of
+``--help`` and usage errors: the package's ``__getattr__`` imports a
+submodule at the first lookup of a name it exports, and
+:func:`pairrank.cli.main` imports the command handlers after parsing.
+Every other import is at the top of its module.
 """
 
 from __future__ import annotations

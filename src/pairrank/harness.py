@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _textio, analysis, metrics, model, rank, sample, setfamily
+from ._textio import CONFIG_KEYS as _CONFIG_KEYS
 
 # Estimator name -> (observations, k) -> top-k estimate.  The rank
 # functions are looked up on the module at call time, so a replaced
@@ -469,32 +470,6 @@ def write_realdata_csv(result: RealDataResult, path) -> None:
     )
     _write_table(path, ("q", "trial", "estimator", "hamming_error", "tie_broken", "error"), rows)
 
-
-_CONFIG_KEYS = {
-    "model": str,
-    "label": str,
-    "n": int,
-    "k": int,
-    "h": int,
-    "p": model.finite_float,
-    "alpha": model.finite_float,
-    "r": int,
-    "trials": int,
-    "estimators": str,
-    "family": str,
-    "master_seed": int,
-    "quality_spread": model.finite_float,
-    "lam": model.finite_float,
-    "gap": model.finite_float,
-    "delta": model.finite_float,
-    "delta0": model.finite_float,
-    "outlier": int,
-    "swap_index": int,
-    "plant_index": int,
-    "model_seed": int,
-    "ordering_seed": int,
-    "entries_path": str,
-}
 
 _EXPERIMENT_FIELDS = frozenset(f.name for f in fields(ExperimentConfig)) - {"model"}
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _special, _textio
+from ._textio import MODEL_KINDS, finite_float  # finite_float: re-exported
 
 SYMMETRY_TOL = 1e-9
 
@@ -283,33 +284,12 @@ def equispaced_quality(n: int, spread: float = 6.0) -> np.ndarray:
     return np.linspace(spread / 2.0, -spread / 2.0, n)
 
 
-def finite_float(text) -> float:
-    """``float(text)``, rejecting NaN and +-inf; the cast of every float input."""
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
-
-
 def _check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
     if not 0 <= int(seed) < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     return int(seed)
-
-
-MODEL_KINDS = (
-    "btl",
-    "thurstone",
-    "btl_outlier",
-    "sst_diagonal",
-    "btl_mixture",
-    "planted",
-    "adjacent_swap",
-    "hamming_planted",
-    "explicit",
-)
 
 
 @dataclass(frozen=True)
@@ -458,6 +438,38 @@ def resolved_quality(spec: ModelSpec, n: int) -> np.ndarray | None:
     return equispaced_quality(n, spec.quality_spread)
 
 
+def _bad_matrix_row(path) -> str | None:
+    """``path:line: problem`` for the first line ``np.loadtxt`` rejects, by a second scan.
+
+    Lines count from 1 and columns from 1; blank lines and ``#``
+    comments are skipped, as ``np.loadtxt`` skips them.  ``None`` if no
+    line reads wrong to this scan.
+    """
+    width = first = None
+    with Path(path).open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0]
+            if not text.strip():
+                continue
+            fields = text.split(",")
+            for column, field in enumerate(fields, start=1):
+                try:
+                    # float() also reads digit separators and non-ASCII digits; numpy does not
+                    if "_" in field or not field.isascii():
+                        raise ValueError
+                    float(field)
+                except ValueError:
+                    return f"{path}:{lineno}: column {column} holds {field.strip()!r}, not a number"
+            if width is None:
+                width, first = len(fields), lineno
+            elif len(fields) != width:
+                return (
+                    f"{path}:{lineno}: expected {width} comma-separated values as on line "
+                    f"{first}, got {len(fields)}"
+                )
+    return None
+
+
 def write_matrix_csv(matrix: ComparisonMatrix, path) -> None:
     """Write a matrix as plain CSV: n rows of n decimal values, no header."""
     np.savetxt(path, matrix.entries, delimiter=",", fmt="%.17g")
@@ -466,13 +478,20 @@ def write_matrix_csv(matrix: ComparisonMatrix, path) -> None:
 def read_matrix_csv(path) -> ComparisonMatrix:
     """Read and validate a matrix written by :func:`write_matrix_csv`.
 
-    A byte that is not UTF-8 raises ``ValueError`` naming the file and line.
+    A byte that is not UTF-8, a value that is not a number and a row
+    whose length differs from the first row's raise ``ValueError``
+    naming the file and line.
     """
     path = Path(path)
     with _textio.utf8_errors(path), warnings.catch_warnings():
         # an empty file is reported below, once, as a data error
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        grid = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        try:
+            grid = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            raise ValueError(_bad_matrix_row(path) or f"{path}: {exc}") from None
     if grid.size == 0:
         raise ValueError(f"{path}: matrix file holds no data")
     return make_matrix(grid)

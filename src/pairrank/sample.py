@@ -343,6 +343,8 @@ def iter_comparisons_csv(path):
     same row but are yielded apart.  Blank lines are skipped.  Errors
     raise ``ValueError``:
 
+    - a first line that does not parse as that header names ``path:1``
+      and quotes that line alone;
     - a row without exactly three fields, or a line the CSV reader
       rejects (an oversize field, or malformed quoting such as text
       after a closing quote or a quote left open at the end of the
@@ -358,13 +360,14 @@ def iter_comparisons_csv(path):
     """
     path = Path(path)
     with _textio.utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        first = fh.readline()
         try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            header = next(csv.reader([first], strict=True), None)
+        except csv.Error:
+            header = None
         if header != ["item_a", "item_b", "winner"]:
-            raise ValueError(f"{path}: expected header 'item_a,item_b,winner', got {header}")
+            got = first.rstrip("\r\n")
+            raise ValueError(f"{path}:1: expected header 'item_a,item_b,winner', got {got!r}")
         tally = collections.Counter(fh)
     reader = csv.reader(tally, strict=True)
     seen = 0

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import _textio
-from .model import finite_float
+from ._textio import finite_float
 
 REQUIREMENT_VARIANTS = ("topband", "multiplicative", "additive", "ranksum")
 

@@ -279,6 +279,16 @@ class TestErrorJson:
             assert err.rstrip().endswith("pairrank: error: TypeError: boom")
 
 
+def assert_one_data_error(capsys, message, as_json):
+    err = capsys.readouterr().err.splitlines()
+    if as_json:
+        assert [json.loads(line) for line in err] == [
+            {"error": message, "category": "data", "exit_code": 2}
+        ]
+    else:
+        assert err == [f"pairrank: error: {message}"]
+
+
 class TestInputFilesNameTheLine:
     @pytest.mark.parametrize("as_json", [True, False])
     def test_oversize_family_field_is_one_data_error(self, btl8, tmp_path, capsys, as_json):
@@ -286,14 +296,45 @@ class TestInputFilesNameTheLine:
         sets.write_text("1,2\n1," + "2" * 200_000 + "\n", encoding="utf-8")
         argv = ["thresholds", "--matrix", str(btl8), "--k", "2", "--family", f"explicit:@{sets}"]
         assert cli.main(argv + ["--error-json"] * as_json) == 2
-        err = capsys.readouterr().err.splitlines()
         message = f"{sets}:2: field larger than field limit ({csv.field_size_limit()})"
-        if as_json:
-            assert [json.loads(line) for line in err] == [
-                {"error": message, "category": "data", "exit_code": 2}
-            ]
-        else:
-            assert err == [f"pairrank: error: {message}"]
+        assert_one_data_error(capsys, message, as_json)
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.5,a\n0.5,0.5\n", "1: column 2 holds 'a', not a number"),
+            ("# comment\n\n0.5,0.5\n0.5,0.5,\n", "4: column 3 holds '', not a number"),
+            ("0.5,0.5\n0.5\n", "2: expected 2 comma-separated values as on line 1, got 1"),
+        ],
+        ids=["non-number", "empty-value", "short-row"],
+    )
+    def test_bad_matrix_row_names_the_line(self, tmp_path, capsys, as_json, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        argv = ["thresholds", "--matrix", str(bad), "--k", "1"]
+        assert cli.main(argv + ["--error-json"] * as_json) == 2
+        assert_one_data_error(capsys, f"{bad}:{message}", as_json)
+
+    @pytest.mark.parametrize(
+        "header, rows, quoted",
+        [
+            ('item_a,item_b,"winner', 2, "'item_a,item_b,\"winner'"),
+            ('item_a,item_b,"winner', 10_000, "'item_a,item_b,\"winner'"),
+        ],
+        ids=["3-lines", "10000-rows"],
+    )
+    def test_bad_comparisons_header_quotes_its_line_only(
+        self, tmp_path, capsys, header, rows, quoted
+    ):
+        obs, truth = tmp_path / "cmp.csv", tmp_path / "truth.txt"
+        obs.write_text(header + "\n" + "a,b,a\n" * rows, encoding="utf-8")
+        truth.write_text("a\nb\n", encoding="utf-8")
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["eval-real", "--obs", str(obs), "--truth", str(truth), "--out", out,
+                         "--error-json"]) == 2
+        message = f"{obs}:1: expected header 'item_a,item_b,winner', got {quoted}"
+        assert_one_data_error(capsys, message, True)
 
     @pytest.mark.parametrize("reader", ["truth", "observations", "config", "matrix", "family"])
     def test_non_utf8_byte_names_the_file_and_line(self, btl8, tmp_path, rng, capsys, reader):

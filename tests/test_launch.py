@@ -1,10 +1,15 @@
-"""Launch cost: no command that evaluates no special function loads scipy.
+"""Launch cost: what a fresh interpreter loads for each command.
 
-Each check runs in a fresh interpreter, because the test process itself
-has scipy loaded.  ``pairrank._special`` is the one place that imports
-``scipy.special``, on the first function lookup.
+``import pairrank`` loads no submodule, and parsing the command line
+loads no numpy: ``--help`` and usage errors end before the command
+handlers are imported.  No command that evaluates no special function
+loads scipy; ``pairrank._special`` is the one place that imports
+``scipy.special``, on the first function lookup.  Each check runs in a
+fresh interpreter, because the test process itself has numpy and scipy
+loaded.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pairrank
 from pairrank import cli
@@ -36,18 +42,62 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def launch(args, cwd):
+def launch(args, cwd, check=True):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, check=True
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, check=check
     )
 
 
-def test_help_launch_imports_no_scipy(tmp_path):
-    done = launch(["-X", "importtime", "-m", "pairrank", "--help"], tmp_path)
-    imported = [line.split("|")[-1].strip() for line in done.stderr.splitlines() if "|" in line]
+def imported_modules(stderr):
+    """Module names in ``-X importtime`` output, in import order."""
+    return [line.split("|")[-1].strip() for line in stderr.splitlines() if "|" in line]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["bench", "--help"], 0), (["rank", "--k", "2", "--error-json"], 1)],
+    ids=["help", "bench-help", "usage-error"],
+)
+def test_parse_only_launch_imports_no_numpy(tmp_path, argv, code):
+    done = launch(["-X", "importtime", "-m", "pairrank", *argv], tmp_path, check=False)
+    assert done.returncode == code, done.stderr
+    imported = imported_modules(done.stderr)
     assert "pairrank.cli" in imported
-    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+    assert "pairrank.commands" not in imported
+    assert not [name for name in imported if name.split(".")[0] in ("numpy", "scipy")]
+
+
+def test_bare_import_loads_only_the_input_boundary(tmp_path):
+    done = launch(["-X", "importtime", "-c", "import pairrank"], tmp_path)
+    imported = imported_modules(done.stderr)
+    assert {name for name in imported if name.split(".")[0] == "pairrank"} <= {
+        "pairrank", "pairrank._textio"
+    }
+    assert not [name for name in imported if name.split(".")[0] in ("numpy", "scipy")]
+
+
+def test_every_export_is_its_submodule_attribute():
+    assert len(pairrank.__all__) == 63
+    assert set(pairrank.__all__) <= set(dir(pairrank))
+    for name in pairrank.__all__:
+        module = importlib.import_module(f"pairrank.{pairrank._EXPORTS[name]}")
+        assert getattr(pairrank, name) is getattr(module, name), name
+
+
+def test_star_import_and_unknown_names(tmp_path):
+    probe = (
+        "import pairrank\n"
+        "names = {}\n"
+        "exec('from pairrank import *', names)\n"
+        "print(sorted(set(names) - {'__builtins__'}) == pairrank.__all__, len(pairrank.__all__))\n"
+        "try:\n"
+        "    pairrank.nope\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    done = launch(["-c", probe], tmp_path)
+    assert done.stdout.splitlines() == ["True 63", "module 'pairrank' has no attribute 'nope'"]
 
 
 def test_only_special_functions_load_scipy(tmp_path):
