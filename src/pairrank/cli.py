@@ -24,12 +24,6 @@ reads the matrix (an ``--r`` of ``2**63`` or more stays a data error),
 ``thresholds`` checks ``--p``, ``--r``, ``--alpha`` and ``--h`` even
 when the report would not read them, and ``thresholds`` and ``rank``
 check ``--k`` against the items they read.
-
-Imports: this module loads the standard library and
-:mod:`pairrank._textio` only, so ``--help``, ``<command> --help`` and a
-usage error finish before numpy loads.  :func:`main` imports the
-command handlers (:mod:`pairrank.commands`, and through them numpy and
-the modules a command runs) once the arguments have parsed.
 """
 
 from __future__ import annotations
@@ -65,9 +59,7 @@ def _build_parser() -> _Parser:
         default=argparse.SUPPRESS,
         help="report errors as JSON on stderr",
     )
-    # the docstring's last paragraph, on imports, is for readers of the code
-    description = __doc__.rpartition("\n\n")[0]
-    parser = _Parser(prog="pairrank", description=description, parents=[common])
+    parser = _Parser(prog="pairrank", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-matrix", parents=[common], help="generate a comparison matrix CSV")
@@ -150,10 +142,13 @@ def _report_error(message: str, category: str, code: int, as_json: bool) -> None
 def main(argv=None) -> int:
     """Run one command and return its exit code; every error is reported on stderr.
 
-    The handlers are imported only after ``parse_args``: ``--help`` and
-    usage errors end inside it and so never load numpy (about 0.1 s of a
-    0.25 s launch).  In a process that calls ``main`` again the import is
-    a ``sys.modules`` lookup.
+    This module imports the standard library and :mod:`pairrank._textio`
+    only, and ``main`` imports the command handlers
+    (:mod:`pairrank.commands`, and through them numpy and the modules a
+    command runs) only after ``parse_args``.  So ``--help``,
+    ``<command> --help`` and usage errors, which end inside
+    ``parse_args``, never load numpy.  In a process that calls ``main``
+    again the import is a ``sys.modules`` lookup.
     """
     as_json = "--error-json" in (argv if argv is not None else sys.argv[1:])
     try:
