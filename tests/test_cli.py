@@ -316,24 +316,16 @@ class TestInputFilesNameTheLine:
         assert cli.main(argv + ["--error-json"] * as_json) == 2
         assert_one_data_error(capsys, f"{bad}:{message}", as_json)
 
-    @pytest.mark.parametrize(
-        "header, rows, quoted",
-        [
-            ('item_a,item_b,"winner', 2, "'item_a,item_b,\"winner'"),
-            ('item_a,item_b,"winner', 10_000, "'item_a,item_b,\"winner'"),
-        ],
-        ids=["3-lines", "10000-rows"],
-    )
-    def test_bad_comparisons_header_quotes_its_line_only(
-        self, tmp_path, capsys, header, rows, quoted
-    ):
+    @pytest.mark.parametrize("rows", [2, 10_000], ids=["3-lines", "10000-rows"])
+    def test_bad_comparisons_header_quotes_its_line_only(self, tmp_path, capsys, rows):
+        # the open quote would swallow every later line into one header field
         obs, truth = tmp_path / "cmp.csv", tmp_path / "truth.txt"
-        obs.write_text(header + "\n" + "a,b,a\n" * rows, encoding="utf-8")
+        obs.write_text('item_a,item_b,"winner\n' + "a,b,a\n" * rows, encoding="utf-8")
         truth.write_text("a\nb\n", encoding="utf-8")
         out = str(tmp_path / "out.csv")
         assert cli.main(["eval-real", "--obs", str(obs), "--truth", str(truth), "--out", out,
                          "--error-json"]) == 2
-        message = f"{obs}:1: expected header 'item_a,item_b,winner', got {quoted}"
+        message = f"{obs}:1: expected header 'item_a,item_b,winner', got 'item_a,item_b,\"winner'"
         assert_one_data_error(capsys, message, True)
 
     @pytest.mark.parametrize("reader", ["truth", "observations", "config", "matrix", "family"])
