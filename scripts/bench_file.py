@@ -12,8 +12,9 @@ repeated call), the sampling layer (``draw_observations``), the
 estimator layers (``copeland_topk``, ``rank_centrality``,
 ``mle_refine``) under two sampling designs, the scoring layer
 (``ground_truth`` and ``evaluate``), ``rank_centrality`` on a reducible
-walk and the ingest layer (``iter_comparisons_csv`` into
-``ingest_comparisons``) on a comparisons CSV, in a fresh interpreter
+walk and the ingest layer (``read_comparisons``, or on an older
+checkout ``iter_comparisons_csv`` into ``ingest_comparisons``) on a
+comparisons CSV, in a fresh interpreter
 that imports ``pairrank`` from the checkout's ``src/``.  It also times
 whole launches of a fresh interpreter: ``import pairrank``, ``pairrank
 --help`` and ``pairrank rank`` on a 50-item observations file (a real
@@ -60,11 +61,10 @@ LAYER_SIZES = (50, 200, 1000)
 # estimate against the exact (Hamming h = 0) family, as the harness
 # calls them.  The ingest design writes 50 named rows per item (uniform
 # pairs, BTL winners) to a comparisons CSV once, then times the
-# checkout's own ``iter_comparisons_csv`` feeding ``ingest_comparisons``
-# with the item list, as ``eval-real`` does, so every checkout does the
-# same work from the same file.  At n = 1000 nearly every line is
-# distinct, so that size is the worst case for a reader that tallies
-# repeated lines before parsing them.
+# checkout's own comparisons reader with the item list, as ``eval-real``
+# calls it, so every checkout does the same work from the same file.
+# At n = 1000 nearly every line is distinct, so that size is the worst
+# case for a reader that tallies repeated lines before parsing them.
 LAYERS = ("draw_observations", "copeland_topk", "rank_centrality", "mle_refine")
 LAYER_DESIGNS = {
     "model": {
@@ -109,7 +109,8 @@ def time_layers(scratch: Path) -> dict:
     import numpy as np
 
     from pairrank import copeland_topk, metrics, mle_refine, model, rank_centrality, setfamily
-    from pairrank.sample import draw_observations, ingest_comparisons, iter_comparisons_csv
+    from pairrank import sample
+    from pairrank.sample import draw_observations
 
     # a checkout from before the memo has nothing to clear
     memo = getattr(model, "_build_memoized", None)
@@ -155,9 +156,14 @@ def time_layers(scratch: Path) -> dict:
                 csv_path = scratch / f"{design}-{n}.csv"
                 lines = (f"{items[i]},{items[j]},{items[w]}\n" for i, j, w in zip(a, b, winner))
                 csv_path.write_text("item_a,item_b,winner\n" + "".join(lines), encoding="utf-8")
-                calls["ingest_csv"] = lambda: ingest_comparisons(
-                    iter_comparisons_csv(csv_path), items
-                )
+                if hasattr(sample, "read_comparisons"):
+                    calls["ingest_csv"] = lambda: sample.read_comparisons(
+                        csv_path, {item: i for i, item in enumerate(items)}
+                    )
+                else:  # a checkout from before the one reader
+                    calls["ingest_csv"] = lambda: sample.ingest_comparisons(
+                        sample.iter_comparisons_csv(csv_path), items
+                    )
             for name in names:
                 call = calls[name]
                 times = []

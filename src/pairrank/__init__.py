@@ -36,8 +36,8 @@ _EXPORTS = {
         "rank": """DisconnectedGraphError StationaryError TopKEstimate btl_loglikelihood
             copeland_ranking copeland_topk mle_refine rank_centrality spectral_baseline
             topk_from_scores win_counts""",
-        "sample": """ObservationSet draw_observations ingest_comparisons iter_comparisons_csv
-            read_observations_csv subsample write_observations_csv""",
+        "sample": """ObservationSet draw_observations read_comparisons read_observations_csv
+            subsample write_observations_csv""",
         "setfamily": """SetFamily family_exact family_explicit family_hamming family_requirement
             parse_family_spec position_set""",
     }.items()

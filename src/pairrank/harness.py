@@ -333,8 +333,8 @@ def run_realdata(
     """Subsampling evaluation on an ingested comparison dataset.
 
     ``truth_file`` lists every item id, one per line, best first; a
-    repeated id raises ``ValueError`` naming the file and the id.  For
-    each subsampling fraction ``q`` and each trial, every recorded
+    repeated id raises ``ValueError`` naming the file, the line and the
+    id.  For each subsampling fraction ``q`` and each trial, every recorded
     comparison is kept independently with probability ``q``, each of
     :data:`ESTIMATORS` selects ``k`` items (default :func:`default_k`),
     and ``bench``'s scorer scores each against the truth file's order,
@@ -360,14 +360,16 @@ def run_realdata(
             raise ValueError(f"q_grid repeats {q}")
     with _textio.utf8_errors(truth_file):
         text = Path(truth_file).read_text(encoding="utf-8")
-    truth_ids = [line.strip() for line in text.splitlines() if line.strip()]
-    if not truth_ids:
+    index: dict[str, int] = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        item = line.strip()
+        if item in index:
+            raise ValueError(f"{truth_file}:{lineno}: duplicate item id {item!r}")
+        if item:
+            index[item] = len(index)
+    if not index:
         raise ValueError(f"{truth_file}: no items listed")
-    try:
-        sample._item_index(truth_ids)
-    except ValueError as exc:
-        raise ValueError(f"{truth_file}: {exc}") from None
-    obs, _ = sample.ingest_comparisons(sample.iter_comparisons_csv(obs_file), items=truth_ids)
+    obs = sample.read_comparisons(obs_file, index)
     n = obs.n
     if k is None:
         k = default_k(n)
@@ -389,7 +391,7 @@ def run_realdata(
         "n": n,
         "k": k,
         "trials": trials,
-        "items": truth_ids,
+        "items": list(index),
         "comparisons": {
             "total": obs.total_comparisons(),
             "per_item_min": int(per_item.min()),

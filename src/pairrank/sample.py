@@ -21,13 +21,13 @@ Schmeiser 1988) and the streams differ.
 :func:`subsample` draws from one stream seeded by ``(seed, _THIN_TAG)``,
 one quantity at a time for all pairs ``i < j`` in row-major order.
 
-A comparisons CSV has one path in.  :func:`iter_comparisons_csv` tallies
-the file's physical lines before it parses any of them, then parses each
-distinct line once and yields its row with the line's count.
-:func:`ingest_comparisons`, which alone holds the row rules, adds those
-counts up.  So a file costs one hashing pass over its lines plus
-per-row work on its distinct lines only, and memory for the distinct
-lines.
+A comparisons CSV has one reader, :func:`read_comparisons`.  It tallies
+the file's physical lines before it parses any of them, then parses
+and checks each distinct line once and adds its count to the pair it
+names.  So a file costs one hashing pass over its lines plus per-row
+work on its distinct lines only, and memory for the distinct lines.
+Every error it raises for a row names the file and the first physical
+line that holds the row.
 """
 
 from __future__ import annotations
@@ -264,99 +264,30 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
     return ObservationSet(n=n, r=obs.r, p=p, comparisons=wins + wins.T, wins=wins)
 
 
-def _item_index(items) -> dict[str, int]:
-    """Map each id of ``items`` to its position; a repeated id raises ``ValueError`` naming it."""
-    index: dict[str, int] = {}
-    for item in items:
-        if item in index:
-            raise ValueError(f"duplicate item id {item!r}")
-        index[item] = len(index)
-    return index
+def read_comparisons(path, index) -> ObservationSet:
+    """Aggregate the records of a comparisons CSV into an observation set.
 
+    ``index`` maps every item id to its row, so ``n`` is ``len(index)``;
+    ``r`` is the largest per-pair comparison count and ``p`` is unknown.
+    The header must read ``item_a,item_b,winner``.  The file's physical
+    lines are tallied before any is parsed; each distinct line is then
+    parsed and checked once, in order of first appearance, and counts
+    once per line that reads exactly so (lines that differ only in
+    quoting or line ending parse to the same record).  Blank lines are
+    skipped.  Errors raise ``ValueError`` naming the file and a line:
 
-def ingest_comparisons(rows, items=None) -> tuple[ObservationSet, dict[str, int]]:
-    """Aggregate counted named comparisons into an observation set.
+    - a first line that is not that header names line 1 and quotes it;
+    - a bad row names the first physical line that holds it, so the
+      first bad line decides the error.  A row is bad when it has other
+      than three fields, when the CSV reader rejects it (an oversize
+      field, or malformed quoting), when it compares an item with
+      itself, when its winner is neither item, or when it names an item
+      outside ``index``;
+    - a quoted field that spans lines, closed or not, names the line it
+      starts on: an item id holds no line break;
+    - a byte that is not UTF-8 names its line, before any row is read.
 
-    ``rows`` is any iterable of ``(row, count)`` pairs, as
-    :func:`iter_comparisons_csv` yields them: ``row`` is an
-    ``(item_a, item_b, winner)`` triple (tuple or list) and ``count``, a
-    positive integer, says how many times it was recorded.  ``rows`` is
-    consumed once and no row is kept.  Items are indexed in
-    first-appearance order or, when ``items`` is given, in that order
-    (items never compared keep their index); a repeated id in ``items``
-    raises ``ValueError`` naming it, and so does a row naming an item
-    outside ``items``.  So does a self-comparison, or a winner that is
-    neither item; the first bad row decides which error.  ``r`` is set
-    to the maximum per-pair comparison count and ``p`` is recorded as
-    unknown.  Returns the observation set and the item-id to index
-    mapping.
-    """
-    index = {} if items is None else _item_index(items)
-    # only the winner and loser indices of a row, and its count, are kept
-    winners: list[int] = []
-    losers: list[int] = []
-    counts: list[int] = []
-    add_winner, add_loser, add_count = winners.append, losers.append, counts.append
-    for (a, b, w), count in rows:
-        if a == b:
-            raise ValueError(f"self-comparison of item {a!r}")
-        if w != a and w != b:
-            raise ValueError(f"winner {w!r} is neither {a!r} nor {b!r}")
-        try:
-            ia, ib = index[a], index[b]
-        except KeyError as exc:
-            if items is not None:
-                raise ValueError(
-                    f"item {exc.args[0]!r} appears in comparisons but not in the item list"
-                ) from None
-            ia = index.setdefault(a, len(index))
-            ib = index.setdefault(b, len(index))
-        if w == a:
-            add_winner(ia)
-            add_loser(ib)
-        else:
-            add_winner(ib)
-            add_loser(ia)
-        add_count(count)
-    if not winners:
-        raise ValueError("no comparison records supplied")
-    n = len(index)
-    codes = np.array(winners, dtype=np.int64) * n + np.array(losers, dtype=np.int64)
-    wins = np.zeros(n * n, dtype=np.int64)
-    # distinct rows can share a (winner, loser) pair: unbuffered, exact int64 sums
-    np.add.at(wins, codes, np.array(counts, dtype=np.int64))
-    wins = wins.reshape(n, n)
-    comparisons = wins + wins.T
-    r = int(comparisons.max())
-    return ObservationSet(n=n, r=r, p=None, comparisons=comparisons, wins=wins), index
-
-
-def iter_comparisons_csv(path):
-    """Yield ``(row, count)`` for each distinct data line of a comparisons CSV.
-
-    The header must read ``item_a,item_b,winner``.  The whole file is
-    read and its physical lines counted before any row is parsed; each
-    distinct line is then parsed once, in order of first appearance, and
-    its ``[item_a, item_b, winner]`` row yielded with the number of
-    lines that read exactly so.  Lines that differ only in quoting or
-    in their line ending (LF, CRLF, none on the last line) parse to the
-    same row but are yielded apart.  Blank lines are skipped.  Errors
-    raise ``ValueError``:
-
-    - a first line that does not parse as that header names ``path:1``
-      and quotes that line alone;
-    - a row without exactly three fields, or a line the CSV reader
-      rejects (an oversize field, or malformed quoting such as text
-      after a closing quote or a quote left open at the end of the
-      file), names the file and the first physical line that holds the
-      bad text, found by a second scan of the file;
-    - a quoted field that spans lines, closed or not, names the file
-      and the line it starts on (every row must fit on one line: an
-      item id holds no line break);
-    - a byte that is not UTF-8 names the file and its line, and comes
-      before any row.
-
-    The file is closed before the first row is yielded.
+    A file without records names the file alone.
     """
     path = Path(path)
     with _textio.utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
@@ -369,26 +300,61 @@ def iter_comparisons_csv(path):
             got = first.rstrip("\r\n")
             raise ValueError(f"{path}:1: expected header 'item_a,item_b,winner', got {got!r}")
         tally = collections.Counter(fh)
+
+    def bad(distinct: int, problem) -> ValueError:
+        """The error for distinct line ``distinct`` (from 1), naming its first physical line."""
+        line = _textio.first_line(path, list(tally)[distinct - 1].__eq__)
+        return ValueError(f"{path}:{line}: {problem}")
+
+    # only the winner and loser indices of a row, and its count, are kept
+    winners: list[int] = []
+    losers: list[int] = []
+    counts: list[int] = []
+    add_winner, add_loser, add_count = winners.append, losers.append, counts.append
     reader = csv.reader(tally, strict=True)
     seen = 0
     try:
         # while every row fits on its line, row ``seen`` ends at distinct line ``seen``
         for row, count, seen in zip(reader, tally.values(), itertools.count(1)):
-            if len(row) != 3 or reader.line_num != seen:
-                if reader.line_num != seen:
-                    problem = "quoted field spans lines"
-                elif not row:
+            if reader.line_num != seen:
+                raise bad(seen, "quoted field spans lines")
+            if len(row) != 3:
+                if not row:
                     continue
-                else:
-                    problem = f"expected 3 fields, got {len(row)}"
-                line = _textio.first_line(path, list(tally)[seen - 1].__eq__)
-                raise ValueError(f"{path}:{line}: {problem}")
-            yield row, count
+                raise bad(seen, f"expected 3 fields, got {len(row)}")
+            a, b, w = row
+            if a == b:
+                raise bad(seen, f"self-comparison of item {a!r}")
+            if w != a and w != b:
+                raise bad(seen, f"winner {w!r} is neither {a!r} nor {b!r}")
+            try:
+                ia, ib = index[a], index[b]
+            except KeyError as exc:
+                raise bad(
+                    seen, f"item {exc.args[0]!r} appears in comparisons but not in the item list"
+                ) from None
+            if w == a:
+                add_winner(ia)
+                add_loser(ib)
+            else:
+                add_winner(ib)
+                add_loser(ia)
+            add_count(count)
     except csv.Error as exc:
         # the rejected row starts on the distinct line after row ``seen``
         problem = "quoted field spans lines" if reader.line_num > seen + 1 else exc
-        line = _textio.first_line(path, list(tally)[seen].__eq__)
-        raise ValueError(f"{path}:{line}: {problem}") from None
+        raise bad(seen + 1, problem) from None
+    if not winners:
+        raise ValueError(f"{path}: no comparison records")
+    n = len(index)
+    codes = np.array(winners, dtype=np.int64) * n + np.array(losers, dtype=np.int64)
+    wins = np.zeros(n * n, dtype=np.int64)
+    # distinct lines can share a (winner, loser) pair: unbuffered, exact int64 sums
+    np.add.at(wins, codes, np.array(counts, dtype=np.int64))
+    wins = wins.reshape(n, n)
+    comparisons = wins + wins.T
+    r = int(comparisons.max())
+    return ObservationSet(n=n, r=r, p=None, comparisons=comparisons, wins=wins)
 
 
 _OBS_META = re.compile(r"^# n=(\d+) r=(\d+) p=(\S+)$")
@@ -424,7 +390,7 @@ def read_observations_csv(path) -> ObservationSet:
     """
     path = Path(path)
     with _textio.utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
-        meta_line = fh.readline().rstrip("\n")
+        meta_line = fh.readline().rstrip("\r\n")
         meta = _OBS_META.match(meta_line)
         if meta is None:
             raise ValueError(f"{path}: missing '# n=.. r=.. p=..' metadata line")

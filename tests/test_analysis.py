@@ -142,6 +142,21 @@ class TestRequiredRepetitions:
         assert r == math.ceil(math.log(100) / (100 * 1e-14) - 1e-12)
         assert r < 2**53
 
+    @pytest.mark.parametrize(
+        "n, p, delta, alpha, expected",
+        [
+            (437, 0.5, 0.2521075537145378, 8.54943007184872, 33),
+            (1493, 0.1, 6.669479273064345e-05, 9.328465539698684, 957651637),
+        ],
+        ids=["steps-up", "steps-down"],
+    )
+    def test_rounding_fix_ups(self, n, p, delta, alpha, expected):
+        # the closed form rounds to 32 and to 957651638: one is a step short, one a step over
+        r = required_repetitions(n, p, delta, alpha)
+        threshold = lambda rr: alpha * math.sqrt(math.log(n) / (n * p * rr))
+        assert r == expected
+        assert delta >= threshold(r) and delta < threshold(r - 1)
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(2, 5000),

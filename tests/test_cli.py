@@ -42,12 +42,22 @@ class TestErrorJson:
             ("0,1,5,x\n", "4: fields must be integers, got ['0', '1', '5', 'x']"),
             ("0,1," + "5" * (csv.field_size_limit() + 1) + ",5\n",
              f"4: field larger than field limit ({csv.field_size_limit()})"),
+            ("1,0,2,1\n", "4: invalid pair (1, 0) for n=3"),
+            ("0,3,2,1\n", "4: invalid pair (0, 3) for n=3"),
+            ("0,1,2,3\n", "4: counts violate 0 <= wins <= comparisons <= r"),
+            ("0,1,6,1\n", "4: counts violate 0 <= wins <= comparisons <= r"),
+            ("\n\n0,1,5\n", "6: expected 4 fields, got 3"),
+            (None, " expected header 'i,j,comparisons,wins_i'"),
         ],
-        ids=["repeated-pair", "field-count", "non-integer", "oversize-field"],
+        ids=["repeated-pair", "field-count", "non-integer", "oversize-field", "pair-order",
+             "pair-past-n", "wins-past-comparisons", "comparisons-past-r", "blank-rows-skipped",
+             "wrong-header"],
     )
     def test_bad_observation_row_is_a_data_error(self, tmp_path, capsys, rows, message):
         obs = tmp_path / "obs.csv"
-        obs.write_text("# n=3 r=5 p=na\ni,j,comparisons,wins_i\n0,2,1,1\n" + rows, encoding="utf-8")
+        header = "i,j,comparisons,wins\n" if rows is None else "i,j,comparisons,wins_i\n"
+        text = "# n=3 r=5 p=na\n" + header + "0,2,1,1\n" + (rows or "")
+        obs.write_text(text, encoding="utf-8")
         assert cli.main(["--error-json", "rank", "--obs", str(obs), "--k", "1"]) == 2
         assert error_payload(capsys) == {
             "error": f"{obs}:{message}", "category": "data", "exit_code": 2

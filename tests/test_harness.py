@@ -9,8 +9,7 @@ from pairrank import (
     copeland_topk,
     derive_seed,
     figure_suite,
-    ingest_comparisons,
-    iter_comparisons_csv,
+    read_comparisons,
     run_experiment,
     run_realdata,
     spectral_baseline,
@@ -18,35 +17,61 @@ from pairrank import (
     topk_from_scores,
     write_results_csv,
 )
-from pairrank.harness import _REAL_STAGE, ESTIMATORS, default_k, write_realdata_csv
+from pairrank.harness import (
+    _REAL_STAGE,
+    ESTIMATORS,
+    config_from_mapping,
+    default_k,
+    parse_config_text,
+    write_realdata_csv,
+)
 
 from conftest import NAMES, boolean_cells, hamming_distance, write_dataset
 
 
 class TestIngestWithItems:
-    def test_indices_follow_item_order(self):
-        rows = [("a", "b", "a"), ("c", "a", "c"), ("a", "b", "b")]
-        obs, index = ingest_comparisons([(row, 1) for row in rows], items=["c", "z", "b", "a"])
-        assert index == {"c": 0, "z": 1, "b": 2, "a": 3}
+    def test_indices_follow_item_order(self, tmp_path):
+        path = tmp_path / "cmp.csv"
+        path.write_text("item_a,item_b,winner\na,b,a\nc,a,c\na,b,b\n", encoding="utf-8")
+        obs = read_comparisons(path, {"c": 0, "z": 1, "b": 2, "a": 3})
         assert obs.n == 4
         assert obs.comparisons[3, 2] == 2 and obs.wins[3, 2] == 1 and obs.wins[2, 3] == 1
         assert obs.wins[0, 3] == 1 and obs.wins[3, 0] == 0
         assert obs.comparisons[1].sum() == 0
         np.testing.assert_array_equal(obs.wins + obs.wins.T, obs.comparisons)
 
-    def test_unknown_item_rejected(self):
-        with pytest.raises(ValueError, match="'x'"):
-            ingest_comparisons([(("a", "x", "a"), 1)], items=["a", "b"])
+    def test_unknown_item_rejected(self, tmp_path):
+        path = tmp_path / "cmp.csv"
+        path.write_text("item_a,item_b,winner\na,b,a\n\na,x,a\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_comparisons(path, {"a": 0, "b": 1})
+        assert str(exc.value) == (
+            f"{path}:4: item 'x' appears in comparisons but not in the item list"
+        )
 
-    def test_duplicate_items_rejected(self):
-        with pytest.raises(ValueError):
-            ingest_comparisons([(("a", "b", "a"), 1)], items=["a", "b", "a"])
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("a\r\n\r\n b \r\na\r\n", "4: duplicate item id 'a'"),
+            ("a\rb\n\n\nb", "5: duplicate item id 'b'"),
+            ("a\nb\nc\n  \nc\na\n", "5: duplicate item id 'c'"),
+        ],
+        ids=["crlf", "cr-and-no-final-newline", "two-repeats"],
+    )
+    def test_duplicate_items_rejected(self, tmp_path, text, where):
+        obs_path = tmp_path / "cmp.csv"
+        obs_path.write_text("item_a,item_b,winner\na,b,a\n", encoding="utf-8")
+        truth_path = tmp_path / "truth.txt"
+        truth_path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError) as exc:
+            run_realdata(obs_path, truth_path, q_grid=(1.0,), trials=1)
+        assert str(exc.value) == f"{truth_path}:{where}"
 
 
 class TestRunRealdata:
     def test_matches_ingest(self, tmp_path, rng):
         obs_path, truth_path = write_dataset(tmp_path, rng)
-        obs, _ = ingest_comparisons(iter_comparisons_csv(obs_path), items=NAMES)
+        obs = read_comparisons(obs_path, {name: i for i, name in enumerate(NAMES)})
         k = default_k(len(NAMES))
         result = run_realdata(obs_path, truth_path, q_grid=(1.0,), trials=2, seed=3)
         assert (result.n, result.k) == (len(NAMES), k)
@@ -60,7 +85,7 @@ class TestRunRealdata:
     def test_records_match_the_symmetric_difference_oracle(self, tmp_path, rng):
         # at q = 0.02 about 6 of the 300 comparisons survive, so the baseline fails some trials
         obs_path, truth_path = write_dataset(tmp_path, rng)
-        obs, _ = ingest_comparisons(iter_comparisons_csv(obs_path), items=NAMES)
+        obs = read_comparisons(obs_path, {name: i for i, name in enumerate(NAMES)})
         k, q_grid, seed = default_k(len(NAMES)), (0.02, 0.1, 0.3, 1.0), 5
         result = run_realdata(obs_path, truth_path, q_grid=q_grid, trials=6, seed=seed)
         write_realdata_csv(result, tmp_path / "real.csv")
@@ -122,7 +147,7 @@ class TestRunRealdata:
         truth_path.write_text("\n".join([*NAMES, NAMES[2]]) + "\n", encoding="utf-8")
         with pytest.raises(ValueError) as exc:
             run_realdata(obs_path, truth_path, q_grid=(1.0,), trials=1)
-        assert str(exc.value) == f"{truth_path}: duplicate item id {NAMES[2]!r}"
+        assert str(exc.value) == f"{truth_path}:{len(NAMES) + 1}: duplicate item id {NAMES[2]!r}"
 
     def test_zero_trials_rejected_before_reading(self, tmp_path):
         with pytest.raises(ValueError, match="trials must be at least 1"):
@@ -141,8 +166,26 @@ class TestRunRealdata:
     def test_unknown_item_rejected(self, tmp_path, rng):
         obs_path, truth_path = write_dataset(tmp_path, rng)
         truth_path.write_text("\n".join(NAMES[:-1]) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="'f'"):
+        with pytest.raises(ValueError) as exc:
             run_realdata(obs_path, truth_path, q_grid=(1.0,), trials=1)
+        rows = obs_path.read_text(encoding="utf-8").splitlines()
+        line = next(i for i, row in enumerate(rows, start=1) if "f" in row.split(",")[:2])
+        assert str(exc.value) == (
+            f"{obs_path}:{line}: item 'f' appears in comparisons but not in the item list"
+        )
+
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [("c,c,c", "self-comparison of item 'c'"), ("a,b,e", "winner 'e' is neither 'a' nor 'b'")],
+    )
+    def test_bad_row_names_the_comparisons_file_and_line(self, tmp_path, rng, bad, problem):
+        obs_path, truth_path = write_dataset(tmp_path, rng)
+        rows = obs_path.read_text(encoding="utf-8").splitlines()
+        rows[4:4] = [bad]
+        obs_path.write_text("\n".join([*rows, "", bad]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            run_realdata(obs_path, truth_path, q_grid=(1.0,), trials=1)
+        assert str(exc.value) == f"{obs_path}:5: {problem}"
 
     def test_zero_mass_item_is_ranked_not_fatal(self, tmp_path):
         # c never wins and is compared with both others: its random-walk
@@ -211,3 +254,37 @@ class TestRunExperiment:
 def test_default_k_shared_by_bench_and_eval_real():
     assert [default_k(n) for n in (1, 3, 4, 5, 100, 120)] == [1, 1, 1, 2, 25, 30]
     assert {cfg.k for cfg in figure_suite(n=10, trials=1)} == {3}
+
+
+def experiment(**changes):
+    """Build an experiment config that is valid bar ``changes``."""
+    settings = dict(model=ModelSpec(kind="btl"), n=8, k=2, trials=1, master_seed=0, r=2)
+    return lambda: ExperimentConfig(**{**settings, **changes})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (experiment(trials=0), "trials must be at least 1"),
+        (experiment(alpha=1.0), "exactly one of alpha and r must be given"),
+        (experiment(r=None), "exactly one of alpha and r must be given"),
+        (experiment(estimators=()), "at least one estimator is required"),
+        (experiment(estimators=("copeland", "borda")),
+         f"unknown estimator 'borda', expected subset of {ESTIMATORS}"),
+        (experiment(h=-1), "h must be nonnegative"),
+        # items 0 and 1 are planted and the rest tie, so no top 3 is separated
+        (lambda: run_experiment(experiment(
+            model=ModelSpec(kind="planted", k=2, delta=0.2), k=3, r=None, alpha=1.0)()),
+         "alpha target is infeasible: the instantiated matrix has zero separation"),
+        (lambda: parse_config_text("model = btl\nn 8\n"),
+         "line 2: expected 'key = value', got 'n 8'"),
+        (lambda: config_from_mapping(parse_config_text("n = 8\nk = 2\n")),
+         "configuration must set 'model'"),
+    ],
+    ids=["no-trials", "alpha-and-r", "neither-alpha-nor-r", "no-estimators", "unknown-estimator",
+         "negative-h", "zero-separation-alpha", "line-without-equals", "no-model"],
+)
+def test_config_rejections(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

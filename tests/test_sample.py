@@ -17,9 +17,8 @@ from pairrank import (
     draw_observations,
     gen_parametric,
     gen_planted,
-    ingest_comparisons,
-    iter_comparisons_csv,
     make_matrix,
+    read_comparisons,
     read_observations_csv,
     sample,
     subsample,
@@ -460,92 +459,84 @@ class TestStreamContract:
         assert np.array_equal(again.comparisons, thin.comparisons)
 
 
+def write_comparisons(path, rows):
+    """Write ``rows`` of ``(item_a, item_b, winner)`` as a comparisons CSV; return ``path``."""
+    lines = ["item_a,item_b,winner", *(",".join(row) for row in rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def indexed(items):
+    return {item: i for i, item in enumerate(items)}
+
+
 class TestIngest:
-    def test_counts_example(self):
-        obs, index = ingest_comparisons(
-            [(("A", "B", "A"), 1), (("A", "B", "B"), 1), (("A", "B", "A"), 1)]
-        )
-        assert index == {"A": 0, "B": 1}
+    def test_counts_example(self, tmp_path):
+        rows = [("A", "B", "A"), ("A", "B", "B"), ("A", "B", "A")]
+        path = write_comparisons(tmp_path / "cmp.csv", rows)
+        obs = read_comparisons(path, indexed("AB"))
+        assert obs.n == 2
         assert obs.comparisons[0, 1] == 3
         assert obs.wins[0, 1] == 2
         assert obs.wins[1, 0] == 1
         assert obs.r == 3
         assert obs.p is None
 
-    def test_first_appearance_indexing(self):
-        obs, index = ingest_comparisons(
-            [(("C", "A", "A"), 1), (("B", "C", "B"), 1), (("A", "B", "B"), 1)]
-        )
-        assert index == {"C": 0, "A": 1, "B": 2}
-        assert obs.n == 3
+    def test_self_comparison_rejected(self, tmp_path):
+        path = write_comparisons(tmp_path / "cmp.csv", [("A", "A", "A")])
+        with pytest.raises(ValueError) as exc:
+            read_comparisons(path, indexed("AB"))
+        assert str(exc.value) == f"{path}:2: self-comparison of item 'A'"
 
-    def test_self_comparison_rejected(self):
-        with pytest.raises(ValueError, match="self-comparison"):
-            ingest_comparisons([(("A", "A", "A"), 1)])
+    def test_foreign_winner_rejected(self, tmp_path):
+        path = write_comparisons(tmp_path / "cmp.csv", [("A", "B", "A"), ("A", "B", "C")])
+        with pytest.raises(ValueError) as exc:
+            read_comparisons(path, indexed("ABC"))
+        assert str(exc.value) == f"{path}:3: winner 'C' is neither 'A' nor 'B'"
 
-    def test_foreign_winner_rejected(self):
-        with pytest.raises(ValueError, match="winner"):
-            ingest_comparisons([(("A", "B", "C"), 1)])
+    def test_counts_add_up_exactly(self, tmp_path):
+        # four of the five distinct lines have a beating b: a buffered sum would keep one count
+        path = tmp_path / "cmp.csv"
+        path.write_bytes(b'item_a,item_b,winner\na,b,a\nb,a,a\na,b,b\n"a",b,a\na,b,a\r\nb,a,a\n')
+        obs = read_comparisons(path, indexed("ab"))
+        assert obs.wins[0, 1] == 5 and obs.wins[1, 0] == 1 and obs.r == 6
 
-    def test_repeated_item_id_named(self):
-        with pytest.raises(ValueError, match="duplicate item id 'b'"):
-            ingest_comparisons([(("a", "b", "a"), 1)], items=["a", "b", "c", "b", "a"])
-
-    def test_counts_add_up_exactly(self):
-        big = 2**62
-        rows = [(("a", "b", "a"), big), (("b", "a", "a"), 3), (("a", "b", "b"), 1)]
-        obs, _ = ingest_comparisons(rows)
-        assert obs.wins[0, 1] == big + 3 and obs.wins[1, 0] == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no comparison records"):
-            ingest_comparisons([])
+    @pytest.mark.parametrize("text", ["", "\n\r\n\n"])
+    def test_empty_rejected(self, tmp_path, text):
+        path = tmp_path / "cmp.csv"
+        path.write_text("item_a,item_b,winner\n" + text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_comparisons(path, indexed("ab"))
+        assert str(exc.value) == f"{path}: no comparison records"
 
     @pytest.mark.parametrize(
         "rows, message",
         [
-            ([("a", "b", "a"), ("c", "c", "c"), ("a", "x", "a")], "self-comparison of item 'c'"),
-            ([("a", "b", "a"), ("a", "x", "a"), ("c", "c", "c")], "item 'x' appears in comparisons"),
-            ([("a", "b", "c"), ("a", "x", "a")], "winner 'c' is neither 'a' nor 'b'"),
-            ([("a", "x", "a"), ("a", "b", "c")], "item 'x' appears in comparisons"),
+            ([("a", "b", "a"), ("c", "c", "c"), ("a", "x", "a")], "3: self-comparison of item 'c'"),
+            ([("a", "b", "a"), ("a", "x", "a"), ("c", "c", "c")], "3: item 'x' appears in comparisons"),
+            ([("a", "b", "c"), ("a", "x", "a")], "2: winner 'c' is neither 'a' nor 'b'"),
+            ([("a", "x", "a"), ("a", "b", "c")], "2: item 'x' appears in comparisons"),
         ],
     )
-    def test_first_bad_row_decides_the_error(self, rows, message):
-        with pytest.raises(ValueError, match=message):
-            ingest_comparisons([(row, 1) for row in rows], items=["a", "b", "c"])
-
-    def test_rows_consumed_lazily_once(self):
-        seen = []
-
-        def rows():
-            for row in [("a", "b", "a"), ("b", "c", "c")]:
-                seen.append(row)
-                yield row, 1
-
-        obs, index = ingest_comparisons(rows())
-        assert len(seen) == 2 and index == {"a": 0, "b": 1, "c": 2}
-        assert obs.total_comparisons() == 2
+    def test_first_bad_row_decides_the_error(self, tmp_path, rows, message):
+        path = write_comparisons(tmp_path / "cmp.csv", rows)
+        with pytest.raises(ValueError) as exc:
+            read_comparisons(path, indexed("abc"))
+        assert str(exc.value).startswith(f"{path}:{message}")
 
 
 NAMES = "pqrstu"
 
 
-def counter_oracle(records, items=None):
-    """Restated aggregation: a Counter of (winner, loser) name pairs,
-    items indexed by ``items`` order, then by first appearance."""
-    order = list(items) if items is not None else []
-    for a, b, _ in records:
-        for item in (a, b):
-            if item not in order:
-                order.append(item)
+def counter_oracle(records, items):
+    """Restated aggregation: a Counter of (winner, loser) name pairs, indexed in ``items`` order."""
     beats = Counter()
     for a, b, w in records:
         beats[w, b if w == a else a] += 1
-    n = len(order)
-    wins = np.zeros((n, n), dtype=np.int64)
+    wins = np.zeros((len(items), len(items)), dtype=np.int64)
     for (w, loser), count in beats.items():
-        wins[order.index(w), order.index(loser)] = count
-    return wins, {item: i for i, item in enumerate(order)}
+        wins[items.index(w), items.index(loser)] = count
+    return wins
 
 
 @st.composite
@@ -555,28 +546,28 @@ def record_lists(draw):
     return [(a, b, a if first else b) for (a, b), first in rows]
 
 
+def shuffled_items(records, extra, seed):
+    """The items of ``records`` and ``extra`` in an order drawn from ``seed``."""
+    named = sorted({x for a, b, _ in records for x in (a, b)} | set(extra))
+    return [named[i] for i in np.random.default_rng(seed).permutation(len(named))]
+
+
 class TestIngestOracle:
     @settings(max_examples=150, deadline=None)
     @given(
         records=record_lists(),
-        shape=st.sampled_from([tuple, list]),
-        with_items=st.booleans(),
         extra=st.sampled_from(["", "v", "vw"]),
         seed=st.integers(0, 2**16),
     )
-    def test_matches_counter(self, records, shape, with_items, extra, seed):
-        items = None
-        if with_items:
-            named = sorted({x for a, b, _ in records for x in (a, b)} | set(extra))
-            items = [named[i] for i in np.random.default_rng(seed).permutation(len(named))]
-        obs, index = ingest_comparisons([(shape(r), 1) for r in records], items=items)
-        wins, expected_index = counter_oracle(records, items)
-        assert index == expected_index
-        np.testing.assert_array_equal(obs.wins, wins)
+    def test_matches_counter(self, tmp_path_factory, records, extra, seed):
+        items = shuffled_items(records, extra, seed)
+        path = write_comparisons(tmp_path_factory.mktemp("oracle") / "cmp.csv", records)
+        obs = read_comparisons(path, indexed(items))
+        np.testing.assert_array_equal(obs.wins, counter_oracle(records, items))
         np.testing.assert_array_equal(obs.wins + obs.wins.T, obs.comparisons)
         pair_counts = Counter(frozenset((a, b)) for a, b, _ in records)
         assert obs.r == max(pair_counts.values())
-        assert obs.n == len(index) and obs.p is None
+        assert obs.n == len(items) and obs.p is None
         assert obs.wins.dtype == np.int64 and obs.comparisons.dtype == np.int64
 
 
@@ -605,34 +596,33 @@ def csv_files(draw):
 
 class TestCsvOracle:
     @settings(max_examples=150, deadline=None)
-    @given(drawn=csv_files(), with_items=st.booleans(), seed=st.integers(0, 2**16))
-    def test_read_back_matches_counter(self, tmp_path_factory, drawn, with_items, seed):
+    @given(drawn=csv_files(), seed=st.integers(0, 2**16))
+    def test_read_back_matches_counter(self, tmp_path_factory, drawn, seed):
         records, text = drawn
-        items = None
-        if with_items:
-            named = sorted({x for a, b, _ in records for x in (a, b)})
-            items = [named[i] for i in np.random.default_rng(seed).permutation(len(named))]
+        items = shuffled_items(records, "", seed)
         path = tmp_path_factory.mktemp("oracle") / "cmp.csv"
         path.write_bytes(text.encode("utf-8"))
-        obs, index = ingest_comparisons(iter_comparisons_csv(path), items=items)
-        wins, expected_index = counter_oracle(records, items)
-        assert index == expected_index
-        np.testing.assert_array_equal(obs.wins, wins)
+        obs = read_comparisons(path, indexed(items))
+        np.testing.assert_array_equal(obs.wins, counter_oracle(records, items))
         np.testing.assert_array_equal(obs.wins + obs.wins.T, obs.comparisons)
+
+
+XYZ = indexed("xyz")
 
 
 class TestComparisonsCsv:
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,w\nx,y,x\n")
-        with pytest.raises(ValueError, match="header"):
-            list(iter_comparisons_csv(path))
+        with pytest.raises(ValueError) as exc:
+            read_comparisons(path, XYZ)
+        assert str(exc.value) == f"{path}:1: expected header 'item_a,item_b,winner', got 'a,b,w'"
 
     def test_field_count_error_names_physical_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("item_a,item_b,winner\nx,y,x\n\n\ny,z\n", encoding="utf-8")
         with pytest.raises(ValueError) as exc:
-            list(iter_comparisons_csv(path))
+            read_comparisons(path, XYZ)
         assert str(exc.value) == f"{path}:5: expected 3 fields, got 2"
 
     def test_oversize_field_is_a_value_error(self, tmp_path):
@@ -640,29 +630,33 @@ class TestComparisonsCsv:
         big = "x" * (csv.field_size_limit() + 1)
         path.write_text(f"item_a,item_b,winner\nx,y,x\n\n{big},y,y\n", encoding="utf-8")
         with pytest.raises(ValueError) as exc:
-            list(iter_comparisons_csv(path))
+            read_comparisons(path, XYZ)
         limit = csv.field_size_limit()
         assert str(exc.value) == f"{path}:4: field larger than field limit ({limit})"
 
     def test_rows_skip_blank_lines(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text("item_a,item_b,winner\n\nx,y,x\n\ny,z,z\n", encoding="utf-8")
-        assert list(iter_comparisons_csv(path)) == [(["x", "y", "x"], 1), (["y", "z", "z"], 1)]
+        obs = read_comparisons(path, XYZ)
+        assert obs.total_comparisons() == 2 and obs.wins[0, 1] == 1 and obs.wins[2, 1] == 1
 
-    def test_each_distinct_line_yields_its_count(self, tmp_path):
+    def test_every_copy_of_a_line_counts(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_bytes(b'item_a,item_b,winner\nx,y,x\r\ny,z,z\nx,y,x\r\n"x",y,x\r\ny,z,z')
-        assert list(iter_comparisons_csv(path)) == [
-            (["x", "y", "x"], 2), (["y", "z", "z"], 1), (["x", "y", "x"], 1), (["y", "z", "z"], 1),
-        ]
+        obs = read_comparisons(path, XYZ)
+        assert obs.wins[0, 1] == 3 and obs.wins[2, 1] == 2 and obs.total_comparisons() == 5
 
-    @pytest.mark.parametrize("bad", ["y,z", "x" * (csv.field_size_limit() + 1) + ",y,y"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["y,z", "x" * (csv.field_size_limit() + 1) + ",y,y", "z,z,z", "x,y,z", "x,w,x"],
+        ids=["field-count", "oversize-field", "self-comparison", "foreign-winner", "unknown-item"],
+    )
     def test_repeated_bad_line_names_its_first_line(self, tmp_path, bad):
         path = tmp_path / "bad.csv"
         lines = ["item_a,item_b,winner", "x,y,x", "x,y,x", "", "x,y,x", bad, "x,y,x", bad]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError) as exc:
-            list(iter_comparisons_csv(path))
+            read_comparisons(path, XYZ)
         assert str(exc.value).startswith(f"{path}:6: ")
 
     @pytest.mark.parametrize("text", ['x,y,x\n"a\nx",b,b\n', 'x,y,x\nb,"a\nx",b\nx,y,x\n'])
@@ -670,7 +664,7 @@ class TestComparisonsCsv:
         path = tmp_path / "span.csv"
         path.write_text("item_a,item_b,winner\n" + text, encoding="utf-8")
         with pytest.raises(ValueError) as exc:
-            list(iter_comparisons_csv(path))
+            read_comparisons(path, XYZ)
         assert str(exc.value) == f"{path}:3: quoted field spans lines"
 
     @pytest.mark.parametrize(
@@ -686,7 +680,7 @@ class TestComparisonsCsv:
         path = tmp_path / "quote.csv"
         path.write_text("item_a,item_b,winner\n" + text, encoding="utf-8")
         with pytest.raises(ValueError) as exc:
-            list(iter_comparisons_csv(path))
+            read_comparisons(path, XYZ)
         assert str(exc.value) == f"{path}:3: {problem}"
 
     @pytest.mark.parametrize("before", [1, 20_000])
@@ -695,15 +689,9 @@ class TestComparisonsCsv:
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"item_a,item_b,winner\n" + b"x,y,x\r\n" * before + b"\xff,y,y\n")
         with pytest.raises(ValueError) as exc:
-            list(iter_comparisons_csv(path))
+            read_comparisons(path, XYZ)
         line = before + 2
         assert str(exc.value) == f"{path}:{line}: 'utf-8' codec can't decode byte 0xff: invalid start byte"
-
-    def test_rows_validate_like_records(self, tmp_path):
-        path = tmp_path / "self.csv"
-        path.write_text("item_a,item_b,winner\nx,y,x\nz,z,z\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="self-comparison of item 'z'"):
-            ingest_comparisons(iter_comparisons_csv(path))
 
 
 class TestObservationsCsv:
@@ -716,8 +704,19 @@ class TestObservationsCsv:
         assert np.array_equal(back.comparisons, obs.comparisons)
         assert np.array_equal(back.wins, obs.wins)
 
+    def test_crlf_reads_like_lf(self, tmp_path):
+        obs = draw_observations(gen_planted(9, 3, 0.25), 0.5, 7, seed=13)
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        write_observations_csv(obs, lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        back, back_crlf = read_observations_csv(lf), read_observations_csv(crlf)
+        assert (back_crlf.n, back_crlf.r, back_crlf.p) == (back.n, back.r, back.p)
+        assert np.array_equal(back_crlf.comparisons, back.comparisons)
+        assert np.array_equal(back_crlf.wins, back.wins)
+
     def test_unknown_p_round_trips(self, tmp_path):
-        obs, _ = ingest_comparisons([(("a", "b", "a"), 1), (("b", "c", "c"), 1)])
+        rows = [("a", "b", "a"), ("b", "c", "c")]
+        obs = read_comparisons(write_comparisons(tmp_path / "cmp.csv", rows), indexed("abc"))
         path = tmp_path / "obs.csv"
         write_observations_csv(obs, path)
         assert read_observations_csv(path).p is None
