@@ -1,21 +1,22 @@
 """The input boundary: text files and values from outside the program.
 
-Every reader of a text input decodes it as UTF-8.  Python reports a
-byte that is not UTF-8 by its position in a decoder chunk, not in the
-file, and without the file's name.  :func:`utf8_errors` turns that
-report into a ``ValueError`` naming the file and the line that holds
-the byte, which :func:`first_line` finds by a second scan of the file.
+Every input file is read here as UTF-8 lines that end at LF, CRLF or
+CR only.  :func:`numbered_lines` numbers them and :func:`records` splits
+them into CSV records, one per line.  A reader keeps only its row rules,
+and its errors read ``path:line: problem``, or ``path: problem`` for a
+file without records.  :func:`open_text` names the line of a byte that
+is not UTF-8, which Python reports by its place in a decoder chunk.
 
 The casts of every flag and configuration value live here too:
 :func:`finite_float`, the model kinds and the configuration keys.  The
 command-line parser needs them before it knows whether a command will
 run, so this module imports the standard library only and ``pairrank
---help`` or a usage error never loads numpy.  ``model`` and ``harness``
-re-export them under their old names.
+--help`` or a usage error never loads numpy.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 from contextlib import contextmanager
@@ -26,11 +27,7 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def first_line(path, found) -> int:
-    """Number of the first physical line of ``path`` for which ``found(line)`` is true.
-
-    Lines keep their endings, and bytes that are not UTF-8 read as
-    ``_UNDECODABLE`` characters.
-    """
+    """Number of the first line of ``path``, ending kept, for which ``found(line)`` is true."""
     with Path(path).open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if found(line):
@@ -39,15 +36,51 @@ def first_line(path, found) -> int:
 
 
 @contextmanager
-def utf8_errors(path):
-    """Re-raise a ``UnicodeDecodeError`` of the block as a ``ValueError`` naming ``path:line``."""
+def open_text(path):
+    """Open ``path`` to read lines ending at LF, CRLF or CR, endings kept.
+
+    A byte that is not UTF-8 raises a ``ValueError`` naming ``path:line``.
+    """
     try:
-        yield
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            yield fh
     except UnicodeDecodeError as exc:
         line = first_line(path, _UNDECODABLE.search)
         raise ValueError(
             f"{path}:{line}: 'utf-8' codec can't decode byte {exc.object[exc.start]:#04x}: {exc.reason}"
         ) from None
+
+
+def numbered_lines(path):
+    """Yield ``(number, text)`` for each physical line of ``path``: numbered from 1, ending cut."""
+    with open_text(path) as fh:
+        for number, line in enumerate(fh, start=1):
+            yield number, line.rstrip("\r\n")
+
+
+def records(path, lines, start: int = 1, line_of=None):
+    """Yield ``(start + i, fields)`` for line ``i`` of ``lines``, one CSV record per line.
+
+    A blank line has no fields.  A quoted field that does not close on
+    its line, or a line the CSV reader rejects (an oversize field, text
+    after a closing quote), raises ``ValueError`` naming ``path`` and
+    ``line_of(number)``, by default ``number``.
+    """
+
+    def error(number: int, problem) -> ValueError:
+        return ValueError(f"{path}:{number if line_of is None else line_of(number)}: {problem}")
+
+    reader = csv.reader(lines, strict=True)
+    offset = number = start - 1
+    try:
+        for number, fields in enumerate(reader, start):
+            if reader.line_num + offset != number:
+                raise error(number, "quoted field spans lines")
+            yield number, fields
+    except csv.Error as exc:
+        # the rejected record starts on the line after record ``number``
+        spans = reader.line_num + offset > number + 1
+        raise error(number + 1, "quoted field spans lines" if spans else exc) from None
 
 
 def finite_float(text) -> float:

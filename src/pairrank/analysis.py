@@ -173,7 +173,6 @@ def implied_alpha(n: int, p: float, r: int, delta: float) -> float:
 def _kl_bernoulli_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise KL(Bern(a) || Bern(b)), with 0 log 0 = 0 and +inf
     where ``b`` puts zero mass on an outcome ``a`` charges."""
-    out = np.zeros_like(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         term1 = np.where(a > 0.0, a * (np.log(a) - np.log(b)), 0.0)
         term0 = np.where(a < 1.0, (1.0 - a) * (np.log1p(-a) - np.log1p(-b)), 0.0)

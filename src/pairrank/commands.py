@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from . import analysis, harness, model, rank, sample, setfamily
+from . import _textio, analysis, harness, model, rank, sample, setfamily
 from .cli import UsageError
 
 
@@ -85,7 +85,7 @@ def _cmd_thresholds(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    overrides = {k: v for k, v in vars(args).items() if k in harness._CONFIG_KEYS and v is not None}
+    overrides = {k: v for k, v in vars(args).items() if k in _textio.CONFIG_KEYS and v is not None}
     cfg = harness.load_config(args.config, overrides)
     result = harness.run_experiment(cfg)
     harness.write_results_csv(result, args.out)

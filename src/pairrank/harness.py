@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from . import _textio, analysis, metrics, model, rank, sample, setfamily
-from ._textio import CONFIG_KEYS as _CONFIG_KEYS
 
 # Estimator name -> (observations, k) -> top-k estimate.  The rank
 # functions are looked up on the module at call time, so a replaced
@@ -334,8 +333,10 @@ def run_realdata(
 
     ``truth_file`` lists every item id, one per line, best first; a
     repeated id raises ``ValueError`` naming the file, the line and the
-    id.  For each subsampling fraction ``q`` and each trial, every recorded
-    comparison is kept independently with probability ``q``, each of
+    id, and an id of the comparisons file that it leaves out names the
+    comparisons file and line and then the truth file.  For each
+    subsampling fraction ``q`` and each trial, every recorded comparison
+    is kept independently with probability ``q``, each of
     :data:`ESTIMATORS` selects ``k`` items (default :func:`default_k`),
     and ``bench``'s scorer scores each against the truth file's order,
     which has no ties, so a Hamming error is a symmetric difference from
@@ -348,8 +349,7 @@ def run_realdata(
     no comparison is kept, and Copeland's smaller-index tie rule would
     hand it the true top-k, since items are indexed in truth order.
     Estimator failures (a disconnected graph or a walk with several
-    closed classes) are recorded, not fatal.  A byte of the truth file
-    that is not UTF-8 raises ``ValueError`` naming the file and line.
+    closed classes) are recorded, not fatal.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -358,10 +358,8 @@ def run_realdata(
             raise ValueError(f"q_grid fractions must lie in (0, 1], got {q}")
         if q in q_grid[:qi]:
             raise ValueError(f"q_grid repeats {q}")
-    with _textio.utf8_errors(truth_file):
-        text = Path(truth_file).read_text(encoding="utf-8")
     index: dict[str, int] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in _textio.numbered_lines(truth_file):
         item = line.strip()
         if item in index:
             raise ValueError(f"{truth_file}:{lineno}: duplicate item id {item!r}")
@@ -369,7 +367,10 @@ def run_realdata(
             index[item] = len(index)
     if not index:
         raise ValueError(f"{truth_file}: no items listed")
-    obs = sample.read_comparisons(obs_file, index)
+    try:
+        obs = sample.read_comparisons(obs_file, index)
+    except sample.UnlistedItem as exc:
+        raise ValueError(f"{exc} {truth_file}") from None
     n = obs.n
     if k is None:
         k = default_k(n)
@@ -476,33 +477,6 @@ def write_realdata_csv(result: RealDataResult, path) -> None:
 _EXPERIMENT_FIELDS = frozenset(f.name for f in fields(ExperimentConfig)) - {"model"}
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` configuration text with ``#`` comments.
-
-    A line that is not ``key = value``, an unknown key, a key set twice or
-    a value its key cannot cast (a float must be finite) raises
-    ``ValueError`` naming the line.
-    """
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"line {lineno}: unknown configuration key {key!r}")
-        if key in values:
-            raise ValueError(f"line {lineno}: repeated configuration key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](value)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: configuration key {key!r}: {exc}") from None
-    return values
-
-
 def config_from_mapping(values: dict) -> ExperimentConfig:
     """Build an experiment config from parsed key/value pairs.
 
@@ -525,11 +499,28 @@ def config_from_mapping(values: dict) -> ExperimentConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Load a config file; ``overrides`` (set keys only, no ``None``) replace file values.
+    """Load a flat ``key = value`` configuration file with ``#`` comments.
 
-    A byte of the file that is not UTF-8 raises ``ValueError`` naming the file and line.
+    ``overrides`` (set keys only, no ``None``) replace file values.  A
+    line that is not ``key = value``, an unknown key, a key set twice or
+    a value its key cannot cast (a float must be finite) raises
+    ``ValueError`` naming the file and line.
     """
-    with _textio.utf8_errors(path):
-        text = Path(path).read_text(encoding="utf-8")
-    values = parse_config_text(text)
+    values: dict = {}
+    for lineno, raw in _textio.numbered_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key or not value:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        if key not in _textio.CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: repeated configuration key {key!r}")
+        try:
+            values[key] = _textio.CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: configuration key {key!r}: {exc}") from None
     return config_from_mapping({**values, **(overrides or {})})

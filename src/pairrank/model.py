@@ -13,15 +13,13 @@ calculators in :mod:`pairrank.analysis`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from . import _special, _textio
-from ._textio import MODEL_KINDS, finite_float  # finite_float: re-exported
+from ._textio import MODEL_KINDS
 
 SYMMETRY_TOL = 1e-9
 
@@ -80,30 +78,42 @@ def _mirror_upper(upper: np.ndarray) -> np.ndarray:
 def make_matrix(entries) -> ComparisonMatrix:
     """Validate a probability grid and return a comparison matrix.
 
-    Rejects non-square grids, entries outside ``[0, 1]``, diagonals off
-    ``1/2`` and complementarity violations beyond ``1e-9``; accepted
-    grids are then symmetrized exactly (lower triangle recomputed as
-    ``1 - upper``, diagonal set to ``1/2``).
+    Rejects non-square grids and the first entry that breaks a rule of
+    :func:`_first_bad_entry`; accepted grids are then symmetrized exactly
+    (lower triangle recomputed as ``1 - upper``, diagonal set to ``1/2``).
     """
     grid = np.asarray(entries, dtype=np.float64)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise ValueError(f"entries must be a square grid, got shape {grid.shape}")
-    n = grid.shape[0]
-    if n < 2:
+    if grid.shape[0] < 2:
         raise ValueError("need at least 2 items")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("entries must be finite")
-    if grid.min() < 0.0 or grid.max() > 1.0:
-        raise ValueError("entries must lie in [0, 1]")
-    diag_err = np.abs(np.diagonal(grid) - 0.5).max()
-    if diag_err > SYMMETRY_TOL:
-        raise ValueError(f"diagonal must equal 1/2 (max deviation {diag_err:g})")
-    sym_err = np.abs(grid + grid.T - 1.0).max()
-    if sym_err > SYMMETRY_TOL:
-        raise ValueError(
-            f"entries (i,j) and (j,i) must sum to 1 (max deviation {sym_err:g})"
-        )
+    bad = _first_bad_entry(grid)
+    if bad is not None:
+        raise ValueError(bad[1])
     return _freeze(_mirror_upper(grid))
+
+
+def _first_bad_entry(grid: np.ndarray) -> tuple[int, str] | None:
+    """``(row, problem)`` for the first entry of a square grid that breaks a rule, or ``None``.
+
+    The rules, checked in turn: entries lie in ``[0, 1]``, the diagonal
+    is ``1/2``, and ``(i, j)`` and ``(j, i)`` sum to 1, the last two to
+    within ``SYMMETRY_TOL``.  ``row`` counts from 0, the problem from 1.
+    """
+    outside = np.argwhere(~((grid >= 0.0) & (grid <= 1.0)))  # NaN too
+    if outside.size:
+        i, j = map(int, outside[0])
+        return i, f"entry ({i + 1}, {j + 1}) is {float(grid[i, j])!r}, outside [0, 1]"
+    off_half = np.flatnonzero(np.abs(np.diagonal(grid) - 0.5) > SYMMETRY_TOL)
+    if off_half.size:
+        i = int(off_half[0])
+        return i, f"diagonal entry ({i + 1}, {i + 1}) is {float(grid[i, i])!r}, not 1/2"
+    unpaired = np.argwhere(np.abs(grid + grid.T - 1.0) > SYMMETRY_TOL)
+    if unpaired.size:
+        i, j = map(int, unpaired[0])
+        total = float(grid[i, j] + grid[j, i])
+        return i, f"entries ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) sum to {total!r}, not 1"
+    return None
 
 
 def gen_parametric(w, cdf: str = "logistic") -> ComparisonMatrix:
@@ -438,38 +448,6 @@ def resolved_quality(spec: ModelSpec, n: int) -> np.ndarray | None:
     return equispaced_quality(n, spec.quality_spread)
 
 
-def _bad_matrix_row(path) -> str | None:
-    """``path:line: problem`` for the first line ``np.loadtxt`` rejects, by a second scan.
-
-    Lines count from 1 and columns from 1; blank lines and ``#``
-    comments are skipped, as ``np.loadtxt`` skips them.  ``None`` if no
-    line reads wrong to this scan.
-    """
-    width = first = None
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0]
-            if not text.strip():
-                continue
-            fields = text.split(",")
-            for column, field in enumerate(fields, start=1):
-                try:
-                    # float() also reads digit separators and non-ASCII digits; numpy does not
-                    if "_" in field or not field.isascii():
-                        raise ValueError
-                    float(field)
-                except ValueError:
-                    return f"{path}:{lineno}: column {column} holds {field.strip()!r}, not a number"
-            if width is None:
-                width, first = len(fields), lineno
-            elif len(fields) != width:
-                return (
-                    f"{path}:{lineno}: expected {width} comma-separated values as on line "
-                    f"{first}, got {len(fields)}"
-                )
-    return None
-
-
 def write_matrix_csv(matrix: ComparisonMatrix, path) -> None:
     """Write a matrix as plain CSV: n rows of n decimal values, no header."""
     np.savetxt(path, matrix.entries, delimiter=",", fmt="%.17g")
@@ -478,20 +456,44 @@ def write_matrix_csv(matrix: ComparisonMatrix, path) -> None:
 def read_matrix_csv(path) -> ComparisonMatrix:
     """Read and validate a matrix written by :func:`write_matrix_csv`.
 
-    A byte that is not UTF-8, a value that is not a number and a row
-    whose length differs from the first row's raise ``ValueError``
-    naming the file and line.
+    Each line is a row of ``n >= 2`` comma-separated numbers, and a line
+    blank but for a ``#`` comment is skipped.  An error names the file
+    and the line of the row that breaks a rule: a value that is not a
+    number, a row of other than ``n`` values, a row past the ``n``-th,
+    too few rows (the last row), or a rule of :func:`_first_bad_entry`.
+    A file without rows names the file alone.
     """
-    path = Path(path)
-    with _textio.utf8_errors(path), warnings.catch_warnings():
-        # an empty file is reported below, once, as a data error
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            grid = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-        except UnicodeDecodeError:
-            raise
-        except ValueError as exc:
-            raise ValueError(_bad_matrix_row(path) or f"{path}: {exc}") from None
-    if grid.size == 0:
+    rows: list[list[float]] = []
+    lines: list[int] = []
+    for line, text in _textio.numbered_lines(path):
+        fields = text.split("#", 1)[0].split(",")
+        if len(fields) == 1 and not fields[0].strip():
+            continue
+        row = []
+        for column, field in enumerate(fields, start=1):
+            try:
+                row.append(float(field))
+            except ValueError:
+                problem = f"column {column} holds {field.strip()!r}, not a number"
+                raise ValueError(f"{path}:{line}: {problem}") from None
+        n = len(rows[0]) if rows else len(row)
+        if n < 2:
+            raise ValueError(f"{path}:{line}: need at least 2 items, got a row of 1 value")
+        if len(row) != n:
+            problem = f"expected {n} comma-separated values as on line {lines[0]}, got {len(row)}"
+            raise ValueError(f"{path}:{line}: {problem}")
+        if len(rows) == n:
+            raise ValueError(f"{path}:{line}: expected {n} rows, as many as columns, got more")
+        rows.append(row)
+        lines.append(line)
+    if not rows:
         raise ValueError(f"{path}: matrix file holds no data")
-    return make_matrix(grid)
+    n = len(rows[0])
+    if len(rows) < n:
+        problem = f"expected {n} rows, as many as columns, got {len(rows)}"
+        raise ValueError(f"{path}:{lines[-1]}: {problem}")
+    grid = np.array(rows)
+    bad = _first_bad_entry(grid)
+    if bad is not None:
+        raise ValueError(f"{path}:{lines[bad[0]]}: {bad[1]}")
+    return _freeze(_mirror_upper(grid))

@@ -21,20 +21,16 @@ Schmeiser 1988) and the streams differ.
 :func:`subsample` draws from one stream seeded by ``(seed, _THIN_TAG)``,
 one quantity at a time for all pairs ``i < j`` in row-major order.
 
-A comparisons CSV has one reader, :func:`read_comparisons`.  It tallies
-the file's physical lines before it parses any of them, then parses
-and checks each distinct line once and adds its count to the pair it
-names.  So a file costs one hashing pass over its lines plus per-row
-work on its distinct lines only, and memory for the distinct lines.
-Every error it raises for a row names the file and the first physical
-line that holds the row.
+:func:`read_comparisons` and :func:`read_observations_csv` split records
+by :func:`pairrank._textio.records`, and each row error names the file
+and line.  A comparisons file costs one hashing pass over its lines plus
+per-row work on its distinct lines.
 """
 
 from __future__ import annotations
 
 import collections
 import csv
-import itertools
 import operator
 import os
 import re
@@ -264,33 +260,28 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
     return ObservationSet(n=n, r=obs.r, p=p, comparisons=wins + wins.T, wins=wins)
 
 
+class UnlistedItem(ValueError):
+    """A comparisons record names an item that the item index does not list."""
+
+
 def read_comparisons(path, index) -> ObservationSet:
     """Aggregate the records of a comparisons CSV into an observation set.
 
     ``index`` maps every item id to its row, so ``n`` is ``len(index)``;
     ``r`` is the largest per-pair comparison count and ``p`` is unknown.
-    The header must read ``item_a,item_b,winner``.  The file's physical
-    lines are tallied before any is parsed; each distinct line is then
-    parsed and checked once, in order of first appearance, and counts
-    once per line that reads exactly so (lines that differ only in
-    quoting or line ending parse to the same record).  Blank lines are
-    skipped.  Errors raise ``ValueError`` naming the file and a line:
-
-    - a first line that is not that header names line 1 and quotes it;
-    - a bad row names the first physical line that holds it, so the
-      first bad line decides the error.  A row is bad when it has other
-      than three fields, when the CSV reader rejects it (an oversize
-      field, or malformed quoting), when it compares an item with
-      itself, when its winner is neither item, or when it names an item
-      outside ``index``;
-    - a quoted field that spans lines, closed or not, names the line it
-      starts on: an item id holds no line break;
-    - a byte that is not UTF-8 names its line, before any row is read.
-
-    A file without records names the file alone.
+    Line 1 must read ``item_a,item_b,winner``.  The later lines are
+    tallied, then each distinct line is split and checked once, in order
+    of first appearance, and counts once per line that reads exactly so
+    (lines that differ only in quoting or line ending parse to the same
+    record).  Blank lines are skipped.  An error names the file and line 1 for a
+    bad header, else the first physical line that holds the bad row: a
+    row that has other than three fields, that the CSV reader rejects or
+    that spans lines, that compares an item with itself, whose winner is
+    neither item, or that names an item outside ``index`` (an
+    :class:`UnlistedItem`).  A byte that is not UTF-8 names its line,
+    and a file without records names the file alone.
     """
-    path = Path(path)
-    with _textio.utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
+    with _textio.open_text(path) as fh:
         first = fh.readline()
         try:
             header = next(csv.reader([first], strict=True), None)
@@ -301,49 +292,41 @@ def read_comparisons(path, index) -> ObservationSet:
             raise ValueError(f"{path}:1: expected header 'item_a,item_b,winner', got {got!r}")
         tally = collections.Counter(fh)
 
-    def bad(distinct: int, problem) -> ValueError:
+    def bad(distinct: int, problem, error=ValueError) -> ValueError:
         """The error for distinct line ``distinct`` (from 1), naming its first physical line."""
-        line = _textio.first_line(path, list(tally)[distinct - 1].__eq__)
-        return ValueError(f"{path}:{line}: {problem}")
+        return error(f"{path}:{first_line(distinct)}: {problem}")
+
+    def first_line(distinct: int) -> int:
+        return _textio.first_line(path, list(tally)[distinct - 1].__eq__)
 
     # only the winner and loser indices of a row, and its count, are kept
     winners: list[int] = []
     losers: list[int] = []
     counts: list[int] = []
     add_winner, add_loser, add_count = winners.append, losers.append, counts.append
-    reader = csv.reader(tally, strict=True)
-    seen = 0
-    try:
-        # while every row fits on its line, row ``seen`` ends at distinct line ``seen``
-        for row, count, seen in zip(reader, tally.values(), itertools.count(1)):
-            if reader.line_num != seen:
-                raise bad(seen, "quoted field spans lines")
-            if len(row) != 3:
-                if not row:
-                    continue
-                raise bad(seen, f"expected 3 fields, got {len(row)}")
-            a, b, w = row
-            if a == b:
-                raise bad(seen, f"self-comparison of item {a!r}")
-            if w != a and w != b:
-                raise bad(seen, f"winner {w!r} is neither {a!r} nor {b!r}")
-            try:
-                ia, ib = index[a], index[b]
-            except KeyError as exc:
-                raise bad(
-                    seen, f"item {exc.args[0]!r} appears in comparisons but not in the item list"
-                ) from None
-            if w == a:
-                add_winner(ia)
-                add_loser(ib)
-            else:
-                add_winner(ib)
-                add_loser(ia)
-            add_count(count)
-    except csv.Error as exc:
-        # the rejected row starts on the distinct line after row ``seen``
-        problem = "quoted field spans lines" if reader.line_num > seen + 1 else exc
-        raise bad(seen + 1, problem) from None
+    rows = _textio.records(path, tally, line_of=first_line)
+    for (seen, row), count in zip(rows, tally.values()):
+        if len(row) != 3:
+            if not row:
+                continue
+            raise bad(seen, f"expected 3 fields, got {len(row)}")
+        a, b, w = row
+        if a == b:
+            raise bad(seen, f"self-comparison of item {a!r}")
+        if w != a and w != b:
+            raise bad(seen, f"winner {w!r} is neither {a!r} nor {b!r}")
+        try:
+            ia, ib = index[a], index[b]
+        except KeyError as exc:
+            problem = f"item {exc.args[0]!r} appears in comparisons but not in the item list"
+            raise bad(seen, problem, UnlistedItem) from None
+        if w == a:
+            add_winner(ia)
+            add_loser(ib)
+        else:
+            add_winner(ib)
+            add_loser(ia)
+        add_count(count)
     if not winners:
         raise ValueError(f"{path}: no comparison records")
     n = len(index)
@@ -381,57 +364,54 @@ def write_observations_csv(obs: ObservationSet, path) -> None:
 def read_observations_csv(path) -> ObservationSet:
     """Read an observation set written by :func:`write_observations_csv`.
 
-    A metadata ``p`` that is neither ``na`` nor a number in ``(0, 1]``
-    raises ``ValueError`` naming the file.  A row without four integer
-    fields, a pair outside ``i < j < n``, a repeated pair, counts outside
-    ``0 <= wins <= comparisons <= r``, a row the CSV reader rejects or
-    a byte that is not UTF-8 raise ``ValueError`` naming the file and
-    line.
+    Line 1 is the metadata line: ``p`` is ``na`` or in ``(0, 1]``, ``r``
+    is below ``2**63`` and the ``n x n`` count arrays must fit in memory.
+    Line 2 is the header, and each later line is blank or one row of
+    four integers: a pair ``i < j < n``, not repeated, and counts with
+    ``0 <= wins <= comparisons <= r``.  Every error names the file and
+    the line that breaks a rule.
     """
-    path = Path(path)
-    with _textio.utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
-        meta_line = fh.readline().rstrip("\r\n")
-        meta = _OBS_META.match(meta_line)
+    with _textio.open_text(path) as fh:
+        meta = _OBS_META.match(fh.readline().rstrip("\r\n"))
         if meta is None:
-            raise ValueError(f"{path}: missing '# n=.. r=.. p=..' metadata line")
-        n, r = int(meta.group(1)), int(meta.group(2))
-        p_text = meta.group(3)
+            raise ValueError(f"{path}:1: missing '# n=.. r=.. p=..' metadata line")
+        n, r, p_text = int(meta[1]), int(meta[2]), meta[3]
         try:
             p = None if p_text == "na" else float(p_text)
             if p is not None and not 0.0 < p <= 1.0:
                 raise ValueError
         except ValueError:
-            raise ValueError(
-                f"{path}: metadata p must be a number in (0, 1] or 'na', got {p_text!r}"
-            ) from None
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["i", "j", "comparisons", "wins_i"]:
-            raise ValueError(f"{path}: expected header 'i,j,comparisons,wins_i'")
-        comparisons = np.zeros((n, n), dtype=np.int64)
-        wins = np.zeros((n, n), dtype=np.int64)
-        seen = set()
+            problem = f"metadata p must be a number in (0, 1] or 'na', got {p_text!r}"
+            raise ValueError(f"{path}:1: {problem}") from None
+        if r >= 2**63:
+            raise ValueError(f"{path}:1: metadata r must be below 2**63, got {r}")
         try:
-            for lineno, row in enumerate(reader, start=3):
-                if not row:
-                    continue
-                if len(row) != 4:
-                    raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-                try:
-                    i, j, c, w = (int(x) for x in row)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: fields must be integers, got {row}") from None
-                if not (0 <= i < j < n):
-                    raise ValueError(f"{path}:{lineno}: invalid pair ({i}, {j}) for n={n}")
-                if (i, j) in seen:
-                    raise ValueError(f"{path}:{lineno}: pair ({i}, {j}) repeated")
-                seen.add((i, j))
-                if not 0 <= w <= c <= r:
-                    raise ValueError(f"{path}:{lineno}: counts violate 0 <= wins <= comparisons <= r")
-                comparisons[i, j] = comparisons[j, i] = c
-                wins[i, j] = w
-                wins[j, i] = c - w
-        except csv.Error as exc:
-            # the reader did not see the metadata line
-            raise ValueError(f"{path}:{reader.line_num + 1}: {exc}") from None
+            comparisons = np.zeros((n, n), dtype=np.int64)
+            wins = np.zeros((n, n), dtype=np.int64)
+        except (MemoryError, ValueError):  # numpy: more than the address space
+            raise ValueError(f"{path}:1: metadata n={n} is too large to allocate") from None
+        rows = _textio.records(path, fh, start=2)
+        _, header = next(rows, (2, None))
+        if header != ["i", "j", "comparisons", "wins_i"]:
+            raise ValueError(f"{path}:2: expected header 'i,j,comparisons,wins_i'")
+        seen = set()
+        for lineno, row in rows:
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            try:
+                i, j, c, w = (int(x) for x in row)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: fields must be integers, got {row}") from None
+            if not (0 <= i < j < n):
+                raise ValueError(f"{path}:{lineno}: invalid pair ({i}, {j}) for n={n}")
+            if (i, j) in seen:
+                raise ValueError(f"{path}:{lineno}: pair ({i}, {j}) repeated")
+            seen.add((i, j))
+            if not 0 <= w <= c <= r:
+                raise ValueError(f"{path}:{lineno}: counts violate 0 <= wins <= comparisons <= r")
+            comparisons[i, j] = comparisons[j, i] = c
+            wins[i, j] = w
+            wins[j, i] = c - w
     return ObservationSet(n=n, r=r, p=p, comparisons=comparisons, wins=wins)

@@ -17,10 +17,8 @@ sum of ranks.  The separation of a family is computed in one place,
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 from . import _textio
@@ -208,24 +206,19 @@ def _spec_param(arg: str, key: str, cast, full: str):
 
 
 def read_position_sets_csv(path, n: int, k: int) -> list[tuple[int, ...]]:
-    """Read one position set per CSV row: ``k`` increasing integers in ``1..n``.
+    """Read one position set per line: ``k`` increasing integers in ``1..n``.
 
-    A row that is not such a set, a line the CSV reader rejects (an
-    oversize field, say) or a byte that is not UTF-8 raises
-    ``ValueError`` naming the file and line.
+    A row that is not such a set, or any error of
+    :func:`pairrank._textio.records`, names the file and line.
     """
-    path = Path(path)
     out = []
-    with _textio.utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            for row in reader:
-                if row:
+    with _textio.open_text(path) as fh:
+        for line, row in _textio.records(path, fh):
+            if row:
+                try:
                     out.append(position_set(row, n, k))
-        except UnicodeDecodeError:
-            raise  # utf8_errors finds its line
-        except (csv.Error, ValueError) as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line}: {exc}") from None
     if not out:
         raise ValueError(f"{path}: no position sets found")
     return out

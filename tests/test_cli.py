@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pairrank import cli, harness, model, rank
+from pairrank import _textio, cli, harness, model, rank
 
 from conftest import NAMES, boolean_cells, write_dataset
 
@@ -29,7 +29,7 @@ class TestErrorJson:
         bad.write_text("i,j,comparisons,wins_i\n", encoding="utf-8")
         assert cli.main(["--error-json", "rank", "--obs", str(bad), "--k", "2"]) == 2
         assert error_payload(capsys) == {
-            "error": f"{bad}: missing '# n=.. r=.. p=..' metadata line",
+            "error": f"{bad}:1: missing '# n=.. r=.. p=..' metadata line",
             "category": "data",
             "exit_code": 2,
         }
@@ -47,7 +47,7 @@ class TestErrorJson:
             ("0,1,2,3\n", "4: counts violate 0 <= wins <= comparisons <= r"),
             ("0,1,6,1\n", "4: counts violate 0 <= wins <= comparisons <= r"),
             ("\n\n0,1,5\n", "6: expected 4 fields, got 3"),
-            (None, " expected header 'i,j,comparisons,wins_i'"),
+            (None, "2: expected header 'i,j,comparisons,wins_i'"),
         ],
         ids=["repeated-pair", "field-count", "non-integer", "oversize-field", "pair-order",
              "pair-past-n", "wins-past-comparisons", "comparisons-past-r", "blank-rows-skipped",
@@ -71,7 +71,7 @@ class TestErrorJson:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {
-            "error": f"{obs}: metadata p must be a number in (0, 1] or 'na', got {p!r}",
+            "error": f"{obs}:1: metadata p must be a number in (0, 1] or 'na', got {p!r}",
             "category": "data",
             "exit_code": 2,
         }
@@ -128,7 +128,7 @@ class TestErrorJson:
         argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
         assert cli.main(argv) == 2
         assert error_payload(capsys) == {
-            "error": f"line 4: configuration key {key!r}: expected a finite number, got {value!r}",
+            "error": f"{config}:4: configuration key {key!r}: expected a finite number, got {value!r}",
             "category": "data",
             "exit_code": 2,
         }
@@ -154,7 +154,9 @@ class TestErrorJson:
         argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
         assert cli.main(argv) == 2
         assert error_payload(capsys) == {
-            "error": "line 5: repeated configuration key 'n'", "category": "data", "exit_code": 2
+            "error": f"{config}:5: repeated configuration key 'n'",
+            "category": "data",
+            "exit_code": 2,
         }
         assert not (tmp_path / "b.csv").exists()
 
@@ -396,7 +398,8 @@ class TestNoUnusedOptions:
         config.write_text(self.CONFIG + "per_trial_model = true\n", encoding="utf-8")
         argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
         assert cli.main(argv) == 2
-        assert error_payload(capsys)["error"] == "line 5: unknown configuration key 'per_trial_model'"
+        message = f"{config}:5: unknown configuration key 'per_trial_model'"
+        assert error_payload(capsys)["error"] == message
 
     def test_timing_in_csv_is_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "bench.cfg"
@@ -543,7 +546,7 @@ class TestOneModelBuilder:
 
 def _bench_override_keys():
     bench = cli._build_parser()._subparsers._group_actions[0].choices["bench"]
-    return [a.dest for a in bench._actions if a.dest in harness._CONFIG_KEYS]
+    return [a.dest for a in bench._actions if a.dest in _textio.CONFIG_KEYS]
 
 
 # a value for each override that differs from the base config and its defaults
@@ -557,7 +560,7 @@ OVERRIDE_VALUES = {
 
 class TestBenchOverrides:
     def test_every_key_but_two_has_a_flag(self):
-        assert set(_bench_override_keys()) == set(harness._CONFIG_KEYS) - {"entries_path"}
+        assert set(_bench_override_keys()) == set(_textio.CONFIG_KEYS) - {"entries_path"}
         assert set(OVERRIDE_VALUES) == set(_bench_override_keys())
 
     @pytest.mark.parametrize("key", _bench_override_keys())

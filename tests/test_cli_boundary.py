@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pairrank import cli, harness
+from pairrank import _textio, cli
 
 from conftest import write_dataset
 
@@ -77,7 +77,7 @@ MODEL_PARAMS = {
 GEN_FLAGS = ("--n", "--quality", "--quality-spread", "--lam", "--gap", "--delta", "--delta0",
              "--k", "--outlier", "--swap-index", "--plant-index", "--ordering-seed", "--seed")
 BENCH_FLAGS = tuple(
-    f"--{key.replace('_', '-')}" for key, cast in harness._CONFIG_KEYS.items() if cast is not str
+    f"--{key.replace('_', '-')}" for key, cast in _textio.CONFIG_KEYS.items() if cast is not str
 )
 
 

@@ -22,7 +22,7 @@ from pairrank.harness import (
     ESTIMATORS,
     config_from_mapping,
     default_k,
-    parse_config_text,
+    load_config,
     write_realdata_csv,
 )
 
@@ -171,7 +171,8 @@ class TestRunRealdata:
         rows = obs_path.read_text(encoding="utf-8").splitlines()
         line = next(i for i, row in enumerate(rows, start=1) if "f" in row.split(",")[:2])
         assert str(exc.value) == (
-            f"{obs_path}:{line}: item 'f' appears in comparisons but not in the item list"
+            f"{obs_path}:{line}: item 'f' appears in comparisons but not in the item list "
+            f"{truth_path}"
         )
 
     @pytest.mark.parametrize(
@@ -259,7 +260,18 @@ def test_default_k_shared_by_bench_and_eval_real():
 def experiment(**changes):
     """Build an experiment config that is valid bar ``changes``."""
     settings = dict(model=ModelSpec(kind="btl"), n=8, k=2, trials=1, master_seed=0, r=2)
-    return lambda: ExperimentConfig(**{**settings, **changes})
+    return lambda _: ExperimentConfig(**{**settings, **changes})
+
+
+def config_file(text):
+    """Load ``text`` as the configuration file ``<tmp>/bench.cfg``."""
+
+    def build(tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_text(text, encoding="utf-8")
+        return load_config(path)
+
+    return build
 
 
 @pytest.mark.parametrize(
@@ -273,18 +285,16 @@ def experiment(**changes):
          f"unknown estimator 'borda', expected subset of {ESTIMATORS}"),
         (experiment(h=-1), "h must be nonnegative"),
         # items 0 and 1 are planted and the rest tie, so no top 3 is separated
-        (lambda: run_experiment(experiment(
-            model=ModelSpec(kind="planted", k=2, delta=0.2), k=3, r=None, alpha=1.0)()),
+        (lambda tmp_path: run_experiment(experiment(
+            model=ModelSpec(kind="planted", k=2, delta=0.2), k=3, r=None, alpha=1.0)(tmp_path)),
          "alpha target is infeasible: the instantiated matrix has zero separation"),
-        (lambda: parse_config_text("model = btl\nn 8\n"),
-         "line 2: expected 'key = value', got 'n 8'"),
-        (lambda: config_from_mapping(parse_config_text("n = 8\nk = 2\n")),
-         "configuration must set 'model'"),
+        (config_file("model = btl\nn 8\n"), "<tmp>/bench.cfg:2: expected 'key = value', got 'n 8'"),
+        (lambda _: config_from_mapping({"n": 8, "k": 2}), "configuration must set 'model'"),
     ],
     ids=["no-trials", "alpha-and-r", "neither-alpha-nor-r", "no-estimators", "unknown-estimator",
          "negative-h", "zero-separation-alpha", "line-without-equals", "no-model"],
 )
-def test_config_rejections(build, message):
+def test_config_rejections(tmp_path, build, message):
     with pytest.raises(ValueError) as exc:
-        build()
-    assert str(exc.value) == message
+        build(tmp_path)
+    assert str(exc.value) == message.replace("<tmp>", str(tmp_path))
