@@ -12,9 +12,8 @@ repeated call), the sampling layer (``draw_observations``), the
 estimator layers (``copeland_topk``, ``rank_centrality``,
 ``mle_refine``) under two sampling designs, the scoring layer
 (``ground_truth`` and ``evaluate``), ``rank_centrality`` on a reducible
-walk and the ingest layer (``read_comparisons``, or on an older
-checkout ``iter_comparisons_csv`` into ``ingest_comparisons``) on a
-comparisons CSV, in a fresh interpreter
+walk and the ingest layer (``read_comparisons``) on a comparisons CSV,
+in a fresh interpreter
 that imports ``pairrank`` from the checkout's ``src/``.  It also times
 whole launches of a fresh interpreter: ``import pairrank``, ``pairrank
 --help`` and ``pairrank rank`` on a 50-item observations file (a real
@@ -51,8 +50,8 @@ LAYER_SIZES = (50, 200, 1000)
 # design times two estimators that can give different answers.  The
 # r = 400 design times sampling alone, past r * p = 30, where numpy's
 # binomial sampler leaves inversion for BTPE.  The model design times
-# ``instantiate`` alone: a first call builds the matrix, a repeated call
-# is a memo hit where ``instantiate`` has a memo and a build where not.
+# ``instantiate`` alone: a first call builds the matrix, and a repeated
+# call is a memo hit.
 # The p1-ordered design (quality spread 10^4) is nearly a total order:
 # item 0 never loses, so its walk is reducible and ``rank_centrality``
 # must find the one closed class, {0}, before it solves.  Scoring is
@@ -112,12 +111,8 @@ def time_layers(scratch: Path) -> dict:
     from pairrank import sample
     from pairrank.sample import draw_observations
 
-    # a checkout from before the memo has nothing to clear
-    memo = getattr(model, "_build_memoized", None)
-    clear_memo = memo.cache_clear if memo is not None else lambda: None
-
     def instantiate_first(model_spec, n):
-        clear_memo()
+        model._build_memoized.cache_clear()
         return model.instantiate(model_spec, n)
 
     layers: dict = {}
@@ -156,14 +151,9 @@ def time_layers(scratch: Path) -> dict:
                 csv_path = scratch / f"{design}-{n}.csv"
                 lines = (f"{items[i]},{items[j]},{items[w]}\n" for i, j, w in zip(a, b, winner))
                 csv_path.write_text("item_a,item_b,winner\n" + "".join(lines), encoding="utf-8")
-                if hasattr(sample, "read_comparisons"):
-                    calls["ingest_csv"] = lambda: sample.read_comparisons(
-                        csv_path, {item: i for i, item in enumerate(items)}
-                    )
-                else:  # a checkout from before the one reader
-                    calls["ingest_csv"] = lambda: sample.ingest_comparisons(
-                        sample.iter_comparisons_csv(csv_path), items
-                    )
+                calls["ingest_csv"] = lambda: sample.read_comparisons(
+                    csv_path, {item: i for i, item in enumerate(items)}
+                )
             for name in names:
                 call = calls[name]
                 times = []

@@ -7,15 +7,17 @@ and its errors read ``path:line: problem``, or ``path: problem`` for a
 file without records.  :func:`open_text` names the line of a byte that
 is not UTF-8, which Python reports by its place in a decoder chunk.
 
-The casts of every flag and configuration value live here too:
-:func:`finite_float`, the model kinds and the configuration keys.  The
-command-line parser needs them before it knows whether a command will
-run, so this module imports the standard library only and ``pairrank
---help`` or a usage error never loads numpy.
+The cast of every flag and configuration key lives here too, with each
+range that depends on no other setting and no data (:data:`CONFIG_KEYS`,
+which holds :data:`MODEL_KEYS`).  The command-line parser needs them
+before it knows whether a command will run, so this module imports the
+standard library only and ``pairrank --help`` or a usage error never
+loads numpy.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import math
 import re
@@ -84,48 +86,88 @@ def records(path, lines, start: int = 1, line_of=None):
 
 
 def finite_float(text) -> float:
-    """``float(text)``, rejecting NaN and +-inf; the cast of every float input."""
+    """``float(text)``, rejecting NaN and +-inf; the cast under every float setting."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
-MODEL_KINDS = (
-    "btl",
-    "thurstone",
-    "btl_outlier",
-    "sst_diagonal",
-    "btl_mixture",
-    "planted",
-    "adjacent_swap",
-    "hamming_planted",
-    "explicit",
+class OutOfRange(ValueError, argparse.ArgumentTypeError):
+    """A value outside its setting's range; ``argparse`` prints it after the flag."""
+
+
+def _ranged(name: str, cast, allowed, expected: str):
+    """``cast``, then :class:`OutOfRange` unless ``allowed(value)``; argparse calls it ``name``."""
+
+    def check(text):
+        value = cast(text)
+        if not allowed(value):
+            raise OutOfRange(f"must {expected}, got {text!r}")
+        return value
+
+    check.__name__ = name
+    return check
+
+
+probability = _ranged("probability", finite_float, lambda x: 0.0 < x <= 1.0, "lie in (0, 1]")
+positive = _ranged("positive", finite_float, lambda x: x > 0.0, "be positive")
+count = _ranged("count", int, lambda x: x >= 1, "be at least 1")
+nonnegative = _ranged("nonnegative", int, lambda x: x >= 0, "be nonnegative")
+items = _ranged("items", int, lambda x: x >= 2, "be at least 2")
+seed = _ranged("seed", int, lambda x: 0 <= x < 2**64, "lie in [0, 2**64 - 1]")
+
+
+def floats(text: str) -> tuple[float, ...]:
+    """Comma-separated finite floats; empty fields are skipped."""
+    return tuple(finite_float(x) for x in text.split(",") if x.strip())
+
+
+def fractions(text: str) -> tuple[float, ...]:
+    """At least one comma-separated probability, none repeated; empty fields are skipped."""
+    values = tuple(probability(x) for x in map(str.strip, text.split(",")) if x)
+    if not values or len(set(values)) < len(values):
+        raise OutOfRange(f"must list distinct fractions, at least one, got {text!r}")
+    return values
+
+
+MODEL_KINDS = ("btl", "thurstone", "btl_outlier", "sst_diagonal", "btl_mixture", "planted",
+               "adjacent_swap", "hamming_planted", "explicit")
+model_kind = _ranged("model", str, MODEL_KINDS.__contains__, f"be one of {', '.join(MODEL_KINDS)}")
+label = _ranged(
+    "label", str, lambda x: not set(",\r\n") & set(x), "not contain a comma or a line break"
 )
 
-# every key of a bench configuration, with the cast of its value
+
+# every parameter of ``pairrank.model.ModelSpec`` but its kind and its
+# quality vector, under the field's name, with the cast of its value
+MODEL_KEYS = {
+    "quality_spread": positive,
+    "outlier": nonnegative,
+    "gap": positive,
+    "lam": _ranged("weight", finite_float, lambda x: 0.5 < x <= 1.0, "lie in (1/2, 1]"),
+    "k": count,
+    "delta": _ranged("delta", finite_float, lambda x: 0.0 < x < 0.5, "lie in (0, 1/2)"),
+    "delta0": positive,
+    "swap_index": nonnegative,
+    "plant_index": nonnegative,
+    "ordering_seed": seed,
+    "model_seed": seed,
+    "entries_path": str,
+}
+
+# every key of a bench configuration (``k`` is a model key too), with the cast of its value
 CONFIG_KEYS = {
-    "model": str,
-    "label": str,
-    "n": int,
-    "k": int,
-    "h": int,
-    "p": finite_float,
-    "alpha": finite_float,
-    "r": int,
-    "trials": int,
+    "model": model_kind,
+    "label": label,
+    "n": items,
+    "h": nonnegative,
+    "p": probability,
+    "alpha": positive,
+    "r": count,
+    "trials": count,
     "estimators": str,
     "family": str,
-    "master_seed": int,
-    "quality_spread": finite_float,
-    "lam": finite_float,
-    "gap": finite_float,
-    "delta": finite_float,
-    "delta0": finite_float,
-    "outlier": int,
-    "swap_index": int,
-    "plant_index": int,
-    "model_seed": int,
-    "ordering_seed": int,
-    "entries_path": str,
+    "master_seed": seed,
+    **MODEL_KEYS,
 }

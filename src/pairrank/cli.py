@@ -5,9 +5,7 @@ Subcommands: ``gen-matrix`` (model spec to matrix CSV), ``simulate``
 ranking JSON), ``thresholds`` (separation report JSON for the family
 ``--family``, or else ``hamming:h=H``), ``bench`` (experiment config
 to results CSV + summary JSON), and ``eval-real`` (subsampling
-evaluation of an ingested dataset).  ``gen-matrix`` and ``bench`` build
-their model through one builder, so a missing model parameter is the
-same data error under both.
+evaluation of an ingested dataset).
 
 JSON output is strict (RFC 8259): a separation that is infinite
 because the family allows every set is written as ``null``.
@@ -16,14 +14,10 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime failure
 (including any unexpected exception, whose traceback goes to stderr
 unless ``--error-json`` is set).  ``--error-json``, before or after the
 subcommand, switches error reporting to machine-readable JSON on stderr.
-Every float flag, config value and family ``eps`` must be finite: a bad
-flag is a usage error, a bad config key or family spec a data error.
-A number outside its flag's range is a usage error that names the
-flag: ``simulate`` checks ``--p``, ``--r`` and ``--seed`` before it
-reads the matrix (an ``--r`` of ``2**63`` or more stays a data error),
-``thresholds`` checks ``--p``, ``--r``, ``--alpha`` and ``--h`` even
-when the report would not read them, and ``thresholds`` and ``rank``
-check ``--k`` against the items they read.
+Every flag and configuration key takes its type and range from one cast
+in :mod:`pairrank._textio`: a bad flag is a usage error naming the flag,
+a bad configuration value a data error naming ``path:line`` and the
+key.  ``thresholds`` and ``rank`` check ``--k`` against the items read.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ import json
 import sys
 import traceback
 
-from ._textio import CONFIG_KEYS, MODEL_KINDS, finite_float
+from . import _textio
 
 
 class UsageError(Exception):
@@ -45,9 +39,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def float_list(text: str) -> tuple[float, ...]:
-    """Comma-separated finite floats (the type of list flags); empty fields are skipped."""
-    return tuple(finite_float(x) for x in text.split(",") if x.strip())
+def _add_keys(parser, keys: dict, help: str) -> None:
+    """A flag for each key but ``entries_path``, which only a configuration file sets."""
+    for key, cast in keys.items():
+        if key != "entries_path":
+            parser.add_argument(f"--{key.replace('_', '-')}", type=cast, help=f"{help} '{key}'")
 
 
 def _build_parser() -> _Parser:
@@ -63,29 +59,18 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-matrix", parents=[common], help="generate a comparison matrix CSV")
-    gen.add_argument("--model", required=True, choices=[k for k in MODEL_KINDS if k != "explicit"])
-    gen.add_argument("--n", type=int, required=True)
+    kinds = [kind for kind in _textio.MODEL_KINDS if kind != "explicit"]
+    gen.add_argument("--model", required=True, choices=kinds)
+    gen.add_argument("--n", type=_textio.items, required=True)
     gen.add_argument("--out", required=True)
-    gen.add_argument(
-        "--quality", type=float_list, help="comma-separated quality values (parametric models)"
-    )
-    gen.add_argument("--quality-spread", type=finite_float)
-    gen.add_argument("--lam", type=finite_float, help="mixture weight in (1/2, 1]")
-    gen.add_argument("--gap", type=finite_float, help="diagonal increment bound (sst_diagonal)")
-    gen.add_argument("--delta", type=finite_float, help="planted gap")
-    gen.add_argument("--delta0", type=finite_float, help="adjacent-swap / top-block gap")
-    gen.add_argument("--k", type=int, help="planted / top-block size")
-    gen.add_argument("--outlier", type=int, help="outlier item index")
-    gen.add_argument("--swap-index", type=int)
-    gen.add_argument("--plant-index", type=int)
-    gen.add_argument("--ordering-seed", type=int, help="shuffle seed for hamming_planted ordering")
-    gen.add_argument("--seed", type=int, help="model seed (sst_diagonal)")
+    gen.add_argument("--quality", dest="w", type=_textio.floats, metavar="Q1,Q2,...")
+    _add_keys(gen, _textio.MODEL_KEYS, "model parameter")
 
     sim = sub.add_parser("simulate", parents=[common], help="draw observations from a matrix")
     sim.add_argument("--matrix", required=True)
-    sim.add_argument("--p", type=finite_float, required=True)
-    sim.add_argument("--r", type=int, required=True)
-    sim.add_argument("--seed", type=int, required=True)
+    sim.add_argument("--p", type=_textio.probability, required=True)
+    sim.add_argument("--r", type=_textio.count, required=True)
+    sim.add_argument("--seed", type=_textio.seed, required=True)
     sim.add_argument("--out", required=True)
 
     rk = sub.add_parser("rank", parents=[common], help="rank items from observations")
@@ -96,24 +81,24 @@ def _build_parser() -> _Parser:
     th = sub.add_parser("thresholds", parents=[common], help="separation report for a matrix")
     th.add_argument("--matrix", required=True)
     th.add_argument("--k", type=int, required=True)
-    th.add_argument("--h", type=int, default=0, help="Hamming tolerance (family hamming:h=H)")
+    th.add_argument(
+        "--h", type=_textio.nonnegative, default=0, help="Hamming tolerance (family hamming:h=H)"
+    )
     th.add_argument(
         "--family",
         help="requirement spec such as exact, hamming:h=1, topband:eps=0.5, mult:eps=0.5, "
         "add:eps=2, ranksum:eps=0.5 or explicit:@sets.csv (overrides --h)",
     )
-    th.add_argument("--p", type=finite_float)
-    th.add_argument("--r", type=int)
-    th.add_argument("--alpha", type=finite_float, default=8.0, help="target threshold constant")
+    th.add_argument("--p", type=_textio.probability)
+    th.add_argument("--r", type=_textio.count)
+    th.add_argument("--alpha", type=_textio.positive, default=8.0, help="target threshold constant")
     th.add_argument("--out", help="write JSON here instead of stdout")
 
     be = sub.add_parser("bench", parents=[common], help="run a benchmark experiment")
     be.add_argument("--config", required=True)
     be.add_argument("--out", required=True, help="results CSV path")
     be.add_argument("--summary", help="summary JSON path")
-    for key, cast in CONFIG_KEYS.items():
-        if key != "entries_path":  # only the config file names an explicit model's matrix
-            be.add_argument(f"--{key.replace('_', '-')}", type=cast, help=f"override config key '{key}'")
+    _add_keys(be, _textio.CONFIG_KEYS, "override config key")
 
     ev = sub.add_parser(
         "eval-real", parents=[common], help="subsampling evaluation on ingested comparisons"
@@ -121,9 +106,11 @@ def _build_parser() -> _Parser:
     ev.add_argument("--obs", required=True, help="comparisons CSV (item_a,item_b,winner)")
     ev.add_argument("--truth", required=True, help="item ids in rank order, one per line")
     ev.add_argument("--k", type=int)
-    ev.add_argument("--q-grid", type=float_list, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    ev.add_argument("--trials", type=int, default=100)
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument(
+        "--q-grid", type=_textio.fractions, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
+    )
+    ev.add_argument("--trials", type=_textio.count, default=100)
+    ev.add_argument("--seed", type=_textio.seed, default=0)
     ev.add_argument("--out", required=True, help="per-trial results CSV path")
     ev.add_argument("--summary", help="summary JSON path")
     return parser
@@ -142,13 +129,9 @@ def _report_error(message: str, category: str, code: int, as_json: bool) -> None
 def main(argv=None) -> int:
     """Run one command and return its exit code; every error is reported on stderr.
 
-    This module imports the standard library and :mod:`pairrank._textio`
-    only, and ``main`` imports the command handlers
-    (:mod:`pairrank.commands`, and through them numpy and the modules a
-    command runs) only after ``parse_args``.  So ``--help``,
-    ``<command> --help`` and usage errors, which end inside
-    ``parse_args``, never load numpy.  In a process that calls ``main``
-    again the import is a ``sys.modules`` lookup.
+    The command handlers (:mod:`pairrank.commands`, and through them
+    numpy) load only after ``parse_args``, so ``--help`` and usage
+    errors, which end inside it, never load numpy.
     """
     as_json = "--error-json" in (argv if argv is not None else sys.argv[1:])
     try:

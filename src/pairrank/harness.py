@@ -203,6 +203,11 @@ def _score(
     return records
 
 
+def _matrix(cfg: ExperimentConfig) -> model.ComparisonMatrix:
+    """The comparison matrix of ``cfg``, from :func:`pairrank.model.instantiate`."""
+    return model.instantiate(cfg.model, cfg.n, derive_seed(cfg.master_seed, _MODEL_STAGE, 0))
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials of an experiment and aggregate the outcomes.
 
@@ -211,7 +216,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     separation report gives ``r`` when ``alpha`` is given and ``alpha``
     when ``r`` is.  Records are emitted in trial order.
     """
-    matrix = model.instantiate(cfg.model, cfg.n, derive_seed(cfg.master_seed, _MODEL_STAGE, 0))
+    matrix = _matrix(cfg)
     hamming = setfamily.family_hamming(cfg.n, cfg.k, cfg.h)
     report = analysis.separation_report(matrix, hamming, p=cfg.p, r=cfg.r, alpha=cfg.alpha)
     if cfg.r is not None:
@@ -488,7 +493,7 @@ def config_from_mapping(values: dict) -> ExperimentConfig:
     for key in ("model", "n", "k"):
         if values.get(key) is None:
             raise ValueError(f"configuration must set {key!r}")
-    spec = model.spec_from_mapping(values["model"], values["n"], values)
+    spec = model.spec_from_mapping(values["model"], values)
     settings = {"trials": 1, "master_seed": 0}
     settings.update((key, values[key]) for key in _EXPERIMENT_FIELDS if key in values)
     if "estimators" in settings:
@@ -503,8 +508,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     ``overrides`` (set keys only, no ``None``) replace file values.  A
     line that is not ``key = value``, an unknown key, a key set twice or
-    a value its key cannot cast (a float must be finite) raises
-    ``ValueError`` naming the file and line.
+    a value its key's cast rejects raises ``ValueError`` naming the file
+    and line; keys that disagree, or build no model, name the file.  An
+    ``explicit`` model's matrix file is read later, and names itself.
     """
     values: dict = {}
     for lineno, raw in _textio.numbered_lines(path):
@@ -523,4 +529,10 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             values[key] = _textio.CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: configuration key {key!r}: {exc}") from None
-    return config_from_mapping({**values, **(overrides or {})})
+    try:
+        cfg = config_from_mapping({**values, **(overrides or {})})
+        if cfg.model.kind != "explicit":
+            _matrix(cfg)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return cfg

@@ -116,17 +116,23 @@ def _first_bad_entry(grid: np.ndarray) -> tuple[int, str] | None:
     return None
 
 
+def _qualities(w) -> np.ndarray:
+    """``w`` as a float array, which must be a finite vector of at least 2 qualities."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 1 or w.size < 2:
+        raise ValueError("w must be a vector of at least 2 qualities")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("w must be finite")
+    return w
+
+
 def gen_parametric(w, cdf: str = "logistic") -> ComparisonMatrix:
     """Parametric model: ``M[i, j] = F(w[i] - w[j])``.
 
     ``cdf="logistic"`` gives the Bradley-Terry-Luce model,
     ``cdf="gaussian"`` the Thurstone model (standard normal CDF).
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.size < 2:
-        raise ValueError("w must be a vector of at least 2 qualities")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("w must be finite")
+    w = _qualities(w)
     try:
         F = _PARAMETRIC_CDFS[cdf]
     except KeyError:
@@ -143,12 +149,10 @@ def gen_btl_outlier(w, outlier: int) -> ComparisonMatrix:
     with probability 1 and loses to every remaining item with
     probability 1.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = _qualities(w)
     n = w.size
     if not 0 <= outlier < n:
         raise ValueError(f"outlier index {outlier} out of range for n={n}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("w must be finite")
     upper = _special.expit(w[:, None] - w[None, :])
     others = np.array([i for i in range(n) if i != outlier])
     # highest-quality others first; ties broken by smaller index
@@ -199,9 +203,7 @@ def gen_btl_mixture(w, lam: float) -> ComparisonMatrix:
     """
     if not 0.5 < lam <= 1.0:
         raise ValueError(f"mixture weight must lie in (1/2, 1], got {lam}")
-    w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("w must be finite")
+    w = _qualities(w)
     diffs = w[:, None] - w[None, :]
     upper = lam * _special.expit(diffs) + (1.0 - lam) * _special.expit(-diffs)
     return _freeze(_mirror_upper(upper))
@@ -302,14 +304,29 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+_PARAMETRIC_KINDS = ("btl", "thurstone", "btl_outlier", "btl_mixture")
+# the parameters a kind cannot do without
+_REQUIRED = {
+    "planted": ("k", "delta"),
+    "adjacent_swap": ("delta0",),
+    "hamming_planted": ("k", "delta0"),
+    "explicit": ("entries_path",),
+}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Declarative description of a comparison model instance.
 
-    Only the parameters used by ``kind`` need to be set; the rest stay
-    ``None``.  ``instantiate`` resolves the spec into a matrix.  ``w``
-    is stored as a tuple of floats and ``ordering`` as a tuple of ints,
-    whatever sequence they are given as, so every spec is hashable.
+    Each kind reads its own parameters: ``w`` or else ``quality_spread``
+    (``btl``, ``thurstone``, ``btl_outlier`` with ``outlier``,
+    ``btl_mixture`` with ``lam``); ``gap`` and ``model_seed``
+    (``sst_diagonal``); ``k``, ``delta`` and ``plant_index`` (``planted``);
+    ``delta0`` and ``swap_index`` (``adjacent_swap``); ``k``, ``delta0``
+    and ``ordering_seed``, which seeds a random order of the items
+    (``hamming_planted``); ``entries_path`` (``explicit``).  A spec
+    without a parameter its kind requires raises ``ValueError``.  ``w``
+    is stored as a tuple of floats, so every spec is hashable.
     """
 
     kind: str
@@ -323,50 +340,34 @@ class ModelSpec:
     delta0: float | None = None
     swap_index: int = 0
     plant_index: int | None = None
-    ordering: tuple[int, ...] | None = None
-    seed: int | None = None
+    ordering_seed: int | None = None
+    model_seed: int | None = None
     entries_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
+        required = _REQUIRED.get(self.kind, ())
+        if any(getattr(self, name) is None for name in required):
+            raise ValueError(f"{self.kind} model requires {' and '.join(required)}")
         if self.w is not None:
-            object.__setattr__(self, "w", _as_tuple(self.w, float, "w"))
-        if self.ordering is not None:
-            object.__setattr__(self, "ordering", _as_tuple(self.ordering, int, "ordering"))
+            try:
+                object.__setattr__(self, "w", tuple(float(x) for x in self.w))
+            except (TypeError, ValueError):
+                raise ValueError("w must be a sequence of numbers") from None
 
 
-def _as_tuple(values, cast, name: str) -> tuple:
-    try:
-        return tuple(cast(x) for x in values)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a sequence of numbers") from None
+_PARAMETERS = frozenset(f.name for f in fields(ModelSpec)) - {"kind"}
 
 
-# ModelSpec fields a flat mapping sets under their own name
-_FLAT_FIELDS = frozenset(f.name for f in fields(ModelSpec)) - {"kind", "ordering", "seed"}
+def spec_from_mapping(kind: str, values: dict) -> ModelSpec:
+    """Build a model spec from flat keys, each a :class:`ModelSpec` field under its own name.
 
-
-def spec_from_mapping(kind: str, n: int, values: dict) -> ModelSpec:
-    """Build a model spec for ``n`` items from flat configuration keys.
-
-    ``values`` holds :class:`ModelSpec` fields under their own names,
-    except ``model_seed`` (the spec's ``seed``) and ``ordering_seed``
-    (seeds a random permutation of the items, the spec's ``ordering``).
-    ``k`` reaches the planted kinds only and other keys are ignored.
-    Absent or ``None`` keys keep the spec's defaults; :func:`instantiate`
-    reports a missing required parameter.
+    ``k`` reaches the planted kinds only; other keys and ``None`` values are ignored.
     """
-    params = {
-        key: value for key, value in values.items() if key in _FLAT_FIELDS and value is not None
-    }
+    params = {key: values[key] for key in _PARAMETERS if values.get(key) is not None}
     if kind not in ("planted", "hamming_planted"):
         params.pop("k", None)
-    if values.get("model_seed") is not None:
-        params["seed"] = values["model_seed"]
-    if values.get("ordering_seed") is not None:
-        rng = np.random.default_rng(values["ordering_seed"])
-        params["ordering"] = tuple(int(x) for x in rng.permutation(n))
     return ModelSpec(kind=kind, **params)
 
 
@@ -374,61 +375,52 @@ def instantiate(spec: ModelSpec, n: int, seed: int | None = None) -> ComparisonM
     """Resolve a model spec into an ``n x n`` comparison matrix.
 
     ``seed`` is a fallback for kinds with internal randomness when the
-    spec itself carries none.
-
-    The last matrix built is memoized under ``(spec, n, seed)``, with
-    ``seed`` in the key only where the build reads it (``sst_diagonal``
-    without ``spec.seed``), so a sweep over one model builds its matrix
-    once.  Callers share that matrix, which is safe because a
-    :class:`ComparisonMatrix` is read-only.  The memo holds one entry:
-    it keeps the last matrix alive and nothing more.  An ``explicit``
-    spec is never memoized; its file is read again on every call.
+    spec carries none.  The last matrix built, and only it, is memoized
+    under ``(spec, n, seed)``, ``seed`` only where the build reads it
+    (``sst_diagonal`` without ``model_seed``), so a sweep over one model
+    builds once and its callers share the read-only matrix.  An
+    ``explicit`` spec is never memoized: its file is read on every call.
     """
     if spec.kind == "explicit":
         return _build(spec, n, seed)
-    if spec.kind != "sst_diagonal" or spec.seed is not None:
+    if spec.kind != "sst_diagonal" or spec.model_seed is not None:
         seed = None
     return _build_memoized(spec, n, seed)
 
 
 def _build(spec: ModelSpec, n: int, seed: int | None) -> ComparisonMatrix:
+    if n < 2:
+        raise ValueError(f"need at least 2 items, got n={n}")
     kind = spec.kind
-    if kind in ("btl", "thurstone", "btl_outlier", "btl_mixture"):
+    if kind in _PARAMETRIC_KINDS:
         w = resolved_quality(spec, n)
         if w.size != n:
             raise ValueError(f"quality vector has length {w.size}, expected {n}")
-        if kind == "btl":
-            return gen_parametric(w, "logistic")
-        if kind == "thurstone":
-            return gen_parametric(w, "gaussian")
+        if kind in ("btl", "thurstone"):
+            return gen_parametric(w, "logistic" if kind == "btl" else "gaussian")
         if kind == "btl_outlier":
             outlier = spec.outlier if spec.outlier is not None else n - 1
             return gen_btl_outlier(w, outlier)
         return gen_btl_mixture(w, spec.lam)
     if kind == "sst_diagonal":
         gap = spec.gap if spec.gap is not None else 0.4 / (n - 1)
-        use_seed = spec.seed if spec.seed is not None else seed
+        use_seed = spec.model_seed if spec.model_seed is not None else seed
         if use_seed is None:
             raise ValueError("sst_diagonal requires a seed")
         return gen_sst_diagonal(n, gap, use_seed)
     if kind == "planted":
-        if spec.k is None or spec.delta is None:
-            raise ValueError("planted model requires k and delta")
         return gen_planted(n, spec.k, spec.delta, spec.plant_index)
     if kind == "adjacent_swap":
-        if spec.delta0 is None:
-            raise ValueError("adjacent_swap model requires delta0")
         return gen_adjacent_swap(n, spec.delta0, spec.swap_index)
     if kind == "hamming_planted":
-        if spec.k is None or spec.delta0 is None:
-            raise ValueError("hamming_planted model requires k and delta0")
-        return gen_hamming_planted(n, spec.k, spec.delta0, spec.ordering)
+        ordering = None
+        if spec.ordering_seed is not None:
+            ordering = np.random.default_rng(_check_seed(spec.ordering_seed)).permutation(n)
+        return gen_hamming_planted(n, spec.k, spec.delta0, ordering)
     # explicit
-    if spec.entries_path is None:
-        raise ValueError("explicit model requires entries_path")
     matrix = read_matrix_csv(spec.entries_path)
     if matrix.n != n:
-        raise ValueError(f"matrix file has n={matrix.n}, expected {n}")
+        raise ValueError(f"{spec.entries_path}: matrix file has n={matrix.n}, expected {n}")
     return matrix
 
 
@@ -441,7 +433,7 @@ def resolved_quality(spec: ModelSpec, n: int) -> np.ndarray | None:
 
     ``None`` for the other kinds.
     """
-    if spec.kind not in ("btl", "thurstone", "btl_outlier", "btl_mixture"):
+    if spec.kind not in _PARAMETRIC_KINDS:
         return None
     if spec.w is not None:
         return np.asarray(spec.w, dtype=np.float64)

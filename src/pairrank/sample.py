@@ -377,9 +377,7 @@ def read_observations_csv(path) -> ObservationSet:
             raise ValueError(f"{path}:1: missing '# n=.. r=.. p=..' metadata line")
         n, r, p_text = int(meta[1]), int(meta[2]), meta[3]
         try:
-            p = None if p_text == "na" else float(p_text)
-            if p is not None and not 0.0 < p <= 1.0:
-                raise ValueError
+            p = None if p_text == "na" else _textio.probability(p_text)
         except ValueError:
             problem = f"metadata p must be a number in (0, 1] or 'na', got {p_text!r}"
             raise ValueError(f"{path}:1: {problem}") from None

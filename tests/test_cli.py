@@ -173,36 +173,26 @@ class TestErrorJson:
             "exit_code": 2,
         }
 
-    def test_zero_trials_is_a_data_error(self, tmp_path, capsys):
+    # checked before either file is read: neither path here exists
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--trials=0", "--trials: must be at least 1, got '0'"),
+            ("--seed=-1", "--seed: must lie in [0, 2**64 - 1], got '-1'"),
+            ("--q-grid=0.2,0.5,0.5",
+             "--q-grid: must list distinct fractions, at least one, got '0.2,0.5,0.5'"),
+            ("--q-grid=0", "--q-grid: must lie in (0, 1], got '0'"),
+            ("--q-grid=0.5,1.5", "--q-grid: must lie in (0, 1], got '1.5'"),
+            ("--q-grid=-0.2", "--q-grid: must lie in (0, 1], got '-0.2'"),
+            ("--q-grid=,", "--q-grid: must list distinct fractions, at least one, got ','"),
+        ],
+    )
+    def test_eval_real_flag_out_of_range_is_a_usage_error(self, tmp_path, capsys, flag, message):
         argv = ["--error-json", "eval-real", "--obs", str(tmp_path / "missing.csv"),
-                "--truth", str(tmp_path / "missing.txt"), "--trials", "0",
-                "--out", str(tmp_path / "out.csv")]
-        assert cli.main(argv) == 2
-        assert error_payload(capsys) == {
-            "error": "trials must be at least 1", "category": "data", "exit_code": 2
-        }
-        assert not (tmp_path / "out.csv").exists()
-
-    def test_repeated_q_is_a_data_error(self, tmp_path, capsys):
-        argv = ["--error-json", "eval-real", "--obs", str(tmp_path / "missing.csv"),
-                "--truth", str(tmp_path / "missing.txt"), "--q-grid", "0.2,0.5,0.5",
-                "--out", str(tmp_path / "out.csv")]
-        assert cli.main(argv) == 2
-        assert error_payload(capsys) == {
-            "error": "q_grid repeats 0.5", "category": "data", "exit_code": 2
-        }
-        assert not (tmp_path / "out.csv").exists()
-
-    @pytest.mark.parametrize("grid, bad", [("0", "0"), ("0.5,1.5", "1.5"), ("-0.2", "-0.2")])
-    def test_q_outside_unit_interval_is_a_usage_error(self, tmp_path, capsys, grid, bad):
-        argv = ["--error-json", "eval-real", "--obs", str(tmp_path / "missing.csv"),
-                "--truth", str(tmp_path / "missing.txt"), f"--q-grid={grid}",
-                "--out", str(tmp_path / "out.csv")]
+                "--truth", str(tmp_path / "missing.txt"), flag, "--out", str(tmp_path / "out.csv")]
         assert cli.main(argv) == 1
         assert error_payload(capsys) == {
-            "error": f"--q-grid fractions must lie in (0, 1], got {bad}",
-            "category": "usage",
-            "exit_code": 1,
+            "error": f"pairrank eval-real: argument {message}", "category": "usage", "exit_code": 1
         }
         assert not (tmp_path / "out.csv").exists()
 
@@ -233,21 +223,24 @@ class TestErrorJson:
         argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
         assert cli.main(argv) == 2
         assert error_payload(capsys) == {
-            "error": "need k + h + 1 <= n, got k=5, h=3, n=8", "category": "data", "exit_code": 2
+            "error": f"{config}: need k + h + 1 <= n, got k=5, h=3, n=8",
+            "category": "data",
+            "exit_code": 2,
         }
         assert not (tmp_path / "b.csv").exists()
 
     @pytest.mark.parametrize("label", ["a,b", "a\nb"])
-    def test_bench_label_that_would_split_a_row_is_a_data_error(self, tmp_path, capsys, label):
+    def test_bench_label_that_would_split_a_row_is_a_usage_error(self, tmp_path, capsys, label):
         config = tmp_path / "bench.cfg"
         config.write_text("model = btl\nn = 8\nk = 2\nr = 2\n", encoding="utf-8")
         argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv"),
                 "--label", label]
-        assert cli.main(argv) == 2
+        assert cli.main(argv) == 1
         assert error_payload(capsys) == {
-            "error": f"label must not contain a comma or a line break, got {label!r}",
-            "category": "data",
-            "exit_code": 2,
+            "error": "pairrank bench: argument --label: "
+            f"must not contain a comma or a line break, got {label!r}",
+            "category": "usage",
+            "exit_code": 1,
         }
         assert not (tmp_path / "b.csv").exists()
 
@@ -448,14 +441,14 @@ class TestThresholds:
     # without --p the report reads neither --r nor --alpha, and --family
     # replaces --h; each flag is still range-checked
     OUT_OF_RANGE = {
-        "--r 0": "--r must be at least 1, got 0",
-        "--r -1": "--r must be at least 1, got -1",
-        "--alpha 0": "--alpha must be positive, got 0",
-        "--alpha -1": "--alpha must be positive, got -1",
-        "--h -1 --family exact": "--h must be nonnegative, got -1",
-        "--p 0.5 --r 0": "--r must be at least 1, got 0",
-        "--p 0 --r 2": "--p must lie in (0, 1], got 0",
-        "--p 1.5": "--p must lie in (0, 1], got 1.5",
+        "--r 0": "pairrank thresholds: argument --r: must be at least 1, got '0'",
+        "--r -1": "pairrank thresholds: argument --r: must be at least 1, got '-1'",
+        "--alpha 0": "pairrank thresholds: argument --alpha: must be positive, got '0'",
+        "--alpha -1": "pairrank thresholds: argument --alpha: must be positive, got '-1'",
+        "--h -1 --family exact": "pairrank thresholds: argument --h: must be nonnegative, got '-1'",
+        "--p 0.5 --r 0": "pairrank thresholds: argument --r: must be at least 1, got '0'",
+        "--p 0 --r 2": "pairrank thresholds: argument --p: must lie in (0, 1], got '0'",
+        "--p 1.5": "pairrank thresholds: argument --p: must lie in (0, 1], got '1.5'",
         # --k is checked against the 8 items read, as rank checks it
         "--k 0": "--k must lie in [1, 8], got 0",
         "--k -1": "--k must lie in [1, 8], got -1",
@@ -475,13 +468,13 @@ class TestThresholds:
 class TestSimulate:
     # checked before the matrix is read: the matrix path here does not exist
     OUT_OF_RANGE = {
-        "--p 0": "--p must lie in (0, 1], got 0",
-        "--p=-0.5": "--p must lie in (0, 1], got -0.5",
-        "--p 1.5": "--p must lie in (0, 1], got 1.5",
-        "--r 0": "--r must be at least 1, got 0",
-        "--r=-1": "--r must be at least 1, got -1",
-        "--seed=-1": "--seed must lie in [0, 2**64 - 1], got -1",
-        f"--seed {2**64}": f"--seed must lie in [0, 2**64 - 1], got {2**64}",
+        "--p 0": "--p: must lie in (0, 1], got '0'",
+        "--p=-0.5": "--p: must lie in (0, 1], got '-0.5'",
+        "--p 1.5": "--p: must lie in (0, 1], got '1.5'",
+        "--r 0": "--r: must be at least 1, got '0'",
+        "--r=-1": "--r: must be at least 1, got '-1'",
+        "--seed=-1": "--seed: must lie in [0, 2**64 - 1], got '-1'",
+        f"--seed {2**64}": f"--seed: must lie in [0, 2**64 - 1], got '{2**64}'",
     }
 
     @pytest.mark.parametrize("flags", OUT_OF_RANGE)
@@ -491,7 +484,9 @@ class TestSimulate:
                 *flags.split()]
         assert cli.main(argv) == 1
         assert error_payload(capsys) == {
-            "error": self.OUT_OF_RANGE[flags], "category": "usage", "exit_code": 1
+            "error": f"pairrank simulate: argument {self.OUT_OF_RANGE[flags]}",
+            "category": "usage",
+            "exit_code": 1,
         }
         assert not (tmp_path / "obs.csv").exists()
 
@@ -523,12 +518,28 @@ class TestOneModelBuilder:
         keys = GEN_MATRIX_CASES[kind]
         argv = ["gen-matrix", "--model", kind, "--n", "10", "--out", str(tmp_path / "gen.csv")]
         for key, value in keys.items():
-            flag = "--seed" if key == "model_seed" else "--" + key.replace("_", "-")
-            argv += [flag, str(value)]
+            argv += ["--" + key.replace("_", "-"), str(value)]
         assert cli.main(argv) == 0
         cfg = harness.config_from_mapping({"model": kind, "n": 10, "k": 2, "r": 1, **keys})
         model.write_matrix_csv(model.instantiate(cfg.model, 10), tmp_path / "cfg.csv")
         assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "cfg.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["btl_outlier", "--quality", "5"], ["sst_diagonal", "--model-seed", "3"],
+         ["btl_mixture", "--quality", "5"]],
+        ids=["btl_outlier", "sst_diagonal", "btl_mixture"],
+    )
+    def test_one_item_is_a_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "m.csv"
+        argv = ["--error-json", "gen-matrix", "--n", "1", "--model", *flags, "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert error_payload(capsys) == {
+            "error": "pairrank gen-matrix: argument --n: must be at least 2, got '1'",
+            "category": "usage",
+            "exit_code": 1,
+        }
+        assert not out.exists()
 
     def test_missing_parameter_is_one_data_error(self, tmp_path, capsys):
         expected = {"error": "planted model requires k and delta", "category": "data",
@@ -541,7 +552,7 @@ class TestOneModelBuilder:
         config.write_text("model = planted\nn = 8\nk = 2\nr = 2\n", encoding="utf-8")
         argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
         assert cli.main(argv) == 2
-        assert error_payload(capsys) == expected
+        assert error_payload(capsys) == {**expected, "error": f"{config}: {expected['error']}"}
 
 
 def _bench_override_keys():
@@ -584,10 +595,6 @@ class TestBenchOverrides:
             assert cfg.model.kind == value
         elif key == "estimators":
             assert cfg.estimators == (value,)
-        elif key == "model_seed":
-            assert cfg.model.seed == value
-        elif key == "ordering_seed":
-            assert cfg.model.ordering == tuple(np.random.default_rng(value).permutation(8))
         elif key in {f.name for f in dataclasses.fields(harness.ExperimentConfig)}:
             assert getattr(cfg, key) == value
         else:

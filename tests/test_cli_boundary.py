@@ -3,11 +3,12 @@
 Each example takes a valid command line for ``gen-matrix``, ``simulate``,
 ``thresholds``, ``eval-real`` or ``bench`` (8 items), then sets one to
 three of its numeric flags to values drawn from :data:`VALUES`, as
-``--flag=value`` or as two tokens.  A value outside its flag's range in
-:data:`FLAG_RANGES` must be a usage error (exit 1); any other value no
-flag accepts must fail with exit 1 or 2.  Under
-``--error-json`` a failure must print exactly one JSON line on stderr
-and a success nothing there.
+``--flag=value`` or as two tokens.  :data:`FLAG_RANGES` states the range
+of every numeric flag but ``eval-real --k``, written here apart from the
+casts of ``pairrank``.  A value outside its flag's range must be a usage
+error (exit 1); any other value no flag accepts must fail with exit 1 or
+2.  Under ``--error-json`` a failure must print exactly one JSON line on
+stderr and a success nothing there.
 pytest turns every warning into an error, so a numpy warning that would
 add a stray stderr line fails an example as exit 3.
 """
@@ -22,43 +23,81 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pairrank import _textio, cli
+from pairrank import cli
 
 from conftest import write_dataset
 
-VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "abc")
-# no numeric flag accepts these; 0, -1 and 1e308 are valid for some
+VALUES = ("nan", "inf", "-inf", "0", "-1", "1", "1e308", "abc")
+# no numeric flag accepts these; 0, -1, 1 and 1e308 are valid for some
 NEVER_VALID = frozenset({"nan", "inf", "-inf", "abc"})
 
 
-def within(cast, lo, hi=math.inf, open_lo=False):
-    """A check that a flag value parses with ``cast`` and lies in ``[lo, hi]``
-    (``(lo, hi]`` when ``open_lo``)."""
+def finite(text):
+    """``float(text)``, which must be neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def within(cast, lo, hi=math.inf, open_lo=False, open_hi=False):
+    """A check that a flag value parses with ``cast`` and lies between ``lo`` and ``hi``,
+    each end included unless ``open_lo`` or ``open_hi``."""
 
     def valid(text):
         try:
             value = cast(text)
         except ValueError:
             return False
-        return (lo < value if open_lo else lo <= value) and value <= hi
+        above = lo < value if open_lo else lo <= value
+        below = value < hi if open_hi else value <= hi
+        return above and below
 
     return valid
 
 
+SEED = within(int, 0, 2**64 - 1)
+PROBABILITY = within(finite, 0.0, 1.0, open_lo=True)
+POSITIVE = within(finite, 0.0, open_lo=True)
+# the model parameters, as gen-matrix flags and as bench overrides
+MODEL_RANGES = {
+    "--quality-spread": POSITIVE,
+    "--outlier": within(int, 0),
+    "--gap": POSITIVE,
+    "--lam": within(finite, 0.5, 1.0, open_lo=True),
+    "--k": within(int, 1),
+    "--delta": within(finite, 0.0, 0.5, open_lo=True, open_hi=True),
+    "--delta0": POSITIVE,
+    "--swap-index": within(int, 0),
+    "--plant-index": within(int, 0),
+    "--ordering-seed": SEED,
+    "--model-seed": SEED,
+}
+
 # the values each flag accepts, on the 8-item matrix the commands read; a
 # value inside its range may still fail together with the other flags
 FLAG_RANGES = {
-    "simulate": {
-        "--p": within(float, 0.0, 1.0, open_lo=True),
-        "--r": within(int, 1),
-        "--seed": within(int, 0, 2**64 - 1),
-    },
+    "gen-matrix": {"--n": within(int, 2), **MODEL_RANGES},
+    "simulate": {"--p": PROBABILITY, "--r": within(int, 1), "--seed": SEED},
     "thresholds": {
         "--k": within(int, 1, 8),
         "--h": within(int, 0, 7),
-        "--p": within(float, 0.0, 1.0, open_lo=True),
+        "--p": PROBABILITY,
         "--r": within(int, 1),
-        "--alpha": within(float, 0.0, open_lo=True),
+        "--alpha": POSITIVE,
+    },
+    # each drawn value is one number, so a --q-grid of one fraction
+    "eval-real": {"--q-grid": PROBABILITY, "--trials": within(int, 1), "--seed": SEED},
+    "bench": {
+        "--n": within(int, 2),
+        "--k": within(int, 1),
+        "--h": within(int, 0),
+        "--p": PROBABILITY,
+        "--alpha": POSITIVE,
+        "--r": within(int, 1),
+        "--trials": within(int, 1),
+        "--master-seed": SEED,
+        **MODEL_RANGES,
     },
 }
 
@@ -68,17 +107,11 @@ MODEL_PARAMS = {
     "thurstone": {},
     "btl_outlier": {},
     "btl_mixture": {"lam": "0.8"},
-    "sst_diagonal": {"seed": "3"},
+    "sst_diagonal": {"model_seed": "3"},
     "planted": {"k": "2", "delta": "0.1"},
     "adjacent_swap": {"delta0": "0.1"},
     "hamming_planted": {"k": "2", "delta0": "0.1"},
 }
-
-GEN_FLAGS = ("--n", "--quality", "--quality-spread", "--lam", "--gap", "--delta", "--delta0",
-             "--k", "--outlier", "--swap-index", "--plant-index", "--ordering-seed", "--seed")
-BENCH_FLAGS = tuple(
-    f"--{key.replace('_', '-')}" for key, cast in _textio.CONFIG_KEYS.items() if cast is not str
-)
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +134,8 @@ def base_command(draw, files):
         kind = draw(st.sampled_from(sorted(MODEL_PARAMS)))
         argv = ["gen-matrix", "--model", kind, "--n", "8", "--out", out]
         for key, value in MODEL_PARAMS[kind].items():
-            argv += [f"--{key}", value]
-        return argv, GEN_FLAGS
+            argv += [f"--{key.replace('_', '-')}", value]
+        return argv, ("--quality", *FLAG_RANGES["gen-matrix"])
     if command == "simulate":
         return (["simulate", "--matrix", str(files["matrix"]), "--p", "0.5", "--r", "3",
                  "--seed", "1", "--out", out], ("--p", "--r", "--seed"))
@@ -119,8 +152,8 @@ def base_command(draw, files):
     argv = ["bench", "--config", str(files["config"]), "--out", out, "--model", kind]
     argv += draw(st.sampled_from([["--r", "2"], ["--alpha", "4"]]))
     for key, value in MODEL_PARAMS[kind].items():
-        argv += ["--model-seed" if key == "seed" else f"--{key}", value]
-    return argv, BENCH_FLAGS
+        argv += [f"--{key.replace('_', '-')}", value]
+    return argv, tuple(FLAG_RANGES["bench"])
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,15 +1,16 @@
 """Every input file reports a data error as ``path:line: problem``.
 
-The property mutates one of five small valid input files (matrix,
-observations, comparisons, truth and explicit family) by one to four
-byte inserts, deletes or replacements from :data:`ALPHABET` and runs the
-CLI on it in process under ``--error-json``.  Every run must exit 0, 1
-or 2 with exactly one JSON line on stderr for a failure and none for a
-success, and a data error must start ``<path>:<line>: `` for a line the
-file has (or the line after its last), or ``<path>: `` when the file
-holds no records, and must name the mutated file.  A mutated file that
-holds a number above 300 is skipped, so that no example asks for a large
-``n x n`` array.
+The property mutates one of six small valid input files (matrix,
+observations, comparisons, truth, explicit family and bench
+configuration) by one to four byte inserts, deletes or replacements from
+:data:`ALPHABET` and runs the CLI on it in process under
+``--error-json``.  Every run must exit 0, 1 or 2 with exactly one JSON
+line on stderr for a failure and none for a success, and a data error
+must start ``<path>:<line>: `` for a line the file has (or the line
+after its last), or ``<path>: `` when the file holds no records or, for
+the configuration, when its keys disagree or build no model, and must
+name the mutated file.  A mutated file that holds a number above 300 is
+skipped, so that no example asks for a large ``n x n`` array.
 
 The example tests pin each reader's errors, and the oracle test checks
 that a matrix file :func:`numpy.loadtxt` accepts reads bit for bit as
@@ -38,6 +39,7 @@ BASE = {
     "comparisons": b"item_a,item_b,winner\na,b,a\nb,c,b\na,c,c\na,b,a\n",
     "truth": b"a\nb\nc\n",
     "family": b"1,3\n2,3\n",
+    "config": b"model = planted\nn = 4\nk = 1\ndelta = 0.1\nr = 1\n",
 }
 # the error of a reader that found no records, after ``<path>: ``
 NO_RECORDS = {
@@ -59,6 +61,9 @@ def argv_for(kind, paths):
     if kind == "family":
         family = f"explicit:@{paths['family']}"
         return ["thresholds", "--matrix", paths["matrix"], "--k", "2", "--family", family]
+    if kind == "config":
+        return ["bench", "--config", paths["config"], "--out", paths["out"],
+                "--estimators", "copeland"]
     return ["eval-real", "--obs", paths["comparisons"], "--truth", paths["truth"],
             "--q-grid", "1", "--trials", "1", "--out", paths["out"]]
 
@@ -122,7 +127,7 @@ def test_mutated_file_fails_naming_its_line(valid_files, kind, data):
     rest = error[len(named):]
     where = re.match(r":(\d+): ", rest)
     if where is None:
-        assert rest in {f": {problem}" for problem in NO_RECORDS}, (text, error)
+        assert kind == "config" or rest in {f": {problem}" for problem in NO_RECORDS}, (text, error)
     else:
         with open(named, "rb") as fh:
             last = len(fh.read().splitlines())
@@ -256,13 +261,45 @@ class TestConfig:
              "1: configuration key 'trials': invalid literal for int() with base 10: '2\\x0cx'"),
             ("model = btl\rn = 8\r\nk = two\n",
              "3: configuration key 'k': invalid literal for int() with base 10: 'two'"),
+            (BASE + "p = 0\n", "5: configuration key 'p': must lie in (0, 1], got '0'"),
+            ("n = 1\n" + BASE, "1: configuration key 'n': must be at least 2, got '1'"),
+            (BASE + "model_seed = -1\n",
+             "5: configuration key 'model_seed': must lie in [0, 2**64 - 1], got '-1'"),
+            ("model = elo\n",
+             "1: configuration key 'model': must be one of btl, "
+             "thurstone, btl_outlier, sst_diagonal, btl_mixture, planted, adjacent_swap, "
+             "hamming_planted, explicit, got 'elo'"),
         ],
-        ids=["no-equals", "unknown-key", "repeated-key", "form-feed-is-no-line-break", "cr-lines"],
+        ids=["no-equals", "unknown-key", "repeated-key", "form-feed-is-no-line-break", "cr-lines",
+             "p-zero", "one-item", "negative-seed", "unknown-model"],
     )
     def test_syntax_error_names_the_file_and_line(self, tmp_path, text, message):
         path = write(tmp_path, "bench.cfg", text)
         argv = ["bench", "--config", str(path), "--out", str(tmp_path / "b.csv")]
         assert data_error(argv) == f"{path}:{message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("model = btl\nn = 8\nk = 7\nh = 1\nr = 2\n", "need k + h + 1 <= n, got k=7, h=1, n=8"),
+            ("model = planted\nn = 8\nk = 2\nr = 2\n", "planted model requires k and delta"),
+            ("model = planted\nn = 8\nk = 2\ndelta = 0.1\nplant_index = 9\nr = 2\n",
+             "plant_index must lie in [k-1, n), got 9"),
+            ("n = 8\nk = 2\n", "configuration must set 'model'"),
+        ],
+        ids=["cross-key", "missing-parameter", "model-for-n", "missing-key"],
+    )
+    def test_keys_that_disagree_name_the_file(self, tmp_path, text, message):
+        path = write(tmp_path, "bench.cfg", text)
+        argv = ["bench", "--config", str(path), "--out", str(tmp_path / "b.csv")]
+        assert data_error(argv) == f"{path}: {message}"
+
+    def test_explicit_matrix_of_the_wrong_size_names_the_matrix_file(self, tmp_path):
+        matrix = write(tmp_path, "m2.csv", "0.5,0.5\n0.5,0.5\n")
+        path = write(tmp_path, "bench.cfg", f"model = explicit\nentries_path = {matrix}\n"
+                     "n = 8\nk = 2\nr = 2\n")
+        argv = ["bench", "--config", str(path), "--out", str(tmp_path / "b.csv")]
+        assert data_error(argv) == f"{matrix}: matrix file has n=2, expected 8"
 
 
 class TestFamilyAndTruth:

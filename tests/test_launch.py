@@ -111,7 +111,7 @@ def test_only_special_functions_load_scipy(tmp_path):
     eval_real = ["eval-real", "--obs", str(comparisons), "--truth", str(truth),
                  "--q-grid", "0.5,1", "--trials", "2"]
     steps = [
-        ["gen-matrix", "--model", "sst_diagonal", "--n", "8", "--gap", "0.05", "--seed", "3",
+        ["gen-matrix", "--model", "sst_diagonal", "--n", "8", "--gap", "0.05", "--model-seed", "3",
          "--out", str(matrix)],
         ["simulate", "--matrix", str(matrix), "--p", "1", "--r", "3", "--seed", "4",
          "--out", str(obs)],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from pairrank import (
     scores,
     write_matrix_csv,
 )
-from pairrank import model
+from pairrank import _textio, model
 from pairrank.model import MODEL_KINDS, _mirror_upper
 
 from conftest import is_sst
@@ -294,6 +296,20 @@ class TestGeneratorInvariants:
         ordering = [7, 3, 1, 9, 0, 2, 4, 5, 6, 8]
         assert is_sst(gen_hamming_planted(10, 4, 0.3, ordering), order=ordering)
 
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda w: gen_parametric(w),
+            lambda w: gen_btl_outlier(w, 0),
+            lambda w: gen_btl_mixture(w, 0.8),
+        ],
+        ids=["parametric", "outlier", "mixture"],
+    )
+    @pytest.mark.parametrize("w", [[5.0], [], [[1.0, 2.0], [3.0, 4.0]]], ids=["one", "no", "grid"])
+    def test_quality_generators_need_a_vector_of_two(self, generate, w):
+        with pytest.raises(ValueError, match="w must be a vector of at least 2 qualities"):
+            generate(w)
+
 
 def mirror_by_pair_indices(upper):
     """The fancy-index construction: copy each pair i < j, then 1 - it."""
@@ -337,7 +353,7 @@ class TestModelSpec:
             ModelSpec(kind="btl"),
             ModelSpec(kind="thurstone"),
             ModelSpec(kind="btl_outlier", outlier=0),
-            ModelSpec(kind="sst_diagonal", gap=0.02, seed=9),
+            ModelSpec(kind="sst_diagonal", gap=0.02, model_seed=9),
             ModelSpec(kind="btl_mixture", lam=0.75),
             ModelSpec(kind="planted", k=2, delta=0.1),
             ModelSpec(kind="adjacent_swap", delta0=1.0 / (9 * (n - 1)), swap_index=1),
@@ -358,14 +374,8 @@ class TestModelSpec:
 
     @pytest.mark.parametrize(
         "as_list, as_tuple",
-        [
-            (ModelSpec(kind="btl", w=[1.0, 0.0, -1.0]), ModelSpec(kind="btl", w=(1.0, 0.0, -1.0))),
-            (
-                ModelSpec(kind="hamming_planted", k=1, delta0=0.2, ordering=[2, 0, 1]),
-                ModelSpec(kind="hamming_planted", k=1, delta0=0.2, ordering=(2, 0, 1)),
-            ),
-        ],
-        ids=["w", "ordering"],
+        [(ModelSpec(kind="btl", w=[1.0, 0.0, -1.0]), ModelSpec(kind="btl", w=(1.0, 0.0, -1.0)))],
+        ids=["w"],
     )
     def test_list_and_tuple_specs_are_one_spec(self, as_list, as_tuple):
         assert as_list == as_tuple
@@ -378,6 +388,39 @@ class TestModelSpec:
     def test_non_numeric_quality_rejected(self):
         with pytest.raises(ValueError, match="w must be a sequence of numbers"):
             ModelSpec(kind="btl", w=1.0)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("planted", "planted model requires k and delta"),
+            ("adjacent_swap", "adjacent_swap model requires delta0"),
+            ("hamming_planted", "hamming_planted model requires k and delta0"),
+            ("explicit", "explicit model requires entries_path"),
+        ],
+    )
+    def test_missing_required_parameter_rejected(self, kind, message):
+        with pytest.raises(ValueError) as exc:
+            ModelSpec(kind=kind, k=2)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind", sorted(set(MODEL_KINDS) - {"explicit"}))
+    def test_one_item_is_too_few_for_every_kind(self, kind):
+        spec = ModelSpec(kind=kind, k=1, delta=0.1, delta0=0.1, model_seed=3)
+        with pytest.raises(ValueError) as exc:
+            instantiate(spec, 1)
+        assert str(exc.value) == "need at least 2 items, got n=1"
+
+    def test_ordering_seed_draws_the_order_of_the_items(self):
+        spec = ModelSpec(kind="hamming_planted", k=3, delta0=0.2, ordering_seed=5)
+        ordering = np.random.default_rng(5).permutation(9)
+        expected = gen_hamming_planted(9, 3, 0.2, ordering).entries
+        assert instantiate(spec, 9).entries.tobytes() == expected.tobytes()
+
+    def test_model_keys_are_the_spec_parameters(self):
+        # the kind is the configuration key ``model``, and the list ``w`` is gen-matrix --quality
+        parameters = {f.name for f in dataclasses.fields(ModelSpec)} - {"kind", "w"}
+        assert set(_textio.MODEL_KEYS) == parameters
+        assert _textio.MODEL_KEYS.items() <= _textio.CONFIG_KEYS.items()
 
 
 class TestInstantiateMemo:
@@ -432,7 +475,7 @@ class TestInstantiateMemo:
         assert two.entries.tobytes() == self.fresh(spec, 9, 2)
 
     def test_spec_seed_overrides_the_fallback(self):
-        spec = ModelSpec(kind="sst_diagonal", seed=5)
+        spec = ModelSpec(kind="sst_diagonal", model_seed=5)
         assert instantiate(spec, 9, seed=1) is instantiate(spec, 9, seed=2)
 
     def test_explicit_file_is_read_again(self, tmp_path):
