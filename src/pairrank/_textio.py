@@ -138,6 +138,13 @@ label = _ranged(
     "label", str, lambda x: not set(",\r\n") & set(x), "not contain a comma or a line break"
 )
 
+ESTIMATORS = ("copeland", "spectral_baseline")  # the keys of ``harness``'s estimator registry
+estimators = _ranged(  # a list of them; empty fields are skipped
+    "estimators", lambda x: tuple(filter(None, map(str.strip, x.split(",")))),
+    lambda x: x and len(set(x)) == len(x) and set(x) <= set(ESTIMATORS),
+    f"list distinct names of {', '.join(ESTIMATORS)}",
+)
+
 
 # every parameter of ``pairrank.model.ModelSpec`` but its kind and its
 # quality vector, under the field's name, with the cast of its value
@@ -166,7 +173,7 @@ CONFIG_KEYS = {
     "alpha": positive,
     "r": count,
     "trials": count,
-    "estimators": str,
+    "estimators": estimators,
     "family": str,
     "master_seed": seed,
     **MODEL_KEYS,

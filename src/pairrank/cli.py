@@ -2,10 +2,10 @@
 
 Subcommands: ``gen-matrix`` (model spec to matrix CSV), ``simulate``
 (matrix to observations CSV), ``rank`` (observations to top-k /
-ranking JSON), ``thresholds`` (separation report JSON for the family
-``--family``, or else ``hamming:h=H``), ``bench`` (experiment config
-to results CSV + summary JSON), and ``eval-real`` (subsampling
-evaluation of an ingested dataset).
+ranking JSON), ``thresholds`` (separation report JSON for the
+requirement ``--family``, by default ``exact``), ``bench`` (every
+setting read from the ``--config`` file, to results CSV + summary
+JSON), and ``eval-real`` (subsampling evaluation of an ingested dataset).
 
 JSON output is strict (RFC 8259): a separation that is infinite
 because the family allows every set is written as ``null``.
@@ -17,7 +17,8 @@ subcommand, switches error reporting to machine-readable JSON on stderr.
 Every flag and configuration key takes its type and range from one cast
 in :mod:`pairrank._textio`: a bad flag is a usage error naming the flag,
 a bad configuration value a data error naming ``path:line`` and the
-key.  ``thresholds`` and ``rank`` check ``--k`` against the items read.
+key.  ``thresholds`` and ``rank`` check ``--k`` against the items read;
+``eval-real`` counts them only as it runs, so a larger ``--k`` is a data error.
 """
 
 from __future__ import annotations
@@ -35,15 +36,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # each flag under its full name only
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # exit 1 on usage problems, not argparse's 2
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _add_keys(parser, keys: dict, help: str) -> None:
-    """A flag for each key but ``entries_path``, which only a configuration file sets."""
-    for key, cast in keys.items():
-        if key != "entries_path":
-            parser.add_argument(f"--{key.replace('_', '-')}", type=cast, help=f"{help} '{key}'")
 
 
 def _build_parser() -> _Parser:
@@ -64,7 +61,9 @@ def _build_parser() -> _Parser:
     gen.add_argument("--n", type=_textio.items, required=True)
     gen.add_argument("--out", required=True)
     gen.add_argument("--quality", dest="w", type=_textio.floats, metavar="Q1,Q2,...")
-    _add_keys(gen, _textio.MODEL_KEYS, "model parameter")
+    for key, cast in _textio.MODEL_KEYS.items():
+        if key != "entries_path":  # only a configuration file names a matrix file
+            gen.add_argument(f"--{key.replace('_', '-')}", type=cast, help="model parameter")
 
     sim = sub.add_parser("simulate", parents=[common], help="draw observations from a matrix")
     sim.add_argument("--matrix", required=True)
@@ -82,12 +81,10 @@ def _build_parser() -> _Parser:
     th.add_argument("--matrix", required=True)
     th.add_argument("--k", type=int, required=True)
     th.add_argument(
-        "--h", type=_textio.nonnegative, default=0, help="Hamming tolerance (family hamming:h=H)"
-    )
-    th.add_argument(
         "--family",
+        default="exact",
         help="requirement spec such as exact, hamming:h=1, topband:eps=0.5, mult:eps=0.5, "
-        "add:eps=2, ranksum:eps=0.5 or explicit:@sets.csv (overrides --h)",
+        "add:eps=2, ranksum:eps=0.5 or explicit:@sets.csv",
     )
     th.add_argument("--p", type=_textio.probability)
     th.add_argument("--r", type=_textio.count)
@@ -98,14 +95,13 @@ def _build_parser() -> _Parser:
     be.add_argument("--config", required=True)
     be.add_argument("--out", required=True, help="results CSV path")
     be.add_argument("--summary", help="summary JSON path")
-    _add_keys(be, _textio.CONFIG_KEYS, "override config key")
 
     ev = sub.add_parser(
         "eval-real", parents=[common], help="subsampling evaluation on ingested comparisons"
     )
     ev.add_argument("--obs", required=True, help="comparisons CSV (item_a,item_b,winner)")
     ev.add_argument("--truth", required=True, help="item ids in rank order, one per line")
-    ev.add_argument("--k", type=int)
+    ev.add_argument("--k", type=_textio.count)
     ev.add_argument(
         "--q-grid", type=_textio.fractions, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
     )

@@ -3,15 +3,15 @@
 :func:`pairrank.cli.main` imports this module once the arguments have
 parsed, so numpy and the pairrank modules load only for a command that
 runs.  Each handler takes the parsed arguments and returns the exit
-code; a ``--k`` outside the items read raises
-:class:`pairrank.cli.UsageError`.
+code; a ``rank`` or ``thresholds`` ``--k`` outside the items read
+raises :class:`pairrank.cli.UsageError`.
 """
 
 from __future__ import annotations
 
 import json
 
-from . import _textio, analysis, harness, model, rank, sample, setfamily
+from . import analysis, harness, model, rank, sample, setfamily
 from .cli import UsageError
 
 
@@ -59,15 +59,14 @@ def _cmd_thresholds(args) -> int:
     matrix = model.read_matrix_csv(args.matrix)
     if not 1 <= args.k <= matrix.n:
         raise UsageError(f"--k must lie in [1, {matrix.n}], got {args.k}")
-    family = setfamily.parse_family_spec(args.family or f"hamming:h={args.h}", matrix.n, args.k)
+    family = setfamily.parse_family_spec(args.family, matrix.n, args.k)
     report = analysis.separation_report(matrix, family, p=args.p, r=args.r, alpha=args.alpha)
     _emit(report.to_dict(), args.out)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    overrides = {k: v for k, v in vars(args).items() if k in _textio.CONFIG_KEYS and v is not None}
-    cfg = harness.load_config(args.config, overrides)
+    cfg = harness.load_config(args.config)
     result = harness.run_experiment(cfg)
     harness.write_results_csv(result, args.out)
     if args.summary:

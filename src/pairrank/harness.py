@@ -36,14 +36,14 @@ import numpy as np
 
 from . import _textio, analysis, metrics, model, rank, sample, setfamily
 
-# Estimator name -> (observations, k) -> top-k estimate.  The rank
-# functions are looked up on the module at call time, so a replaced
-# module attribute (a tracer, a test double) sees every call.
+# Estimator name (``_textio.ESTIMATORS``) -> (observations, k) -> top-k
+# estimate.  The rank functions are looked up on the module at call time,
+# so a replaced module attribute (a tracer, a test double) sees every call.
 _ESTIMATOR_FNS = {
     "copeland": lambda obs, k: rank.copeland_topk(obs, k),
     "spectral_baseline": lambda obs, k: rank.topk_from_scores(rank.spectral_baseline(obs), k),
 }
-ESTIMATORS = tuple(_ESTIMATOR_FNS)
+ESTIMATORS = _textio.ESTIMATORS
 
 RESULT_COLUMNS = (
     "model",
@@ -234,11 +234,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         obs = sample.draw_observations(matrix, cfg.p, r, seed)
         records += _score(trial, obs, truth, family, cfg.estimators, seed)
     records = tuple(records)
-    summary = _summarize(cfg, r, alpha, report.delta, records)
+    summary = _summarize(cfg, r, alpha, report.delta, family.kind, records)
     return ExperimentResult(cfg, r, alpha, report.delta, records, summary)
 
 
-def _summarize(cfg, r, alpha, delta, records) -> dict:
+def _summarize(cfg, r, alpha, delta, family, records) -> dict:
     per_estimator = {}
     for name in cfg.estimators:
         recs = [rec for rec in records if rec.estimator == name]
@@ -265,7 +265,7 @@ def _summarize(cfg, r, alpha, delta, records) -> dict:
         "alpha": alpha,
         "delta": delta,
         "trials": cfg.trials,
-        "family": cfg.family_spec(),
+        "family": family,
         "master_seed": cfg.master_seed,
         "quality": None if quality is None else [float(x) for x in quality],
         "estimators": per_estimator,
@@ -491,26 +491,21 @@ def config_from_mapping(values: dict) -> ExperimentConfig:
     ``master_seed`` (0).
     """
     for key in ("model", "n", "k"):
-        if values.get(key) is None:
+        if key not in values:
             raise ValueError(f"configuration must set {key!r}")
     spec = model.spec_from_mapping(values["model"], values)
     settings = {"trials": 1, "master_seed": 0}
     settings.update((key, values[key]) for key in _EXPERIMENT_FIELDS if key in values)
-    if "estimators" in settings:
-        settings["estimators"] = tuple(
-            name.strip() for name in settings["estimators"].split(",") if name.strip()
-        )
     return ExperimentConfig(model=spec, **settings)
 
 
-def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     """Load a flat ``key = value`` configuration file with ``#`` comments.
 
-    ``overrides`` (set keys only, no ``None``) replace file values.  A
-    line that is not ``key = value``, an unknown key, a key set twice or
-    a value its key's cast rejects raises ``ValueError`` naming the file
-    and line; keys that disagree, or build no model, name the file.  An
-    ``explicit`` model's matrix file is read later, and names itself.
+    A line that is not ``key = value``, an unknown key, a key set twice
+    or a value its key's cast rejects raises ``ValueError`` naming the
+    file and line; keys that disagree, or build no model, name the file.
+    An ``explicit`` model's matrix file is read later, and names itself.
     """
     values: dict = {}
     for lineno, raw in _textio.numbered_lines(path):
@@ -530,7 +525,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: configuration key {key!r}: {exc}") from None
     try:
-        cfg = config_from_mapping({**values, **(overrides or {})})
+        cfg = config_from_mapping(values)
         if cfg.model.kind != "explicit":
             _matrix(cfg)
     except ValueError as exc:

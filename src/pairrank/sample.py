@@ -348,12 +348,12 @@ def write_observations_csv(obs: ObservationSet, path) -> None:
 
     Format: ``# n=<n> r=<r> p=<p|na>`` followed by a
     ``i,j,comparisons,wins_i`` header and one row per pair ``i < j``
-    with at least one comparison.
+    with at least one comparison, every line ending in LF.
     """
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         p_text = "na" if obs.p is None else repr(float(obs.p))
         fh.write(f"# n={obs.n} r={obs.r} p={p_text}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["i", "j", "comparisons", "wins_i"])
         iu, ju = np.triu_indices(obs.n, k=1)
         mask = obs.comparisons[iu, ju] > 0

@@ -12,19 +12,20 @@ Besides exact and Hamming-tolerance recovery, constructors cover four
 common relaxations: membership in a top band, multiplicative or
 additive rank slack relative to the excluded items, and a bound on the
 sum of ranks.  The separation of a family is computed in one place,
-:func:`pairrank.analysis.separation_family`.
+:func:`pairrank.analysis.separation_family`.  A family's ``kind`` is
+its spec, the string :func:`parse_family_spec` reads back into it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import _textio
 from ._textio import finite_float
 
-REQUIREMENT_VARIANTS = ("topband", "multiplicative", "additive", "ranksum")
+REQUIREMENT_VARIANTS = ("topband", "mult", "add", "ranksum")
 
 
 def position_set(positions, n: int, k: int | None = None) -> tuple[int, ...]:
@@ -84,7 +85,7 @@ def family_hamming(n: int, k: int, h: int) -> SetFamily:
     def pred(s: tuple[int, ...]) -> bool:
         return sum(1 for x in s if x <= k) >= k - h
 
-    return SetFamily(n=n, k=k, kind=f"hamming(h={h})", predicate=pred)
+    return SetFamily(n=n, k=k, kind=f"hamming:h={h}", predicate=pred)
 
 
 def _floor_bound(x: float) -> int:
@@ -111,12 +112,12 @@ def _requirement_predicate(
         def pred(s: tuple[int, ...]) -> bool:
             return s[-1] <= bound
 
-    elif variant == "multiplicative":
+    elif variant == "mult":
 
         def pred(s: tuple[int, ...]) -> bool:
             return s[-1] <= _floor_bound((1.0 + epsilon) * (_prefix_len(s) + 1))
 
-    elif variant == "additive":
+    elif variant == "add":
 
         def pred(s: tuple[int, ...]) -> bool:
             return s[-1] <= _floor_bound(_prefix_len(s) + 1 + epsilon)
@@ -135,15 +136,16 @@ def family_requirement(n: int, k: int, epsilon: float, variant: str) -> SetFamil
 
     * ``topband``: every chosen item ranks within the top
       ``(1 + eps) k`` positions.
-    * ``multiplicative``: the worst chosen rank is at most ``(1 + eps)``
-      times the best excluded rank.
-    * ``additive``: the worst chosen rank exceeds the best excluded
-      rank by at most ``eps``.
+    * ``mult`` (multiplicative): the worst chosen rank is at most
+      ``(1 + eps)`` times the best excluded rank.
+    * ``add`` (additive): the worst chosen rank exceeds the best
+      excluded rank by at most ``eps``.
     * ``ranksum``: the chosen ranks sum to at most ``(1 + eps)`` times
       the smallest possible sum ``k (k + 1) / 2``.
 
     All four reduce to exact recovery at ``eps = 0``.  Fractional rank
-    bounds are floored.
+    bounds are floored.  ``kind`` writes ``eps`` in the fewest digits
+    that read back as it, an integer without ``.0``.
     """
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
@@ -152,7 +154,8 @@ def family_requirement(n: int, k: int, epsilon: float, variant: str) -> SetFamil
     if variant not in REQUIREMENT_VARIANTS:
         raise ValueError(f"variant must be one of {REQUIREMENT_VARIANTS}, got {variant!r}")
     pred = _requirement_predicate(n, k, epsilon, variant)
-    return SetFamily(n=n, k=k, kind=f"{variant}(eps={epsilon:g})", predicate=pred)
+    eps = repr(float(epsilon)).removesuffix(".0")
+    return SetFamily(n=n, k=k, kind=f"{variant}:eps={eps}", predicate=pred)
 
 
 def family_explicit(n: int, k: int, generators) -> SetFamily:
@@ -177,21 +180,20 @@ def parse_family_spec(text: str, n: int, k: int) -> SetFamily:
     """
     text = text.strip()
     name, _, arg = text.partition(":")
-    name = name.strip()
-    arg = arg.strip()
+    name, arg = name.strip(), arg.strip()
     if name == "exact":
         if arg:
             raise ValueError(f"'exact' takes no parameters, got {text!r}")
         return family_exact(n, k)
     if name == "hamming":
         return family_hamming(n, k, _spec_param(arg, "h", int, text))
-    if name in ("topband", "mult", "add", "ranksum"):
-        variant = {"mult": "multiplicative", "add": "additive"}.get(name, name)
-        return family_requirement(n, k, _spec_param(arg, "eps", finite_float, text), variant)
+    if name in REQUIREMENT_VARIANTS:
+        return family_requirement(n, k, _spec_param(arg, "eps", finite_float, text), name)
     if name == "explicit":
         if not arg.startswith("@"):
             raise ValueError(f"explicit spec must reference a file: 'explicit:@file.csv', got {text!r}")
-        return family_explicit(n, k, read_position_sets_csv(arg[1:], n, k))
+        family = family_explicit(n, k, read_position_sets_csv(arg[1:], n, k))
+        return replace(family, kind=f"explicit:{arg}")
     raise ValueError(f"unknown family spec {text!r}")
 
 

@@ -274,7 +274,7 @@ class TestSeparationReport:
     def test_fields_and_inversion(self):
         m = gen_planted(50, 10, 0.1)
         rep = separation_report(m, family_hamming(50, 10, 0), p=1.0, r=200, alpha=8.0)
-        assert rep.n == 50 and rep.k == 10 and rep.family == "hamming(h=0)"
+        assert rep.n == 50 and rep.k == 10 and rep.family == "hamming:h=0"
         assert rep.delta == pytest.approx(0.1, abs=1e-12)
         assert rep.alpha_implied == pytest.approx(implied_alpha(50, 1.0, 200, rep.delta))
         assert rep.r_required == required_repetitions(50, 1.0, rep.delta, 8.0)
@@ -291,7 +291,7 @@ class TestSeparationReport:
         rep = separation_report(gen_planted(8, 5, 0.2), family, p=1.0, r=2, alpha=8.0)
         assert rep.delta == math.inf and rep.alpha_implied == math.inf and rep.r_required == 1
         assert json.dumps(rep.to_dict(), allow_nan=False, sort_keys=True) == (
-            '{"alpha_implied": null, "delta": null, "family": "hamming(h=3)", '
+            '{"alpha_implied": null, "delta": null, "family": "hamming:h=3", '
             '"k": 5, "n": 8, "r_required": 1}'
         )
 

@@ -1,12 +1,12 @@
 import csv
-import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from pairrank import _textio, cli, harness, model, rank
+from pairrank import analysis, cli, harness, model, rank, setfamily
 
 from conftest import NAMES, boolean_cells, write_dataset
 
@@ -108,7 +108,6 @@ class TestErrorJson:
             "thresholds --matrix m.csv --k 1 --p={}",
             "gen-matrix --model sst_diagonal --n 5 --out x.csv --gap={}",
             "gen-matrix --model btl --n 2 --out x.csv --quality=1,{}",
-            "bench --config c.cfg --out b.csv --lam={}",
         ],
     )
     def test_non_finite_flag_is_a_usage_error(self, capsys, command, value):
@@ -185,6 +184,8 @@ class TestErrorJson:
             ("--q-grid=0.5,1.5", "--q-grid: must lie in (0, 1], got '1.5'"),
             ("--q-grid=-0.2", "--q-grid: must lie in (0, 1], got '-0.2'"),
             ("--q-grid=,", "--q-grid: must list distinct fractions, at least one, got ','"),
+            ("--k=0", "--k: must be at least 1, got '0'"),
+            ("--k=-1", "--k: must be at least 1, got '-1'"),
         ],
     )
     def test_eval_real_flag_out_of_range_is_a_usage_error(self, tmp_path, capsys, flag, message):
@@ -229,20 +230,29 @@ class TestErrorJson:
         }
         assert not (tmp_path / "b.csv").exists()
 
-    @pytest.mark.parametrize("label", ["a,b", "a\nb"])
-    def test_bench_label_that_would_split_a_row_is_a_usage_error(self, tmp_path, capsys, label):
+    def test_bench_label_that_would_split_a_row_is_a_data_error(self, tmp_path, capsys):
         config = tmp_path / "bench.cfg"
-        config.write_text("model = btl\nn = 8\nk = 2\nr = 2\n", encoding="utf-8")
-        argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv"),
-                "--label", label]
-        assert cli.main(argv) == 1
+        config.write_text("model = btl\nn = 8\nk = 2\nr = 2\nlabel = a,b\n", encoding="utf-8")
+        argv = ["--error-json", "bench", "--config", str(config), "--out", str(tmp_path / "b.csv")]
+        assert cli.main(argv) == 2
         assert error_payload(capsys) == {
-            "error": "pairrank bench: argument --label: "
-            f"must not contain a comma or a line break, got {label!r}",
-            "category": "usage",
-            "exit_code": 1,
+            "error": f"{config}:5: configuration key 'label': "
+            "must not contain a comma or a line break, got 'a,b'",
+            "category": "data",
+            "exit_code": 2,
         }
         assert not (tmp_path / "b.csv").exists()
+
+    def test_eval_real_k_above_the_items_is_a_data_error(self, tmp_path, rng, capsys):
+        obs_path, truth_path = write_dataset(tmp_path, rng, records=20)
+        argv = ["--error-json", "eval-real", "--obs", str(obs_path), "--truth", str(truth_path),
+                "--k", str(len(NAMES) + 1), "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 2
+        assert error_payload(capsys) == {
+            "error": f"k must satisfy 1 <= k <= n, got k={len(NAMES) + 1}, n={len(NAMES)}",
+            "category": "data",
+            "exit_code": 2,
+        }
 
     def test_runtime_error(self, tmp_path, monkeypatch, capsys):
         def disconnected(*args, **kwargs):
@@ -421,7 +431,7 @@ class TestThresholds:
         argv = ["thresholds", "--matrix", str(btl8), "--k", "2", "--family", "topband:eps=3",
                 "--p", "1", "--r", "2"]
         assert cli.main(argv) == 0
-        expected = {"alpha_implied": None, "delta": None, "family": "topband(eps=3)",
+        expected = {"alpha_implied": None, "delta": None, "family": "topband:eps=3",
                     "k": 2, "n": 8, "r_required": 1}
         out = capsys.readouterr().out
         assert strict_json(out) == expected
@@ -429,23 +439,33 @@ class TestThresholds:
 
     @pytest.mark.parametrize("k, h", [(3, 2), (5, 3)])  # k + h == n reads delta null
     def test_h_is_the_hamming_family(self, btl8, capsys, k, h):
-        base = ["thresholds", "--matrix", str(btl8), "--k", str(k), "--p", "0.5", "--r", "3"]
-        assert cli.main(base + ["--h", str(h)]) == 0
-        by_h = capsys.readouterr().out
-        assert cli.main(base + ["--family", f"hamming:h={h}"]) == 0
-        assert capsys.readouterr().out == by_h
-        report = strict_json(by_h)
-        assert report["family"] == f"hamming(h={h})"
+        argv = ["thresholds", "--matrix", str(btl8), "--k", str(k), "--p", "0.5", "--r", "3",
+                "--family", f"hamming:h={h}"]
+        assert cli.main(argv) == 0
+        report = strict_json(capsys.readouterr().out)
+        family = setfamily.family_hamming(8, k, h)
+        expected = analysis.separation_report(
+            model.read_matrix_csv(btl8), family, p=0.5, r=3, alpha=8.0
+        )
+        assert report == expected.to_dict()
+        assert report["family"] == f"hamming:h={h}"
         assert (report["delta"] is None) == (k + h == 8)
 
-    # without --p the report reads neither --r nor --alpha, and --family
-    # replaces --h; each flag is still range-checked
+    def test_default_family_is_exact(self, btl8, capsys):
+        base = ["thresholds", "--matrix", str(btl8), "--k", "3", "--p", "0.5", "--r", "3"]
+        assert cli.main(base) == 0
+        default = strict_json(capsys.readouterr().out)
+        assert cli.main(base + ["--family", "hamming:h=0"]) == 0
+        hamming0 = strict_json(capsys.readouterr().out)
+        assert default == {**hamming0, "family": "exact"}
+
+    # without --p the report reads neither --r nor --alpha; each flag is
+    # still range-checked
     OUT_OF_RANGE = {
         "--r 0": "pairrank thresholds: argument --r: must be at least 1, got '0'",
         "--r -1": "pairrank thresholds: argument --r: must be at least 1, got '-1'",
         "--alpha 0": "pairrank thresholds: argument --alpha: must be positive, got '0'",
         "--alpha -1": "pairrank thresholds: argument --alpha: must be positive, got '-1'",
-        "--h -1 --family exact": "pairrank thresholds: argument --h: must be nonnegative, got '-1'",
         "--p 0.5 --r 0": "pairrank thresholds: argument --r: must be at least 1, got '0'",
         "--p 0 --r 2": "pairrank thresholds: argument --p: must lie in (0, 1], got '0'",
         "--p 1.5": "pairrank thresholds: argument --p: must lie in (0, 1], got '1.5'",
@@ -555,50 +575,55 @@ class TestOneModelBuilder:
         assert error_payload(capsys) == {**expected, "error": f"{config}: {expected['error']}"}
 
 
-def _bench_override_keys():
-    bench = cli._build_parser()._subparsers._group_actions[0].choices["bench"]
-    return [a.dest for a in bench._actions if a.dest in _textio.CONFIG_KEYS]
+class TestOneWayPerSetting:
+    # every option each command's --help offers: bench reads every setting
+    # from its --config file, and thresholds its requirement from --family
+    OPTIONS = {
+        "bench": {"-h", "--help", "--error-json", "--config", "--out", "--summary"},
+        "thresholds": {"-h", "--help", "--error-json", "--matrix", "--k", "--family", "--p",
+                       "--r", "--alpha", "--out"},
+    }
 
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_help_offers_only_these_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        offered = set(re.findall(r"(?<![\w-])(--?[a-z][a-z-]*)", capsys.readouterr().out))
+        assert offered == self.OPTIONS[command]
 
-# a value for each override that differs from the base config and its defaults
-OVERRIDE_VALUES = {
-    "model": "thurstone", "label": "x", "family": "mult:eps=0.5", "estimators": "copeland",
-    "n": 9, "k": 3, "h": 1, "r": 3, "trials": 3, "master_seed": 3, "swap_index": 3,
-    "outlier": 3, "plant_index": 3, "model_seed": 3, "ordering_seed": 3, "p": 0.5,
-    "alpha": 2.5, "quality_spread": 2.5, "lam": 0.9, "gap": 0.01, "delta": 0.1, "delta0": 0.01,
-}
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("bench", "--k"), ("bench", "--label"), ("bench", "--estimators"), ("thresholds", "--h")],
+    )
+    def test_a_second_way_is_an_unrecognized_argument(self, btl8, tmp_path, capsys, command, flag):
+        config = tmp_path / "b.cfg"
+        config.write_text("model = btl\nn = 8\nk = 2\nr = 2\n", encoding="utf-8")
+        argv = {"bench": ["--config", str(config), "--out", str(tmp_path / "x.csv")],
+                "thresholds": ["--matrix", str(btl8), "--k", "2"]}[command]
+        assert cli.main(["--error-json", command, *argv, flag, "9"]) == 1
+        assert error_payload(capsys) == {
+            "error": f"pairrank: unrecognized arguments: {flag} 9",
+            "category": "usage",
+            "exit_code": 1,
+        }
+        assert not (tmp_path / "x.csv").exists()
 
-
-class TestBenchOverrides:
-    def test_every_key_but_two_has_a_flag(self):
-        assert set(_bench_override_keys()) == set(_textio.CONFIG_KEYS) - {"entries_path"}
-        assert set(OVERRIDE_VALUES) == set(_bench_override_keys())
-
-    @pytest.mark.parametrize("key", _bench_override_keys())
-    def test_flag_lands_in_config(self, tmp_path, monkeypatch, key):
-        loaded = []
-
-        def capture(cfg):
-            loaded.append(cfg)
-            raise RuntimeError("stop before running")
-
-        monkeypatch.setattr(harness, "run_experiment", capture)
-        config = tmp_path / "bench.cfg"
-        budget = "alpha = 1.0" if key == "alpha" else "r = 2"
-        config.write_text(f"model = btl\nn = 8\nk = 2\n{budget}\n", encoding="utf-8")
-        value = OVERRIDE_VALUES[key]
-        argv = ["bench", "--config", str(config), "--out", str(tmp_path / "b.csv"),
-                "--" + key.replace("_", "-"), str(value)]
-        assert cli.main(argv) == 3
-        (cfg,) = loaded
-        if key == "model":
-            assert cfg.model.kind == value
-        elif key == "estimators":
-            assert cfg.estimators == (value,)
-        elif key in {f.name for f in dataclasses.fields(harness.ExperimentConfig)}:
-            assert getattr(cfg, key) == value
-        else:
-            assert getattr(cfg.model, key) == value
+    @pytest.mark.parametrize("spec", ["exact", "hamming:h=1", "topband:eps=3", "mult:eps=0.5",
+                                      "add:eps=2", "ranksum:eps=0.5", " mult : eps = 0.50 "])
+    def test_thresholds_and_bench_name_a_family_by_its_kind(self, btl8, tmp_path, spec):
+        kind = setfamily.parse_family_spec(spec, 8, 2).kind
+        out = tmp_path / "th.json"
+        argv = ["thresholds", "--matrix", str(btl8), "--k", "2", "--family", spec, "--out", out]
+        assert cli.main([str(a) for a in argv]) == 0
+        assert strict_json(out.read_text(encoding="utf-8"))["family"] == kind
+        config = tmp_path / "b.cfg"
+        config.write_text(f"model = btl\nn = 8\nk = 2\nr = 2\nestimators = copeland\n"
+                          f"family = {spec}\n", encoding="utf-8")
+        argv = ["bench", "--config", config, "--out", tmp_path / "b.csv",
+                "--summary", tmp_path / "b.json"]
+        assert cli.main([str(a) for a in argv]) == 0
+        assert strict_json((tmp_path / "b.json").read_text(encoding="utf-8"))["family"] == kind
 
 
 def test_end_to_end(tmp_path, rng):
@@ -609,7 +634,8 @@ def test_end_to_end(tmp_path, rng):
     run("gen-matrix", "--model", "btl", "--n", 8, "--out", matrix)
     run("simulate", "--matrix", matrix, "--p", 0.5, "--r", 3, "--seed", 4, "--out", obs)
     run("rank", "--obs", obs, "--k", 2, "--out", tmp_path / "rank.json")
-    ranked = json.loads((tmp_path / "rank.json").read_text(encoding="utf-8"))
+    ranked = strict_json((tmp_path / "rank.json").read_text(encoding="utf-8"))
+    assert sorted(ranked["ranking"]) == list(range(8))
     assert ranked["topk"] == ranked["ranking"][:2]
     assert isinstance(ranked["tie_broken"], bool)
     run("thresholds", "--matrix", matrix, "--k", 2, "--family", "mult:eps=0.5",

@@ -17,6 +17,7 @@ from pairrank import (
     topk_from_scores,
     write_results_csv,
 )
+from pairrank import _textio, harness
 from pairrank.harness import (
     _REAL_STAGE,
     ESTIMATORS,
@@ -252,6 +253,10 @@ class TestRunExperiment:
             assert type(stats["errors"]) is int
 
 
+def test_estimator_names_are_the_registry_keys():
+    assert _textio.ESTIMATORS == tuple(harness._ESTIMATOR_FNS) == ESTIMATORS
+
+
 def test_default_k_shared_by_bench_and_eval_real():
     assert [default_k(n) for n in (1, 3, 4, 5, 100, 120)] == [1, 1, 1, 2, 25, 30]
     assert {cfg.k for cfg in figure_suite(n=10, trials=1)} == {3}
@@ -290,9 +295,15 @@ def config_file(text):
          "alpha target is infeasible: the instantiated matrix has zero separation"),
         (config_file("model = btl\nn 8\n"), "<tmp>/bench.cfg:2: expected 'key = value', got 'n 8'"),
         (lambda _: config_from_mapping({"n": 8, "k": 2}), "configuration must set 'model'"),
+        *[(config_file(f"model = btl\nn = 8\nk = 2\nr = 2\nestimators = {value}\n"),
+           "<tmp>/bench.cfg:5: configuration key 'estimators': must list distinct names of "
+           f"copeland, spectral_baseline, got {value!r}")
+          for value in ("foo", ",", "copeland,copeland", "copeland,borda")],
     ],
     ids=["no-trials", "alpha-and-r", "neither-alpha-nor-r", "no-estimators", "unknown-estimator",
-         "negative-h", "zero-separation-alpha", "line-without-equals", "no-model"],
+         "negative-h", "zero-separation-alpha", "line-without-equals", "no-model",
+         "config-unknown-estimator", "config-no-estimators", "config-repeated-estimator",
+         "config-one-unknown-estimator"],
 )
 def test_config_rejections(tmp_path, build, message):
     with pytest.raises(ValueError) as exc:

@@ -704,6 +704,18 @@ class TestObservationsCsv:
         assert np.array_equal(back.comparisons, obs.comparisons)
         assert np.array_equal(back.wins, obs.wins)
 
+    def test_every_line_ends_in_lf(self, tmp_path):
+        obs = draw_observations(gen_planted(9, 3, 0.25), 0.5, 7, seed=13)
+        path = tmp_path / "obs.csv"
+        write_observations_csv(obs, path)
+        data = path.read_bytes()
+        assert b"\r" not in data
+        assert data.count(b"\n") == 2 + int(np.count_nonzero(np.triu(obs.comparisons, 1)))
+        back = read_observations_csv(path)
+        assert (back.n, back.r, back.p) == (obs.n, obs.r, obs.p)
+        assert np.array_equal(back.comparisons, obs.comparisons)
+        assert np.array_equal(back.wins, obs.wins)
+
     def test_crlf_reads_like_lf(self, tmp_path):
         obs = draw_observations(gen_planted(9, 3, 0.25), 0.5, 7, seed=13)
         lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"

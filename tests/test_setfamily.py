@@ -52,9 +52,9 @@ def requirement_rule(n, k, eps, variant):
     e = Fraction(eps)
     if variant == "topband":
         return lambda s: max(s) <= math.floor((1 + e) * k)
-    if variant == "multiplicative":
+    if variant == "mult":
         return lambda s: max(s) <= math.floor((1 + e) * best_excluded(s, n))
-    if variant == "additive":
+    if variant == "add":
         return lambda s: max(s) <= math.floor(best_excluded(s, n) + e)
     return lambda s: sum(s) <= math.floor((1 + e) * Fraction(k * (k + 1), 2))
 
@@ -95,12 +95,19 @@ def small_instances(rng, count):
         yield n, int(rng.integers(1, n + 1))
 
 
+# the requirement variants, in spec order, by their full names
+VARIANT_NAMES = ["topband", "multiplicative", "additive", "ranksum"]
+# each spec as its family's kind writes it
+CANONICAL_SPECS = ["exact", "hamming:h=1", "topband:eps=3", "mult:eps=0.5", "add:eps=2",
+                   "ranksum:eps=0.5"]
+
+
 class TestRequirementFamilies:
     # the ids name the rounding: every fractional bound is floored
     @pytest.mark.parametrize(
         "variant",
-        ["topband", "multiplicative", "additive", "ranksum"],
-        ids=lambda variant: f"{variant}-floor",
+        ["topband", "mult", "add", "ranksum"],
+        ids=[f"{name}-floor" for name in VARIANT_NAMES],
     )
     def test_matches_rule(self, variant, rng):
         for n, k in small_instances(rng, 60):
@@ -108,7 +115,7 @@ class TestRequirementFamilies:
             family = family_requirement(n, k, eps, variant)
             check_against_rule(family, requirement_rule(n, k, eps, variant), rng)
 
-    @pytest.mark.parametrize("variant", ["topband", "multiplicative", "additive", "ranksum"])
+    @pytest.mark.parametrize("variant", ["topband", "mult", "add", "ranksum"], ids=VARIANT_NAMES)
     def test_eps_zero_is_exact(self, variant):
         family = family_requirement(7, 3, 0.0, variant)
         assert enumerate_allowed(family) == [(1, 2, 3)]
@@ -169,6 +176,8 @@ class TestExplicitFamilies:
         path.write_text("1,4\n2,3\n", encoding="utf-8")
         family = parse_family_spec(f"explicit:@{path}", 5, 2)
         assert enumerate_allowed(family) == [(1, 2), (1, 3), (1, 4), (2, 3)]
+        assert family.kind == f"explicit:@{path}"
+        assert enumerate_allowed(parse_family_spec(family.kind, 5, 2)) == enumerate_allowed(family)
 
     @pytest.mark.parametrize(
         "row, problem",
@@ -231,13 +240,32 @@ class TestExactAndHamming:
             separation_family(np.zeros(4), family_exact(5, 2))
 
     def test_spec_grammar(self):
-        assert parse_family_spec("exact", 6, 2).kind == "exact"
-        assert parse_family_spec("hamming:h=1", 6, 2).kind == "hamming(h=1)"
-        assert parse_family_spec("mult:eps=0.5", 6, 2).kind == "multiplicative(eps=0.5)"
-        assert parse_family_spec("add:eps=2", 6, 2).kind == "additive(eps=2)"
+        for spec in CANONICAL_SPECS:
+            assert parse_family_spec(spec, 6, 2).kind == spec
+        assert parse_family_spec(" add : eps = 2.0 ", 6, 2).kind == "add:eps=2"
+        # every digit of eps, not a rounded form
+        spec = "mult:eps=0.1234567890123"
+        assert parse_family_spec(spec, 6, 2).kind == spec
         for bad in ("exact:h=1", "hamming:k=1", "topband", "nope", "explicit:gens.csv"):
             with pytest.raises(ValueError):
                 parse_family_spec(bad, 6, 2)
+
+
+# the last six: eps values whose shortest decimal has many digits, or an exponent
+@pytest.mark.parametrize(
+    "spec",
+    CANONICAL_SPECS + ["mult:eps=0.1234567890123", "topband:eps=0.30000000000000004",
+                       "add:eps=2.718281828459045", "ranksum:eps=1e-07",
+                       "mult:eps=1.0000000000000002", "add:eps=1e+16"],
+)
+def test_kind_reads_back_as_the_same_family(spec):
+    for n in range(3, 9):
+        for k in range(2, n):
+            family = parse_family_spec(spec, n, k)
+            again = parse_family_spec(family.kind, n, k)
+            assert again.kind == family.kind
+            sets = all_sets(n, k)
+            assert [again.predicate(s) for s in sets] == [family.predicate(s) for s in sets]
 
 
 def loop_separation(tau, family):
