@@ -107,8 +107,8 @@ def time_layers(scratch: Path) -> dict:
     """
     import numpy as np
 
-    from pairrank import copeland_topk, metrics, mle_refine, model, rank_centrality, setfamily
-    from pairrank import sample
+    from pairrank import metrics, model, sample, setfamily
+    from pairrank.rank import copeland_topk, mle_refine, rank_centrality
     from pairrank.sample import draw_observations
 
     def instantiate_first(model_spec, n):

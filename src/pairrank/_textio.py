@@ -98,7 +98,11 @@ class OutOfRange(ValueError, argparse.ArgumentTypeError):
 
 
 def _ranged(name: str, cast, allowed, expected: str):
-    """``cast``, then :class:`OutOfRange` unless ``allowed(value)``; argparse calls it ``name``."""
+    """``cast``, then :class:`OutOfRange` unless ``allowed(value)``; argparse calls it ``name``.
+
+    The check keeps ``allowed`` and ``expected``, so a value built in the
+    program, not read as text, is held to the same rule.
+    """
 
     def check(text):
         value = cast(text)
@@ -106,7 +110,7 @@ def _ranged(name: str, cast, allowed, expected: str):
             raise OutOfRange(f"must {expected}, got {text!r}")
         return value
 
-    check.__name__ = name
+    check.__name__, check.allowed, check.expected = name, allowed, expected
     return check
 
 

@@ -125,9 +125,11 @@ def _report_error(message: str, category: str, code: int, as_json: bool) -> None
 def main(argv=None) -> int:
     """Run one command and return its exit code; every error is reported on stderr.
 
-    The command handlers (:mod:`pairrank.commands`, and through them
-    numpy) load only after ``parse_args``, so ``--help`` and usage
-    errors, which end inside it, never load numpy.
+    ``import pairrank`` loads no submodule, and this module imports only
+    :mod:`pairrank._textio` of the package.  The command handlers
+    (:mod:`pairrank.commands`, and through them numpy) load only after
+    ``parse_args``, so ``--help`` and usage errors, which end inside it,
+    never load numpy.
     """
     as_json = "--error-json" in (argv if argv is not None else sys.argv[1:])
     try:

@@ -112,13 +112,11 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if (self.alpha is None) == (self.r is None):
             raise ValueError("exactly one of alpha and r must be given")
-        if not self.estimators:
-            raise ValueError("at least one estimator is required")
-        for name in self.estimators:
-            if name not in ESTIMATORS:
-                raise ValueError(f"unknown estimator {name!r}, expected subset of {ESTIMATORS}")
-        if self.label is not None and any(c in self.label for c in ",\r\n"):
-            raise ValueError(f"label must not contain a comma or a line break, got {self.label!r}")
+        estimators, label = _textio.estimators, _textio.label
+        if not estimators.allowed(self.estimators):
+            raise ValueError(f"estimators must {estimators.expected}, got {self.estimators!r}")
+        if self.label is not None and not label.allowed(self.label):
+            raise ValueError(f"label must {label.expected}, got {self.label!r}")
         if not 0 <= self.h:
             raise ValueError("h must be nonnegative")
         if self.k + self.h + 1 > self.n:

@@ -3,7 +3,7 @@
 Each unordered pair of items receives ``Binomial(r, p)`` comparisons,
 independently across pairs, and each comparison is won by ``i`` with
 probability ``M[i, j]``.  Observations are stored aggregated (per-pair
-comparison and win counts): the counting estimator and both baselines
+comparison and win counts): the counting estimator and the baseline
 depend only on counts, so memory stays ``O(n^2)`` regardless of ``r``.
 
 Sampling is reproducible: the output is a pure function of the inputs,

@@ -2,7 +2,7 @@
 
 The separation oracles restate the closed forms for top-k and Hamming
 recovery with their own ``np.sort``, so they check
-:func:`pairrank.separation_family` without sharing its ordering code.
+:func:`pairrank.analysis.separation_family` without sharing its ordering code.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pairrank import ObservationSet, position_set
+from pairrank.sample import ObservationSet
+from pairrank.setfamily import position_set
 
 
 def ordered_scores(matrix) -> np.ndarray:

@@ -6,23 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairrank import (
+from pairrank.analysis import (
     adjacent_swap_kl_bound,
-    family_exact,
-    family_hamming,
     fano_lower_bound,
-    gen_adjacent_swap,
-    gen_hamming_planted,
-    gen_parametric,
-    gen_planted,
     implied_alpha,
     kl_divergence,
-    make_matrix,
     planted_kl_bound,
     required_repetitions,
     scores,
     separation_report,
 )
+from pairrank.model import (
+    gen_adjacent_swap,
+    gen_hamming_planted,
+    gen_parametric,
+    gen_planted,
+    make_matrix,
+)
+from pairrank.setfamily import family_exact, family_hamming
 
 from conftest import separation_hamming, separation_topk
 

@@ -1,31 +1,30 @@
 import numpy as np
 import pytest
 
-from pairrank import (
-    DisconnectedGraphError,
-    ExperimentConfig,
-    ModelSpec,
-    StationaryError,
-    copeland_topk,
-    derive_seed,
-    figure_suite,
-    read_comparisons,
-    run_experiment,
-    run_realdata,
-    spectral_baseline,
-    subsample,
-    topk_from_scores,
-    write_results_csv,
-)
 from pairrank import _textio, harness
 from pairrank.harness import (
     _REAL_STAGE,
     ESTIMATORS,
+    ExperimentConfig,
     config_from_mapping,
     default_k,
+    derive_seed,
+    figure_suite,
     load_config,
+    run_experiment,
+    run_realdata,
     write_realdata_csv,
+    write_results_csv,
 )
+from pairrank.model import ModelSpec
+from pairrank.rank import (
+    DisconnectedGraphError,
+    StationaryError,
+    copeland_topk,
+    spectral_baseline,
+    topk_from_scores,
+)
+from pairrank.sample import read_comparisons, subsample
 
 from conftest import NAMES, boolean_cells, hamming_distance, write_dataset
 
@@ -285,9 +284,10 @@ def config_file(text):
         (experiment(trials=0), "trials must be at least 1"),
         (experiment(alpha=1.0), "exactly one of alpha and r must be given"),
         (experiment(r=None), "exactly one of alpha and r must be given"),
-        (experiment(estimators=()), "at least one estimator is required"),
-        (experiment(estimators=("copeland", "borda")),
-         f"unknown estimator 'borda', expected subset of {ESTIMATORS}"),
+        *[(experiment(estimators=value),
+           f"estimators must list distinct names of copeland, spectral_baseline, got {value!r}")
+          for value in ((), ("copeland", "borda"), ("copeland", "copeland"))],
+        (experiment(label="a\nb"), "label must not contain a comma or a line break, got 'a\\nb'"),
         (experiment(h=-1), "h must be nonnegative"),
         # items 0 and 1 are planted and the rest tie, so no top 3 is separated
         (lambda tmp_path: run_experiment(experiment(
@@ -301,7 +301,8 @@ def config_file(text):
           for value in ("foo", ",", "copeland,copeland", "copeland,borda")],
     ],
     ids=["no-trials", "alpha-and-r", "neither-alpha-nor-r", "no-estimators", "unknown-estimator",
-         "negative-h", "zero-separation-alpha", "line-without-equals", "no-model",
+         "repeated-estimator", "line-break-label", "negative-h", "zero-separation-alpha",
+         "line-without-equals", "no-model",
          "config-unknown-estimator", "config-no-estimators", "config-repeated-estimator",
          "config-one-unknown-estimator"],
 )

@@ -28,7 +28,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from pairrank import cli, make_matrix, read_matrix_csv, read_observations_csv
+from pairrank import cli
+from pairrank.model import make_matrix, read_matrix_csv
+from pairrank.sample import read_observations_csv
 
 ALPHABET = b',"\n\r\xff\x00 .-e0123456789=#abn\t'
 

@@ -12,17 +12,11 @@ from itertools import chain, combinations, permutations, product
 import numpy as np
 import pytest
 
-from pairrank import (
-    evaluate,
-    family_exact,
-    favorable_positions,
-    gen_parametric,
-    ground_truth,
-    make_matrix,
-    parse_family_spec,
-    scores,
-)
 from pairrank import metrics
+from pairrank.analysis import scores
+from pairrank.metrics import evaluate, favorable_positions, ground_truth
+from pairrank.model import gen_parametric, make_matrix
+from pairrank.setfamily import family_exact, parse_family_spec
 
 from conftest import membership
 

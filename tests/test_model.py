@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairrank import (
+from pairrank import _textio, model
+from pairrank.analysis import scores
+from pairrank.model import (
+    MODEL_KINDS,
     ModelSpec,
+    _mirror_upper,
     equispaced_quality,
     gen_adjacent_swap,
     gen_btl_mixture,
@@ -18,11 +22,8 @@ from pairrank import (
     instantiate,
     make_matrix,
     read_matrix_csv,
-    scores,
     write_matrix_csv,
 )
-from pairrank import _textio, model
-from pairrank.model import MODEL_KINDS, _mirror_upper
 
 from conftest import is_sst
 

@@ -6,7 +6,9 @@ from scipy.optimize import minimize
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.special import expit, log_expit
 
-from pairrank import (
+from pairrank import harness, model, rank
+from pairrank.analysis import rank_order
+from pairrank.rank import (
     btl_loglikelihood,
     copeland_ranking,
     copeland_topk,
@@ -16,8 +18,6 @@ from pairrank import (
     topk_from_scores,
     win_counts,
 )
-from pairrank import harness, model, rank
-from pairrank.analysis import rank_order
 from pairrank.sample import draw_observations
 
 from conftest import observation_set, oracle_topk, random_observation_set

@@ -13,14 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairrank import (
+from pairrank import sample
+from pairrank.model import gen_parametric, gen_planted, make_matrix
+from pairrank.sample import (
     draw_observations,
-    gen_parametric,
-    gen_planted,
-    make_matrix,
     read_comparisons,
     read_observations_csv,
-    sample,
     subsample,
     write_observations_csv,
 )
@@ -383,7 +381,8 @@ class TestStreamContract:
         # the child inherits the started pool but none of its threads
         code = (
             "import os, signal, numpy as np\n"
-            "from pairrank import gen_parametric, draw_observations\n"
+            "from pairrank.model import gen_parametric\n"
+            "from pairrank.sample import draw_observations\n"
             "m = gen_parametric(np.linspace(2.0, -2.0, 300), 'logistic')\n"
             "first = draw_observations(m, 0.5, 7, seed=4)\n"
             "pid = os.fork()\n"

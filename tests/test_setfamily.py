@@ -15,16 +15,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pairrank import (
+from pairrank.analysis import scores, separation_family
+from pairrank.model import gen_parametric
+from pairrank.setfamily import (
     family_exact,
     family_explicit,
     family_hamming,
     family_requirement,
-    gen_parametric,
     parse_family_spec,
     position_set,
-    scores,
-    separation_family,
 )
 
 from conftest import (
