@@ -12,7 +12,8 @@ repeated call), the sampling layer (``draw_observations``), the
 estimator layers (``copeland_topk``, ``rank_centrality``,
 ``mle_refine``) under two sampling designs, the scoring layer
 (``ground_truth`` and ``evaluate``), ``rank_centrality`` on a reducible
-walk and the ingest layer (``read_comparisons``) on a comparisons CSV,
+walk, the ingest layer (``read_comparisons``) on a comparisons CSV and
+the output layer (``write_results_csv``) rewriting one results CSV,
 in a fresh interpreter
 that imports ``pairrank`` from the checkout's ``src/``.  It also times
 whole launches of a fresh interpreter: ``import pairrank``, ``pairrank
@@ -64,6 +65,9 @@ LAYER_SIZES = (50, 200, 1000)
 # calls it, so every checkout does the same work from the same file.
 # At n = 1000 nearly every line is distinct, so that size is the worst
 # case for a reader that tallies repeated lines before parsing them.
+# The results design runs one Copeland-only experiment of n trials on 50
+# items once, then times ``write_results_csv`` rewriting the same path
+# with its n rows, as every rerun of ``bench --out`` does.
 LAYERS = ("draw_observations", "copeland_topk", "rank_centrality", "mle_refine")
 LAYER_DESIGNS = {
     "model": {
@@ -86,6 +90,10 @@ LAYER_DESIGNS = {
         "model": "btl", "quality_spread": 6.0, "rows_per_item": 50, "seed": 1,
         "layers": ["ingest_csv"],
     },
+    "results": {
+        "model": "btl", "quality_spread": 6.0, "items": 50, "r": 4, "seed": 1,
+        "layers": ["write_results_csv"],
+    },
 }
 LAYER_BUDGET_S = 1.0
 LAYER_MIN_CALLS = 3
@@ -107,7 +115,7 @@ def time_layers(scratch: Path) -> dict:
     """
     import numpy as np
 
-    from pairrank import metrics, model, sample, setfamily
+    from pairrank import harness, metrics, model, sample, setfamily
     from pairrank.rank import copeland_topk, mle_refine, rank_centrality
     from pairrank.sample import draw_observations
 
@@ -154,6 +162,14 @@ def time_layers(scratch: Path) -> dict:
                 calls["ingest_csv"] = lambda: sample.read_comparisons(
                     csv_path, {item: i for i, item in enumerate(items)}
                 )
+            if "items" in spec:
+                config = harness.ExperimentConfig(
+                    model=model_spec, n=spec["items"], k=spec["items"] // 4, trials=n,
+                    master_seed=spec["seed"], r=spec["r"], estimators=("copeland",),
+                )
+                result = harness.run_experiment(config)
+                results_path = scratch / f"{design}-{n}.csv"
+                calls["write_results_csv"] = lambda: harness.write_results_csv(result, results_path)
             for name in names:
                 call = calls[name]
                 times = []

@@ -1,4 +1,4 @@
-"""The input boundary: text files and values from outside the program.
+"""The input and output boundary: text files and values from outside the program.
 
 Every input file is read here as UTF-8 lines that end at LF, CRLF or
 CR only.  :func:`numbered_lines` numbers them and :func:`records` splits
@@ -6,6 +6,9 @@ them into CSV records, one per line.  A reader keeps only its row rules,
 and its errors read ``path:line: problem``, or ``path: problem`` for a
 file without records.  :func:`open_text` names the line of a byte that
 is not UTF-8, which Python reports by its place in a decoder chunk.
+
+Every output file is written here too, through :func:`open_output`, as
+UTF-8 with every line ending in LF on every platform.
 
 The cast of every flag and configuration key lives here too, with each
 range that depends on no other setting and no data (:data:`CONFIG_KEYS`,
@@ -20,7 +23,9 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import re
+import stat
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -51,6 +56,30 @@ def open_text(path):
         raise ValueError(
             f"{path}:{line}: 'utf-8' codec can't decode byte {exc.object[exc.start]:#04x}: {exc.reason}"
         ) from None
+
+
+@contextmanager
+def open_output(path):
+    """Open ``path`` to write UTF-8 text from its start, line endings as written.
+
+    The file is created if it is missing, but not truncated when it is
+    opened: on ext4, truncating a file that was just written waits for
+    the write-back of its last version, tens of ms per rewrite.  When
+    the block ends, a regular file is cut to the length written; a pipe
+    or a terminal, which cannot be cut, is only written.  So a symlink
+    is written through, a hard link's twin reads the new bytes and the
+    file keeps its mode.  The write is not atomic: a process killed
+    mid-write can leave the new text followed by the tail of the old.
+    """
+    # O_BINARY (Windows only) keeps the C runtime from writing LF as CRLF
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            yield fh
+        finally:
+            if regular:
+                fh.truncate()
 
 
 def numbered_lines(path):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from . import analysis, harness, model, rank, sample, setfamily
+from . import _textio, analysis, harness, model, rank, sample, setfamily
 from .cli import UsageError
 
 
@@ -31,7 +31,7 @@ def _cmd_simulate(args) -> int:
 def _emit(payload: dict, out_path) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _textio.open_output(out_path) as fh:
             fh.write(text + "\n")
     else:
         print(text)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -429,7 +428,8 @@ def _write_table(path, columns, rows) -> None:
     """Write a header of ``columns`` and one line per row, each cell by :func:`_format_value`."""
     lines = [",".join(columns)]
     lines += [",".join(_format_value(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _textio.open_output(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_results_csv(result: ExperimentResult, path) -> None:

@@ -442,7 +442,8 @@ def resolved_quality(spec: ModelSpec, n: int) -> np.ndarray | None:
 
 def write_matrix_csv(matrix: ComparisonMatrix, path) -> None:
     """Write a matrix as plain CSV: n rows of n decimal values, no header."""
-    np.savetxt(path, matrix.entries, delimiter=",", fmt="%.17g")
+    with _textio.open_output(path) as fh:
+        np.savetxt(fh, matrix.entries, delimiter=",", fmt="%.17g")
 
 
 def read_matrix_csv(path) -> ComparisonMatrix:

@@ -37,7 +37,6 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -350,7 +349,7 @@ def write_observations_csv(obs: ObservationSet, path) -> None:
     ``i,j,comparisons,wins_i`` header and one row per pair ``i < j``
     with at least one comparison, every line ending in LF.
     """
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with _textio.open_output(path) as fh:
         p_text = "na" if obs.p is None else repr(float(obs.p))
         fh.write(f"# n={obs.n} r={obs.r} p={p_text}\n")
         writer = csv.writer(fh, lineterminator="\n")
