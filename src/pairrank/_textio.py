@@ -8,7 +8,8 @@ file without records.  :func:`open_text` names the line of a byte that
 is not UTF-8, which Python reports by its place in a decoder chunk.
 
 Every output file is written here too, through :func:`open_output`, as
-UTF-8 with every line ending in LF on every platform.
+UTF-8 with every line ending in LF on every platform; a command that
+runs long checks its output paths first with :func:`check_output`.
 
 The cast of every flag and configuration key lives here too, with each
 range that depends on no other setting and no data (:data:`CONFIG_KEYS`,
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import math
 import os
 import re
@@ -80,6 +82,28 @@ def open_output(path):
         finally:
             if regular:
                 fh.truncate()
+
+
+def check_output(path) -> None:
+    """Raise the ``OSError`` that :func:`open_output` would, without creating ``path``.
+
+    A symlink is followed, as opening it would be.  A path that is a
+    directory, whose parent is not an existing directory, or that this
+    process may not write (an existing file, or else its parent) fails
+    as opening it would, with the same message.
+    """
+    target = os.path.realpath(path)
+    parent = os.path.dirname(target)
+    if os.path.isdir(target):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif os.path.exists(target):
+        code = 0 if os.access(target, os.W_OK) else errno.EACCES
+    else:
+        code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise OSError(code, os.strerror(code), path)
 
 
 def numbered_lines(path):

@@ -65,7 +65,15 @@ def _cmd_thresholds(args) -> int:
     return 0
 
 
+def _check_outputs(args) -> None:
+    """Fail before a long run, not after it, on an output path that cannot be opened."""
+    for path in (args.out, args.summary):
+        if path:
+            _textio.check_output(path)
+
+
 def _cmd_bench(args) -> int:
+    _check_outputs(args)
     cfg = harness.load_config(args.config)
     result = harness.run_experiment(cfg)
     harness.write_results_csv(result, args.out)
@@ -75,6 +83,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_eval_real(args) -> int:
+    _check_outputs(args)
     result = harness.run_realdata(
         args.obs, args.truth, k=args.k, q_grid=args.q_grid, trials=args.trials, seed=args.seed
     )

@@ -14,9 +14,10 @@ matrix it built, so consecutive experiments over the same model and
 quantity derives from the master seed through stable per-stage tags, so
 results are bit-identical across runs.  Trials run one after another
 in the calling thread: a whole trial holds the interpreter lock, and a
-thread pool over trials made runs slower.  Only the sampler's binomial
-kernel, which releases the lock, runs on threads (see
-:mod:`pairrank.sample`), and its output does not depend on the thread
+thread pool over trials made runs slower.  Only the sampler's draw
+blocks, whose binomial kernel releases the lock, run on threads: the
+calling thread and a pool of one worker fewer than the usable CPUs (see
+:mod:`pairrank.sample`), and the output does not depend on the thread
 count.  Wall-clock timings are measured around the estimator calls only
 and reported through the summary, never in the results table, which is
 fully deterministic.

@@ -9,8 +9,13 @@ depend only on counts, so memory stays ``O(n^2)`` regardless of ``r``.
 Sampling is reproducible: the output is a pure function of the inputs,
 whatever the CPU count.  :func:`draw_observations` cuts the pairs into
 fixed blocks, each drawn from its own stream derived from ``(seed,
-_DRAW_TAG)``, and runs the blocks on threads, because numpy's binomial
-sampler releases the interpreter lock; its docstring gives the order.
+_DRAW_TAG)``, and draws them on the calling thread and a pool of one
+worker fewer than the usable CPUs, because numpy's binomial sampler
+releases the interpreter lock; its docstring gives the order.  A draw
+of more than ``_MASKED_N`` items then assembles its two ``n x n``
+count arrays in cache-sized tiles (:func:`pairrank.model._fill_lower`),
+and any draw holds no third: the pair vectors live in the comparisons
+array until it is written.
 A block draws each pair's comparison count by inverting the CDF of
 ``Binomial(r, p)``: one uniform per pair, read through a cached table
 and its guide index (Chen & Asau 1974) rather than numpy's per-element
@@ -41,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _special, _textio
-from .model import ComparisonMatrix, _check_seed, _upper_mask
+from .model import ComparisonMatrix, _check_seed, _fill_lower, _upper_mask
 
 # Stream tags keep the observation and subsampling streams disjoint
 # even when both derive from the same master seed.
@@ -50,6 +55,13 @@ _THIN_TAG = 0x7811
 # Pairs per draw block: a draw of up to this many pairs (n <= 128) is
 # one block and reads only the root stream.
 _DRAW_BLOCK = 8192
+# Most items of a draw or thinning assembled by whole-array masks, not
+# tiles: its two count arrays (256 kB at 128) stay in cache through a
+# transposed pass, and the per-tile calls would cost more than they
+# save (on 2 CPUs, ten alternating pairs of benchmark runs read
+# figure-suite, n = 100, 8% slower with tiles and eval-real, n = 120,
+# 6% slower).
+_MASKED_N = 128
 # Most CDF entries in a count table; its guide has 4-8x as many
 # buckets.  A wider window (r * p * (1 - p) above ~2.5e5) takes longer
 # to build than it saves on an n = 1000 draw, so numpy draws it instead.
@@ -65,8 +77,11 @@ def _usable_cpus() -> int:
 
 @lru_cache(maxsize=None)
 def _draw_pool() -> ThreadPoolExecutor:
-    """The sampler's one thread pool, of ``_usable_cpus()`` workers, started on first use."""
-    return ThreadPoolExecutor(max_workers=_usable_cpus(), thread_name_prefix="pairrank-draw")
+    """The sampler's one thread pool, started on first use.
+
+    It has ``_usable_cpus() - 1`` workers: the calling thread draws too.
+    """
+    return ThreadPoolExecutor(max_workers=_usable_cpus() - 1, thread_name_prefix="pairrank-draw")
 
 
 if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
@@ -170,10 +185,17 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
     blocks of ``_DRAW_BLOCK``; block 0 draws from
     ``SeedSequence((seed, _DRAW_TAG))`` and block ``b >= 1`` from
     child ``b - 1`` of ``spawn(blocks - 1)`` on that sequence, counts
-    first, then row wins.  A draw of two or more blocks runs them on
-    one thread pool of one worker per usable CPU, started on the first
-    such draw and reused by every later one; the output is bit-identical
-    for equal ``(matrix, p, r, seed)`` whatever the CPU count.
+    first, then row wins.  With ``usable`` CPUs, a draw of two or more
+    blocks deals them out in turn to ``min(blocks, usable)`` groups: the
+    calling thread draws group 0, and a thread pool of ``usable - 1``
+    workers, started on the first such draw and reused by every later
+    one, draws the rest.  The output is bit-identical for equal
+    ``(matrix, p, r, seed)`` whatever the CPU count.  The blocks write
+    their row and column wins as pair vectors into the comparisons
+    array; the lower triangles are then filled from the upper ones in
+    ``64 x 64`` tiles (:func:`pairrank.model._fill_lower`), so a draw
+    holds two ``n x n`` arrays at most.  A draw of at most
+    ``_MASKED_N`` items is assembled by whole-array masks instead.
 
     Counts: at ``p = 1`` every pair gets ``r`` and no uniform is read.
     Otherwise a pair reads one ``u = rng.random()`` and gets
@@ -201,40 +223,73 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
         raise ValueError(f"r must be below 2**63, got {r}")
     seed = _check_seed(seed)
     n = matrix.n
-    upper = _upper_mask(n)
-    probs = matrix.entries[upper]
-    row_wins = np.empty(probs.size, dtype=np.int64)
-    col_wins = np.empty(probs.size, dtype=np.int64)
+    pairs = n * (n - 1) // 2
+    probs = matrix.entries[_upper_mask(n)]
+    # the pair vectors live in the comparisons buffer until it is overwritten
+    comparisons = np.empty((n, n), dtype=np.int64)
+    row_wins = comparisons.reshape(-1)[:pairs]
+    col_wins = comparisons.reshape(-1)[pairs:2 * pairs]
     root = np.random.SeedSequence((seed, _DRAW_TAG))
-    blocks = -(-probs.size // _DRAW_BLOCK)
+    blocks = -(-pairs // _DRAW_BLOCK)
     streams = [root, *root.spawn(blocks - 1)]
     table = None if p == 1.0 else _count_table(r, 1.0 - p if p > 0.5 else p)
+    groups = min(blocks, _usable_cpus())
 
-    def draw_block(b: int) -> None:
-        # block-local only: its own generator and its own output slices
-        block = slice(b * _DRAW_BLOCK, (b + 1) * _DRAW_BLOCK)
-        block_probs = probs[block]
-        rng = np.random.default_rng(streams[b])
-        if p == 1.0:
-            counts = np.full(block_probs.size, r, dtype=np.int64)
-        else:
-            counts = _draw_counts(rng, r, p, block_probs.size, table)
-        row_wins[block] = rng.binomial(counts, block_probs)
-        col_wins[block] = counts - row_wins[block]
+    def draw_group(g: int) -> None:
+        # block-local only: each block has its own generator and its own output slices
+        for b in range(g, blocks, groups):
+            block = slice(b * _DRAW_BLOCK, (b + 1) * _DRAW_BLOCK)
+            block_probs = probs[block]
+            rng = np.random.default_rng(streams[b])
+            if p == 1.0:
+                counts = np.full(block_probs.size, r, dtype=np.int64)
+            else:
+                counts = _draw_counts(rng, r, p, block_probs.size, table)
+            row_wins[block] = rng.binomial(counts, block_probs)
+            np.subtract(counts, row_wins[block], out=col_wins[block])
 
-    workers = min(blocks, _usable_cpus())
-    if workers > 1:
-        list(_draw_pool().map(draw_block, range(blocks)))
-    else:
-        for b in range(blocks):
-            draw_block(b)
-    # free the pair-length probabilities before the n x n arrays
+    futures = [_draw_pool().submit(draw_group, g) for g in range(1, groups)]
+    try:
+        draw_group(0)
+    finally:
+        for future in futures:
+            future.result()
+    # free the pair-length probabilities before the wins array
     del probs
-    wins = np.zeros((n, n), dtype=np.int64)
-    wins[upper] = row_wins
-    wins.T[upper] = col_wins
-    del row_wins, col_wins
-    return ObservationSet(n=n, r=r, p=p, comparisons=wins + wins.T, wins=wins)
+    return _assemble(r, p, row_wins, col_wins, comparisons)
+
+
+def _add(dst: np.ndarray, a: np.ndarray, b: np.ndarray, where) -> None:
+    np.add(a, b, out=dst, where=where)
+
+
+def _assemble(r: int, p, row_wins, col_wins, comparisons) -> ObservationSet:
+    """The observation set whose pair ``i < j``, in row-major order, has these win counts.
+
+    ``comparisons`` is the ``n x n`` output buffer, and the pair vectors
+    may live in it.  Up to ``_MASKED_N`` items, two masked scatters and
+    a transposed sum assemble the arrays.  Above it the lower triangles
+    are mirrored in tiles (:func:`pairrank.model._fill_lower`), so that
+    no pass reads or writes a whole array through a transposed view.
+    """
+    n = comparisons.shape[0]
+    upper = _upper_mask(n)
+    if n <= _MASKED_N:
+        wins = np.zeros((n, n), dtype=np.int64)
+        wins[upper] = row_wins
+        wins.T[upper] = col_wins
+        np.add(wins, wins.T, out=comparisons)
+    else:
+        wins = np.empty((n, n), dtype=np.int64)
+        wins[upper] = col_wins
+        _fill_lower(wins, np.copyto, wins)
+        wins[upper] = row_wins
+        np.fill_diagonal(wins, 0)
+        # the pair vectors are read: ``comparisons`` may now be overwritten
+        _fill_lower(comparisons, _add, wins.T, wins)
+        _fill_lower(comparisons.T, np.copyto, comparisons.T)
+        np.fill_diagonal(comparisons, 0)
+    return ObservationSet(n=n, r=r, p=p, comparisons=comparisons, wins=wins)
 
 
 def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
@@ -252,11 +307,13 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
     n = obs.n
     rng = np.random.default_rng(np.random.SeedSequence((seed, _THIN_TAG)))
     upper = _upper_mask(n)
-    wins = np.zeros((n, n), dtype=np.int64)
-    wins[upper] = rng.binomial(obs.wins[upper], q)
-    wins.T[upper] = rng.binomial(obs.wins.T[upper], q)
+    row_wins = rng.binomial(obs.wins[upper], q)
+    # the column wins of each pair, laid out in the strict upper triangle
+    comparisons = np.empty((n, n), dtype=np.int64)
+    _fill_lower(comparisons.T, np.copyto, obs.wins.T)
+    col_wins = rng.binomial(comparisons[upper], q)
     p = None if obs.p is None else obs.p * q
-    return ObservationSet(n=n, r=obs.r, p=p, comparisons=wins + wins.T, wins=wins)
+    return _assemble(obs.r, p, row_wins, col_wins, comparisons)
 
 
 class UnlistedItem(ValueError):

@@ -322,10 +322,14 @@ def mirror_by_pair_indices(upper):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 300])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 65, 129, 300, 1000])
 def test_mirror_upper_is_byte_identical_to_pair_indexing(n):
     rng = np.random.default_rng(n)
-    for upper in (rng.random((n, n)), rng.normal(size=(n, n)), np.full((n, n), 0.1)):
+    sources = (
+        rng.random((n, n)), rng.normal(size=(n, n)), np.full((n, n), 0.1),
+        rng.integers(-3, 4, size=(n, n)),
+    )
+    for upper in sources:
         got = _mirror_upper(upper)
         expected = mirror_by_pair_indices(upper)
         assert got.dtype == expected.dtype and got.flags.c_contiguous

@@ -5,7 +5,8 @@ to fresh paths, then again over a longer file, through a symlink, over
 one of two hard links and over a file of mode 0600, and every output
 must hold the fresh bytes while the link, the twin and the mode stay as
 they were.  An output path that cannot be opened is a data error, and a
-pipe is written without being cut.  The structural test keeps every
+pipe is written without being cut.  ``bench`` and ``eval-real`` check
+their output paths before they run.  The structural test keeps every
 other module of ``src/pairrank`` from opening a file for writing, so a
 new writer cannot bring back truncate-on-open.
 """
@@ -125,6 +126,51 @@ def test_an_output_path_that_cannot_be_opened_is_a_data_error(
     message = json.loads(err[0])["error"] if as_json else err[0]
     assert str(bad) in message
     assert "Traceback" not in message
+
+
+@pytest.mark.parametrize("where", [
+    "directory", "missing-directory", "under-a-file", "dangling-symlink",
+    pytest.param("read-only-directory", marks=pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0,
+        reason="needs a user whom directory modes bind, not root")),
+])
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in ("bench", "eval-real") for flag in COMMANDS[command][1]
+])
+def test_a_bad_output_path_fails_before_the_run(
+    inputs, tmp_path, monkeypatch, command, flag, where
+):
+    def run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(harness, "run_experiment", run)
+    monkeypatch.setattr(harness, "run_realdata", run)
+    bad = {
+        "directory": tmp_path,
+        "missing-directory": tmp_path / "missing" / "out",
+        "under-a-file": tmp_path / "file" / "out",
+        "dangling-symlink": tmp_path / "link",
+        "read-only-directory": tmp_path / "locked" / "out",
+    }[where]
+    if where == "under-a-file":
+        bad.parent.write_bytes(b"")
+    elif where == "dangling-symlink":
+        bad.symlink_to(tmp_path / "missing" / "out")
+    elif where == "read-only-directory":
+        bad.parent.mkdir(mode=0o500)
+    before = sorted(tmp_path.iterdir())
+    flags = COMMANDS[command][1]
+    outs = [bad if f == flag else tmp_path / f"ok{i}" for i, f in enumerate(flags)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = write(command, inputs, outs, "--error-json")
+    err = err.getvalue().splitlines()
+    assert code == 2
+    assert len(err) == 1, err
+    payload = json.loads(err[0])
+    assert str(bad) in payload["error"]
+    assert payload["category"] == "data"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -282,10 +283,11 @@ DRAW_BLOCK = 8192
 
 
 def _from_upper(n, row_wins, col_wins):
+    """The count arrays by pair indexing: pair ``(i, j)``, ``i < j``, in row-major order."""
     iu, ju = np.triu_indices(n, 1)
     wins = np.zeros((n, n), dtype=np.int64)
-    for i, j, w, x in zip(iu, ju, row_wins, col_wins):
-        wins[i, j], wins[j, i] = w, x
+    wins[iu, ju] = row_wins
+    wins[ju, iu] = col_wins
     return wins + wins.T, wins
 
 
@@ -358,6 +360,9 @@ class TestStreamContract:
             (300, 1.0, 5, 1),
             (129, 0.25, 400, 3),  # r * p > 30: numpy would switch to BTPE
             (200, 0.8, 300, 9),  # r * (1 - p) > 30, reflected
+            # the edges of 64 x 64 tiles and of 8,192-pair blocks; 256 is whole tiles only
+            *((n, p, r, n) for n in (63, 64, 65, 127, 129, 200, 256, 1000)
+              for p, r in ((0.3, 9), (1.0, 5))),
         ],
     )
     def test_draw_matches_oracle(self, n, p, r, seed):
@@ -367,7 +372,7 @@ class TestStreamContract:
         np.testing.assert_array_equal(obs.comparisons, comparisons)
         np.testing.assert_array_equal(obs.wins, wins)
 
-    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_draw_does_not_depend_on_worker_count(self, monkeypatch, cpus):
         m = gen_parametric(np.linspace(2.0, -2.0, 300), "logistic")
         default = draw_observations(m, 0.5, 7, seed=4)
@@ -407,13 +412,29 @@ class TestStreamContract:
                 size = min(blocks[a].size, blocks[b].size)
                 assert not np.array_equal(blocks[a][:size], blocks[b][:size]), (a, b)
 
-    @pytest.mark.parametrize("n, q, seed", [(2, 0.5, 0), (7, 0.0, 5), (30, 0.3, 2**40)])
+    @pytest.mark.parametrize(
+        "n, q, seed", [(2, 0.5, 0), (7, 0.0, 5), (30, 0.3, 2**40), (129, 0.3, 7)]
+    )
     def test_subsample_matches_oracle(self, n, q, seed):
         obs = draw_observations(gen_planted(n, 1, 0.2), 0.7, 12, seed=1)
         thin = subsample(obs, q, seed)
         comparisons, wins = subsample_oracle(obs, q, seed)
         np.testing.assert_array_equal(thin.comparisons, comparisons)
         np.testing.assert_array_equal(thin.wins, wins)
+
+    def test_a_draw_holds_at_most_two_count_arrays(self):
+        n = 512
+        m = gen_parametric(np.linspace(2.0, -2.0, n), "logistic")
+        # the first draw fills the caches: the triangle mask, the count table, the pool
+        draw_observations(m, 0.25, 16, seed=1)
+        tracemalloc.start()
+        try:
+            obs = draw_observations(m, 0.25, 16, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert obs.wins.nbytes == obs.comparisons.nbytes == n * n * 8
+        assert peak <= 1.05 * 2 * n * n * 8, peak
 
     def test_outputs_are_read_only(self):
         obs = draw_observations(gen_planted(6, 2, 0.2), 0.5, 4, seed=3)
