@@ -10,7 +10,8 @@ checkout's ``BENCHMARK.json`` sets (``run_seconds``), and times the
 model layer (``instantiate``: a first call with its memo cleared, and a
 repeated call), the sampling layer (``draw_observations``), the
 estimator layers (``copeland_topk``, ``rank_centrality``,
-``mle_refine``) under two sampling designs, the scoring layer
+``mle_refine``) under two sampling designs, a fresh draw counted by
+Copeland (``draw_copeland``), the scoring layer
 (``ground_truth`` and ``evaluate``), ``rank_centrality`` on a reducible
 walk, the ingest layer (``read_comparisons``) on a comparisons CSV and
 the output layer (``write_results_csv``) rewriting one results CSV,
@@ -45,12 +46,22 @@ WORKLOADS = ("figure-suite", "threshold-sweep", "eval-real")
 SEEDS = (1, 4099)
 ROUNDS = 3
 LAYER_SIZES = (50, 200, 1000)
+# threshold-sweep draws at n = 256 and 1024, multiples of 256 where a
+# whole-array transposed pass is slowest, so the sampling layers and
+# Copeland's count run at these sizes too, and the other layers do not
+SWEEP_SIZES = (256, 1024)
+SWEEP_LAYERS = ("draw_observations", "copeland_topk", "draw_copeland")
 # BTL with quality spread 6 and 4 expected comparisons per pair, at three
 # sizes: the figure suite's p = 1 design, and threshold-sweep's p = 0.25.
 # At p = 1 the baseline's ranking is Copeland's, so only the sparse
 # design times two estimators that can give different answers.  The
 # r = 400 design times sampling alone, past r * p = 30, where numpy's
-# binomial sampler leaves inversion for BTPE.  The model design times
+# binomial sampler leaves inversion for BTPE.  ``copeland_topk`` counts
+# one draw that no other layer reads, so every call counts its wins
+# (from the pair vectors, where the set keeps them) rather than reading
+# arrays that another layer built; ``draw_copeland`` is a fresh draw and
+# then ``copeland_topk``, as a Copeland-only experiment calls them.
+# The model design times
 # ``instantiate`` alone: a first call builds the matrix, and a repeated
 # call is a memo hit.
 # The p1-ordered design (quality spread 10^4) is nearly a total order:
@@ -68,7 +79,7 @@ LAYER_SIZES = (50, 200, 1000)
 # The results design runs one Copeland-only experiment of n trials on 50
 # items once, then times ``write_results_csv`` rewriting the same path
 # with its n rows, as every rerun of ``bench --out`` does.
-LAYERS = ("draw_observations", "copeland_topk", "rank_centrality", "mle_refine")
+LAYERS = ("draw_observations", "copeland_topk", "draw_copeland", "rank_centrality", "mle_refine")
 LAYER_DESIGNS = {
     "model": {
         "model": "btl", "quality_spread": 6.0, "layers": ["instantiate_first", "instantiate_repeat"],
@@ -126,7 +137,9 @@ def time_layers(scratch: Path) -> dict:
     layers: dict = {}
     for design, spec in LAYER_DESIGNS.items():
         names = spec.get("layers", LAYERS)
-        for n in LAYER_SIZES:
+        swept = [name for name in names if name in SWEEP_LAYERS]
+        for n in (*LAYER_SIZES, *(SWEEP_SIZES if swept else ())):
+            timed = names if n in LAYER_SIZES else swept
             model_spec = model.ModelSpec(kind=spec["model"], quality_spread=spec["quality_spread"])
             matrix = model.instantiate(model_spec, n)
             calls = {
@@ -135,7 +148,8 @@ def time_layers(scratch: Path) -> dict:
             }
             if "p" in spec:
                 obs = draw_observations(matrix, spec["p"], spec["r"], spec["seed"])
-                init = rank_centrality(obs) if "mle_refine" in names else None
+                counted = draw_observations(matrix, spec["p"], spec["r"], spec["seed"])
+                init = rank_centrality(obs) if "mle_refine" in timed else None
                 truth = metrics.ground_truth(matrix, n // 4)
                 family = setfamily.family_hamming(n, n // 4, 0)
                 estimate = copeland_topk(obs, n // 4).items
@@ -143,7 +157,10 @@ def time_layers(scratch: Path) -> dict:
                     "draw_observations": lambda: draw_observations(
                         matrix, spec["p"], spec["r"], spec["seed"]
                     ),
-                    "copeland_topk": lambda: copeland_topk(obs, n // 4),
+                    "copeland_topk": lambda: copeland_topk(counted, n // 4),
+                    "draw_copeland": lambda: copeland_topk(
+                        draw_observations(matrix, spec["p"], spec["r"], spec["seed"]), n // 4
+                    ),
                     "rank_centrality": lambda: rank_centrality(obs),
                     "mle_refine": lambda: mle_refine(obs, init),
                     "ground_truth": lambda: metrics.ground_truth(matrix, n // 4),
@@ -170,7 +187,7 @@ def time_layers(scratch: Path) -> dict:
                 result = harness.run_experiment(config)
                 results_path = scratch / f"{design}-{n}.csv"
                 calls["write_results_csv"] = lambda: harness.write_results_csv(result, results_path)
-            for name in names:
+            for name in timed:
                 call = calls[name]
                 times = []
                 start = time.perf_counter()
@@ -308,10 +325,10 @@ def bench(checkouts: list[Path], scratch: Path) -> list[dict]:
             design: {
                 n: layers["copeland_topk"][n]
                 / (layers["rank_centrality"][n] + layers["mle_refine"][n])
-                for n in layers["copeland_topk"]
+                for n in layers["mle_refine"]
             }
             for design, layers in files[-1]["layers_ms"].items()
-            if "copeland_topk" in layers
+            if "copeland_topk" in layers and "mle_refine" in layers
         }
     return files
 

@@ -18,9 +18,12 @@ thread pool over trials made runs slower.  Only the sampler's draw
 blocks, whose binomial kernel releases the lock, run on threads: the
 calling thread and a pool of one worker fewer than the usable CPUs (see
 :mod:`pairrank.sample`), and the output does not depend on the thread
-count.  Wall-clock timings are measured around the estimator calls only
-and reported through the summary, never in the results table, which is
-fully deterministic.
+count.  A draw builds its ``n x n`` count arrays only when an estimator
+reads them: Copeland counts each item's wins from the drawn pairs, so a
+Copeland-only experiment builds none, and the spectral baseline's
+timing includes the build.  Wall-clock timings are measured around the
+estimator calls only and reported through the summary, never in the
+results table, which is fully deterministic.
 
 ``eval-real`` (:func:`run_realdata`) scores its subsampled trials with
 ``bench``'s scorer, against the truth file's order, which has no ties,

@@ -48,8 +48,12 @@ class TopKEstimate:
 
 
 def win_counts(obs: ObservationSet) -> np.ndarray:
-    """Total comparisons won per item."""
-    return obs.wins.sum(axis=1)
+    """Total comparisons won per item, ``obs.wins.sum(axis=1)``.
+
+    A draw or thinning counts them from its pair vectors and builds no
+    ``n x n`` array (:meth:`pairrank.sample.ObservationSet.win_totals`).
+    """
+    return obs.win_totals()
 
 
 def topk_from_scores(score_vector, k: int) -> TopKEstimate:

@@ -12,10 +12,14 @@ fixed blocks, each drawn from its own stream derived from ``(seed,
 _DRAW_TAG)``, and draws them on the calling thread and a pool of one
 worker fewer than the usable CPUs, because numpy's binomial sampler
 releases the interpreter lock; its docstring gives the order.  A draw
-of more than ``_MASKED_N`` items then assembles its two ``n x n``
-count arrays in cache-sized tiles (:func:`pairrank.model._fill_lower`),
-and any draw holds no third: the pair vectors live in the comparisons
-array until it is written.
+keeps its pair vectors in the buffer that becomes its comparisons
+array, and builds its two ``n x n`` count arrays only when one is first
+read (see :class:`ObservationSet`); Copeland's win totals are counted
+from the pair vectors, so a Copeland-only draw holds one ``n x n``
+buffer and never builds the arrays.  A build of more than ``_MASKED_N``
+items assembles them in cache-sized tiles
+(:func:`pairrank.model._fill_lower`), and no build holds a third
+``n x n`` array.
 A block draws each pair's comparison count by inverting the CDF of
 ``Binomial(r, p)``: one uniform per pair, read through a cached table
 and its guide index (Chen & Asau 1974) rather than numpy's per-element
@@ -39,8 +43,8 @@ import csv
 import operator
 import os
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -55,7 +59,7 @@ _THIN_TAG = 0x7811
 # Pairs per draw block: a draw of up to this many pairs (n <= 128) is
 # one block and reads only the root stream.
 _DRAW_BLOCK = 8192
-# Most items of a draw or thinning assembled by whole-array masks, not
+# Most items of a set whose arrays are assembled by whole-array masks, not
 # tiles: its two count arrays (256 kB at 128) stay in cache through a
 # transposed pass, and the per-tile calls would cost more than they
 # save (on 2 CPUs, ten alternating pairs of benchmark runs read
@@ -66,6 +70,9 @@ _MASKED_N = 128
 # buckets.  A wider window (r * p * (1 - p) above ~2.5e5) takes longer
 # to build than it saves on an n = 1000 draw, so numpy draws it instead.
 _TABLE_CAP = 1 << 13
+# Pairs per ``np.add.at`` call when win totals are counted from the pair
+# vectors: each call widens only this many column indices to ``intp``.
+_COUNT_CHUNK = 1 << 16
 
 
 def _usable_cpus() -> int:
@@ -88,28 +95,113 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
     os.register_at_fork(after_in_child=_draw_pool.cache_clear)
 
 
-@dataclass(frozen=True)
 class ObservationSet:
     """Aggregated outcomes of pairwise comparisons.
 
     ``comparisons[i, j]`` counts comparisons between the pair (it is
     symmetric with zero diagonal) and ``wins[i, j]`` counts those won
-    by ``i``, so ``wins + wins.T == comparisons``.  ``p`` is ``None``
-    for ingested data with unknown design.
+    by ``i``, so ``wins + wins.T == comparisons``; both are read-only
+    ``int64`` arrays.  ``p`` is ``None`` for ingested data with unknown
+    design.
+
+    A set constructed from the two arrays holds them.  A draw or a
+    thinning (:func:`draw_observations`, :func:`subsample`) holds its
+    pair vectors instead, the row and column wins of each pair ``i < j``
+    in row-major order, and builds the arrays from them on the first
+    read of either; :meth:`win_totals` counts from the pair vectors
+    until then.  A lock orders the build against every read of the pair
+    vectors, whose buffer the build may reuse.
     """
 
-    n: int
-    r: int
-    p: float | None
-    comparisons: np.ndarray
-    wins: np.ndarray
+    __slots__ = ("n", "r", "p", "_arrays", "_pairs", "_lock")
 
-    def __post_init__(self) -> None:
-        self.comparisons.setflags(write=False)
-        self.wins.setflags(write=False)
+    def __init__(self, n: int, r: int, p: float | None, comparisons: np.ndarray, wins: np.ndarray):
+        comparisons.setflags(write=False)
+        wins.setflags(write=False)
+        self.n, self.r, self.p = n, r, p
+        self._arrays = (comparisons, wins)
+        self._pairs = self._lock = None
+
+    @classmethod
+    def _from_pairs(cls, n: int, r: int, p, row_wins, col_wins, buffer=None) -> ObservationSet:
+        """The set whose pair ``i < j``, in row-major order, has these win counts.
+
+        ``buffer``, if given, is an ``n x n`` ``int64`` array that the
+        build may overwrite with the comparisons; the pair vectors may
+        live in it.
+        """
+        obs = cls.__new__(cls)
+        obs.n, obs.r, obs.p = n, r, p
+        obs._arrays = None
+        obs._pairs = (row_wins, col_wins, buffer)
+        obs._lock = threading.Lock()
+        return obs
+
+    def _built(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(comparisons, wins)``, assembled from the pair vectors on the first call."""
+        if self._arrays is None:
+            with self._lock:
+                if self._arrays is None:
+                    comparisons, wins = _assemble(self.n, *self._pairs)
+                    comparisons.setflags(write=False)
+                    wins.setflags(write=False)
+                    self._arrays = (comparisons, wins)
+                    self._pairs = None
+        return self._arrays
+
+    @property
+    def comparisons(self) -> np.ndarray:
+        return self._built()[0]
+
+    @property
+    def wins(self) -> np.ndarray:
+        return self._built()[1]
+
+    def win_totals(self) -> np.ndarray:
+        """Total comparisons won per item, ``wins.sum(axis=1)``, without building the arrays.
+
+        From the pair vectors: the row wins of each row's pairs by one
+        ``np.add.reduceat``, plus the column wins of each pair added to
+        its column item by ``np.add.at``, in chunks of
+        ``_COUNT_CHUNK`` pairs.  ``int64`` sums wrap alike in any order,
+        so the totals have the bits of ``wins.sum(axis=1)``.
+        """
+        if self._arrays is None:
+            with self._lock:
+                if self._pairs is not None:
+                    return _pair_totals(self.n, *self._pairs[:2])
+        return self._arrays[1].sum(axis=1)
 
     def total_comparisons(self) -> int:
         return int(self.comparisons.sum()) // 2
+
+
+@lru_cache(maxsize=8)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(starts, columns)`` of the pairs ``i < j`` of ``n`` items, in row-major order.
+
+    ``starts[i]`` is the position of row ``i``'s first pair, for rows
+    ``0..n-2``; ``columns`` holds each pair's ``j`` in the smallest
+    unsigned type (``uint16`` up to 65,536 items).  Cached, as the
+    triangle mask is: a sweep counts hundreds of draws at a few sizes.
+    """
+    rows = np.arange(n - 1)
+    starts = rows * n - rows * (rows + 1) // 2
+    columns = np.broadcast_to(np.arange(n, dtype=np.min_scalar_type(n - 1)), (n, n))[_upper_mask(n)]
+    starts.setflags(write=False)
+    columns.setflags(write=False)
+    return starts, columns
+
+
+def _pair_totals(n: int, row_wins: np.ndarray, col_wins: np.ndarray) -> np.ndarray:
+    """Per-item win totals of the pair vectors of ``n`` items."""
+    starts, columns = _pair_index(n)
+    totals = np.zeros(n, dtype=np.int64)
+    totals[:-1] = np.add.reduceat(row_wins, starts)
+    for start in range(0, col_wins.size, _COUNT_CHUNK):
+        chunk = slice(start, start + _COUNT_CHUNK)
+        np.add.at(totals, columns[chunk].astype(np.intp), col_wins[chunk])
+    return totals
 
 
 def _first(pred, lo: int, hi: int) -> int:
@@ -191,11 +283,11 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
     workers, started on the first such draw and reused by every later
     one, draws the rest.  The output is bit-identical for equal
     ``(matrix, p, r, seed)`` whatever the CPU count.  The blocks write
-    their row and column wins as pair vectors into the comparisons
-    array; the lower triangles are then filled from the upper ones in
-    ``64 x 64`` tiles (:func:`pairrank.model._fill_lower`), so a draw
-    holds two ``n x n`` arrays at most.  A draw of at most
-    ``_MASKED_N`` items is assembled by whole-array masks instead.
+    their row and column wins as pair vectors into one ``n x n`` buffer,
+    which the set keeps: while only :meth:`ObservationSet.win_totals`
+    is read, a draw holds that buffer and the pair probabilities, and
+    the first read of ``wins`` or ``comparisons`` adds the one ``n x n``
+    wins array and writes the comparisons over the buffer.
 
     Counts: at ``p = 1`` every pair gets ``r`` and no uniform is read.
     Otherwise a pair reads one ``u = rng.random()`` and gets
@@ -226,9 +318,9 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
     pairs = n * (n - 1) // 2
     probs = matrix.entries[_upper_mask(n)]
     # the pair vectors live in the comparisons buffer until it is overwritten
-    comparisons = np.empty((n, n), dtype=np.int64)
-    row_wins = comparisons.reshape(-1)[:pairs]
-    col_wins = comparisons.reshape(-1)[pairs:2 * pairs]
+    buffer = np.empty((n, n), dtype=np.int64)
+    row_wins = buffer.reshape(-1)[:pairs]
+    col_wins = buffer.reshape(-1)[pairs:2 * pairs]
     root = np.random.SeedSequence((seed, _DRAW_TAG))
     blocks = -(-pairs // _DRAW_BLOCK)
     streams = [root, *root.spawn(blocks - 1)]
@@ -254,42 +346,43 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
     finally:
         for future in futures:
             future.result()
-    # free the pair-length probabilities before the wins array
-    del probs
-    return _assemble(r, p, row_wins, col_wins, comparisons)
+    return ObservationSet._from_pairs(n, r, p, row_wins, col_wins, buffer)
 
 
 def _add(dst: np.ndarray, a: np.ndarray, b: np.ndarray, where) -> None:
     np.add(a, b, out=dst, where=where)
 
 
-def _assemble(r: int, p, row_wins, col_wins, comparisons) -> ObservationSet:
-    """The observation set whose pair ``i < j``, in row-major order, has these win counts.
+def _assemble(n: int, row_wins, col_wins, comparisons=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(comparisons, wins)`` of the ``n`` items whose pairs have these win counts.
 
-    ``comparisons`` is the ``n x n`` output buffer, and the pair vectors
-    may live in it.  Up to ``_MASKED_N`` items, two masked scatters and
-    a transposed sum assemble the arrays.  Above it the lower triangles
-    are mirrored in tiles (:func:`pairrank.model._fill_lower`), so that
-    no pass reads or writes a whole array through a transposed view.
+    The pairs ``i < j`` are in row-major order, as in a draw.
+
+    ``comparisons``, if given, is the ``n x n`` output buffer, and the
+    pair vectors may live in it.  Up to ``_MASKED_N`` items, two masked
+    scatters and a transposed sum assemble the arrays.  Above it the
+    lower triangles are mirrored in tiles
+    (:func:`pairrank.model._fill_lower`), so that no pass reads or
+    writes a whole array through a transposed view.
     """
-    n = comparisons.shape[0]
     upper = _upper_mask(n)
     if n <= _MASKED_N:
         wins = np.zeros((n, n), dtype=np.int64)
         wins[upper] = row_wins
         wins.T[upper] = col_wins
-        np.add(wins, wins.T, out=comparisons)
-    else:
-        wins = np.empty((n, n), dtype=np.int64)
-        wins[upper] = col_wins
-        _fill_lower(wins, np.copyto, wins)
-        wins[upper] = row_wins
-        np.fill_diagonal(wins, 0)
-        # the pair vectors are read: ``comparisons`` may now be overwritten
-        _fill_lower(comparisons, _add, wins.T, wins)
-        _fill_lower(comparisons.T, np.copyto, comparisons.T)
-        np.fill_diagonal(comparisons, 0)
-    return ObservationSet(n=n, r=r, p=p, comparisons=comparisons, wins=wins)
+        return np.add(wins, wins.T, out=comparisons), wins
+    wins = np.empty((n, n), dtype=np.int64)
+    wins[upper] = col_wins
+    _fill_lower(wins, np.copyto, wins)
+    wins[upper] = row_wins
+    np.fill_diagonal(wins, 0)
+    if comparisons is None:
+        comparisons = np.empty((n, n), dtype=np.int64)
+    # the pair vectors are read: ``comparisons`` may now be overwritten
+    _fill_lower(comparisons, _add, wins.T, wins)
+    _fill_lower(comparisons.T, np.copyto, comparisons.T)
+    np.fill_diagonal(comparisons, 0)
+    return comparisons, wins
 
 
 def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
@@ -297,7 +390,9 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
 
     Thinning a draw with design ``(p, r)`` matches the distribution of
     a fresh draw with design ``(p * q, r)``.  At ``q = 1`` the
-    (read-only) input set itself is returned.
+    (read-only) input set itself is returned.  A thinning reads the
+    pair vectors of a set that has not built its arrays, and builds
+    none of its own until they are read.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
@@ -306,14 +401,20 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
         return obs
     n = obs.n
     rng = np.random.default_rng(np.random.SeedSequence((seed, _THIN_TAG)))
+    p = None if obs.p is None else obs.p * q
+    if obs._arrays is None:
+        with obs._lock:
+            if obs._pairs is not None:
+                row_wins, col_wins, _ = obs._pairs
+                kept = rng.binomial(row_wins, q)
+                return ObservationSet._from_pairs(n, obs.r, p, kept, rng.binomial(col_wins, q))
     upper = _upper_mask(n)
     row_wins = rng.binomial(obs.wins[upper], q)
     # the column wins of each pair, laid out in the strict upper triangle
-    comparisons = np.empty((n, n), dtype=np.int64)
-    _fill_lower(comparisons.T, np.copyto, obs.wins.T)
-    col_wins = rng.binomial(comparisons[upper], q)
-    p = None if obs.p is None else obs.p * q
-    return _assemble(obs.r, p, row_wins, col_wins, comparisons)
+    buffer = np.empty((n, n), dtype=np.int64)
+    _fill_lower(buffer.T, np.copyto, obs.wins.T)
+    col_wins = rng.binomial(buffer[upper], q)
+    return ObservationSet._from_pairs(n, obs.r, p, row_wins, col_wins, buffer)
 
 
 class UnlistedItem(ValueError):

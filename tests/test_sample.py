@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from pairrank import sample
 from pairrank.model import gen_parametric, gen_planted, make_matrix
+from pairrank.rank import copeland_topk
 from pairrank.sample import (
     draw_observations,
     read_comparisons,
@@ -23,6 +25,8 @@ from pairrank.sample import (
     subsample,
     write_observations_csv,
 )
+
+from conftest import oracle_topk
 
 
 def certain_matrix():
@@ -426,15 +430,71 @@ class TestStreamContract:
         n = 512
         m = gen_parametric(np.linspace(2.0, -2.0, n), "logistic")
         # the first draw fills the caches: the triangle mask, the count table, the pool
-        draw_observations(m, 0.25, 16, seed=1)
+        draw_observations(m, 0.25, 16, seed=1).wins
         tracemalloc.start()
         try:
             obs = draw_observations(m, 0.25, 16, seed=2)
+            # the first read builds both arrays
+            assert obs.wins.nbytes == obs.comparisons.nbytes == n * n * 8
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert obs.wins.nbytes == obs.comparisons.nbytes == n * n * 8
         assert peak <= 1.05 * 2 * n * n * 8, peak
+
+    def test_a_draw_counted_by_copeland_holds_one_count_array(self, monkeypatch):
+        n = 1024
+        pairs = n * (n - 1) // 2
+        # one n x n int64 buffer, the float64 pair probabilities and 1 MiB for the
+        # block-length temporaries of two groups of draw blocks; the parent's draw
+        # assembled two n x n arrays (16.1 MiB), and this bound is 13.0 MiB
+        bound = n * n * 8 + pairs * 8 + 2**20
+        monkeypatch.setattr(sample, "_usable_cpus", lambda: 2)
+        m = gen_parametric(np.linspace(2.0, -2.0, n), "logistic")
+        # the first draw and count fill the caches: the triangle mask, the count
+        # table, the pair index and the pool
+        copeland_topk(draw_observations(m, 0.25, 16, seed=1), n // 4)
+        tracemalloc.start()
+        try:
+            copeland_topk(draw_observations(m, 0.25, 16, seed=2), n // 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
+
+    def test_threads_reading_one_unbuilt_set_agree(self):
+        # the build writes the comparisons over the buffer that holds the pair
+        # vectors, so a count or a thinning that read them unlocked could see either
+        m = gen_parametric(np.linspace(2.0, -2.0, 300), "logistic")
+        reference = draw_observations(m, 0.5, 7, seed=4)
+        thinned = subsample(reference, 0.5, seed=1)
+        expected = reference.wins.sum(axis=1), reference.wins, thinned.wins
+        readers = [
+            lambda obs: obs.win_totals(),
+            lambda obs: obs.wins,
+            lambda obs: subsample(obs, 0.5, seed=1).wins,
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                obs = draw_observations(m, 0.5, 7, seed=4)
+                got = [None] * 12
+                barrier = threading.Barrier(len(got))
+
+                def read(i, obs=obs, got=got, barrier=barrier):
+                    barrier.wait(timeout=30)
+                    got[i] = readers[i % 3](obs)
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(len(got))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                for i, value in enumerate(got):
+                    np.testing.assert_array_equal(value, expected[i % 3])
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_outputs_are_read_only(self):
         obs = draw_observations(gen_planted(6, 2, 0.2), 0.5, 4, seed=3)
@@ -442,6 +502,32 @@ class TestStreamContract:
         for arr in (obs.comparisons, obs.wins, thin.comparisons, thin.wins):
             with pytest.raises(ValueError):
                 arr[0, 1] = 1
+
+    @pytest.mark.parametrize("n", [2, 64, 128, 129, 200, 256, 300])
+    @pytest.mark.parametrize("kind", ["draw", "thinning"])
+    def test_win_totals_from_pairs_match_the_arrays(self, n, kind):
+        # 300 items end in a partial block; 128 and 129 straddle the masked assembly
+        m = gen_parametric(np.linspace(1.5, -1.5, n), "logistic")
+        if kind == "draw":
+            counted, built = (draw_observations(m, 0.3, 9, seed=n) for _ in range(2))
+        else:
+            # a thinning reads the pair vectors of an unbuilt set, or the arrays of a built one
+            source = draw_observations(m, 0.7, 12, seed=n)
+            counted = subsample(draw_observations(m, 0.7, 12, seed=n), 0.4, seed=5)
+            source.wins
+            built = subsample(source, 0.4, seed=5)
+        # totals first, then the arrays, against the arrays first, then the totals
+        totals = counted.win_totals()
+        picks = {k: copeland_topk(counted, k).items for k in (1, 2)}
+        arrays = built.comparisons, built.wins
+        assert totals.dtype == np.int64
+        np.testing.assert_array_equal(totals, built.wins.sum(axis=1))
+        np.testing.assert_array_equal(built.win_totals(), totals)
+        np.testing.assert_array_equal(counted.comparisons, arrays[0])
+        np.testing.assert_array_equal(counted.wins, arrays[1])
+        np.testing.assert_array_equal(built.wins + built.wins.T, built.comparisons)
+        for k, pick in picks.items():
+            assert set(pick) == oracle_topk(arrays[1].sum(axis=1), k)
 
     @settings(max_examples=80, deadline=None)
     @given(
