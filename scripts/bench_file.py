@@ -46,11 +46,13 @@ WORKLOADS = ("figure-suite", "threshold-sweep", "eval-real")
 SEEDS = (1, 4099)
 ROUNDS = 3
 LAYER_SIZES = (50, 200, 1000)
-# threshold-sweep draws at n = 256 and 1024, multiples of 256 where a
-# whole-array transposed pass is slowest, so the sampling layers and
-# Copeland's count run at these sizes too, and the other layers do not
+# threshold-sweep builds its matrices and draws at n = 256 and 1024,
+# multiples of 256 where a whole-array transposed pass is slowest, so the
+# matrix build (whose mirror is tiled for these sizes), the sampling
+# layers and Copeland's count run at these sizes too, and the other
+# layers do not
 SWEEP_SIZES = (256, 1024)
-SWEEP_LAYERS = ("draw_observations", "copeland_topk", "draw_copeland")
+SWEEP_LAYERS = ("instantiate_first", "draw_observations", "copeland_topk", "draw_copeland")
 # BTL with quality spread 6 and 4 expected comparisons per pair, at three
 # sizes: the figure suite's p = 1 design, and threshold-sweep's p = 0.25.
 # At p = 1 the baseline's ranking is Copeland's, so only the sparse

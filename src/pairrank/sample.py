@@ -16,9 +16,7 @@ keeps its pair vectors in the buffer that becomes its comparisons
 array, and builds its two ``n x n`` count arrays only when one is first
 read (see :class:`ObservationSet`); Copeland's win totals are counted
 from the pair vectors, so a Copeland-only draw holds one ``n x n``
-buffer and never builds the arrays.  A build of more than ``_MASKED_N``
-items assembles them in cache-sized tiles
-(:func:`pairrank.model._fill_lower`), and no build holds a third
+buffer and never builds the arrays, and no build holds a third
 ``n x n`` array.
 A block draws each pair's comparison count by inverting the CDF of
 ``Binomial(r, p)``: one uniform per pair, read through a cached table
@@ -50,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _special, _textio
-from .model import ComparisonMatrix, _check_seed, _fill_lower, _upper_mask
+from .model import ComparisonMatrix, _check_seed, _upper_mask
 
 # Stream tags keep the observation and subsampling streams disjoint
 # even when both derive from the same master seed.
@@ -59,13 +57,6 @@ _THIN_TAG = 0x7811
 # Pairs per draw block: a draw of up to this many pairs (n <= 128) is
 # one block and reads only the root stream.
 _DRAW_BLOCK = 8192
-# Most items of a set whose arrays are assembled by whole-array masks, not
-# tiles: its two count arrays (256 kB at 128) stay in cache through a
-# transposed pass, and the per-tile calls would cost more than they
-# save (on 2 CPUs, ten alternating pairs of benchmark runs read
-# figure-suite, n = 100, 8% slower with tiles and eval-real, n = 120,
-# 6% slower).
-_MASKED_N = 128
 # Most CDF entries in a count table; its guide has 4-8x as many
 # buckets.  A wider window (r * p * (1 - p) above ~2.5e5) takes longer
 # to build than it saves on an n = 1000 draw, so numpy draws it instead.
@@ -349,40 +340,20 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
     return ObservationSet._from_pairs(n, r, p, row_wins, col_wins, buffer)
 
 
-def _add(dst: np.ndarray, a: np.ndarray, b: np.ndarray, where) -> None:
-    np.add(a, b, out=dst, where=where)
-
-
 def _assemble(n: int, row_wins, col_wins, comparisons=None) -> tuple[np.ndarray, np.ndarray]:
     """``(comparisons, wins)`` of the ``n`` items whose pairs have these win counts.
 
-    The pairs ``i < j`` are in row-major order, as in a draw.
-
+    The pairs ``i < j`` are in row-major order, as in a draw.  Two masked
+    scatters fill ``wins`` and a transposed sum forms the comparisons.
     ``comparisons``, if given, is the ``n x n`` output buffer, and the
-    pair vectors may live in it.  Up to ``_MASKED_N`` items, two masked
-    scatters and a transposed sum assemble the arrays.  Above it the
-    lower triangles are mirrored in tiles
-    (:func:`pairrank.model._fill_lower`), so that no pass reads or
-    writes a whole array through a transposed view.
+    pair vectors may live in it: the sum writes it only after the
+    scatters have read them.
     """
     upper = _upper_mask(n)
-    if n <= _MASKED_N:
-        wins = np.zeros((n, n), dtype=np.int64)
-        wins[upper] = row_wins
-        wins.T[upper] = col_wins
-        return np.add(wins, wins.T, out=comparisons), wins
-    wins = np.empty((n, n), dtype=np.int64)
-    wins[upper] = col_wins
-    _fill_lower(wins, np.copyto, wins)
+    wins = np.zeros((n, n), dtype=np.int64)
     wins[upper] = row_wins
-    np.fill_diagonal(wins, 0)
-    if comparisons is None:
-        comparisons = np.empty((n, n), dtype=np.int64)
-    # the pair vectors are read: ``comparisons`` may now be overwritten
-    _fill_lower(comparisons, _add, wins.T, wins)
-    _fill_lower(comparisons.T, np.copyto, comparisons.T)
-    np.fill_diagonal(comparisons, 0)
-    return comparisons, wins
+    wins.T[upper] = col_wins
+    return np.add(wins, wins.T, out=comparisons), wins
 
 
 def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
@@ -391,8 +362,11 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
     Thinning a draw with design ``(p, r)`` matches the distribution of
     a fresh draw with design ``(p * q, r)``.  At ``q = 1`` the
     (read-only) input set itself is returned.  A thinning reads the
-    pair vectors of a set that has not built its arrays, and builds
-    none of its own until they are read.
+    pair vectors of a set that has not built its arrays, and gathers
+    them from the arrays of one that has, by two masked reads (the
+    column wins through ``wins.T``); either way it keeps only its own
+    pair vectors and builds no arrays until they are read, so a
+    Copeland count of a thinning never builds them.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
@@ -402,19 +376,16 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
     n = obs.n
     rng = np.random.default_rng(np.random.SeedSequence((seed, _THIN_TAG)))
     p = None if obs.p is None else obs.p * q
+    kept = None
     if obs._arrays is None:
         with obs._lock:
             if obs._pairs is not None:
                 row_wins, col_wins, _ = obs._pairs
-                kept = rng.binomial(row_wins, q)
-                return ObservationSet._from_pairs(n, obs.r, p, kept, rng.binomial(col_wins, q))
-    upper = _upper_mask(n)
-    row_wins = rng.binomial(obs.wins[upper], q)
-    # the column wins of each pair, laid out in the strict upper triangle
-    buffer = np.empty((n, n), dtype=np.int64)
-    _fill_lower(buffer.T, np.copyto, obs.wins.T)
-    col_wins = rng.binomial(buffer[upper], q)
-    return ObservationSet._from_pairs(n, obs.r, p, row_wins, col_wins, buffer)
+                kept = rng.binomial(row_wins, q), rng.binomial(col_wins, q)
+    if kept is None:
+        upper = _upper_mask(n)
+        kept = rng.binomial(obs.wins[upper], q), rng.binomial(obs.wins.T[upper], q)
+    return ObservationSet._from_pairs(n, obs.r, p, *kept)
 
 
 class UnlistedItem(ValueError):

@@ -322,7 +322,8 @@ def mirror_by_pair_indices(upper):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 65, 129, 300, 1000])
+# 256 and 1024 are whole tiles only, and the sizes threshold-sweep builds at
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 65, 129, 256, 300, 1000, 1024])
 def test_mirror_upper_is_byte_identical_to_pair_indexing(n):
     rng = np.random.default_rng(n)
     sources = (

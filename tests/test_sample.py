@@ -364,7 +364,8 @@ class TestStreamContract:
             (300, 1.0, 5, 1),
             (129, 0.25, 400, 3),  # r * p > 30: numpy would switch to BTPE
             (200, 0.8, 300, 9),  # r * (1 - p) > 30, reflected
-            # the edges of 64 x 64 tiles and of 8,192-pair blocks; 256 is whole tiles only
+            # 8,192-pair blocks: one (up to 127), two from 129, and several with
+            # a short last block (200, 256, 1000)
             *((n, p, r, n) for n in (63, 64, 65, 127, 129, 200, 256, 1000)
               for p, r in ((0.3, 9), (1.0, 5))),
         ],
@@ -503,10 +504,11 @@ class TestStreamContract:
             with pytest.raises(ValueError):
                 arr[0, 1] = 1
 
-    @pytest.mark.parametrize("n", [2, 64, 128, 129, 200, 256, 300])
+    @pytest.mark.parametrize("n", [2, 64, 128, 129, 200, 256, 300, 1024])
     @pytest.mark.parametrize("kind", ["draw", "thinning"])
     def test_win_totals_from_pairs_match_the_arrays(self, n, kind):
-        # 300 items end in a partial block; 128 and 129 straddle the masked assembly
+        # 128 items are the most one draw block holds and 129 start a second;
+        # 300 end in a short block; threshold-sweep draws at 256 and 1024
         m = gen_parametric(np.linspace(1.5, -1.5, n), "logistic")
         if kind == "draw":
             counted, built = (draw_observations(m, 0.3, 9, seed=n) for _ in range(2))
