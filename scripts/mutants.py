@@ -55,14 +55,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "copeland-ascending",
+        "copeland-topk-ascending",
         "rank.py",
-        "    return obs.win_totals()",
-        "    return -obs.win_totals()",
-        (
-            "tests/test_reproduction.py::test_copeland_top_k_keeps_to_the_bound",
-            "tests/test_reproduction.py::test_copeland_ranking_keeps_to_the_bound",
-        ),
+        "return topk_from_scores(obs.win_totals(), k)",
+        "return topk_from_scores(-obs.win_totals(), k)",
+        ("tests/test_reproduction.py::test_copeland_top_k_keeps_to_the_bound",),
+    ),
+    Mutant(
+        "copeland-ranking-ascending",
+        "rank.py",
+        "rank_order(obs.win_totals())",
+        "rank_order(-obs.win_totals())",
+        ("tests/test_reproduction.py::test_copeland_ranking_keeps_to_the_bound",),
     ),
     Mutant(
         "favorable-last-positions",
@@ -78,8 +82,8 @@ MUTANTS = (
     Mutant(
         "subsample-kept-wins-swapped",
         "sample.py",
-        "kept = rng.binomial(row_wins, q), rng.binomial(col_wins, q)",
-        "kept = tuple(reversed((rng.binomial(col_wins, q), rng.binomial(row_wins, q))))",
+        "return rng.binomial(row_wins, q), rng.binomial(col_wins, q)",
+        "return tuple(reversed((rng.binomial(col_wins, q), rng.binomial(row_wins, q))))",
         ("tests/test_sample.py::TestStreamContract::test_subsample_matches_oracle",),
     ),
     Mutant(
@@ -123,6 +127,20 @@ MUTANTS = (
         "wins.T[upper] = col_wins",
         "wins[upper] = col_wins",
         ("tests/test_sample.py::TestStreamContract::test_draw_matches_oracle",),
+    ),
+    Mutant(
+        "comparisons-file-win-on-the-wrong-side",
+        "sample.py",
+        "slots += row_wins.size * (winners > losers)",
+        "slots += row_wins.size * (winners < losers)",
+        ("tests/test_sample.py::TestStreamContract::test_win_totals_from_pairs_match_the_arrays",),
+    ),
+    Mutant(
+        "observations-row-win-is-its-loss",
+        "sample.py",
+        "row_wins[slot] = w\n",
+        "row_wins[slot] = c - w\n",
+        ("tests/test_sample.py::TestStreamContract::test_win_totals_from_pairs_match_the_arrays",),
     ),
     Mutant(
         "mirror-diagonal-tile-unmasked",

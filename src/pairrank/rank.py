@@ -47,15 +47,6 @@ class TopKEstimate:
     tie_broken: bool
 
 
-def win_counts(obs: ObservationSet) -> np.ndarray:
-    """Total comparisons won per item, ``obs.wins.sum(axis=1)``.
-
-    A draw or thinning counts them from its pair vectors and builds no
-    ``n x n`` array (:meth:`pairrank.sample.ObservationSet.win_totals`).
-    """
-    return obs.win_totals()
-
-
 def topk_from_scores(score_vector, k: int) -> TopKEstimate:
     """Top-k selection from a real score vector, ties by smaller index.
 
@@ -73,9 +64,11 @@ def topk_from_scores(score_vector, k: int) -> TopKEstimate:
 def copeland_topk(obs: ObservationSet, k: int) -> TopKEstimate:
     """The k items with the most pairwise wins, ties by smaller index.
 
+    The counts are :meth:`~pairrank.sample.ObservationSet.win_totals`,
+    taken from the pair vectors without building an ``n x n`` array.
     Win counts stay far below ``2**53``, so they order as floats do.
     """
-    return topk_from_scores(win_counts(obs), k)
+    return topk_from_scores(obs.win_totals(), k)
 
 
 def copeland_ranking(obs: ObservationSet) -> tuple[int, ...]:
@@ -83,7 +76,7 @@ def copeland_ranking(obs: ObservationSet) -> tuple[int, ...]:
 
     Its length-k prefix equals :func:`copeland_topk` for every k.
     """
-    return tuple(int(i) for i in rank_order(win_counts(obs)))
+    return tuple(int(i) for i in rank_order(obs.win_totals()))
 
 
 def _reach(edges: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

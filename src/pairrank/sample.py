@@ -6,18 +6,19 @@ probability ``M[i, j]``.  Observations are stored aggregated (per-pair
 comparison and win counts): the counting estimator and the baseline
 depend only on counts, so memory stays ``O(n^2)`` regardless of ``r``.
 
+A draw, a thinning or a file read starts as its pair vectors, the row
+and column wins of each pair ``i < j`` in row-major order, and
+:func:`_assemble`, the one builder of the two ``n x n`` count arrays,
+runs when one is first read (see :class:`ObservationSet`).  Copeland
+counts its win totals from the pair vectors, so a Copeland-only set
+holds one ``n x n`` buffer, and no build holds a third.
+
 Sampling is reproducible: the output is a pure function of the inputs,
 whatever the CPU count.  :func:`draw_observations` cuts the pairs into
 fixed blocks, each drawn from its own stream derived from ``(seed,
 _DRAW_TAG)``, and draws them on the calling thread and a pool of one
 worker fewer than the usable CPUs, because numpy's binomial sampler
-releases the interpreter lock; its docstring gives the order.  A draw
-keeps its pair vectors in the buffer that becomes its comparisons
-array, and builds its two ``n x n`` count arrays only when one is first
-read (see :class:`ObservationSet`); Copeland's win totals are counted
-from the pair vectors, so a Copeland-only draw holds one ``n x n``
-buffer and never builds the arrays, and no build holds a third
-``n x n`` array.
+releases the interpreter lock; its docstring gives the order.
 A block draws each pair's comparison count by inverting the CDF of
 ``Binomial(r, p)``: one uniform per pair, read through a cached table
 and its guide index (Chen & Asau 1974) rather than numpy's per-element
@@ -31,7 +32,8 @@ one quantity at a time for all pairs ``i < j`` in row-major order.
 :func:`read_comparisons` and :func:`read_observations_csv` split records
 by :func:`pairrank._textio.records`, and each row error names the file
 and line.  A comparisons file costs one hashing pass over its lines plus
-per-row work on its distinct lines.
+per-row work on its distinct lines; a row of either file adds to the
+slot of its pair, found from the row starts of :func:`_pair_index`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -95,13 +97,12 @@ class ObservationSet:
     ``int64`` arrays.  ``p`` is ``None`` for ingested data with unknown
     design.
 
-    A set constructed from the two arrays holds them.  A draw or a
-    thinning (:func:`draw_observations`, :func:`subsample`) holds its
-    pair vectors instead, the row and column wins of each pair ``i < j``
-    in row-major order, and builds the arrays from them on the first
-    read of either; :meth:`win_totals` counts from the pair vectors
-    until then.  A lock orders the build against every read of the pair
-    vectors, whose buffer the build may reuse.
+    A draw, a thinning or a file read holds its pair vectors, the row
+    and column wins of each pair ``i < j`` in row-major order, and
+    builds the arrays from them on the first read of either; a set
+    constructed from the two arrays holds them.  :meth:`_read_pairs`,
+    the one reader of the pair vectors, takes a lock that orders it
+    against the build, which may reuse their buffer.
     """
 
     __slots__ = ("n", "r", "p", "_arrays", "_pairs", "_lock")
@@ -140,6 +141,17 @@ class ObservationSet:
                     self._pairs = None
         return self._arrays
 
+    def _read_pairs(self, read):
+        """``read(row_wins, col_wins)``: on the held pair vectors under the lock while
+        unbuilt, else on ``wins[upper]`` and ``wins.T[upper]``, two masked reads."""
+        if self._arrays is None:
+            with self._lock:
+                if self._pairs is not None:
+                    return read(*self._pairs[:2])
+        upper = _upper_mask(self.n)
+        wins = self._arrays[1]
+        return read(wins[upper], wins.T[upper])
+
     @property
     def comparisons(self) -> np.ndarray:
         return self._built()[0]
@@ -149,19 +161,15 @@ class ObservationSet:
         return self._built()[1]
 
     def win_totals(self) -> np.ndarray:
-        """Total comparisons won per item, ``wins.sum(axis=1)``, without building the arrays.
+        """Total comparisons won per item, ``wins.sum(axis=1)``, counted from the pair vectors.
 
-        From the pair vectors: the row wins of each row's pairs by one
-        ``np.add.reduceat``, plus the column wins of each pair added to
-        its column item by ``np.add.at``, in chunks of
-        ``_COUNT_CHUNK`` pairs.  ``int64`` sums wrap alike in any order,
-        so the totals have the bits of ``wins.sum(axis=1)``.
+        The row wins of each row's pairs by one ``np.add.reduceat``,
+        plus the column wins of each pair added to its column item by
+        ``np.add.at``, in chunks of ``_COUNT_CHUNK`` pairs.  ``int64``
+        sums wrap alike in any order, so the totals have the bits of
+        ``wins.sum(axis=1)``.
         """
-        if self._arrays is None:
-            with self._lock:
-                if self._pairs is not None:
-                    return _pair_totals(self.n, *self._pairs[:2])
-        return self._arrays[1].sum(axis=1)
+        return self._read_pairs(partial(_pair_totals, self.n))
 
     def total_comparisons(self) -> int:
         return int(self.comparisons.sum()) // 2
@@ -182,6 +190,12 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     starts.setflags(write=False)
     columns.setflags(write=False)
     return starts, columns
+
+
+def _pair_buffer(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A zeroed ``n x n`` ``int64`` buffer, and the row and column win vectors that live in it."""
+    flat, pairs = np.zeros(n * n, dtype=np.int64), n * (n - 1) // 2
+    return flat.reshape(n, n), flat[:pairs], flat[pairs:2 * pairs]
 
 
 def _pair_totals(n: int, row_wins: np.ndarray, col_wins: np.ndarray) -> np.ndarray:
@@ -308,10 +322,7 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
     n = matrix.n
     pairs = n * (n - 1) // 2
     probs = matrix.entries[_upper_mask(n)]
-    # the pair vectors live in the comparisons buffer until it is overwritten
-    buffer = np.empty((n, n), dtype=np.int64)
-    row_wins = buffer.reshape(-1)[:pairs]
-    col_wins = buffer.reshape(-1)[pairs:2 * pairs]
+    buffer, row_wins, col_wins = _pair_buffer(n)
     root = np.random.SeedSequence((seed, _DRAW_TAG))
     blocks = -(-pairs // _DRAW_BLOCK)
     streams = [root, *root.spawn(blocks - 1)]
@@ -343,7 +354,8 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
 def _assemble(n: int, row_wins, col_wins, comparisons=None) -> tuple[np.ndarray, np.ndarray]:
     """``(comparisons, wins)`` of the ``n`` items whose pairs have these win counts.
 
-    The pairs ``i < j`` are in row-major order, as in a draw.  Two masked
+    The one builder of count arrays: every set starts as its pair
+    vectors, the pairs ``i < j`` in row-major order.  Two masked
     scatters fill ``wins`` and a transposed sum forms the comparisons.
     ``comparisons``, if given, is the ``n x n`` output buffer, and the
     pair vectors may live in it: the sum writes it only after the
@@ -362,30 +374,22 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
     Thinning a draw with design ``(p, r)`` matches the distribution of
     a fresh draw with design ``(p * q, r)``.  At ``q = 1`` the
     (read-only) input set itself is returned.  A thinning reads the
-    pair vectors of a set that has not built its arrays, and gathers
-    them from the arrays of one that has, by two masked reads (the
-    column wins through ``wins.T``); either way it keeps only its own
-    pair vectors and builds no arrays until they are read, so a
-    Copeland count of a thinning never builds them.
+    input's pair vectors (:meth:`ObservationSet._read_pairs`) and keeps
+    only its own, building no arrays until they are read, so a Copeland
+    count of a thinning never builds them.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     seed = _check_seed(seed)
     if q == 1.0:
         return obs
-    n = obs.n
     rng = np.random.default_rng(np.random.SeedSequence((seed, _THIN_TAG)))
     p = None if obs.p is None else obs.p * q
-    kept = None
-    if obs._arrays is None:
-        with obs._lock:
-            if obs._pairs is not None:
-                row_wins, col_wins, _ = obs._pairs
-                kept = rng.binomial(row_wins, q), rng.binomial(col_wins, q)
-    if kept is None:
-        upper = _upper_mask(n)
-        kept = rng.binomial(obs.wins[upper], q), rng.binomial(obs.wins.T[upper], q)
-    return ObservationSet._from_pairs(n, obs.r, p, *kept)
+
+    def thin(row_wins, col_wins):
+        return rng.binomial(row_wins, q), rng.binomial(col_wins, q)
+
+    return ObservationSet._from_pairs(obs.n, obs.r, p, *obs._read_pairs(thin))
 
 
 class UnlistedItem(ValueError):
@@ -408,6 +412,8 @@ def read_comparisons(path, index) -> ObservationSet:
     neither item, or that names an item outside ``index`` (an
     :class:`UnlistedItem`).  A byte that is not UTF-8 names its line,
     and a file without records names the file alone.
+    One ``np.add.at`` adds a row's count to its pair's row wins when the
+    smaller index won, else to its column wins.
     """
     with _textio.open_text(path) as fh:
         first = fh.readline()
@@ -448,24 +454,20 @@ def read_comparisons(path, index) -> ObservationSet:
         except KeyError as exc:
             problem = f"item {exc.args[0]!r} appears in comparisons but not in the item list"
             raise bad(seen, problem, UnlistedItem) from None
-        if w == a:
-            add_winner(ia)
-            add_loser(ib)
-        else:
-            add_winner(ib)
-            add_loser(ia)
+        add_winner(ia if w == a else ib)
+        add_loser(ib if w == a else ia)
         add_count(count)
     if not winners:
         raise ValueError(f"{path}: no comparison records")
     n = len(index)
-    codes = np.array(winners, dtype=np.int64) * n + np.array(losers, dtype=np.int64)
-    wins = np.zeros(n * n, dtype=np.int64)
+    buffer, row_wins, col_wins = _pair_buffer(n)
+    winners, losers = np.array(winners, dtype=np.intp), np.array(losers, dtype=np.intp)
+    slots = _pair_index(n)[0][np.minimum(winners, losers)] + np.abs(winners - losers) - 1
+    slots += row_wins.size * (winners > losers)  # a column win: the slot in the second vector
     # distinct lines can share a (winner, loser) pair: unbuffered, exact int64 sums
-    np.add.at(wins, codes, np.array(counts, dtype=np.int64))
-    wins = wins.reshape(n, n)
-    comparisons = wins + wins.T
-    r = int(comparisons.max())
-    return ObservationSet(n=n, r=r, p=None, comparisons=comparisons, wins=wins)
+    np.add.at(buffer.reshape(-1), slots, np.array(counts, dtype=np.int64))
+    r = int((row_wins + col_wins).max())
+    return ObservationSet._from_pairs(n, r, None, row_wins, col_wins, buffer)
 
 
 _OBS_META = re.compile(r"^# n=(\d+) r=(\d+) p=(\S+)$")
@@ -492,12 +494,13 @@ def write_observations_csv(obs: ObservationSet, path) -> None:
 def read_observations_csv(path) -> ObservationSet:
     """Read an observation set written by :func:`write_observations_csv`.
 
-    Line 1 is the metadata line: ``p`` is ``na`` or in ``(0, 1]``, ``r``
-    is below ``2**63`` and the ``n x n`` count arrays must fit in memory.
-    Line 2 is the header, and each later line is blank or one row of
-    four integers: a pair ``i < j < n``, not repeated, and counts with
-    ``0 <= wins <= comparisons <= r``.  Every error names the file and
-    the line that breaks a rule.
+    Line 1 is the metadata line: ``n`` is at least 2, ``p`` is ``na`` or
+    in ``(0, 1]``, ``r`` is below ``2**63`` and one ``n x n`` count
+    array must fit in memory.  Line 2 is the header, and each later line
+    is blank or one row of four integers: a pair ``i < j < n``, not
+    repeated, and counts with ``0 <= wins <= comparisons <= r``.  Every
+    error names the file and the line that breaks a rule.  A row sets
+    its pair's row wins to ``wins`` and column wins to ``comparisons - wins``.
     """
     with _textio.open_text(path) as fh:
         meta = _OBS_META.match(fh.readline().rstrip("\r\n"))
@@ -509,13 +512,15 @@ def read_observations_csv(path) -> ObservationSet:
         except ValueError:
             problem = f"metadata p must be a number in (0, 1] or 'na', got {p_text!r}"
             raise ValueError(f"{path}:1: {problem}") from None
+        if n < 2:
+            raise ValueError(f"{path}:1: metadata n must be at least 2, got {n}")
         if r >= 2**63:
             raise ValueError(f"{path}:1: metadata r must be below 2**63, got {r}")
         try:
-            comparisons = np.zeros((n, n), dtype=np.int64)
-            wins = np.zeros((n, n), dtype=np.int64)
+            buffer, row_wins, col_wins = _pair_buffer(n)
         except (MemoryError, ValueError):  # numpy: more than the address space
             raise ValueError(f"{path}:1: metadata n={n} is too large to allocate") from None
+        starts = _pair_index(n)[0].tolist()
         rows = _textio.records(path, fh, start=2)
         _, header = next(rows, (2, None))
         if header != ["i", "j", "comparisons", "wins_i"]:
@@ -537,7 +542,7 @@ def read_observations_csv(path) -> ObservationSet:
             seen.add((i, j))
             if not 0 <= w <= c <= r:
                 raise ValueError(f"{path}:{lineno}: counts violate 0 <= wins <= comparisons <= r")
-            comparisons[i, j] = comparisons[j, i] = c
-            wins[i, j] = w
-            wins[j, i] = c - w
-    return ObservationSet(n=n, r=r, p=p, comparisons=comparisons, wins=wins)
+            slot = starts[i] + j - i - 1
+            row_wins[slot] = w
+            col_wins[slot] = c - w
+    return ObservationSet._from_pairs(n, r, p, row_wins, col_wins, buffer)

@@ -155,6 +155,15 @@ class TestObservations:
             read_observations_csv(path)
         assert str(exc.value) == f"{path}:1: metadata n={10**9} is too large to allocate"
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_items_is_a_data_error_on_line_1(self, tmp_path, n):
+        path = write(tmp_path, "obs.csv", f"# n={n} r=2 p=0.5\ni,j,comparisons,wins_i\n")
+        message = f"{path}:1: metadata n must be at least 2, got {n}"
+        with pytest.raises(ValueError) as exc:
+            read_observations_csv(path)
+        assert str(exc.value) == message
+        assert data_error(["rank", "--obs", str(path), "--k", "1"]) == message
+
     def test_r_past_int64_is_a_data_error_on_line_1(self, tmp_path):
         text = f"# n=3 r={2**63} p=na\ni,j,comparisons,wins_i\n0,1,{2**63},1\n"
         path = write(tmp_path, "obs.csv", text)

@@ -16,7 +16,6 @@ from pairrank.rank import (
     rank_centrality,
     spectral_baseline,
     topk_from_scores,
-    win_counts,
 )
 from pairrank.sample import draw_observations
 
@@ -28,7 +27,7 @@ class TestCopeland:
         for _ in range(200):
             n = int(rng.integers(2, 9))
             obs = random_observation_set(rng, n, max_count=int(rng.integers(1, 5)))
-            counts = win_counts(obs)
+            counts = obs.win_totals()
             for k in range(1, n + 1):
                 assert set(copeland_topk(obs, k).items) == oracle_topk(counts, k)
 
@@ -46,7 +45,7 @@ class TestCopeland:
         for _ in range(100):
             n = int(rng.integers(2, 8))
             obs = random_observation_set(rng, n, max_count=2)
-            counts = win_counts(obs)
+            counts = obs.win_totals()
             for k in range(1, n + 1):
                 est = copeland_topk(obs, k)
                 assert type(est.tie_broken) is bool
@@ -138,7 +137,7 @@ class TestMleRefine:
                 continue
             checked += 1
             scores = spectral_baseline(obs)
-            totals = win_counts(obs)
+            totals = obs.win_totals()
             higher = totals[:, None] > totals[None, :]
             assert np.all((scores[:, None] > scores[None, :])[higher])
             same = totals[:, None] == totals[None, :]

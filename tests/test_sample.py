@@ -504,20 +504,68 @@ class TestStreamContract:
             with pytest.raises(ValueError):
                 arr[0, 1] = 1
 
+    def test_copeland_on_an_observations_file_holds_one_count_array(self, tmp_path):
+        n = 1024
+        # the set's one n x n int64 buffer, and 1 MiB for the reader's and the
+        # count's small objects; the parent's reader built two n x n arrays (16 MiB)
+        bound = n * n * 8 + 2**20
+        path = tmp_path / "obs.csv"
+        m = gen_parametric(np.linspace(2.0, -2.0, n), "logistic")
+        write_observations_csv(draw_observations(m, 0.02, 3, seed=1), path)
+        # the first read and count fill the caches: the pair index and the triangle mask
+        copeland_topk(read_observations_csv(path), n // 4)
+        tracemalloc.start()
+        try:
+            obs = read_observations_csv(path)
+            copeland_topk(obs, n // 4)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert obs.n == n
+        assert current <= bound, (current, bound)
+
     @pytest.mark.parametrize("n", [2, 64, 128, 129, 200, 256, 300, 1024])
-    @pytest.mark.parametrize("kind", ["draw", "thinning"])
-    def test_win_totals_from_pairs_match_the_arrays(self, n, kind):
+    @pytest.mark.parametrize("kind", ["draw", "thinning", "comparisons-file", "observations-file"])
+    def test_win_totals_from_pairs_match_the_arrays(self, tmp_path, n, kind):
         # 128 items are the most one draw block holds and 129 start a second;
         # 300 end in a short block; threshold-sweep draws at 256 and 1024
         m = gen_parametric(np.linspace(1.5, -1.5, n), "logistic")
+        oracle = None
         if kind == "draw":
             counted, built = (draw_observations(m, 0.3, 9, seed=n) for _ in range(2))
-        else:
+        elif kind == "thinning":
             # a thinning reads the pair vectors of an unbuilt set, or the arrays of a built one
             source = draw_observations(m, 0.7, 12, seed=n)
             counted = subsample(draw_observations(m, 0.7, 12, seed=n), 0.4, seed=5)
             source.wins
             built = subsample(source, 0.4, seed=5)
+        elif kind == "comparisons-file":
+            rng = np.random.default_rng(n)
+            records = []
+            for _ in range(4 * n):
+                a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
+                records.append((a, b, a if rng.random() < 0.5 else b))
+            # repeated records, and records with their items in the other order
+            records += records[::3] + [(b, a, w) for a, b, w in records[1::3]]
+            rows = [(f"it{a}", f"it{b}", f"it{w}") for a, b, w in records]
+            path = write_comparisons(tmp_path / "cmp.csv", rows)
+            index = {f"it{i}": i for i in range(n)}
+            counted, built = (read_comparisons(path, index) for _ in range(2))
+            wins = np.zeros((n, n), dtype=np.int64)
+            for a, b, w in records:
+                wins[w, a + b - w] += 1
+            oracle = wins + wins.T, wins
+        else:
+            path = tmp_path / "obs.csv"
+            write_observations_csv(draw_observations(m, min(1.0, 20 / n), 3, seed=n), path)
+            counted, built = (read_observations_csv(path) for _ in range(2))
+            comparisons, wins = (np.zeros((n, n), dtype=np.int64) for _ in range(2))
+            with open(path, newline="") as fh:
+                rows = csv.reader(fh.readlines()[2:])
+                for i, j, c, w in ([int(x) for x in row] for row in rows):
+                    comparisons[i, j] = comparisons[j, i] = c
+                    wins[i, j], wins[j, i] = w, c - w
+            oracle = comparisons, wins
         # totals first, then the arrays, against the arrays first, then the totals
         totals = counted.win_totals()
         picks = {k: copeland_topk(counted, k).items for k in (1, 2)}
@@ -527,9 +575,14 @@ class TestStreamContract:
         np.testing.assert_array_equal(built.win_totals(), totals)
         np.testing.assert_array_equal(counted.comparisons, arrays[0])
         np.testing.assert_array_equal(counted.wins, arrays[1])
+        np.testing.assert_array_equal(counted.win_totals(), totals)
         np.testing.assert_array_equal(built.wins + built.wins.T, built.comparisons)
         for k, pick in picks.items():
             assert set(pick) == oracle_topk(arrays[1].sum(axis=1), k)
+        if oracle is not None:
+            np.testing.assert_array_equal(arrays[0], oracle[0])
+            np.testing.assert_array_equal(arrays[1], oracle[1])
+            assert built.r == oracle[0].max()
 
     @settings(max_examples=80, deadline=None)
     @given(
