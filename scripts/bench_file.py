@@ -15,7 +15,8 @@ Copeland (``draw_copeland``), the scoring layer
 (``ground_truth`` and ``evaluate``), ``rank_centrality`` on a reducible
 walk, the ingest layer (``read_comparisons``) on a comparisons CSV and
 the output layer (``write_results_csv``) rewriting one results CSV,
-in a fresh interpreter
+and the harness (``run_experiment``) on the trials of one
+``threshold-sweep`` config at n = 64, in a fresh interpreter
 that imports ``pairrank`` from the checkout's ``src/``.  It also times
 whole launches of a fresh interpreter: ``import pairrank``, ``pairrank
 --help`` and ``pairrank rank`` on a 50-item observations file (a real
@@ -81,6 +82,10 @@ SWEEP_LAYERS = ("instantiate_first", "draw_observations", "copeland_topk", "draw
 # The results design runs one Copeland-only experiment of n trials on 50
 # items once, then times ``write_results_csv`` rewriting the same path
 # with its n rows, as every rerun of ``bench --out`` does.
+# The sweep design times ``run_experiment`` on one of threshold-sweep's
+# configs at n = 64 (Copeland alone, alpha = 0.2, 80 trials), where every
+# draw is one block: 80 draws and their Copeland counts, the matrix a
+# memo hit.  It runs at that size only.
 LAYERS = ("draw_observations", "copeland_topk", "draw_copeland", "rank_centrality", "mle_refine")
 LAYER_DESIGNS = {
     "model": {
@@ -106,6 +111,11 @@ LAYER_DESIGNS = {
     "results": {
         "model": "btl", "quality_spread": 6.0, "items": 50, "r": 4, "seed": 1,
         "layers": ["write_results_csv"],
+    },
+    "sweep": {
+        "model": "btl", "quality_spread": 6.0, "sizes": [64],
+        "experiment": {"p": 0.25, "alpha": 0.2, "trials": 80, "master_seed": 1},
+        "layers": ["run_experiment"],
     },
 }
 LAYER_BUDGET_S = 1.0
@@ -140,8 +150,9 @@ def time_layers(scratch: Path) -> dict:
     for design, spec in LAYER_DESIGNS.items():
         names = spec.get("layers", LAYERS)
         swept = [name for name in names if name in SWEEP_LAYERS]
-        for n in (*LAYER_SIZES, *(SWEEP_SIZES if swept else ())):
-            timed = names if n in LAYER_SIZES else swept
+        sizes = spec.get("sizes", LAYER_SIZES)
+        for n in (*sizes, *(SWEEP_SIZES if swept else ())):
+            timed = names if n in sizes else swept
             model_spec = model.ModelSpec(kind=spec["model"], quality_spread=spec["quality_spread"])
             matrix = model.instantiate(model_spec, n)
             calls = {
@@ -189,6 +200,11 @@ def time_layers(scratch: Path) -> dict:
                 result = harness.run_experiment(config)
                 results_path = scratch / f"{design}-{n}.csv"
                 calls["write_results_csv"] = lambda: harness.write_results_csv(result, results_path)
+            if "experiment" in spec:
+                config = harness.ExperimentConfig(
+                    model=model_spec, n=n, k=n // 4, estimators=("copeland",), **spec["experiment"]
+                )
+                calls["run_experiment"] = lambda: harness.run_experiment(config)
             for name in timed:
                 call = calls[name]
                 times = []

@@ -122,6 +122,23 @@ MUTANTS = (
         ("tests/test_rank.py",),
     ),
     Mutant(
+        "held-set-of-any-design",
+        "sample.py",
+        "held.design[0] is matrix and held.design[1:] == (p, r) and ",
+        "",
+        ("tests/test_sample.py::TestStreamContract::test_a_held_seed_of_another_design_draws_fresh",),
+    ),
+    Mutant(
+        "draws-ahead-read-the-first-seed",
+        "sample.py",
+        "root = np.random.SeedSequence((s, _DRAW_TAG))",
+        "root = np.random.SeedSequence((seed, _DRAW_TAG))",
+        (
+            "tests/test_sample.py::TestStreamContract::test_draws_ahead_match_the_oracle",
+            "tests/test_harness.py::TestRunExperiment::test_records_match_a_loop_of_lone_draws",
+        ),
+    ),
+    Mutant(
         "assemble-column-wins-in-upper",
         "sample.py",
         "wins.T[upper] = col_wins",

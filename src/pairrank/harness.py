@@ -12,13 +12,18 @@ comparison matrix.  :func:`pairrank.model.instantiate` memoizes the last
 matrix it built, so consecutive experiments over the same model and
 ``n`` (a threshold sweep over ``alpha``) share one build.  Every random
 quantity derives from the master seed through stable per-stage tags, so
-results are bit-identical across runs.  Trials run one after another
-in the calling thread: a whole trial holds the interpreter lock, and a
-thread pool over trials made runs slower.  Only the sampler's draw
+results are bit-identical across runs.  Trials are scored one after
+another in the calling thread: a whole trial holds the interpreter lock,
+and a thread pool over trials made runs slower.  Only the sampler's draw
 blocks, whose binomial kernel releases the lock, run on threads: the
 calling thread and a pool of one worker fewer than the usable CPUs (see
 :mod:`pairrank.sample`), and the output does not depend on the thread
-count.  A draw builds its ``n x n`` count arrays only when an estimator
+count.  Each trial's draw names the later trials' seeds as ``ahead``,
+so a draw that misses also draws the next trials, as many as the
+sampler's pair budget holds, and the blocks of several one-block draws
+(``n <= 128``) share the CPUs; the next trials take their sets from
+those the sampler holds, and no draw runs while a trial is scored.
+A draw builds its ``n x n`` count arrays only when an estimator
 reads them: Copeland counts each item's wins from the drawn pairs, so a
 Copeland-only experiment builds none, and the spectral baseline's
 timing includes the build.  Wall-clock timings are measured around the
@@ -32,6 +37,7 @@ and one table writer formats both results CSVs.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, fields
 
@@ -215,7 +221,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     The comparison matrix comes from :func:`pairrank.model.instantiate`,
     built anew or taken from its memo of the last build; its Hamming-``h``
     separation report gives ``r`` when ``alpha`` is given and ``alpha``
-    when ``r`` is.  Records are emitted in trial order.
+    when ``r`` is.  Records are emitted in trial order.  Each trial calls
+    :func:`pairrank.sample.draw_observations` once, with a lazy view of
+    the later trials' seeds as ``ahead``, and every set drawn ahead is
+    taken by its trial, so the sampler holds none when the run ends.
     """
     matrix = _matrix(cfg)
     hamming = setfamily.family_hamming(cfg.n, cfg.k, cfg.h)
@@ -229,10 +238,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     family = setfamily.parse_family_spec(cfg.family_spec(), cfg.n, cfg.k)
     truth = metrics.ground_truth(matrix, cfg.k)
 
+    seeds = [derive_seed(cfg.master_seed, _OBS_STAGE, trial) for trial in range(cfg.trials)]
     records = []
-    for trial in range(cfg.trials):
-        seed = derive_seed(cfg.master_seed, _OBS_STAGE, trial)
-        obs = sample.draw_observations(matrix, cfg.p, r, seed)
+    for trial, seed in enumerate(seeds):
+        ahead = itertools.islice(seeds, trial + 1, None)
+        obs = sample.draw_observations(matrix, cfg.p, r, seed, ahead=ahead)
         records += _score(trial, obs, truth, family, cfg.estimators, seed)
     records = tuple(records)
     summary = _summarize(cfg, r, alpha, report.delta, family.kind, records)

@@ -18,7 +18,11 @@ whatever the CPU count.  :func:`draw_observations` cuts the pairs into
 fixed blocks, each drawn from its own stream derived from ``(seed,
 _DRAW_TAG)``, and draws them on the calling thread and a pool of one
 worker fewer than the usable CPUs, because numpy's binomial sampler
-releases the interpreter lock; its docstring gives the order.
+releases the interpreter lock; its docstring gives the order.  A caller
+that knows its next seeds passes them as ``ahead``: a call that misses
+draws them with its own seed, up to ``_AHEAD_PAIRS`` pairs in all, so
+that the blocks of many one-block draws share the CPUs, and the calling
+thread holds their sets until it asks for them.
 A block draws each pair's comparison count by inverting the CDF of
 ``Binomial(r, p)``: one uniform per pair, read through a cached table
 and its guide index (Chen & Asau 1974) rather than numpy's per-element
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import itertools
 import operator
 import os
 import re
@@ -63,6 +68,11 @@ _DRAW_BLOCK = 8192
 # buckets.  A wider window (r * p * (1 - p) above ~2.5e5) takes longer
 # to build than it saves on an n = 1000 draw, so numpy draws it instead.
 _TABLE_CAP = 1 << 13
+# Most pairs that one call draws together: a call that misses draws its
+# seed and the next seeds of ``ahead`` up to this many pairs in all, so
+# the sets it holds for later calls keep ~8 MiB of ``n x n`` buffers.
+# One draw at n = 1024 (523,776 pairs) fills it alone.
+_AHEAD_PAIRS = 1 << 19
 # Pairs per ``np.add.at`` call when win totals are counted from the pair
 # vectors: each call widens only this many column indices to ``intp``.
 _COUNT_CHUNK = 1 << 16
@@ -86,6 +96,21 @@ def _draw_pool() -> ThreadPoolExecutor:
 
 if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
     os.register_at_fork(after_in_child=_draw_pool.cache_clear)
+
+
+class _Held(threading.local):
+    """The calling thread's sets drawn ahead, by seed, all drawn from ``design``.
+
+    ``design`` is ``(matrix, p, r)``, the matrix compared by identity;
+    it is ``None`` whenever ``sets`` is empty, so a thread that took its
+    last set holds no matrix either.
+    """
+
+    def __init__(self):
+        self.design, self.sets = None, {}
+
+
+_held = _Held()
 
 
 class ObservationSet:
@@ -273,7 +298,9 @@ def _draw_counts(rng: np.random.Generator, r: int, p: float, size: int, table) -
     return counts
 
 
-def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> ObservationSet:
+def draw_observations(
+    matrix: ComparisonMatrix, p: float, r: int, seed: int, ahead=()
+) -> ObservationSet:
     """Sample an observation set from a comparison matrix.
 
     Per unordered pair, the number of comparisons is ``Binomial(r, p)``
@@ -282,17 +309,29 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
     blocks of ``_DRAW_BLOCK``; block 0 draws from
     ``SeedSequence((seed, _DRAW_TAG))`` and block ``b >= 1`` from
     child ``b - 1`` of ``spawn(blocks - 1)`` on that sequence, counts
-    first, then row wins.  With ``usable`` CPUs, a draw of two or more
-    blocks deals them out in turn to ``min(blocks, usable)`` groups: the
-    calling thread draws group 0, and a thread pool of ``usable - 1``
-    workers, started on the first such draw and reused by every later
-    one, draws the rest.  The output is bit-identical for equal
-    ``(matrix, p, r, seed)`` whatever the CPU count.  The blocks write
-    their row and column wins as pair vectors into one ``n x n`` buffer,
-    which the set keeps: while only :meth:`ObservationSet.win_totals`
-    is read, a draw holds that buffer and the pair probabilities, and
-    the first read of ``wins`` or ``comparisons`` adds the one ``n x n``
-    wins array and writes the comparisons over the buffer.
+    first, then row wins.  The output is bit-identical for equal
+    ``(matrix, p, r, seed)`` whatever the CPU count and ``ahead``.  The
+    blocks write their row and column wins as pair vectors into one
+    ``n x n`` buffer, which the set keeps: while only
+    :meth:`ObservationSet.win_totals` is read, a draw holds that buffer
+    and the pair probabilities, and the first read of ``wins`` or
+    ``comparisons`` adds the one ``n x n`` wins array and writes the
+    comparisons over the buffer.
+
+    ``ahead`` is an iterable of the seeds that the calling thread will
+    ask for next, with the same ``matrix``, ``p`` and ``r``, in order.
+    A call whose seed the thread holds from an earlier call with the
+    same ``matrix`` (the same object), ``p`` and ``r`` returns that set
+    and reads nothing of ``ahead``.  Any other call drops every set the
+    thread holds, and draws ``seed`` together with the next seeds of
+    ``ahead`` (repeats skipped), as many draws as fit in
+    ``_AHEAD_PAIRS`` pairs and at least one.  With ``usable`` CPUs it
+    deals the ``(draw, block)`` tasks, draw by draw and block by block,
+    in turn to ``min(tasks, usable)`` groups: the calling thread draws
+    group 0, and a thread pool of ``usable - 1`` workers, started on
+    the first call with two or more tasks and reused by every later
+    one, draws the rest.  The call returns once every task is done, and
+    the thread holds the sets of the other seeds for its next calls.
 
     Counts: at ``p = 1`` every pair gets ``r`` and no uniform is read.
     Otherwise a pair reads one ``u = rng.random()`` and gets
@@ -319,19 +358,33 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
     if r >= 2**63:
         raise ValueError(f"r must be below 2**63, got {r}")
     seed = _check_seed(seed)
+    held = _held
+    if held.sets and held.design[0] is matrix and held.design[1:] == (p, r) and seed in held.sets:
+        obs = held.sets.pop(seed)
+        if not held.sets:
+            held.design = None
+        return obs
+    held.design, held.sets = None, {}
     n = matrix.n
     pairs = n * (n - 1) // 2
+    seeds = {seed: None}
+    for later in itertools.islice(ahead, max(_AHEAD_PAIRS // pairs, 1) - 1):
+        seeds[_check_seed(later)] = None
     probs = matrix.entries[_upper_mask(n)]
-    buffer, row_wins, col_wins = _pair_buffer(n)
-    root = np.random.SeedSequence((seed, _DRAW_TAG))
     blocks = -(-pairs // _DRAW_BLOCK)
-    streams = [root, *root.spawn(blocks - 1)]
+    draws = []  # per seed: its block streams and its pair buffer
+    for s in seeds:
+        root = np.random.SeedSequence((s, _DRAW_TAG))
+        draws.append(([root, *root.spawn(blocks - 1)], _pair_buffer(n)))
     table = None if p == 1.0 else _count_table(r, 1.0 - p if p > 0.5 else p)
-    groups = min(blocks, _usable_cpus())
+    tasks = len(draws) * blocks
+    groups = min(tasks, _usable_cpus())
 
     def draw_group(g: int) -> None:
-        # block-local only: each block has its own generator and its own output slices
-        for b in range(g, blocks, groups):
+        # task-local only: each task has its own generator and its own output slices
+        for task in range(g, tasks, groups):
+            streams, (_, row_wins, col_wins) = draws[task // blocks]
+            b = task % blocks
             block = slice(b * _DRAW_BLOCK, (b + 1) * _DRAW_BLOCK)
             block_probs = probs[block]
             rng = np.random.default_rng(streams[b])
@@ -348,7 +401,12 @@ def draw_observations(matrix: ComparisonMatrix, p: float, r: int, seed: int) -> 
     finally:
         for future in futures:
             future.result()
-    return ObservationSet._from_pairs(n, r, p, row_wins, col_wins, buffer)
+    sets = {s: ObservationSet._from_pairs(n, r, p, row_wins, col_wins, buffer)
+            for s, (_, (buffer, row_wins, col_wins)) in zip(seeds, draws)}
+    obs = sets.pop(seed)
+    if sets:
+        held.design, held.sets = (matrix, p, r), sets
+    return obs
 
 
 def _assemble(n: int, row_wins, col_wins, comparisons=None) -> tuple[np.ndarray, np.ndarray]:
@@ -500,7 +558,8 @@ def read_observations_csv(path) -> ObservationSet:
     is blank or one row of four integers: a pair ``i < j < n``, not
     repeated, and counts with ``0 <= wins <= comparisons <= r``.  Every
     error names the file and the line that breaks a rule.  A row sets
-    its pair's row wins to ``wins`` and column wins to ``comparisons - wins``.
+    its pair's row wins to ``wins`` and column wins to ``comparisons - wins``,
+    and a flag of one byte per pair marks the pairs read.
     """
     with _textio.open_text(path) as fh:
         meta = _OBS_META.match(fh.readline().rstrip("\r\n"))
@@ -525,7 +584,7 @@ def read_observations_csv(path) -> ObservationSet:
         _, header = next(rows, (2, None))
         if header != ["i", "j", "comparisons", "wins_i"]:
             raise ValueError(f"{path}:2: expected header 'i,j,comparisons,wins_i'")
-        seen = set()
+        taken = bytearray(row_wins.size)  # one flag per pair: a row with c = 0 holds a zero slot
         for lineno, row in rows:
             if not row:
                 continue
@@ -537,12 +596,12 @@ def read_observations_csv(path) -> ObservationSet:
                 raise ValueError(f"{path}:{lineno}: fields must be integers, got {row}") from None
             if not (0 <= i < j < n):
                 raise ValueError(f"{path}:{lineno}: invalid pair ({i}, {j}) for n={n}")
-            if (i, j) in seen:
+            slot = starts[i] + j - i - 1
+            if taken[slot]:
                 raise ValueError(f"{path}:{lineno}: pair ({i}, {j}) repeated")
-            seen.add((i, j))
+            taken[slot] = 1
             if not 0 <= w <= c <= r:
                 raise ValueError(f"{path}:{lineno}: counts violate 0 <= wins <= comparisons <= r")
-            slot = starts[i] + j - i - 1
             row_wins[slot] = w
             col_wins[slot] = c - w
     return ObservationSet._from_pairs(n, r, p, row_wins, col_wins, buffer)

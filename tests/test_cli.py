@@ -38,6 +38,7 @@ class TestErrorJson:
         "rows, message",
         [
             ("0,1,5,5\n0,1,2,0\n", "5: pair (0, 1) repeated"),
+            ("0,1,0,0\n0,1,2,0\n", "5: pair (0, 1) repeated"),
             ("0,1,5\n", "4: expected 4 fields, got 3"),
             ("0,1,5,x\n", "4: fields must be integers, got ['0', '1', '5', 'x']"),
             ("0,1," + "5" * (csv.field_size_limit() + 1) + ",5\n",
@@ -49,9 +50,9 @@ class TestErrorJson:
             ("\n\n0,1,5\n", "6: expected 4 fields, got 3"),
             (None, "2: expected header 'i,j,comparisons,wins_i'"),
         ],
-        ids=["repeated-pair", "field-count", "non-integer", "oversize-field", "pair-order",
-             "pair-past-n", "wins-past-comparisons", "comparisons-past-r", "blank-rows-skipped",
-             "wrong-header"],
+        ids=["repeated-pair", "repeated-uncompared-pair", "field-count", "non-integer",
+             "oversize-field", "pair-order", "pair-past-n", "wins-past-comparisons",
+             "comparisons-past-r", "blank-rows-skipped", "wrong-header"],
     )
     def test_bad_observation_row_is_a_data_error(self, tmp_path, capsys, rows, message):
         obs = tmp_path / "obs.csv"

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pairrank import _textio, harness
+from pairrank import _textio, harness, metrics, sample, setfamily
 from pairrank.harness import (
     _REAL_STAGE,
     ESTIMATORS,
@@ -250,6 +252,53 @@ class TestRunExperiment:
         for stats in summary["estimators"].values():
             assert type(stats["tie_broken_trials"]) is int
             assert type(stats["errors"]) is int
+
+
+    @pytest.mark.parametrize(
+        "n, trials, p, estimators",
+        [(64, 30, 0.25, ("copeland",)), (129, 3, 0.5, ESTIMATORS), (20, 9, 1.0, ESTIMATORS)],
+    )
+    def test_records_match_a_loop_of_lone_draws(self, monkeypatch, n, trials, p, estimators):
+        pairs = n * (n - 1) // 2
+        # chunks of two draws, so the trials cross chunk boundaries
+        monkeypatch.setattr(sample, "_AHEAD_PAIRS", 2 * pairs)
+        cfg = ExperimentConfig(
+            model=ModelSpec(kind="btl", quality_spread=6.0), n=n, k=n // 4, trials=trials,
+            master_seed=3, p=p, alpha=0.5, estimators=estimators,
+        )
+        result = run_experiment(cfg)
+        matrix = harness._matrix(cfg)
+        truth = metrics.ground_truth(matrix, cfg.k)
+        family = setfamily.parse_family_spec(cfg.family_spec(), n, cfg.k)
+        expected = []
+        for trial in range(trials):
+            seed = derive_seed(cfg.master_seed, harness._OBS_STAGE, trial)
+            obs = sample.draw_observations(matrix, p, result.r, seed)
+            expected += harness._score(trial, obs, truth, family, estimators, seed)
+        untimed = [dataclasses.replace(rec, elapsed_ns=0) for rec in result.records]
+        assert untimed == [dataclasses.replace(rec, elapsed_ns=0) for rec in expected]
+
+    def test_draws_held_ahead_stay_within_the_budget(self, monkeypatch):
+        n, trials = 64, 300
+        pairs = n * (n - 1) // 2
+        per_call = sample._AHEAD_PAIRS // pairs  # 260 draws at n = 64
+        draw, held = sample.draw_observations, []
+
+        def recorded(matrix, p, r, seed, ahead=()):
+            assert iter(ahead) is ahead  # a lazy view of the later seeds, not a copy
+            obs = draw(matrix, p, r, seed, ahead=ahead)
+            held.append(sum(o.n * (o.n - 1) // 2 for o in sample._held.sets.values()))
+            return obs
+
+        monkeypatch.setattr(sample, "draw_observations", recorded)
+        run_experiment(ExperimentConfig(
+            model=ModelSpec(kind="btl", quality_spread=6.0), n=n, k=n // 4, trials=trials,
+            master_seed=3, p=0.25, alpha=0.2, estimators=("copeland",),
+        ))
+        assert max(held) <= sample._AHEAD_PAIRS
+        assert held[0] == (per_call - 1) * pairs
+        assert held[per_call] == (trials - per_call - 1) * pairs
+        assert sample._held.design is None and not sample._held.sets
 
 
 def test_estimator_names_are_the_registry_keys():

@@ -322,6 +322,10 @@ def draw_oracle(matrix, p, r, seed):
     return _from_upper(n, row_wins, col_wins)
 
 
+def refuse_pool():
+    raise AssertionError("a draw on one CPU started the thread pool")
+
+
 def subsample_oracle(obs, q, seed):
     """All kept row wins, then all kept column wins, from one generator."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, THIN_TAG)))
@@ -385,6 +389,46 @@ class TestStreamContract:
         again = draw_observations(m, 0.5, 7, seed=4)
         np.testing.assert_array_equal(again.wins, default.wins)
         np.testing.assert_array_equal(again.comparisons, default.comparisons)
+
+    @pytest.mark.parametrize("n, p, r", [(64, 0.25, 16), (129, 1.0, 5), (300, 0.3, 9)])
+    def test_draws_ahead_match_the_oracle(self, monkeypatch, n, p, r):
+        # a budget of three draws: the seven seeds are drawn in three calls
+        # that miss, and the others take their sets from the ones held
+        m = gen_parametric(np.linspace(1.5, -1.5, n), "logistic")
+        seeds = [5, 2**40, 7, 11, 3, 2**64 - 1, 0]
+        expected = {seed: draw_oracle(m, p, r, seed) for seed in seeds}
+        monkeypatch.setattr(sample, "_AHEAD_PAIRS", 3 * n * (n - 1) // 2 + 1)
+        # (seed index, index of its first ahead seed, seeds held after the call)
+        calls = [(0, 1, {1, 2}), (2, 3, {1}), (1, 2, set()), (3, 4, {4, 5}), (5, 6, {4}),
+                 # a miss drops what is held, and the seed of the dropped set draws alone
+                 (6, 7, set()), (4, 5, {5, 6})]
+        pool = sample._draw_pool
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(sample, "_usable_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(sample, "_draw_pool", refuse_pool if cpus == 1 else pool)
+            for index, first_ahead, held in calls:
+                obs = draw_observations(m, p, r, seeds[index], ahead=iter(seeds[first_ahead:]))
+                assert set(sample._held.sets) == {seeds[i] for i in held}
+                comparisons, wins = expected[seeds[index]]
+                np.testing.assert_array_equal(obs.comparisons, comparisons)
+                np.testing.assert_array_equal(obs.wins, wins)
+            draw_observations(m, p, r, seed=1)
+            assert not sample._held.sets and sample._held.design is None
+
+    @pytest.mark.parametrize("change", ["matrix", "p", "r"])
+    def test_a_held_seed_of_another_design_draws_fresh(self, change):
+        m = gen_parametric(np.linspace(1.5, -1.5, 64), "logistic")
+        design = {"matrix": m, "p": 0.25, "r": 16}
+        draw_observations(**design, seed=1, ahead=[2, 3])
+        assert set(sample._held.sets) == {2, 3}
+        design[change] = {
+            "matrix": gen_parametric(np.linspace(-1.5, 1.5, 64), "logistic"), "p": 0.5, "r": 17
+        }[change]
+        obs = draw_observations(**design, seed=2)
+        assert not sample._held.sets and sample._held.design is None
+        comparisons, wins = draw_oracle(*design.values(), 2)
+        np.testing.assert_array_equal(obs.comparisons, comparisons)
+        np.testing.assert_array_equal(obs.wins, wins)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_draws_after_the_parent(self):
@@ -893,6 +937,27 @@ class TestObservationsCsv:
         path = tmp_path / "obs.csv"
         write_observations_csv(obs, path)
         assert read_observations_csv(path).p is None
+
+    def test_reading_holds_one_count_buffer_and_a_flag_per_pair(self, tmp_path):
+        n = 300
+        pairs = n * (n - 1) // 2
+        # the n x n int64 buffer, one byte per pair to find a repeated pair, and
+        # 1 MiB for the reader's small objects: 1.8 MiB; a set of the pairs read
+        # holds a 56-byte tuple per pair in a 2 MiB hash table, over 4 MiB
+        bound = n * n * 8 + pairs + 2**20
+        path = tmp_path / "obs.csv"
+        iu, ju = np.triu_indices(n, 1)
+        rows = "".join(f"{i},{j},3,{(i + j) % 4}\n" for i, j in zip(iu.tolist(), ju.tolist()))
+        path.write_text(f"# n={n} r=3 p=1.0\ni,j,comparisons,wins_i\n{rows}", encoding="utf-8")
+        read_observations_csv(path)  # fills the cache of the pair index
+        tracemalloc.start()
+        try:
+            obs = read_observations_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert obs.n == n
+        assert peak <= bound, (peak, bound)
 
     def test_metadata_line_required(self, tmp_path):
         path = tmp_path / "bad.csv"
