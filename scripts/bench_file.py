@@ -13,8 +13,9 @@ estimator layers (``copeland_topk``, ``rank_centrality``,
 ``mle_refine``) under two sampling designs, a fresh draw counted by
 Copeland (``draw_copeland``), the scoring layer
 (``ground_truth`` and ``evaluate``), ``rank_centrality`` on a reducible
-walk, the ingest layer (``read_comparisons``) on a comparisons CSV and
-the output layer (``write_results_csv``) rewriting one results CSV,
+walk, the ingest layer (``read_comparisons``) on a comparisons CSV, the
+output layers (``write_results_csv`` rewriting one results CSV, and
+``write_observations`` writing a fresh draw as ``simulate`` does),
 and the harness (``run_experiment``) on the trials of one
 ``threshold-sweep`` config at n = 64, in a fresh interpreter
 that imports ``pairrank`` from the checkout's ``src/``.  It also times
@@ -82,6 +83,11 @@ SWEEP_LAYERS = ("instantiate_first", "draw_observations", "copeland_topk", "draw
 # The results design runs one Copeland-only experiment of n trials on 50
 # items once, then times ``write_results_csv`` rewriting the same path
 # with its n rows, as every rerun of ``bench --out`` does.
+# The simulate design draws a fresh set before each call, outside the
+# timing, and times ``write_observations_csv`` writing it to one path, as
+# ``pairrank simulate`` writes its draw: the set is unbuilt, so a writer
+# that builds the n x n arrays pays for the build.  It runs at n = 1000
+# only, with CI's ``simulate`` design (p = 0.5, r = 7, seed 4).
 # The sweep design times ``run_experiment`` on one of threshold-sweep's
 # configs at n = 64 (Copeland alone, alpha = 0.2, 80 trials), where every
 # draw is one block: 80 draws and their Copeland counts, the matrix a
@@ -111,6 +117,10 @@ LAYER_DESIGNS = {
     "results": {
         "model": "btl", "quality_spread": 6.0, "items": 50, "r": 4, "seed": 1,
         "layers": ["write_results_csv"],
+    },
+    "simulate": {
+        "model": "btl", "quality_spread": 6.0, "p": 0.5, "r": 7, "seed": 4, "sizes": [1000],
+        "layers": ["write_observations"],
     },
     "sweep": {
         "model": "btl", "quality_spread": 6.0, "sizes": [64],
@@ -159,6 +169,7 @@ def time_layers(scratch: Path) -> dict:
                 "instantiate_first": lambda: instantiate_first(model_spec, n),
                 "instantiate_repeat": lambda: model.instantiate(model_spec, n),
             }
+            setups = {}  # layer -> an untimed call before each call, whose result it takes
             if "p" in spec:
                 obs = draw_observations(matrix, spec["p"], spec["r"], spec["seed"])
                 counted = draw_observations(matrix, spec["p"], spec["r"], spec["seed"])
@@ -178,7 +189,13 @@ def time_layers(scratch: Path) -> dict:
                     "mle_refine": lambda: mle_refine(obs, init),
                     "ground_truth": lambda: metrics.ground_truth(matrix, n // 4),
                     "evaluate": lambda: metrics.evaluate(estimate, truth, family),
+                    "write_observations": lambda fresh: sample.write_observations_csv(
+                        fresh, scratch / f"{design}-{n}.csv"
+                    ),
                 })
+                setups["write_observations"] = lambda: draw_observations(
+                    matrix, spec["p"], spec["r"], spec["seed"]
+                )
             if "rows_per_item" in spec:
                 rng = np.random.default_rng(spec["seed"])
                 size = spec["rows_per_item"] * n
@@ -206,12 +223,13 @@ def time_layers(scratch: Path) -> dict:
                 )
                 calls["run_experiment"] = lambda: harness.run_experiment(config)
             for name in timed:
-                call = calls[name]
+                call, setup = calls[name], setups.get(name)
                 times = []
                 start = time.perf_counter()
                 while len(times) < LAYER_MIN_CALLS or time.perf_counter() - start < LAYER_BUDGET_S:
+                    args = () if setup is None else (setup(),)
                     t0 = time.perf_counter()
-                    call()
+                    call(*args)
                     times.append(time.perf_counter() - t0)
                 layers.setdefault(design, {}).setdefault(name, {})[str(n)] = (
                     statistics.median(times) * 1e3

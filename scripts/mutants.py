@@ -122,11 +122,11 @@ MUTANTS = (
         ("tests/test_rank.py",),
     ),
     Mutant(
-        "held-set-of-any-design",
+        "draws-ahead-redraw-stored-sets",
         "sample.py",
-        "held.design[0] is matrix and held.design[1:] == (p, r) and ",
-        "",
-        ("tests/test_sample.py::TestStreamContract::test_a_held_seed_of_another_design_draws_fresh",),
+        "for s, stored in ahead.items() if stored is None)",
+        "for s, stored in ahead.items())",
+        ("tests/test_sample.py::TestStreamContract::test_draws_ahead_match_the_oracle",),
     ),
     Mutant(
         "draws-ahead-read-the-first-seed",

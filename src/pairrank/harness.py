@@ -14,15 +14,9 @@ matrix it built, so consecutive experiments over the same model and
 quantity derives from the master seed through stable per-stage tags, so
 results are bit-identical across runs.  Trials are scored one after
 another in the calling thread: a whole trial holds the interpreter lock,
-and a thread pool over trials made runs slower.  Only the sampler's draw
-blocks, whose binomial kernel releases the lock, run on threads: the
-calling thread and a pool of one worker fewer than the usable CPUs (see
-:mod:`pairrank.sample`), and the output does not depend on the thread
-count.  Each trial's draw names the later trials' seeds as ``ahead``,
-so a draw that misses also draws the next trials, as many as the
-sampler's pair budget holds, and the blocks of several one-block draws
-(``n <= 128``) share the CPUs; the next trials take their sets from
-those the sampler holds, and no draw runs while a trial is scored.
+and a thread pool over trials made runs slower.  The trials' draws share
+one dict of sets drawn ahead, so the sampler can draw several together
+(see :mod:`pairrank.sample`); the output does not depend on it.
 A draw builds its ``n x n`` count arrays only when an estimator
 reads them: Copeland counts each item's wins from the drawn pairs, so a
 Copeland-only experiment builds none, and the spectral baseline's
@@ -37,7 +31,6 @@ and one table writer formats both results CSVs.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, fields
 
@@ -222,9 +215,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     built anew or taken from its memo of the last build; its Hamming-``h``
     separation report gives ``r`` when ``alpha`` is given and ``alpha``
     when ``r`` is.  Records are emitted in trial order.  Each trial calls
-    :func:`pairrank.sample.draw_observations` once, with a lazy view of
-    the later trials' seeds as ``ahead``, and every set drawn ahead is
-    taken by its trial, so the sampler holds none when the run ends.
+    :func:`pairrank.sample.draw_observations` once, with the trials'
+    seeds as ``ahead``.
     """
     matrix = _matrix(cfg)
     hamming = setfamily.family_hamming(cfg.n, cfg.k, cfg.h)
@@ -239,9 +231,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     truth = metrics.ground_truth(matrix, cfg.k)
 
     seeds = [derive_seed(cfg.master_seed, _OBS_STAGE, trial) for trial in range(cfg.trials)]
+    ahead = dict.fromkeys(seeds)
     records = []
     for trial, seed in enumerate(seeds):
-        ahead = itertools.islice(seeds, trial + 1, None)
         obs = sample.draw_observations(matrix, cfg.p, r, seed, ahead=ahead)
         records += _score(trial, obs, truth, family, cfg.estimators, seed)
     records = tuple(records)

@@ -19,10 +19,11 @@ fixed blocks, each drawn from its own stream derived from ``(seed,
 _DRAW_TAG)``, and draws them on the calling thread and a pool of one
 worker fewer than the usable CPUs, because numpy's binomial sampler
 releases the interpreter lock; its docstring gives the order.  A caller
-that knows its next seeds passes them as ``ahead``: a call that misses
-draws them with its own seed, up to ``_AHEAD_PAIRS`` pairs in all, so
-that the blocks of many one-block draws share the CPUs, and the calling
-thread holds their sets until it asks for them.
+that knows its next seeds passes them as ``ahead``, a dict that it owns:
+a call that finds no set there for its seed draws it with the next
+seeds of ``ahead``, up to ``_AHEAD_PAIRS`` pairs in all, so that the
+blocks of many one-block draws share the CPUs, and stores their sets in
+``ahead`` for the calls that ask for them.
 A block draws each pair's comparison count by inverting the CDF of
 ``Binomial(r, p)``: one uniform per pair, read through a cached table
 and its guide index (Chen & Asau 1974) rather than numpy's per-element
@@ -70,12 +71,15 @@ _DRAW_BLOCK = 8192
 _TABLE_CAP = 1 << 13
 # Most pairs that one call draws together: a call that misses draws its
 # seed and the next seeds of ``ahead`` up to this many pairs in all, so
-# the sets it holds for later calls keep ~8 MiB of ``n x n`` buffers.
+# the sets it stores for later calls keep ~8 MiB of ``n x n`` buffers.
 # One draw at n = 1024 (523,776 pairs) fills it alone.
 _AHEAD_PAIRS = 1 << 19
 # Pairs per ``np.add.at`` call when win totals are counted from the pair
 # vectors: each call widens only this many column indices to ``intp``.
 _COUNT_CHUNK = 1 << 16
+# Pairs per chunk of rows that :func:`write_observations_csv` formats at
+# once, so that its per-row Python objects stay under 1 MiB.
+_WRITE_CHUNK = 1 << 12
 
 
 def _usable_cpus() -> int:
@@ -96,21 +100,6 @@ def _draw_pool() -> ThreadPoolExecutor:
 
 if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
     os.register_at_fork(after_in_child=_draw_pool.cache_clear)
-
-
-class _Held(threading.local):
-    """The calling thread's sets drawn ahead, by seed, all drawn from ``design``.
-
-    ``design`` is ``(matrix, p, r)``, the matrix compared by identity;
-    it is ``None`` whenever ``sets`` is empty, so a thread that took its
-    last set holds no matrix either.
-    """
-
-    def __init__(self):
-        self.design, self.sets = None, {}
-
-
-_held = _Held()
 
 
 class ObservationSet:
@@ -299,7 +288,7 @@ def _draw_counts(rng: np.random.Generator, r: int, p: float, size: int, table) -
 
 
 def draw_observations(
-    matrix: ComparisonMatrix, p: float, r: int, seed: int, ahead=()
+    matrix: ComparisonMatrix, p: float, r: int, seed: int, ahead: dict | None = None
 ) -> ObservationSet:
     """Sample an observation set from a comparison matrix.
 
@@ -318,20 +307,19 @@ def draw_observations(
     ``comparisons`` adds the one ``n x n`` wins array and writes the
     comparisons over the buffer.
 
-    ``ahead`` is an iterable of the seeds that the calling thread will
-    ask for next, with the same ``matrix``, ``p`` and ``r``, in order.
-    A call whose seed the thread holds from an earlier call with the
-    same ``matrix`` (the same object), ``p`` and ``r`` returns that set
-    and reads nothing of ``ahead``.  Any other call drops every set the
-    thread holds, and draws ``seed`` together with the next seeds of
-    ``ahead`` (repeats skipped), as many draws as fit in
-    ``_AHEAD_PAIRS`` pairs and at least one.  With ``usable`` CPUs it
-    deals the ``(draw, block)`` tasks, draw by draw and block by block,
-    in turn to ``min(tasks, usable)`` groups: the calling thread draws
-    group 0, and a thread pool of ``usable - 1`` workers, started on
-    the first call with two or more tasks and reused by every later
-    one, draws the rest.  The call returns once every task is done, and
-    the thread holds the sets of the other seeds for its next calls.
+    ``ahead``, if given, is a dict owned by the caller whose keys are
+    the seeds it will ask for, in order, all with this ``matrix``, ``p``
+    and ``r``; a value is ``None`` or the set drawn for its seed.  A
+    call pops ``seed`` from ``ahead`` and returns the set stored there,
+    if any.  Otherwise it draws ``seed`` together with the next seeds
+    of ``ahead`` that hold no set, as many draws as fit in
+    ``_AHEAD_PAIRS`` pairs and at least one, and stores their sets in
+    ``ahead``.  With ``usable`` CPUs it deals the ``(draw, block)``
+    tasks, draw by draw and block by block, in turn to
+    ``min(tasks, usable)`` groups: the calling thread draws group 0,
+    and a thread pool of ``usable - 1`` workers, started on the first
+    call with two or more tasks and reused by every later one, draws
+    the rest.  The call returns once every task is done.
 
     Counts: at ``p = 1`` every pair gets ``r`` and no uniform is read.
     Otherwise a pair reads one ``u = rng.random()`` and gets
@@ -358,18 +346,14 @@ def draw_observations(
     if r >= 2**63:
         raise ValueError(f"r must be below 2**63, got {r}")
     seed = _check_seed(seed)
-    held = _held
-    if held.sets and held.design[0] is matrix and held.design[1:] == (p, r) and seed in held.sets:
-        obs = held.sets.pop(seed)
-        if not held.sets:
-            held.design = None
+    ahead = {} if ahead is None else ahead
+    obs = ahead.pop(seed, None)
+    if obs is not None:
         return obs
-    held.design, held.sets = None, {}
     n = matrix.n
     pairs = n * (n - 1) // 2
-    seeds = {seed: None}
-    for later in itertools.islice(ahead, max(_AHEAD_PAIRS // pairs, 1) - 1):
-        seeds[_check_seed(later)] = None
+    later = (_check_seed(s) for s, stored in ahead.items() if stored is None)
+    seeds = [seed, *itertools.islice(later, max(_AHEAD_PAIRS // pairs, 1) - 1)]
     probs = matrix.entries[_upper_mask(n)]
     blocks = -(-pairs // _DRAW_BLOCK)
     draws = []  # per seed: its block streams and its pair buffer
@@ -404,8 +388,7 @@ def draw_observations(
     sets = {s: ObservationSet._from_pairs(n, r, p, row_wins, col_wins, buffer)
             for s, (_, (buffer, row_wins, col_wins)) in zip(seeds, draws)}
     obs = sets.pop(seed)
-    if sets:
-        held.design, held.sets = (matrix, p, r), sets
+    ahead.update(sets)
     return obs
 
 
@@ -536,17 +519,28 @@ def write_observations_csv(obs: ObservationSet, path) -> None:
 
     Format: ``# n=<n> r=<r> p=<p|na>`` followed by a
     ``i,j,comparisons,wins_i`` header and one row per pair ``i < j``
-    with at least one comparison, every line ending in LF.
+    with at least one comparison, every line ending in LF.  The rows
+    come from the pair vectors (:meth:`ObservationSet._read_pairs`),
+    ``_WRITE_CHUNK`` pairs at a time, so writing a set builds none of
+    its arrays.
     """
+    starts, columns = _pair_index(obs.n)
+
+    def write_rows(fh, row_wins, col_wins):
+        for start in range(0, row_wins.size, _WRITE_CHUNK):
+            wins = row_wins[start:start + _WRITE_CHUNK]
+            comparisons = wins + col_wins[start:start + _WRITE_CHUNK]
+            kept = np.flatnonzero(comparisons)
+            slots = kept + start
+            firsts = np.searchsorted(starts, slots, side="right") - 1
+            rows = zip(firsts.tolist(), columns[slots].tolist(),
+                       comparisons[kept].tolist(), wins[kept].tolist())
+            fh.write("".join(f"{i},{j},{c},{w}\n" for i, j, c, w in rows))
+
     with _textio.open_output(path) as fh:
         p_text = "na" if obs.p is None else repr(float(obs.p))
-        fh.write(f"# n={obs.n} r={obs.r} p={p_text}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "comparisons", "wins_i"])
-        iu, ju = np.triu_indices(obs.n, k=1)
-        mask = obs.comparisons[iu, ju] > 0
-        for i, j in zip(iu[mask], ju[mask]):
-            writer.writerow([i, j, obs.comparisons[i, j], obs.wins[i, j]])
+        fh.write(f"# n={obs.n} r={obs.r} p={p_text}\ni,j,comparisons,wins_i\n")
+        obs._read_pairs(partial(write_rows, fh))
 
 
 def read_observations_csv(path) -> ObservationSet:

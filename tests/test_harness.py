@@ -1,9 +1,11 @@
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pairrank import _textio, harness, metrics, sample, setfamily
+from pairrank import _textio, harness, metrics, rank, sample, setfamily
 from pairrank.harness import (
     _REAL_STAGE,
     ESTIMATORS,
@@ -282,12 +284,12 @@ class TestRunExperiment:
         n, trials = 64, 300
         pairs = n * (n - 1) // 2
         per_call = sample._AHEAD_PAIRS // pairs  # 260 draws at n = 64
-        draw, held = sample.draw_observations, []
+        draw, dicts, held = sample.draw_observations, [], []
 
-        def recorded(matrix, p, r, seed, ahead=()):
-            assert iter(ahead) is ahead  # a lazy view of the later seeds, not a copy
+        def recorded(matrix, p, r, seed, ahead=None):
             obs = draw(matrix, p, r, seed, ahead=ahead)
-            held.append(sum(o.n * (o.n - 1) // 2 for o in sample._held.sets.values()))
+            dicts.append(ahead)
+            held.append(sum(o.n * (o.n - 1) // 2 for o in ahead.values() if o is not None))
             return obs
 
         monkeypatch.setattr(sample, "draw_observations", recorded)
@@ -295,10 +297,39 @@ class TestRunExperiment:
             model=ModelSpec(kind="btl", quality_spread=6.0), n=n, k=n // 4, trials=trials,
             master_seed=3, p=0.25, alpha=0.2, estimators=("copeland",),
         ))
+        assert len(dicts) == trials and all(d is dicts[0] for d in dicts)
         assert max(held) <= sample._AHEAD_PAIRS
         assert held[0] == (per_call - 1) * pairs
         assert held[per_call] == (trials - per_call - 1) * pairs
-        assert sample._held.design is None and not sample._held.sets
+        assert dicts[0] == {}  # every trial took its set
+
+    def test_a_scoring_error_frees_the_sets_drawn_ahead(self, monkeypatch):
+        # the first trial draws all 80 sets; the second one's scoring raises
+        n = 64
+        cfg = ExperimentConfig(
+            model=ModelSpec(kind="btl", quality_spread=6.0), n=n, k=n // 4, trials=80,
+            master_seed=3, p=0.25, alpha=0.2, estimators=("copeland",),
+        )
+        run_experiment(cfg)  # fills the caches: the matrix memo, the pair index, the count table
+        copeland, calls = rank.copeland_topk, []
+
+        def failing(obs, k):
+            calls.append(k)
+            if len(calls) == 2:
+                raise RuntimeError("scoring failed")
+            return copeland(obs, k)
+
+        monkeypatch.setattr(rank, "copeland_topk", failing)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="scoring failed"):
+                run_experiment(cfg)
+            gc.collect()
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # less than the n x n buffer of one set: the 78 sets left untaken are gone
+        assert current < n * n * 8, current
 
 
 def test_estimator_names_are_the_registry_keys():

@@ -393,42 +393,33 @@ class TestStreamContract:
     @pytest.mark.parametrize("n, p, r", [(64, 0.25, 16), (129, 1.0, 5), (300, 0.3, 9)])
     def test_draws_ahead_match_the_oracle(self, monkeypatch, n, p, r):
         # a budget of three draws: the seven seeds are drawn in three calls
-        # that miss, and the others take their sets from the ones held
+        # that find no set, and the others take the sets stored in ``ahead``
         m = gen_parametric(np.linspace(1.5, -1.5, n), "logistic")
         seeds = [5, 2**40, 7, 11, 3, 2**64 - 1, 0]
         expected = {seed: draw_oracle(m, p, r, seed) for seed in seeds}
         monkeypatch.setattr(sample, "_AHEAD_PAIRS", 3 * n * (n - 1) // 2 + 1)
-        # (seed index, index of its first ahead seed, seeds held after the call)
-        calls = [(0, 1, {1, 2}), (2, 3, {1}), (1, 2, set()), (3, 4, {4, 5}), (5, 6, {4}),
-                 # a miss drops what is held, and the seed of the dropped set draws alone
-                 (6, 7, set()), (4, 5, {5, 6})]
+        # (seed index, seeds holding a set after the call): a call that finds no
+        # set draws the next seeds that hold none, and leaves the others alone
+        calls = [(0, {1, 2}), (2, {1}), (3, {1, 4, 5}), (1, {4, 5}), (6, {4, 5}), (5, {4}),
+                 (4, set())]
         pool = sample._draw_pool
         for cpus in (1, 2, 3, 4):
             monkeypatch.setattr(sample, "_usable_cpus", lambda cpus=cpus: cpus)
             monkeypatch.setattr(sample, "_draw_pool", refuse_pool if cpus == 1 else pool)
-            for index, first_ahead, held in calls:
-                obs = draw_observations(m, p, r, seeds[index], ahead=iter(seeds[first_ahead:]))
-                assert set(sample._held.sets) == {seeds[i] for i in held}
+            ahead = dict.fromkeys(seeds)
+            asked = set()
+            for index, held in calls:
+                obs = draw_observations(m, p, r, seeds[index], ahead=ahead)
+                asked.add(index)
+                assert set(ahead) == {seeds[i] for i in range(len(seeds)) if i not in asked}
+                assert {s for s, o in ahead.items() if o is not None} == {seeds[i] for i in held}
                 comparisons, wins = expected[seeds[index]]
                 np.testing.assert_array_equal(obs.comparisons, comparisons)
                 np.testing.assert_array_equal(obs.wins, wins)
-            draw_observations(m, p, r, seed=1)
-            assert not sample._held.sets and sample._held.design is None
-
-    @pytest.mark.parametrize("change", ["matrix", "p", "r"])
-    def test_a_held_seed_of_another_design_draws_fresh(self, change):
-        m = gen_parametric(np.linspace(1.5, -1.5, 64), "logistic")
-        design = {"matrix": m, "p": 0.25, "r": 16}
-        draw_observations(**design, seed=1, ahead=[2, 3])
-        assert set(sample._held.sets) == {2, 3}
-        design[change] = {
-            "matrix": gen_parametric(np.linspace(-1.5, 1.5, 64), "logistic"), "p": 0.5, "r": 17
-        }[change]
-        obs = draw_observations(**design, seed=2)
-        assert not sample._held.sets and sample._held.design is None
-        comparisons, wins = draw_oracle(*design.values(), 2)
-        np.testing.assert_array_equal(obs.comparisons, comparisons)
-        np.testing.assert_array_equal(obs.wins, wins)
+            # with every seed taken, a seed that ``ahead`` does not list draws alone
+            obs = draw_observations(m, p, r, seed=1, ahead=ahead)
+            assert ahead == {}
+            np.testing.assert_array_equal(obs.wins, draw_oracle(m, p, r, 1)[1])
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_draws_after_the_parent(self):
@@ -930,6 +921,58 @@ class TestObservationsCsv:
         assert (back_crlf.n, back_crlf.r, back_crlf.p) == (back.n, back.r, back.p)
         assert np.array_equal(back_crlf.comparisons, back.comparisons)
         assert np.array_equal(back_crlf.wins, back.wins)
+
+    @pytest.mark.parametrize(
+        "kind", ["p=0.5", "p=1", "p=0.02", "comparisons-file", "observations-file"]
+    )
+    def test_writing_matches_a_per_pair_writer_over_a_built_twin(self, tmp_path, kind):
+        # 300 items: 44,850 pairs, eleven chunks of rows, the last short
+        n = 300
+        m = gen_parametric(np.linspace(1.5, -1.5, n), "logistic")
+        if kind.startswith("p="):
+            written, twin = (draw_observations(m, float(kind[2:]), 3, seed=n) for _ in range(2))
+        elif kind == "comparisons-file":
+            rng = np.random.default_rng(n)
+            rows = [(f"it{a}", f"it{b}", f"it{a if rng.random() < 0.5 else b}")
+                    for a, b in (rng.choice(n, size=2, replace=False) for _ in range(20 * n))]
+            path = write_comparisons(tmp_path / "cmp.csv", rows)
+            index = {f"it{i}": i for i in range(n)}
+            written, twin = (read_comparisons(path, index) for _ in range(2))
+        else:
+            path = tmp_path / "source.csv"
+            write_observations_csv(draw_observations(m, 0.3, 5, seed=n), path)
+            written, twin = (read_observations_csv(path) for _ in range(2))
+        out, expected = tmp_path / "obs.csv", tmp_path / "expected.csv"
+        write_observations_csv(written, out)
+        assert written._arrays is None  # writing built no arrays
+        p_text = "na" if twin.p is None else repr(float(twin.p))
+        with open(expected, "w", newline="") as fh:
+            fh.write(f"# n={n} r={twin.r} p={p_text}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["i", "j", "comparisons", "wins_i"])
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if twin.comparisons[i, j] > 0:
+                        writer.writerow([i, j, twin.comparisons[i, j], twin.wins[i, j]])
+        assert out.read_bytes() == expected.read_bytes()
+        write_observations_csv(twin, out)  # from the built arrays
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_writing_holds_less_than_one_count_array(self, tmp_path):
+        # 400 items at p = 0.5 and r = 3: ~70,000 rows; a writer that builds both
+        # n x n arrays and indexes them per pair peaks at 3.8 MiB
+        n = 400
+        m = gen_parametric(np.linspace(1.5, -1.5, n), "logistic")
+        path = tmp_path / "obs.csv"
+        write_observations_csv(draw_observations(m, 0.5, 3, seed=1), path)  # fills the caches
+        obs = draw_observations(m, 0.5, 3, seed=1)
+        tracemalloc.start()
+        try:
+            write_observations_csv(obs, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, peak
 
     def test_unknown_p_round_trips(self, tmp_path):
         rows = [("a", "b", "a"), ("b", "c", "c")]
