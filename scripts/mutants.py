@@ -160,11 +160,18 @@ MUTANTS = (
         ("tests/test_sample.py::TestStreamContract::test_win_totals_from_pairs_match_the_arrays",),
     ),
     Mutant(
-        "mirror-diagonal-tile-unmasked",
+        "lower-triangle-copies-the-upper",
         "model.py",
-        "out=out[rows, rows], where=_TILE_LOWER[:size, :size])",
-        "out=out[rows, rows])",
-        ("tests/test_model.py::test_mirror_upper_is_byte_identical_to_pair_indexing",),
+        "entries.T[mask] = 1.0 - upper",
+        "entries.T[mask] = upper",
+        ("tests/test_model.py::test_from_pairs_is_byte_identical_to_pair_indexing",),
+    ),
+    Mutant(
+        "diagonal-left-unset",
+        "model.py",
+        "    np.fill_diagonal(entries, 0.5)\n",
+        "",
+        ("tests/test_model.py::test_from_pairs_is_byte_identical_to_pair_indexing",),
     ),
 )
 

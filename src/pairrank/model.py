@@ -9,6 +9,11 @@ Generators cover the standard parametric families (Bradley-Terry-Luce,
 Thurstone), strong-stochastic-transitivity constructions, and the
 two-block "planted" worst-case instances used by the minimax
 calculators in :mod:`pairrank.analysis`.
+
+A matrix is fully given by its pairs ``i < j``, so each generator
+computes only those values, in the row-major order the sampler reads
+them, and :func:`_from_pairs` builds every matrix from them, the
+validated grids of :func:`make_matrix` and :func:`read_matrix_csv` too.
 """
 
 from __future__ import annotations
@@ -47,56 +52,39 @@ class ComparisonMatrix:
         self.entries.setflags(write=False)
 
 
-def _freeze(entries: np.ndarray) -> ComparisonMatrix:
-    """Wrap an already-consistent float array without re-validation."""
-    return ComparisonMatrix(np.ascontiguousarray(entries, dtype=np.float64))
-
-
 @lru_cache(maxsize=8)
 def _upper_mask(n: int) -> np.ndarray:
     """Read-only boolean mask of the strict upper triangle of an ``n x n`` grid.
 
-    Cached: a sweep draws hundreds of times at a few sizes.
+    Its row-major order is the order of the pairs ``i < j`` that
+    :func:`_from_pairs` reads and the sampler draws.  Cached: a sweep
+    builds and draws hundreds of times at a few sizes.
     """
     mask = np.triu(np.ones((n, n), dtype=bool), k=1)
     mask.setflags(write=False)
     return mask
 
 
-# Side of the square tiles of :func:`_mirror_upper`: a 64 x 64 tile of
-# float64 is 32 kB, so a tile and its mirror stay in cache together
-# (of 32, 48, 64, 96 and 128, 64 was fastest at n = 256 to 1024).
-_TILE = 64
-_TILE_LOWER = np.tri(_TILE, k=-1, dtype=bool)
-_TILE_LOWER.setflags(write=False)
+def _from_pairs(n: int, upper: np.ndarray) -> ComparisonMatrix:
+    """The ``n x n`` matrix whose pairs ``i < j``, in :func:`_upper_mask` order, hold ``upper``.
 
-
-def _mirror_upper(upper: np.ndarray) -> np.ndarray:
-    """Build a full matrix from its strict upper triangle.
-
-    The lower triangle is set to ``1 - upper`` entry by entry and the
-    diagonal to exactly ``1/2``, so the complementarity invariant holds
-    to the last bit by construction.  The lower triangle is written in
-    ``_TILE``-square tiles, each from its mirrored tile of the upper
-    one (a diagonal tile through the mask ``_TILE_LOWER``).  A tile and
-    its mirror stay in cache, so the transposed reads cost about what
-    straight ones do (the tiling of Frigo, Leiserson, Prokop &
-    Ramachandran 1999): at n = 1024 the mirror takes 1.2-1.5 ms against
-    4-6 ms for one whole-array ``np.where`` over the transpose (numpy
-    2.4 on a 2-CPU AMD EPYC), and ``threshold-sweep`` builds a BTL
-    matrix of that size in every unit.
+    ``upper`` is written above the diagonal, ``1 - upper`` below it entry
+    by entry and exactly ``1/2`` on it, so the complementarity invariant
+    holds to the last bit by construction.  Every matrix is built here.
     """
-    out = np.array(upper, dtype=np.float64, order="C")
-    n = out.shape[0]
-    for top in range(0, n, _TILE):
-        rows = slice(top, top + _TILE)
-        for left in range(0, top, _TILE):
-            cols = slice(left, left + _TILE)
-            np.subtract(1.0, out[cols, rows].T, out=out[rows, cols])
-        size = min(_TILE, n - top)
-        np.subtract(1.0, out[rows, rows].T, out=out[rows, rows], where=_TILE_LOWER[:size, :size])
-    np.fill_diagonal(out, 0.5)
-    return out
+    mask = _upper_mask(n)
+    entries = np.empty((n, n))
+    entries[mask] = upper
+    entries.T[mask] = 1.0 - upper
+    np.fill_diagonal(entries, 0.5)
+    return ComparisonMatrix(entries)
+
+
+def _pair_differences(v: np.ndarray) -> np.ndarray:
+    """``v[i] - v[j]`` for the pairs ``i < j``, in :func:`_upper_mask` order."""
+    n = v.size
+    mask = _upper_mask(n)
+    return np.broadcast_to(v[:, None], (n, n))[mask] - np.broadcast_to(v, (n, n))[mask]
 
 
 def make_matrix(entries) -> ComparisonMatrix:
@@ -114,7 +102,7 @@ def make_matrix(entries) -> ComparisonMatrix:
     bad = _first_bad_entry(grid)
     if bad is not None:
         raise ValueError(bad[1])
-    return _freeze(_mirror_upper(grid))
+    return _from_pairs(grid.shape[0], grid[_upper_mask(grid.shape[0])])
 
 
 def _first_bad_entry(grid: np.ndarray) -> tuple[int, str] | None:
@@ -161,8 +149,7 @@ def gen_parametric(w, cdf: str = "logistic") -> ComparisonMatrix:
         F = _PARAMETRIC_CDFS[cdf]
     except KeyError:
         raise ValueError(f"unknown cdf {cdf!r}, expected one of {sorted(_PARAMETRIC_CDFS)}")
-    diffs = w[:, None] - w[None, :]
-    return _freeze(_mirror_upper(F(diffs)))
+    return _from_pairs(w.size, F(_pair_differences(w)))
 
 
 def gen_btl_outlier(w, outlier: int) -> ComparisonMatrix:
@@ -177,16 +164,20 @@ def gen_btl_outlier(w, outlier: int) -> ComparisonMatrix:
     n = w.size
     if not 0 <= outlier < n:
         raise ValueError(f"outlier index {outlier} out of range for n={n}")
-    upper = _special.expit(w[:, None] - w[None, :])
+    upper = _special.expit(_pair_differences(w))
     others = np.array([i for i in range(n) if i != outlier])
     # highest-quality others first; ties broken by smaller index
     by_quality = others[np.lexsort((others, -w[others]))]
     beaten = by_quality[: n // 4]
     row = np.zeros(n)
     row[beaten] = 1.0
-    upper[outlier, :] = row
-    upper[:, outlier] = 1.0 - row
-    return _freeze(_mirror_upper(upper))
+    # the pairs (i, j > i) of row i start at i * n - i * (i + 1) / 2: the
+    # outlier's own row is one slice, its column one entry per earlier row
+    start = outlier * n - outlier * (outlier + 1) // 2
+    upper[start : start + n - 1 - outlier] = row[outlier + 1 :]
+    above = np.arange(outlier)
+    upper[above * n - above * (above + 1) // 2 + outlier - above - 1] = 1.0 - row[:outlier]
+    return _from_pairs(n, upper)
 
 
 def gen_sst_diagonal(n: int, gap: float, seed: int) -> ComparisonMatrix:
@@ -209,10 +200,9 @@ def gen_sst_diagonal(n: int, gap: float, seed: int) -> ComparisonMatrix:
         )
     rng = np.random.default_rng(_check_seed(seed))
     boosts = np.minimum(np.cumsum(rng.uniform(0.0, gap, size=n - 1)), 0.5)
-    upper = np.full((n, n), 0.5)
-    iu, ju = np.triu_indices(n, k=1)
-    upper[iu, ju] = np.minimum(1.0, 0.5 + boosts[ju - iu - 1])
-    return _freeze(_mirror_upper(upper))
+    # offset d = j - i holds boosts[d - 1]: row i's pairs read the first n - 1 - i
+    by_offset = np.minimum(1.0, 0.5 + boosts)
+    return _from_pairs(n, np.concatenate([by_offset[: n - 1 - i] for i in range(n - 1)]))
 
 
 def gen_btl_mixture(w, lam: float) -> ComparisonMatrix:
@@ -228,19 +218,17 @@ def gen_btl_mixture(w, lam: float) -> ComparisonMatrix:
     if not 0.5 < lam <= 1.0:
         raise ValueError(f"mixture weight must lie in (1/2, 1], got {lam}")
     w = _qualities(w)
-    diffs = w[:, None] - w[None, :]
+    diffs = _pair_differences(w)
     upper = lam * _special.expit(diffs) + (1.0 - lam) * _special.expit(-diffs)
-    return _freeze(_mirror_upper(upper))
+    del diffs  # not held while the matrix is built
+    return _from_pairs(w.size, upper)
 
 
 def _two_block(n: int, top, gap: float) -> ComparisonMatrix:
     """``1/2 + gap`` from the items ``top`` to the rest, ``1/2 - gap`` back, ``1/2`` within."""
-    mask = np.zeros(n, dtype=bool)
-    mask[top] = True
-    upper = np.full((n, n), 0.5)
-    upper[np.ix_(mask, ~mask)] = 0.5 + gap
-    upper[np.ix_(~mask, mask)] = 0.5 - gap
-    return _freeze(_mirror_upper(upper))
+    member = np.zeros(n)
+    member[top] = 1.0
+    return _from_pairs(n, 0.5 + gap * _pair_differences(member))
 
 
 def gen_planted(n: int, k: int, delta: float, plant_index: int | None = None) -> ComparisonMatrix:
@@ -284,8 +272,7 @@ def gen_adjacent_swap(n: int, delta0: float, a: int) -> ComparisonMatrix:
         )
     ranks = np.arange(1, n + 1, dtype=np.float64)
     ranks[a], ranks[a + 1] = ranks[a + 1], ranks[a]
-    upper = 0.5 - (ranks[:, None] - ranks[None, :]) * delta0
-    return _freeze(_mirror_upper(upper))
+    return _from_pairs(n, 0.5 - _pair_differences(ranks) * delta0)
 
 
 def gen_hamming_planted(n: int, k: int, delta0: float, ordering=None) -> ComparisonMatrix:
@@ -513,4 +500,4 @@ def read_matrix_csv(path) -> ComparisonMatrix:
     bad = _first_bad_entry(grid)
     if bad is not None:
         raise ValueError(f"{path}:{lines[bad[0]]}: {bad[1]}")
-    return _freeze(_mirror_upper(grid))
+    return _from_pairs(n, grid[_upper_mask(n)])

@@ -1,16 +1,18 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairrank import _textio, model
+from pairrank import _special, _textio, model
 from pairrank.analysis import scores
 from pairrank.model import (
     MODEL_KINDS,
     ModelSpec,
-    _mirror_upper,
+    _from_pairs,
+    _upper_mask,
     equispaced_quality,
     gen_adjacent_swap,
     gen_btl_mixture,
@@ -322,19 +324,133 @@ def mirror_by_pair_indices(upper):
     return out
 
 
-# 256 and 1024 are whole tiles only, and the sizes threshold-sweep builds at
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 65, 129, 256, 300, 1000, 1024])
-def test_mirror_upper_is_byte_identical_to_pair_indexing(n):
+def test_from_pairs_is_byte_identical_to_pair_indexing(n):
     rng = np.random.default_rng(n)
     sources = (
         rng.random((n, n)), rng.normal(size=(n, n)), np.full((n, n), 0.1),
         rng.integers(-3, 4, size=(n, n)),
     )
     for upper in sources:
-        got = _mirror_upper(upper)
+        got = _from_pairs(n, upper[_upper_mask(n)]).entries
         expected = mirror_by_pair_indices(upper)
         assert got.dtype == expected.dtype and got.flags.c_contiguous
         assert got.tobytes() == expected.tobytes()
+
+
+def two_block_grid(n, top, gap):
+    grid = np.full((n, n), 0.5)
+    inside = np.zeros(n, dtype=bool)
+    inside[top] = True
+    grid[np.ix_(inside, ~inside)] = 0.5 + gap
+    grid[np.ix_(~inside, inside)] = 0.5 - gap
+    return grid
+
+
+def outlier_grid(w, outlier):
+    n = w.size
+    grid = _special.expit(w[:, None] - w[None, :])
+    beaten = [i for i in sorted(range(n), key=lambda i: (-w[i], i)) if i != outlier][: n // 4]
+    row = np.zeros(n)
+    row[beaten] = 1.0
+    grid[outlier, :] = row
+    grid[:, outlier] = 1.0 - row
+    return grid
+
+
+def full_grid_cases(n, tmp_path):
+    """``(matrix, grid)`` per kind: the matrix built, and the full n x n grid of
+    its formula, as generators computed it before they computed pairs alone."""
+    w = equispaced_quality(n)
+    diffs = w[:, None] - w[None, :]
+    gap = 0.4 / (n - 1)
+    boosts = np.minimum(np.cumsum(np.random.default_rng(5).uniform(0.0, gap, size=n - 1)), 0.5)
+    offsets = np.subtract.outer(np.arange(n), np.arange(n)).T  # j - i
+    sst = np.where(offsets > 0, np.minimum(1.0, 0.5 + boosts[np.maximum(offsets, 1) - 1]), 0.5)
+    k = max(1, n // 4)
+    a, delta0 = (n - 2) // 2, 1.0 / (9.0 * (n - 1))
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    ranks[a], ranks[a + 1] = ranks[a + 1], ranks[a]
+    ordering = np.random.default_rng(11).permutation(n)
+    upper = np.random.default_rng(n).random((n, n))
+    valid = np.triu(upper, 1) + np.tril(1.0 - upper.T, -1) + np.diag(np.full(n, 0.5))
+    path = tmp_path / f"m{n}.csv"
+    path.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in valid))
+    spec = ModelSpec(kind="hamming_planted", k=k, delta0=0.2, ordering_seed=11)
+    return {
+        "btl": (gen_parametric(w, "logistic"), _special.expit(diffs)),
+        "thurstone": (gen_parametric(w, "gaussian"), _special.ndtr(diffs)),
+        "btl_outlier_first": (gen_btl_outlier(w, 0), outlier_grid(w, 0)),
+        "btl_outlier_middle": (gen_btl_outlier(w, n // 2), outlier_grid(w, n // 2)),
+        "btl_outlier_last": (gen_btl_outlier(w, n - 1), outlier_grid(w, n - 1)),
+        "sst_diagonal": (gen_sst_diagonal(n, gap, 5), sst),
+        "btl_mixture": (
+            gen_btl_mixture(w, 0.8),
+            0.8 * _special.expit(diffs) + (1.0 - 0.8) * _special.expit(-diffs),
+        ),
+        "planted": (gen_planted(n, k, 0.1), two_block_grid(n, np.arange(k), 0.1)),
+        "planted_index": (
+            gen_planted(n, k, 0.1, plant_index=n - 1),
+            two_block_grid(n, [*range(k - 1), n - 1], 0.1),
+        ),
+        "adjacent_swap": (
+            gen_adjacent_swap(n, delta0, a),
+            0.5 - (ranks[:, None] - ranks[None, :]) * delta0,
+        ),
+        "hamming_planted": (instantiate(spec, n), two_block_grid(n, ordering[:k], 0.2)),
+        "make_matrix": (make_matrix(valid), valid),
+        "read_matrix_csv": (read_matrix_csv(path), valid),
+    }
+
+
+FULL_GRID_KINDS = [
+    "btl", "thurstone", "btl_outlier_first", "btl_outlier_middle", "btl_outlier_last",
+    "sst_diagonal", "btl_mixture", "planted", "planted_index", "adjacent_swap",
+    "hamming_planted", "make_matrix", "read_matrix_csv",
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 256, 257])
+def test_matrices_from_pairs_equal_the_full_grid_formulas(n, tmp_path):
+    cases = full_grid_cases(n, tmp_path)
+    assert sorted(cases) == sorted(FULL_GRID_KINDS)
+    for kind in FULL_GRID_KINDS:
+        matrix, grid = cases[kind]
+        expected = mirror_by_pair_indices(grid)
+        assert matrix.entries.tobytes() == expected.tobytes(), kind
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda w, n: gen_parametric(w, "logistic"),
+        lambda w, n: gen_parametric(w, "gaussian"),
+        lambda w, n: gen_btl_outlier(w, n // 2),
+        lambda w, n: gen_sst_diagonal(n, 0.4 / (n - 1), 5),
+        lambda w, n: gen_btl_mixture(w, 0.8),
+        lambda w, n: gen_planted(n, n // 4, 0.1),
+        lambda w, n: gen_adjacent_swap(n, 1.0 / (9.0 * (n - 1)), 3),
+        lambda w, n: gen_hamming_planted(n, n // 4, 0.2, np.random.default_rng(1).permutation(n)),
+    ],
+    ids=[
+        "btl", "thurstone", "btl_outlier", "sst_diagonal", "btl_mixture", "planted",
+        "adjacent_swap", "hamming_planted",
+    ],
+)
+def test_a_build_holds_at_most_two_and_a_half_matrices(build):
+    # the matrix, its pair values and one temporary of them make two
+    # n x n float64 arrays; the full-grid builds held three, the mixture four
+    n = 512
+    w = equispaced_quality(n)
+    # the first build fills the caches: the triangle mask and scipy.special
+    build(w, n)
+    tracemalloc.start()
+    try:
+        build(w, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 8, peak / (n * n * 8)
 
 
 @settings(max_examples=25, deadline=None)
