@@ -18,7 +18,10 @@ output layers (``write_results_csv`` rewriting one results CSV, and
 ``write_observations`` writing a fresh draw as ``simulate`` does),
 and the harness (``run_experiment``) on the trials of one
 ``threshold-sweep`` config at n = 64, in a fresh interpreter
-that imports ``pairrank`` from the checkout's ``src/``.  It also times
+that imports ``pairrank`` from the checkout's ``src/``.  In another
+such interpreter it records the ``tracemalloc`` peak of one
+``draw_observations`` and one ``draw_copeland`` at ``threshold-sweep``'s
+sizes (``layer_peak_mib``).  It also times
 whole launches of a fresh interpreter: ``import pairrank``, ``pairrank
 --help`` and ``pairrank rank`` on a 50-item observations file (a real
 command, which loads numpy).  Rounds
@@ -128,6 +131,13 @@ LAYER_DESIGNS = {
         "layers": ["run_experiment"],
     },
 }
+# The memory row: the tracemalloc peak, in MiB, of one call of each of
+# these layers at SWEEP_SIZES under the sampling designs that
+# threshold-sweep draws with (r = 16) and past BTPE (r = 400), after an
+# untraced call has filled the caches (the triangle mask, the pair
+# index, the count table and the thread pool).
+MEMORY_LAYERS = ("draw_observations", "draw_copeland")
+MEMORY_DESIGNS = ("p0.25", "p0.25-r400")
 LAYER_BUDGET_S = 1.0
 LAYER_MIN_CALLS = 3
 # fresh-interpreter launches, LAUNCHES of each per round; ``{obs}`` is
@@ -237,6 +247,43 @@ def time_layers(scratch: Path) -> dict:
     return layers
 
 
+def trace_layers() -> dict:
+    """MiB at the ``tracemalloc`` peak of one call of each memory layer, by design and n.
+
+    Runs inside the measured checkout's interpreter (``--memory``).
+    """
+    import tracemalloc
+
+    from pairrank import model
+    from pairrank.rank import copeland_topk
+    from pairrank.sample import draw_observations
+
+    peaks: dict = {}
+    for design in MEMORY_DESIGNS:
+        spec = LAYER_DESIGNS[design]
+        for n in SWEEP_SIZES:
+            model_spec = model.ModelSpec(kind=spec["model"], quality_spread=spec["quality_spread"])
+            matrix = model.instantiate(model_spec, n)
+            calls = {
+                "draw_observations": lambda: draw_observations(
+                    matrix, spec["p"], spec["r"], spec["seed"]
+                ),
+                "draw_copeland": lambda: copeland_topk(
+                    draw_observations(matrix, spec["p"], spec["r"], spec["seed"]), n // 4
+                ),
+            }
+            for name in MEMORY_LAYERS:
+                calls[name]()
+                tracemalloc.start()
+                try:
+                    calls[name]()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                peaks.setdefault(design, {}).setdefault(name, {})[str(n)] = peak / 2**20
+    return peaks
+
+
 def _run(cmd: list[str], checkout: Path, env: dict | None = None) -> list[str]:
     done = subprocess.run(
         cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True
@@ -255,9 +302,9 @@ def _workload_run(checkout: Path, workload: str, seed: int, seconds: float) -> t
     return provenance, json.loads(lines[-1])
 
 
-def _layer_run(checkout: Path) -> dict:
+def _layer_run(checkout: Path, flag: str = "--layers") -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    return json.loads(_run([sys.executable, __file__, "--layers"], checkout, env)[-1])
+    return json.loads(_run([sys.executable, __file__, flag], checkout, env)[-1])
 
 
 def _write_launch_obs(checkout: Path, scratch: Path) -> Path:
@@ -307,7 +354,7 @@ def _run_spread(runs: list[dict]) -> dict:
 
 def bench(checkouts: list[Path], scratch: Path) -> list[dict]:
     seconds = [_run_seconds(checkout) for checkout in checkouts]
-    records = [{"workloads": {}, "layers": [], "launches": []} for _ in checkouts]
+    records = [{"workloads": {}, "layers": [], "peaks": [], "launches": []} for _ in checkouts]
     obs = _write_launch_obs(checkouts[0], scratch)
     for round_ in range(ROUNDS):
         order = list(enumerate(checkouts))
@@ -322,6 +369,7 @@ def bench(checkouts: list[Path], scratch: Path) -> list[dict]:
                     runs.append(result)
         for i, checkout in order:
             records[i]["layers"].append(_layer_run(checkout))
+            records[i]["peaks"].append(_layer_run(checkout, "--memory"))
             records[i]["launches"].append(_launch_run(checkout, obs))
     files = []
     for checkout, record, run_seconds in zip(checkouts, records, seconds):
@@ -350,6 +398,15 @@ def bench(checkouts: list[Path], scratch: Path) -> list[dict]:
                 for design, by_name in record["layers"][0].items()
             },
             "layer_runs_ms": record["layers"],
+            "layer_peak_mib": {
+                design: {
+                    name: {n: statistics.median(r[design][name][n] for r in record["peaks"])
+                           for n in by_n}
+                    for name, by_n in by_name.items()
+                }
+                for design, by_name in record["peaks"][0].items()
+            },
+            "layer_peak_runs_mib": record["peaks"],
             "launch_args": LAUNCH_ARGS,
             "launch_ms": {
                 name: statistics.median(r[name] for r in record["launches"]) for name in LAUNCH_ARGS
@@ -374,10 +431,14 @@ def main(argv=None) -> int:
     parser.add_argument("checkouts", nargs="*", type=Path)
     parser.add_argument("--out-dir", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--memory", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.layers:
         with tempfile.TemporaryDirectory() as scratch:
             print(json.dumps(time_layers(Path(scratch))))
+        return 0
+    if args.memory:
+        print(json.dumps(trace_layers()))
         return 0
     if not args.checkouts:
         parser.error("give at least one checkout")

@@ -47,8 +47,8 @@ MUTANTS = (
     Mutant(
         "draw-from-transpose",
         "sample.py",
-        "probs = matrix.entries[_upper_mask(n)]",
-        "probs = matrix.entries.T[_upper_mask(n)]",
+        "return entries[span][_upper_mask(n)[span]][offset:offset + stop - start]",
+        "return entries.T[span][_upper_mask(n)[span]][offset:offset + stop - start]",
         (
             "tests/test_reproduction.py::test_copeland_top_k_keeps_to_the_bound",
             "tests/test_sample.py::TestStreamContract::test_draw_matches_oracle",
@@ -141,9 +141,16 @@ MUTANTS = (
     Mutant(
         "assemble-column-wins-in-upper",
         "sample.py",
-        "wins.T[upper] = col_wins",
-        "wins[upper] = col_wins",
+        "wins.T[upper] = pairs[1]",
+        "wins[upper] = pairs[1]",
         ("tests/test_sample.py::TestStreamContract::test_draw_matches_oracle",),
+    ),
+    Mutant(
+        "pair-dtype-one-size-narrow",
+        "sample.py",
+        "return np.min_scalar_type(-r - 1)",
+        "return np.min_scalar_type(-r)",
+        ("tests/test_sample.py::TestPairDtype::test_narrow_pairs_match_an_int64_draw",),
     ),
     Mutant(
         "comparisons-file-win-on-the-wrong-side",

@@ -11,7 +11,9 @@ and column wins of each pair ``i < j`` in row-major order, and
 :func:`_assemble`, the one builder of the two ``n x n`` count arrays,
 runs when one is first read (see :class:`ObservationSet`).  Copeland
 counts its win totals from the pair vectors, so a Copeland-only set
-holds one ``n x n`` buffer, and no build holds a third.
+holds two pair-length vectors of the smallest signed integer type that
+holds ``r`` (``int8`` up to ``r = 127``), and a build frees them before
+it allocates its second ``n x n`` array.
 
 Sampling is reproducible: the output is a pure function of the inputs,
 whatever the CPU count.  :func:`draw_observations` cuts the pairs into
@@ -71,12 +73,18 @@ _DRAW_BLOCK = 8192
 _TABLE_CAP = 1 << 13
 # Most pairs that one call draws together: a call that misses draws its
 # seed and the next seeds of ``ahead`` up to this many pairs in all, so
-# the sets it stores for later calls keep ~8 MiB of ``n x n`` buffers.
+# the sets it stores for later calls keep at most this many pairs of
+# pair vectors: 1 MiB up to r = 127, 8 MiB for ``int64`` counts.
 # One draw at n = 1024 (523,776 pairs) fills it alone.
 _AHEAD_PAIRS = 1 << 19
-# Pairs per ``np.add.at`` call when win totals are counted from the pair
-# vectors: each call widens only this many column indices to ``intp``.
-_COUNT_CHUNK = 1 << 16
+# Most pairs per chunk of rows when win totals are counted from the pair
+# vectors: each chunk widens only this many column indices to ``intp``
+# and row and column wins to ``int64``, so a count adds at most 0.5 MiB
+# to the pair vectors (below n = 32,770, where no row is longer).
+# ``np.add.at`` on ``int8`` values is ~20x slower, and
+# ``np.add.reduceat(..., dtype=np.int64)`` widens all of its input at
+# once, 4 MiB for a whole vector at n = 1024.
+_COUNT_CHUNK = 1 << 15
 # Pairs per chunk of rows that :func:`write_observations_csv` formats at
 # once, so that its per-row Python objects stay under 1 MiB.
 _WRITE_CHUNK = 1 << 12
@@ -114,9 +122,11 @@ class ObservationSet:
     A draw, a thinning or a file read holds its pair vectors, the row
     and column wins of each pair ``i < j`` in row-major order, and
     builds the arrays from them on the first read of either; a set
-    constructed from the two arrays holds them.  :meth:`_read_pairs`,
-    the one reader of the pair vectors, takes a lock that orders it
-    against the build, which may reuse their buffer.
+    constructed from the two arrays holds them.  The build drops the
+    pair vectors before it allocates its second array, and only then
+    stores the arrays, so :meth:`_read_pairs`, the one reader of the
+    pair vectors, takes the lock of the build while the set is unbuilt:
+    it never sees the gap between the two, and no set is built twice.
     """
 
     __slots__ = ("n", "r", "p", "_arrays", "_pairs", "_lock")
@@ -129,17 +139,15 @@ class ObservationSet:
         self._pairs = self._lock = None
 
     @classmethod
-    def _from_pairs(cls, n: int, r: int, p, row_wins, col_wins, buffer=None) -> ObservationSet:
+    def _from_pairs(cls, n: int, r: int, p, row_wins, col_wins) -> ObservationSet:
         """The set whose pair ``i < j``, in row-major order, has these win counts.
 
-        ``buffer``, if given, is an ``n x n`` ``int64`` array that the
-        build may overwrite with the comparisons; the pair vectors may
-        live in it.
+        The set keeps the two vectors, which nothing else may write.
         """
         obs = cls.__new__(cls)
         obs.n, obs.r, obs.p = n, r, p
         obs._arrays = None
-        obs._pairs = (row_wins, col_wins, buffer)
+        obs._pairs = [row_wins, col_wins]
         obs._lock = threading.Lock()
         return obs
 
@@ -148,7 +156,7 @@ class ObservationSet:
         if self._arrays is None:
             with self._lock:
                 if self._arrays is None:
-                    comparisons, wins = _assemble(self.n, *self._pairs)
+                    comparisons, wins = _assemble(self.n, self._pairs)
                     comparisons.setflags(write=False)
                     wins.setflags(write=False)
                     self._arrays = (comparisons, wins)
@@ -161,7 +169,7 @@ class ObservationSet:
         if self._arrays is None:
             with self._lock:
                 if self._pairs is not None:
-                    return read(*self._pairs[:2])
+                    return read(*self._pairs)
         upper = _upper_mask(self.n)
         wins = self._arrays[1]
         return read(wins[upper], wins.T[upper])
@@ -177,16 +185,17 @@ class ObservationSet:
     def win_totals(self) -> np.ndarray:
         """Total comparisons won per item, ``wins.sum(axis=1)``, counted from the pair vectors.
 
-        The row wins of each row's pairs by one ``np.add.reduceat``,
-        plus the column wins of each pair added to its column item by
-        ``np.add.at``, in chunks of ``_COUNT_CHUNK`` pairs.  ``int64``
-        sums wrap alike in any order, so the totals have the bits of
-        ``wins.sum(axis=1)``.
+        In chunks of whole rows, at most ``_COUNT_CHUNK`` pairs each,
+        widened to ``int64``: the row wins of each row's pairs by
+        ``np.add.reduceat``, plus the column wins of each pair added to
+        its column item by ``np.add.at``.  ``int64`` sums wrap alike in any order, so the
+        totals have the bits of ``wins.sum(axis=1)``.
         """
         return self._read_pairs(partial(_pair_totals, self.n))
 
     def total_comparisons(self) -> int:
-        return int(self.comparisons.sum()) // 2
+        """Comparisons over all pairs: both pair vectors summed in ``int64``, building nothing."""
+        return self._read_pairs(_pair_sum)
 
 
 @lru_cache(maxsize=8)
@@ -206,21 +215,51 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, columns
 
 
-def _pair_buffer(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A zeroed ``n x n`` ``int64`` buffer, and the row and column win vectors that live in it."""
-    flat, pairs = np.zeros(n * n, dtype=np.int64), n * (n - 1) // 2
-    return flat.reshape(n, n), flat[:pairs], flat[pairs:2 * pairs]
+def _pair_dtype(r: int) -> np.dtype:
+    """The smallest signed integer type that holds every count up to ``r``.
+
+    ``int8`` up to 127, ``int16`` up to 32,767, ``int32`` up to
+    ``2**31 - 1``, else ``int64``.  ``-r - 1`` is the most negative value
+    of the type that holds ``r``, whereas ``-r`` fits a type one size too
+    narrow at ``r = 128``, 32,768 and ``2**31``.
+    """
+    return np.min_scalar_type(-r - 1)
 
 
 def _pair_totals(n: int, row_wins: np.ndarray, col_wins: np.ndarray) -> np.ndarray:
-    """Per-item win totals of the pair vectors of ``n`` items."""
+    """Per-item win totals of the pair vectors of ``n`` items, in ``int64``."""
     starts, columns = _pair_index(n)
     totals = np.zeros(n, dtype=np.int64)
-    totals[:-1] = np.add.reduceat(row_wins, starts)
-    for start in range(0, col_wins.size, _COUNT_CHUNK):
-        chunk = slice(start, start + _COUNT_CHUNK)
-        np.add.at(totals, columns[chunk].astype(np.intp), col_wins[chunk])
+    first = 0
+    while first < n - 1:
+        # rows first..last-1: at most _COUNT_CHUNK pairs, unless one row holds more
+        last = min(first + max(_COUNT_CHUNK // (n - 1 - first), 1), n - 1)
+        chunk = slice(starts[first], starts[last] if last < n - 1 else row_wins.size)
+        cuts = starts[first:last] - starts[first]
+        totals[first:last] += np.add.reduceat(row_wins[chunk], cuts, dtype=np.int64)
+        np.add.at(totals, columns[chunk].astype(np.intp), col_wins[chunk].astype(np.int64))
+        first = last
     return totals
+
+
+def _pair_sum(row_wins: np.ndarray, col_wins: np.ndarray) -> int:
+    """Comparisons over all pairs of the pair vectors, each summed in ``int64``."""
+    return int(row_wins.sum(dtype=np.int64)) + int(col_wins.sum(dtype=np.int64))
+
+
+def _block_probs(entries: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The probabilities of pairs ``start`` to ``stop - 1``, in row-major order.
+
+    Gathered from the rows of ``entries`` that the pairs span, right of
+    the diagonal of the first, so a block reads about its own length,
+    not the whole triangle.
+    """
+    n = entries.shape[0]
+    starts = _pair_index(n)[0]
+    first, last = np.searchsorted(starts, (start, stop - 1), side="right") - 1
+    span = (slice(first, last + 1), slice(first + 1, n))
+    offset = start - starts[first]
+    return entries[span][_upper_mask(n)[span]][offset:offset + stop - start]
 
 
 def _first(pred, lo: int, hi: int) -> int:
@@ -298,14 +337,15 @@ def draw_observations(
     blocks of ``_DRAW_BLOCK``; block 0 draws from
     ``SeedSequence((seed, _DRAW_TAG))`` and block ``b >= 1`` from
     child ``b - 1`` of ``spawn(blocks - 1)`` on that sequence, counts
-    first, then row wins.  The output is bit-identical for equal
-    ``(matrix, p, r, seed)`` whatever the CPU count and ``ahead``.  The
-    blocks write their row and column wins as pair vectors into one
-    ``n x n`` buffer, which the set keeps: while only
-    :meth:`ObservationSet.win_totals` is read, a draw holds that buffer
-    and the pair probabilities, and the first read of ``wins`` or
-    ``comparisons`` adds the one ``n x n`` wins array and writes the
-    comparisons over the buffer.
+    first, then row wins, each block gathering its own probabilities
+    from the rows of the matrix that it spans.  The output is
+    bit-identical for equal ``(matrix, p, r, seed)`` whatever the CPU
+    count and ``ahead``.  The blocks write their row and column wins
+    into two pair vectors of :func:`_pair_dtype` ``(r)``, which the set
+    keeps: while only :meth:`ObservationSet.win_totals` is read, a draw
+    holds those two vectors (1 MiB at n = 1024 for r up to 127), and the
+    first read of ``wins`` or ``comparisons`` builds both ``n x n``
+    arrays.
 
     ``ahead``, if given, is a dict owned by the caller whose keys are
     the seeds it will ask for, in order, all with this ``matrix``, ``p``
@@ -315,7 +355,7 @@ def draw_observations(
     of ``ahead`` that hold no set, as many draws as fit in
     ``_AHEAD_PAIRS`` pairs and at least one, and stores their sets in
     ``ahead``.  With ``usable`` CPUs it deals the ``(draw, block)``
-    tasks, draw by draw and block by block, in turn to
+    tasks, block by block and draw by draw, in turn to
     ``min(tasks, usable)`` groups: the calling thread draws group 0,
     and a thread pool of ``usable - 1`` workers, started on the first
     call with two or more tasks and reused by every later one, draws
@@ -354,30 +394,34 @@ def draw_observations(
     pairs = n * (n - 1) // 2
     later = (_check_seed(s) for s, stored in ahead.items() if stored is None)
     seeds = [seed, *itertools.islice(later, max(_AHEAD_PAIRS // pairs, 1) - 1)]
-    probs = matrix.entries[_upper_mask(n)]
     blocks = -(-pairs // _DRAW_BLOCK)
-    draws = []  # per seed: its block streams and its pair buffer
+    dtype = _pair_dtype(r)
+    draws = []  # per seed: its block streams, its row wins and its column wins
     for s in seeds:
         root = np.random.SeedSequence((s, _DRAW_TAG))
-        draws.append(([root, *root.spawn(blocks - 1)], _pair_buffer(n)))
+        draws.append(([root, *root.spawn(blocks - 1)], np.empty(pairs, dtype), np.empty(pairs, dtype)))
     table = None if p == 1.0 else _count_table(r, 1.0 - p if p > 0.5 else p)
     tasks = len(draws) * blocks
     groups = min(tasks, _usable_cpus())
 
     def draw_group(g: int) -> None:
-        # task-local only: each task has its own generator and its own output slices
+        # task-local only: each task has its own generator and its own output slices;
+        # the group's tasks of one block, one per draw in turn, share its probabilities
+        gathered = None
         for task in range(g, tasks, groups):
-            streams, (_, row_wins, col_wins) = draws[task // blocks]
-            b = task % blocks
-            block = slice(b * _DRAW_BLOCK, (b + 1) * _DRAW_BLOCK)
-            block_probs = probs[block]
+            b, d = divmod(task, len(draws))
+            streams, row_wins, col_wins = draws[d]
+            start, stop = b * _DRAW_BLOCK, min((b + 1) * _DRAW_BLOCK, pairs)
+            if gathered != b:
+                probs, gathered = _block_probs(matrix.entries, start, stop), b
             rng = np.random.default_rng(streams[b])
             if p == 1.0:
-                counts = np.full(block_probs.size, r, dtype=np.int64)
+                counts = np.full(probs.size, r, dtype=np.int64)
             else:
-                counts = _draw_counts(rng, r, p, block_probs.size, table)
-            row_wins[block] = rng.binomial(counts, block_probs)
-            np.subtract(counts, row_wins[block], out=col_wins[block])
+                counts = _draw_counts(rng, r, p, probs.size, table)
+            wins = rng.binomial(counts, probs)
+            row_wins[start:stop] = wins
+            np.subtract(counts, wins, out=col_wins[start:stop])
 
     futures = [_draw_pool().submit(draw_group, g) for g in range(1, groups)]
     try:
@@ -385,28 +429,28 @@ def draw_observations(
     finally:
         for future in futures:
             future.result()
-    sets = {s: ObservationSet._from_pairs(n, r, p, row_wins, col_wins, buffer)
-            for s, (_, (buffer, row_wins, col_wins)) in zip(seeds, draws)}
+    sets = {s: ObservationSet._from_pairs(n, r, p, row_wins, col_wins)
+            for s, (_, row_wins, col_wins) in zip(seeds, draws)}
     obs = sets.pop(seed)
     ahead.update(sets)
     return obs
 
 
-def _assemble(n: int, row_wins, col_wins, comparisons=None) -> tuple[np.ndarray, np.ndarray]:
-    """``(comparisons, wins)`` of the ``n`` items whose pairs have these win counts.
+def _assemble(n: int, pairs: list) -> tuple[np.ndarray, np.ndarray]:
+    """``(comparisons, wins)`` of the ``n`` items whose pairs have the win counts ``pairs``.
 
     The one builder of count arrays: every set starts as its pair
-    vectors, the pairs ``i < j`` in row-major order.  Two masked
-    scatters fill ``wins`` and a transposed sum forms the comparisons.
-    ``comparisons``, if given, is the ``n x n`` output buffer, and the
-    pair vectors may live in it: the sum writes it only after the
-    scatters have read them.
+    vectors, ``pairs = [row_wins, col_wins]`` over the pairs ``i < j``
+    in row-major order.  Two masked scatters fill the ``int64`` wins,
+    then ``pairs`` is emptied, which frees the vectors if nothing else
+    holds them, and a transposed sum forms the comparisons.
     """
     upper = _upper_mask(n)
     wins = np.zeros((n, n), dtype=np.int64)
-    wins[upper] = row_wins
-    wins.T[upper] = col_wins
-    return np.add(wins, wins.T, out=comparisons), wins
+    wins[upper] = pairs[0]
+    wins.T[upper] = pairs[1]
+    pairs.clear()
+    return wins + wins.T, wins
 
 
 def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
@@ -416,8 +460,9 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
     a fresh draw with design ``(p * q, r)``.  At ``q = 1`` the
     (read-only) input set itself is returned.  A thinning reads the
     input's pair vectors (:meth:`ObservationSet._read_pairs`) and keeps
-    only its own, building no arrays until they are read, so a Copeland
-    count of a thinning never builds them.
+    only its own, in :func:`_pair_dtype` ``(r)``, building no arrays
+    until they are read, so a Copeland count of a thinning never builds
+    them.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
@@ -430,7 +475,9 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
     def thin(row_wins, col_wins):
         return rng.binomial(row_wins, q), rng.binomial(col_wins, q)
 
-    return ObservationSet._from_pairs(obs.n, obs.r, p, *obs._read_pairs(thin))
+    dtype = _pair_dtype(obs.r)
+    kept = (wins.astype(dtype) for wins in obs._read_pairs(thin))
+    return ObservationSet._from_pairs(obs.n, obs.r, p, *kept)
 
 
 class UnlistedItem(ValueError):
@@ -454,7 +501,8 @@ def read_comparisons(path, index) -> ObservationSet:
     :class:`UnlistedItem`).  A byte that is not UTF-8 names its line,
     and a file without records names the file alone.
     One ``np.add.at`` adds a row's count to its pair's row wins when the
-    smaller index won, else to its column wins.
+    smaller index won, else to its column wins: two ``int64`` pair
+    vectors, as ``r`` is known only once every row is counted.
     """
     with _textio.open_text(path) as fh:
         first = fh.readline()
@@ -501,14 +549,16 @@ def read_comparisons(path, index) -> ObservationSet:
     if not winners:
         raise ValueError(f"{path}: no comparison records")
     n = len(index)
-    buffer, row_wins, col_wins = _pair_buffer(n)
+    pairs = n * (n - 1) // 2
+    wins = np.zeros(2 * pairs, dtype=np.int64)
+    row_wins, col_wins = wins[:pairs], wins[pairs:]
     winners, losers = np.array(winners, dtype=np.intp), np.array(losers, dtype=np.intp)
     slots = _pair_index(n)[0][np.minimum(winners, losers)] + np.abs(winners - losers) - 1
     slots += row_wins.size * (winners > losers)  # a column win: the slot in the second vector
     # distinct lines can share a (winner, loser) pair: unbuffered, exact int64 sums
-    np.add.at(buffer.reshape(-1), slots, np.array(counts, dtype=np.int64))
+    np.add.at(wins, slots, np.array(counts, dtype=np.int64))
     r = int((row_wins + col_wins).max())
-    return ObservationSet._from_pairs(n, r, None, row_wins, col_wins, buffer)
+    return ObservationSet._from_pairs(n, r, None, row_wins, col_wins)
 
 
 _OBS_META = re.compile(r"^# n=(\d+) r=(\d+) p=(\S+)$")
@@ -547,13 +597,14 @@ def read_observations_csv(path) -> ObservationSet:
     """Read an observation set written by :func:`write_observations_csv`.
 
     Line 1 is the metadata line: ``n`` is at least 2, ``p`` is ``na`` or
-    in ``(0, 1]``, ``r`` is below ``2**63`` and one ``n x n`` count
-    array must fit in memory.  Line 2 is the header, and each later line
-    is blank or one row of four integers: a pair ``i < j < n``, not
-    repeated, and counts with ``0 <= wins <= comparisons <= r``.  Every
-    error names the file and the line that breaks a rule.  A row sets
-    its pair's row wins to ``wins`` and column wins to ``comparisons - wins``,
-    and a flag of one byte per pair marks the pairs read.
+    in ``(0, 1]``, ``r`` is below ``2**63`` and the two pair vectors,
+    of :func:`_pair_dtype` ``(r)``, and the ``n x n`` triangle mask must
+    fit in memory.  Line 2 is the header, and each later line is blank
+    or one row of four integers: a pair ``i < j < n``, not repeated, and
+    counts with ``0 <= wins <= comparisons <= r``.  Every error names the
+    file and the line that breaks a rule.  A row sets its pair's row
+    wins to ``wins`` and column wins to ``comparisons - wins``, and a
+    flag of one byte per pair marks the pairs read.
     """
     with _textio.open_text(path) as fh:
         meta = _OBS_META.match(fh.readline().rstrip("\r\n"))
@@ -569,11 +620,12 @@ def read_observations_csv(path) -> ObservationSet:
             raise ValueError(f"{path}:1: metadata n must be at least 2, got {n}")
         if r >= 2**63:
             raise ValueError(f"{path}:1: metadata r must be below 2**63, got {r}")
+        pairs, dtype = n * (n - 1) // 2, _pair_dtype(r)
         try:
-            buffer, row_wins, col_wins = _pair_buffer(n)
+            row_wins, col_wins = np.zeros(pairs, dtype), np.zeros(pairs, dtype)
+            starts = _pair_index(n)[0].tolist()
         except (MemoryError, ValueError):  # numpy: more than the address space
             raise ValueError(f"{path}:1: metadata n={n} is too large to allocate") from None
-        starts = _pair_index(n)[0].tolist()
         rows = _textio.records(path, fh, start=2)
         _, header = next(rows, (2, None))
         if header != ["i", "j", "comparisons", "wins_i"]:
@@ -598,4 +650,4 @@ def read_observations_csv(path) -> ObservationSet:
                 raise ValueError(f"{path}:{lineno}: counts violate 0 <= wins <= comparisons <= r")
             row_wins[slot] = w
             col_wins[slot] = c - w
-    return ObservationSet._from_pairs(n, r, p, row_wins, col_wins, buffer)
+    return ObservationSet._from_pairs(n, r, p, row_wins, col_wins)

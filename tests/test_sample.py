@@ -9,10 +9,11 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairrank import sample
@@ -480,10 +481,9 @@ class TestStreamContract:
     def test_a_draw_counted_by_copeland_holds_one_count_array(self, monkeypatch):
         n = 1024
         pairs = n * (n - 1) // 2
-        # one n x n int64 buffer, the float64 pair probabilities and 1 MiB for the
-        # block-length temporaries of two groups of draw blocks; the parent's draw
-        # assembled two n x n arrays (16.1 MiB), and this bound is 13.0 MiB
-        bound = n * n * 8 + pairs * 8 + 2**20
+        # two int8 pair vectors (r = 16) and 1 MiB for the block-length temporaries
+        # of two groups of draw blocks: 2.0 MiB, a quarter of one n x n int64 array
+        bound = 2 * pairs + 2**20
         monkeypatch.setattr(sample, "_usable_cpus", lambda: 2)
         m = gen_parametric(np.linspace(2.0, -2.0, n), "logistic")
         # the first draw and count fill the caches: the triangle mask, the count
@@ -491,15 +491,21 @@ class TestStreamContract:
         copeland_topk(draw_observations(m, 0.25, 16, seed=1), n // 4)
         tracemalloc.start()
         try:
-            copeland_topk(draw_observations(m, 0.25, 16, seed=2), n // 4)
-            peak = tracemalloc.get_traced_memory()[1]
+            obs = draw_observations(m, 0.25, 16, seed=2)
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            copeland_topk(obs, n // 4)
+            counted = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert obs._arrays is None and held >= 2 * pairs
         assert peak <= bound, (peak, bound)
+        # the count widens one chunk of the pair vectors at a time
+        assert counted <= held + 2**20, (counted, held)
 
     def test_threads_reading_one_unbuilt_set_agree(self):
-        # the build writes the comparisons over the buffer that holds the pair
-        # vectors, so a count or a thinning that read them unlocked could see either
+        # the build drops the pair vectors before it stores the arrays, so a count
+        # or a thinning that read them unlocked could find neither
         m = gen_parametric(np.linspace(2.0, -2.0, 300), "logistic")
         reference = draw_observations(m, 0.5, 7, seed=4)
         thinned = subsample(reference, 0.5, seed=1)
@@ -604,8 +610,11 @@ class TestStreamContract:
         # totals first, then the arrays, against the arrays first, then the totals
         totals = counted.win_totals()
         picks = {k: copeland_topk(counted, k).items for k in (1, 2)}
+        total = counted.total_comparisons()
+        assert counted._arrays is None  # counting built nothing
         arrays = built.comparisons, built.wins
         assert totals.dtype == np.int64
+        assert total == built.total_comparisons() == int(arrays[0].sum()) // 2
         np.testing.assert_array_equal(totals, built.wins.sum(axis=1))
         np.testing.assert_array_equal(built.win_totals(), totals)
         np.testing.assert_array_equal(counted.comparisons, arrays[0])
@@ -653,6 +662,58 @@ class TestStreamContract:
         again = subsample(obs, q, seeds[1])
         assert np.array_equal(again.wins, thin.wins)
         assert np.array_equal(again.comparisons, thin.comparisons)
+
+
+# the widest count of each pair type, and one past it
+PAIR_DTYPES = {127: np.int8, 128: np.int16, 32767: np.int16, 32768: np.int32,
+               2**31 - 1: np.int32, 2**31: np.int64}
+
+
+class TestPairDtype:
+    @pytest.mark.parametrize("r", list(PAIR_DTYPES))
+    @settings(max_examples=15, deadline=None)
+    @given(
+        m=matrices(max_n=6),
+        p=st.just(1.0) | st.floats(0.01, 0.99),
+        seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+    )
+    # a certain winner: at p = 1 its row wins are r, the widest count
+    @example(m=certain_matrix(), p=1.0, seeds=(1, 2))
+    def test_narrow_pairs_match_an_int64_draw(self, tmp_path_factory, r, m, p, seeds):
+        def observe():
+            """A draw and what is read from its pair vectors, all before any build."""
+            obs = draw_observations(m, p, r, seeds[0])
+            path = tmp_path_factory.mktemp("pairs") / "obs.csv"
+            totals, total = obs.win_totals(), obs.total_comparisons()
+            thin = subsample(obs, 0.5, seeds[1])
+            write_observations_csv(obs, path)
+            back = read_observations_csv(path)
+            assert obs._arrays is None
+            return obs, totals, total, thin, path.read_bytes(), back
+
+        narrow = observe()
+        # the oracle: the same draw with int64 pair vectors throughout
+        with mock.patch.object(sample, "_pair_dtype", lambda r: np.dtype(np.int64)):
+            wide = observe()
+            for obs in wide[0], wide[3], wide[5]:
+                assert obs._pairs[0].dtype == obs._pairs[1].dtype == np.int64
+                obs.wins
+        for obs in narrow[0], narrow[3], narrow[5]:
+            assert obs._pairs[0].dtype == obs._pairs[1].dtype == PAIR_DTYPES[r]
+        np.testing.assert_array_equal(narrow[1], wide[1])
+        assert narrow[2] == wide[2]
+        assert narrow[4] == wide[4]
+        for i in 0, 3, 5:  # the draw, its thinning and its file read back
+            got, expected = narrow[i], wide[i]
+            np.testing.assert_array_equal(got.wins, expected.wins)
+            np.testing.assert_array_equal(got.comparisons, expected.comparisons)
+            assert got.wins.dtype == got.comparisons.dtype == np.int64
+            assert got.total_comparisons() == expected.total_comparisons()
+        drawn = wide[0]
+        np.testing.assert_array_equal(narrow[1], drawn.wins.sum(axis=1))
+        assert narrow[2] == int(drawn.comparisons.sum()) // 2
+        if p == 1.0:
+            assert np.all(drawn.comparisons[np.triu_indices(m.n, 1)] == r)
 
 
 def write_comparisons(path, rows):
