@@ -19,9 +19,11 @@ output layers (``write_results_csv`` rewriting one results CSV, and
 and the harness (``run_experiment``) on the trials of one
 ``threshold-sweep`` config at n = 64, in a fresh interpreter
 that imports ``pairrank`` from the checkout's ``src/``.  In another
-such interpreter it records the ``tracemalloc`` peak of one
-``draw_observations`` and one ``draw_copeland`` at ``threshold-sweep``'s
-sizes (``layer_peak_mib``).  It also times
+such interpreter it records the ``tracemalloc`` peak of one fresh
+matrix build (``instantiate``), one ``draw_observations``, one
+``draw_copeland`` and the first ``wins`` read of a fresh draw
+(``wins_first_read``) at ``threshold-sweep``'s sizes
+(``layer_peak_mib``).  It also times
 whole launches of a fresh interpreter: ``import pairrank``, ``pairrank
 --help`` and ``pairrank rank`` on a 50-item observations file (a real
 command, which loads numpy).  Rounds
@@ -135,8 +137,12 @@ LAYER_DESIGNS = {
 # these layers at SWEEP_SIZES under the sampling designs that
 # threshold-sweep draws with (r = 16) and past BTPE (r = 400), after an
 # untraced call has filled the caches (the triangle mask, the pair
-# index, the count table and the thread pool).
-MEMORY_LAYERS = ("draw_observations", "draw_copeland")
+# index, the count table and the thread pool).  ``instantiate`` is a
+# BTL build with the memo cleared, and ``wins_first_read`` the first
+# ``wins`` read of a draw made before the trace starts: threshold-sweep's
+# peak RSS is set where a unit rebuilds its n = 1024 matrix and where
+# the benchmark's check reads the wins of an n = 1024 draw.
+MEMORY_LAYERS = ("instantiate", "draw_observations", "draw_copeland", "wins_first_read")
 MEMORY_DESIGNS = ("p0.25", "p0.25-r400")
 LAYER_BUDGET_S = 1.0
 LAYER_MIN_CALLS = 3
@@ -148,6 +154,14 @@ LAUNCH_ARGS = {
     "help": ["-m", "pairrank", "--help"],
     "rank": ["-m", "pairrank", "rank", "--obs", "{obs}", "--k", "5"],
 }
+
+
+def _instantiate_first(model_spec, n: int):
+    """``model.instantiate`` with its memo cleared first, so that it builds."""
+    from pairrank import model
+
+    model._build_memoized.cache_clear()
+    return model.instantiate(model_spec, n)
 
 
 def time_layers(scratch: Path) -> dict:
@@ -162,10 +176,6 @@ def time_layers(scratch: Path) -> dict:
     from pairrank.rank import copeland_topk, mle_refine, rank_centrality
     from pairrank.sample import draw_observations
 
-    def instantiate_first(model_spec, n):
-        model._build_memoized.cache_clear()
-        return model.instantiate(model_spec, n)
-
     layers: dict = {}
     for design, spec in LAYER_DESIGNS.items():
         names = spec.get("layers", LAYERS)
@@ -176,7 +186,7 @@ def time_layers(scratch: Path) -> dict:
             model_spec = model.ModelSpec(kind=spec["model"], quality_spread=spec["quality_spread"])
             matrix = model.instantiate(model_spec, n)
             calls = {
-                "instantiate_first": lambda: instantiate_first(model_spec, n),
+                "instantiate_first": lambda: _instantiate_first(model_spec, n),
                 "instantiate_repeat": lambda: model.instantiate(model_spec, n),
             }
             setups = {}  # layer -> an untimed call before each call, whose result it takes
@@ -264,19 +274,24 @@ def trace_layers() -> dict:
         for n in SWEEP_SIZES:
             model_spec = model.ModelSpec(kind=spec["model"], quality_spread=spec["quality_spread"])
             matrix = model.instantiate(model_spec, n)
+
+            def draw():
+                return draw_observations(matrix, spec["p"], spec["r"], spec["seed"])
+
             calls = {
-                "draw_observations": lambda: draw_observations(
-                    matrix, spec["p"], spec["r"], spec["seed"]
-                ),
-                "draw_copeland": lambda: copeland_topk(
-                    draw_observations(matrix, spec["p"], spec["r"], spec["seed"]), n // 4
-                ),
+                "instantiate": lambda: _instantiate_first(model_spec, n),
+                "draw_observations": draw,
+                "draw_copeland": lambda: copeland_topk(draw(), n // 4),
+                "wins_first_read": lambda fresh: fresh.wins,
             }
+            setups = {"wins_first_read": lambda: (draw(),)}  # untraced, before each call
             for name in MEMORY_LAYERS:
-                calls[name]()
+                call, setup = calls[name], setups.get(name, tuple)
+                call(*setup())
+                args = setup()
                 tracemalloc.start()
                 try:
-                    calls[name]()
+                    call(*args)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()

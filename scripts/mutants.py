@@ -146,6 +146,13 @@ MUTANTS = (
         ("tests/test_sample.py::TestStreamContract::test_draw_matches_oracle",),
     ),
     Mutant(
+        "comparisons-without-transpose",
+        "sample.py",
+        "comparisons = wins + wins.T",
+        "comparisons = wins + wins",
+        ("tests/test_sample.py::TestStreamContract::test_a_first_wins_read_holds_one_count_array",),
+    ),
+    Mutant(
         "pair-dtype-one-size-narrow",
         "sample.py",
         "return np.min_scalar_type(-r - 1)",
@@ -169,8 +176,8 @@ MUTANTS = (
     Mutant(
         "lower-triangle-copies-the-upper",
         "model.py",
-        "entries.T[mask] = 1.0 - upper",
-        "entries.T[mask] = upper",
+        "    np.subtract(1.0, upper, out=upper)\n",
+        "",
         ("tests/test_model.py::test_from_pairs_is_byte_identical_to_pair_indexing",),
     ),
     Mutant(

@@ -28,9 +28,10 @@ from ._textio import MODEL_KINDS
 
 SYMMETRY_TOL = 1e-9
 
+# each overwrites its pair differences with their CDF values
 _PARAMETRIC_CDFS = {
-    "logistic": lambda x: _special.expit(x),
-    "gaussian": lambda x: _special.ndtr(x),
+    "logistic": lambda x: _special.expit(x, out=x),
+    "gaussian": lambda x: _special.ndtr(x, out=x),
 }
 
 
@@ -71,20 +72,26 @@ def _from_pairs(n: int, upper: np.ndarray) -> ComparisonMatrix:
     ``upper`` is written above the diagonal, ``1 - upper`` below it entry
     by entry and exactly ``1/2`` on it, so the complementarity invariant
     holds to the last bit by construction.  Every matrix is built here.
+    It takes a ``float64`` ``upper`` over, else a ``float64`` copy, and
+    overwrites it with ``1 - upper``: a build holds 1.5 ``n x n`` arrays.
     """
     mask = _upper_mask(n)
+    upper = upper.astype(np.float64, copy=False)
     entries = np.empty((n, n))
     entries[mask] = upper
-    entries.T[mask] = 1.0 - upper
+    np.subtract(1.0, upper, out=upper)
+    entries.T[mask] = upper
     np.fill_diagonal(entries, 0.5)
     return ComparisonMatrix(entries)
 
 
 def _pair_differences(v: np.ndarray) -> np.ndarray:
-    """``v[i] - v[j]`` for the pairs ``i < j``, in :func:`_upper_mask` order."""
+    """``v[i] - v[j]`` for the pairs ``i < j``, in :func:`_upper_mask` order, in place."""
     n = v.size
     mask = _upper_mask(n)
-    return np.broadcast_to(v[:, None], (n, n))[mask] - np.broadcast_to(v, (n, n))[mask]
+    differences = np.broadcast_to(v[:, None], (n, n))[mask]
+    differences -= np.broadcast_to(v, (n, n))[mask]
+    return differences
 
 
 def make_matrix(entries) -> ComparisonMatrix:
@@ -164,7 +171,7 @@ def gen_btl_outlier(w, outlier: int) -> ComparisonMatrix:
     n = w.size
     if not 0 <= outlier < n:
         raise ValueError(f"outlier index {outlier} out of range for n={n}")
-    upper = _special.expit(_pair_differences(w))
+    upper = _PARAMETRIC_CDFS["logistic"](_pair_differences(w))
     others = np.array([i for i in range(n) if i != outlier])
     # highest-quality others first; ties broken by smaller index
     by_quality = others[np.lexsort((others, -w[others]))]
@@ -219,8 +226,11 @@ def gen_btl_mixture(w, lam: float) -> ComparisonMatrix:
         raise ValueError(f"mixture weight must lie in (1/2, 1], got {lam}")
     w = _qualities(w)
     diffs = _pair_differences(w)
-    upper = lam * _special.expit(diffs) + (1.0 - lam) * _special.expit(-diffs)
-    del diffs  # not held while the matrix is built
+    upper = _special.expit(diffs)
+    upper *= lam
+    reverse = _special.expit(np.negative(diffs, out=diffs), out=diffs)
+    upper += np.multiply(1.0 - lam, reverse, out=reverse)
+    del diffs, reverse  # not held while the matrix is built
     return _from_pairs(w.size, upper)
 
 
@@ -228,7 +238,8 @@ def _two_block(n: int, top, gap: float) -> ComparisonMatrix:
     """``1/2 + gap`` from the items ``top`` to the rest, ``1/2 - gap`` back, ``1/2`` within."""
     member = np.zeros(n)
     member[top] = 1.0
-    return _from_pairs(n, 0.5 + gap * _pair_differences(member))
+    upper = _pair_differences(member)
+    return _from_pairs(n, np.add(0.5, np.multiply(gap, upper, out=upper), out=upper))
 
 
 def gen_planted(n: int, k: int, delta: float, plant_index: int | None = None) -> ComparisonMatrix:
@@ -272,7 +283,8 @@ def gen_adjacent_swap(n: int, delta0: float, a: int) -> ComparisonMatrix:
         )
     ranks = np.arange(1, n + 1, dtype=np.float64)
     ranks[a], ranks[a + 1] = ranks[a + 1], ranks[a]
-    return _from_pairs(n, 0.5 - _pair_differences(ranks) * delta0)
+    upper = _pair_differences(ranks)
+    return _from_pairs(n, np.subtract(0.5, np.multiply(upper, delta0, out=upper), out=upper))
 
 
 def gen_hamming_planted(n: int, k: int, delta0: float, ordering=None) -> ComparisonMatrix:

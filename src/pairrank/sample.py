@@ -8,12 +8,12 @@ depend only on counts, so memory stays ``O(n^2)`` regardless of ``r``.
 
 A draw, a thinning or a file read starts as its pair vectors, the row
 and column wins of each pair ``i < j`` in row-major order, and
-:func:`_assemble`, the one builder of the two ``n x n`` count arrays,
-runs when one is first read (see :class:`ObservationSet`).  Copeland
-counts its win totals from the pair vectors, so a Copeland-only set
-holds two pair-length vectors of the smallest signed integer type that
-holds ``r`` (``int8`` up to ``r = 127``), and a build frees them before
-it allocates its second ``n x n`` array.
+:func:`_assemble`, the one builder of the ``n x n`` wins, runs when
+they are first read; the comparisons are formed from the wins when
+first read (see :class:`ObservationSet`).  Copeland counts its win
+totals from the pair vectors, so a Copeland-only set holds two
+pair-length vectors of the smallest signed integer type that holds
+``r`` (``int8`` up to ``r = 127``), and a build frees them.
 
 Sampling is reproducible: the output is a pure function of the inputs,
 whatever the CPU count.  :func:`draw_observations` cuts the pairs into
@@ -120,22 +120,24 @@ class ObservationSet:
     design.
 
     A draw, a thinning or a file read holds its pair vectors, the row
-    and column wins of each pair ``i < j`` in row-major order, and
-    builds the arrays from them on the first read of either; a set
-    constructed from the two arrays holds them.  The build drops the
-    pair vectors before it allocates its second array, and only then
-    stores the arrays, so :meth:`_read_pairs`, the one reader of the
-    pair vectors, takes the lock of the build while the set is unbuilt:
-    it never sees the gap between the two, and no set is built twice.
+    and column wins of each pair ``i < j`` in row-major order.  The
+    first read of ``wins`` builds it from them and drops them, and the
+    first read of ``comparisons`` forms it as ``wins + wins.T``, so the
+    invariant holds by construction and a set whose ``wins`` alone is
+    read holds one ``n x n`` array.  A set constructed from the two
+    arrays holds them.  Each array is made once, under the set's lock;
+    :meth:`_read_pairs`, the one reader of the pair vectors, takes the
+    lock too while ``wins`` is unbuilt, so it never sees the pair vectors
+    dropped before ``wins`` is stored.
     """
 
-    __slots__ = ("n", "r", "p", "_arrays", "_pairs", "_lock")
+    __slots__ = ("n", "r", "p", "_wins", "_comparisons", "_pairs", "_lock")
 
     def __init__(self, n: int, r: int, p: float | None, comparisons: np.ndarray, wins: np.ndarray):
         comparisons.setflags(write=False)
         wins.setflags(write=False)
         self.n, self.r, self.p = n, r, p
-        self._arrays = (comparisons, wins)
+        self._wins, self._comparisons = wins, comparisons
         self._pairs = self._lock = None
 
     @classmethod
@@ -146,41 +148,41 @@ class ObservationSet:
         """
         obs = cls.__new__(cls)
         obs.n, obs.r, obs.p = n, r, p
-        obs._arrays = None
+        obs._wins = obs._comparisons = None
         obs._pairs = [row_wins, col_wins]
         obs._lock = threading.Lock()
         return obs
 
-    def _built(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(comparisons, wins)``, assembled from the pair vectors on the first call."""
-        if self._arrays is None:
-            with self._lock:
-                if self._arrays is None:
-                    comparisons, wins = _assemble(self.n, self._pairs)
-                    comparisons.setflags(write=False)
-                    wins.setflags(write=False)
-                    self._arrays = (comparisons, wins)
-                    self._pairs = None
-        return self._arrays
-
     def _read_pairs(self, read):
         """``read(row_wins, col_wins)``: on the held pair vectors under the lock while
         unbuilt, else on ``wins[upper]`` and ``wins.T[upper]``, two masked reads."""
-        if self._arrays is None:
+        if self._wins is None:
             with self._lock:
                 if self._pairs is not None:
                     return read(*self._pairs)
         upper = _upper_mask(self.n)
-        wins = self._arrays[1]
-        return read(wins[upper], wins.T[upper])
+        return read(self._wins[upper], self._wins.T[upper])
 
     @property
     def comparisons(self) -> np.ndarray:
-        return self._built()[0]
+        if self._comparisons is None:
+            wins = self.wins  # outside the lock, which building wins takes
+            with self._lock:
+                if self._comparisons is None:
+                    comparisons = wins + wins.T
+                    comparisons.setflags(write=False)
+                    self._comparisons = comparisons
+        return self._comparisons
 
     @property
     def wins(self) -> np.ndarray:
-        return self._built()[1]
+        if self._wins is None:
+            with self._lock:
+                if self._wins is None:
+                    wins = _assemble(self.n, self._pairs)
+                    wins.setflags(write=False)
+                    self._wins, self._pairs = wins, None
+        return self._wins
 
     def win_totals(self) -> np.ndarray:
         """Total comparisons won per item, ``wins.sum(axis=1)``, counted from the pair vectors.
@@ -343,9 +345,9 @@ def draw_observations(
     count and ``ahead``.  The blocks write their row and column wins
     into two pair vectors of :func:`_pair_dtype` ``(r)``, which the set
     keeps: while only :meth:`ObservationSet.win_totals` is read, a draw
-    holds those two vectors (1 MiB at n = 1024 for r up to 127), and the
-    first read of ``wins`` or ``comparisons`` builds both ``n x n``
-    arrays.
+    holds those two vectors (1 MiB at n = 1024 for r up to 127), the
+    first read of ``wins`` builds that ``n x n`` array in their place,
+    and the first read of ``comparisons`` adds the second.
 
     ``ahead``, if given, is a dict owned by the caller whose keys are
     the seeds it will ask for, in order, all with this ``matrix``, ``p``
@@ -436,21 +438,22 @@ def draw_observations(
     return obs
 
 
-def _assemble(n: int, pairs: list) -> tuple[np.ndarray, np.ndarray]:
-    """``(comparisons, wins)`` of the ``n`` items whose pairs have the win counts ``pairs``.
+def _assemble(n: int, pairs: list) -> np.ndarray:
+    """The ``int64`` wins of the ``n`` items whose pairs have the win counts ``pairs``.
 
-    The one builder of count arrays: every set starts as its pair
+    The one builder of a wins array: every set starts as its pair
     vectors, ``pairs = [row_wins, col_wins]`` over the pairs ``i < j``
-    in row-major order.  Two masked scatters fill the ``int64`` wins,
-    then ``pairs`` is emptied, which frees the vectors if nothing else
-    holds them, and a transposed sum forms the comparisons.
+    in row-major order.  Two masked scatters fill the wins, then
+    ``pairs`` is emptied, which frees the vectors if nothing else holds
+    them.  The comparisons are formed from the wins only when read
+    (:attr:`ObservationSet.comparisons`).
     """
     upper = _upper_mask(n)
     wins = np.zeros((n, n), dtype=np.int64)
     wins[upper] = pairs[0]
     wins.T[upper] = pairs[1]
     pairs.clear()
-    return wins + wins.T, wins
+    return wins
 
 
 def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
@@ -502,7 +505,8 @@ def read_comparisons(path, index) -> ObservationSet:
     and a file without records names the file alone.
     One ``np.add.at`` adds a row's count to its pair's row wins when the
     smaller index won, else to its column wins: two ``int64`` pair
-    vectors, as ``r`` is known only once every row is counted.
+    vectors, as ``r`` is known only once every row is counted, which the
+    set keeps cast to :func:`_pair_dtype` ``(r)``.
     """
     with _textio.open_text(path) as fh:
         first = fh.readline()
@@ -558,7 +562,8 @@ def read_comparisons(path, index) -> ObservationSet:
     # distinct lines can share a (winner, loser) pair: unbuffered, exact int64 sums
     np.add.at(wins, slots, np.array(counts, dtype=np.int64))
     r = int((row_wins + col_wins).max())
-    return ObservationSet._from_pairs(n, r, None, row_wins, col_wins)
+    narrow = wins.astype(_pair_dtype(r))
+    return ObservationSet._from_pairs(n, r, None, narrow[:pairs], narrow[pairs:])
 
 
 _OBS_META = re.compile(r"^# n=(\d+) r=(\d+) p=(\S+)$")

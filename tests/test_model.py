@@ -410,23 +410,22 @@ def test_matrices_from_pairs_equal_the_full_grid_formulas(n, tmp_path):
         assert matrix.entries.tobytes() == expected.tobytes(), kind
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda w, n: gen_parametric(w, "logistic"),
-        lambda w, n: gen_parametric(w, "gaussian"),
-        lambda w, n: gen_btl_outlier(w, n // 2),
-        lambda w, n: gen_sst_diagonal(n, 0.4 / (n - 1), 5),
-        lambda w, n: gen_btl_mixture(w, 0.8),
-        lambda w, n: gen_planted(n, n // 4, 0.1),
-        lambda w, n: gen_adjacent_swap(n, 1.0 / (9.0 * (n - 1)), 3),
-        lambda w, n: gen_hamming_planted(n, n // 4, 0.2, np.random.default_rng(1).permutation(n)),
-    ],
-    ids=[
-        "btl", "thurstone", "btl_outlier", "sst_diagonal", "btl_mixture", "planted",
-        "adjacent_swap", "hamming_planted",
-    ],
-)
+# every generator kind, as ``build(w, n)``
+BUILDS = {
+    "btl": lambda w, n: gen_parametric(w, "logistic"),
+    "thurstone": lambda w, n: gen_parametric(w, "gaussian"),
+    "btl_outlier": lambda w, n: gen_btl_outlier(w, n // 2),
+    "sst_diagonal": lambda w, n: gen_sst_diagonal(n, 0.4 / (n - 1), 5),
+    "btl_mixture": lambda w, n: gen_btl_mixture(w, 0.8),
+    "planted": lambda w, n: gen_planted(n, n // 4, 0.1),
+    "adjacent_swap": lambda w, n: gen_adjacent_swap(n, 1.0 / (9.0 * (n - 1)), 3),
+    "hamming_planted": lambda w, n: gen_hamming_planted(
+        n, n // 4, 0.2, np.random.default_rng(1).permutation(n)
+    ),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
 def test_a_build_holds_at_most_two_and_a_half_matrices(build):
     # the matrix, its pair values and one temporary of them make two
     # n x n float64 arrays; a build over the full grid holds three or more
@@ -441,6 +440,44 @@ def test_a_build_holds_at_most_two_and_a_half_matrices(build):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * n * n * 8, peak / (n * n * 8)
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+def test_a_build_holds_one_matrix_and_one_pair_vector(build):
+    # each generator makes its pair values in place, and the builder overwrites
+    # them with 1 - upper: the matrix and n(n-1)/2 float64 values, 1.5 matrices;
+    # a build with a second pair vector, such as 1 - upper, holds 2.0 or more
+    n = 512
+    w = equispaced_quality(n)
+    # the first build fills the caches: the triangle mask and scipy.special
+    build(w, n)
+    tracemalloc.start()
+    try:
+        build(w, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * n * n * 8, peak / (n * n * 8)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_build_leaves_the_callers_data_unchanged(tmp_path, dtype):
+    # the builder overwrites the pair values it is given, so each caller's
+    # data reaches it as a copy that only the builder holds
+    n = 6
+    upper = np.random.default_rng(n).integers(0, 5, size=(n, n)) / 4
+    grid = (np.triu(upper, 1) + np.tril(1.0 - upper.T, -1) + np.eye(n) / 2).astype(dtype)
+    before = grid.copy()
+    path = tmp_path / "m.csv"
+    write_matrix_csv(make_matrix(grid), path)
+    text = path.read_bytes()
+    pairs = grid[_upper_mask(n)]
+    for matrix in make_matrix(grid), read_matrix_csv(path), _from_pairs(n, pairs):
+        np.testing.assert_array_equal(matrix.entries, mirror_by_pair_indices(before))
+    assert grid.tobytes() == before.tobytes() and grid.flags.writeable
+    assert path.read_bytes() == text
+    if dtype is not np.float64:  # a float64 vector is the builder's to overwrite
+        assert pairs.tobytes() == before[_upper_mask(n)].tobytes()
 
 
 @settings(max_examples=25, deadline=None)

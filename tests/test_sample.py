@@ -498,34 +498,63 @@ class TestStreamContract:
             counted = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert obs._arrays is None and held >= 2 * pairs
+        assert obs._wins is None and held >= 2 * pairs
         assert peak <= bound, (peak, bound)
         # the count widens one chunk of the pair vectors at a time
         assert counted <= held + 2**20, (counted, held)
 
+    def test_a_first_wins_read_holds_one_count_array(self):
+        n = 1024
+        # the wins array and 1 MiB for the scatters' small objects; the parent's
+        # build formed the comparisons too (16 MiB)
+        bound = n * n * 8 + 2**20
+        m = gen_parametric(np.linspace(2.0, -2.0, n), "logistic")
+        # the first draw and build fill the caches: the triangle mask, the count table, the pool
+        draw_observations(m, 0.25, 16, seed=1).wins
+        obs = draw_observations(m, 0.25, 16, seed=2)
+        tracemalloc.start()
+        try:
+            wins = obs.wins
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
+        assert obs._pairs is None and obs._comparisons is None
+        comparisons = obs.comparisons
+        assert comparisons.dtype == np.int64
+        assert comparisons.tobytes() == (wins + wins.T).tobytes()
+        assert not comparisons.flags.writeable
+        assert obs.comparisons is comparisons and obs.wins is wins
+
     def test_threads_reading_one_unbuilt_set_agree(self):
-        # the build drops the pair vectors before it stores the arrays, so a count
-        # or a thinning that read them unlocked could find neither
+        # the build drops the pair vectors before it stores the wins, so a count
+        # or a thinning that read them unlocked could find neither; each array is
+        # made once, so every reader of the comparisons gets the same one
         m = gen_parametric(np.linspace(2.0, -2.0, 300), "logistic")
         reference = draw_observations(m, 0.5, 7, seed=4)
         thinned = subsample(reference, 0.5, seed=1)
-        expected = reference.wins.sum(axis=1), reference.wins, thinned.wins
+        expected = (
+            reference.wins.sum(axis=1), reference.wins, thinned.wins, reference.comparisons,
+            reference.total_comparisons(),
+        )
         readers = [
             lambda obs: obs.win_totals(),
             lambda obs: obs.wins,
             lambda obs: subsample(obs, 0.5, seed=1).wins,
+            lambda obs: obs.comparisons,
+            lambda obs: obs.total_comparisons(),
         ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
                 obs = draw_observations(m, 0.5, 7, seed=4)
-                got = [None] * 12
+                got = [None] * 15
                 barrier = threading.Barrier(len(got))
 
                 def read(i, obs=obs, got=got, barrier=barrier):
                     barrier.wait(timeout=30)
-                    got[i] = readers[i % 3](obs)
+                    got[i] = readers[i % len(readers)](obs)
 
                 threads = [threading.Thread(target=read, args=(i,)) for i in range(len(got))]
                 for thread in threads:
@@ -534,7 +563,9 @@ class TestStreamContract:
                     thread.join(timeout=30)
                 assert not any(thread.is_alive() for thread in threads)
                 for i, value in enumerate(got):
-                    np.testing.assert_array_equal(value, expected[i % 3])
+                    np.testing.assert_array_equal(value, expected[i % len(readers)])
+                assert all(got[i] is obs.comparisons for i in range(3, len(got), len(readers)))
+                assert all(got[i] is obs.wins for i in range(1, len(got), len(readers)))
         finally:
             sys.setswitchinterval(interval)
 
@@ -611,7 +642,7 @@ class TestStreamContract:
         totals = counted.win_totals()
         picks = {k: copeland_topk(counted, k).items for k in (1, 2)}
         total = counted.total_comparisons()
-        assert counted._arrays is None  # counting built nothing
+        assert counted._wins is None  # counting built nothing
         arrays = built.comparisons, built.wins
         assert totals.dtype == np.int64
         assert total == built.total_comparisons() == int(arrays[0].sum()) // 2
@@ -688,7 +719,7 @@ class TestPairDtype:
             thin = subsample(obs, 0.5, seeds[1])
             write_observations_csv(obs, path)
             back = read_observations_csv(path)
-            assert obs._arrays is None
+            assert obs._wins is None
             return obs, totals, total, thin, path.read_bytes(), back
 
         narrow = observe()
@@ -714,6 +745,43 @@ class TestPairDtype:
         assert narrow[2] == int(drawn.comparisons.sum()) // 2
         if p == 1.0:
             assert np.all(drawn.comparisons[np.triu_indices(m.n, 1)] == r)
+
+    @pytest.mark.parametrize("r", [127, 128, 32767, 32768])
+    def test_a_comparisons_file_holds_narrow_pairs(self, tmp_path, r):
+        # a beats b r times, the widest count, and wins and losses elsewhere
+        rng = np.random.default_rng(r)
+        rows = [("a", "b", "a")] * r + [("c", "a", "c"), ("b", "c", "b"), ("d", "a", "a")]
+        rows += [("c", "d", "c" if rng.random() < 0.5 else "d") for _ in range(40)]
+        path = write_comparisons(tmp_path / "cmp.csv", rows)
+
+        def observe(name):
+            """A file read, what is read from its pair vectors, and its thinning, unbuilt."""
+            obs = read_comparisons(path, indexed("abcd"))
+            thin = subsample(obs, 0.5, seed=3)
+            files = []
+            for i, written in enumerate((obs, thin)):
+                write_observations_csv(written, tmp_path / f"{name}{i}.csv")
+                files.append((tmp_path / f"{name}{i}.csv").read_bytes())
+            totals = obs.win_totals(), obs.total_comparisons(), thin.win_totals()
+            assert obs._wins is None and thin._wins is None
+            return obs, thin, totals, files
+
+        narrow = observe("narrow")
+        # the oracle: the same file read into int64 pair vectors
+        with mock.patch.object(sample, "_pair_dtype", lambda r: np.dtype(np.int64)):
+            wide = observe("wide")
+            for obs in wide[:2]:
+                assert obs._pairs[0].dtype == obs._pairs[1].dtype == np.int64
+                obs.wins
+        assert narrow[0].r == r
+        for obs in narrow[:2]:
+            assert obs._pairs[0].dtype == obs._pairs[1].dtype == PAIR_DTYPES[r]
+        for got, expected in zip(narrow[2], wide[2]):
+            np.testing.assert_array_equal(got, expected)
+        assert narrow[3] == wide[3]
+        for got, expected in zip(narrow[:2], wide[:2]):
+            np.testing.assert_array_equal(got.wins, expected.wins)
+            np.testing.assert_array_equal(got.comparisons, expected.comparisons)
 
 
 def write_comparisons(path, rows):
@@ -1005,7 +1073,7 @@ class TestObservationsCsv:
             written, twin = (read_observations_csv(path) for _ in range(2))
         out, expected = tmp_path / "obs.csv", tmp_path / "expected.csv"
         write_observations_csv(written, out)
-        assert written._arrays is None  # writing built no arrays
+        assert written._wins is None  # writing built no arrays
         p_text = "na" if twin.p is None else repr(float(twin.p))
         with open(expected, "w", newline="") as fh:
             fh.write(f"# n={n} r={twin.r} p={p_text}\n")
