@@ -21,8 +21,8 @@ and the harness (``run_experiment``) on the trials of one
 that imports ``pairrank`` from the checkout's ``src/``.  In another
 such interpreter it records the ``tracemalloc`` peak of one fresh
 matrix build (``instantiate``), one ``draw_observations``, one
-``draw_copeland`` and the first ``wins`` read of a fresh draw
-(``wins_first_read``) at ``threshold-sweep``'s sizes
+``draw_copeland`` and a ``wins`` read of a fresh draw, which builds the
+array (``wins_first_read``) at ``threshold-sweep``'s sizes
 (``layer_peak_mib``).  It also times
 whole launches of a fresh interpreter: ``import pairrank``, ``pairrank
 --help`` and ``pairrank rank`` on a 50-item observations file (a real
@@ -66,10 +66,11 @@ SWEEP_LAYERS = ("instantiate_first", "draw_observations", "copeland_topk", "draw
 # design times two estimators that can give different answers.  The
 # r = 400 design times sampling alone, past r * p = 30, where numpy's
 # binomial sampler leaves inversion for BTPE.  ``copeland_topk`` counts
-# one draw that no other layer reads, so every call counts its wins
-# (from the pair vectors, where the set keeps them) rather than reading
-# arrays that another layer built; ``draw_copeland`` is a fresh draw and
-# then ``copeland_topk``, as a Copeland-only experiment calls them.
+# the wins of one draw from its pair vectors; ``draw_copeland`` is a
+# fresh draw and then ``copeland_topk``, as a Copeland-only experiment
+# calls them.  A set keeps no ``n x n`` array, so each
+# ``rank_centrality`` and ``mle_refine`` call includes the builds of the
+# arrays it reads, as the baseline pays them in a trial.
 # The model design times
 # ``instantiate`` alone: a first call builds the matrix, and a repeated
 # call is a memo hit.
@@ -90,8 +91,8 @@ SWEEP_LAYERS = ("instantiate_first", "draw_observations", "copeland_topk", "draw
 # with its n rows, as every rerun of ``bench --out`` does.
 # The simulate design draws a fresh set before each call, outside the
 # timing, and times ``write_observations_csv`` writing it to one path, as
-# ``pairrank simulate`` writes its draw: the set is unbuilt, so a writer
-# that builds the n x n arrays pays for the build.  It runs at n = 1000
+# ``pairrank simulate`` writes its draw: a writer that builds the n x n
+# arrays pays for the build.  It runs at n = 1000
 # only, with CI's ``simulate`` design (p = 0.5, r = 7, seed 4).
 # The sweep design times ``run_experiment`` on one of threshold-sweep's
 # configs at n = 64 (Copeland alone, alpha = 0.2, 80 trials), where every
@@ -138,10 +139,11 @@ LAYER_DESIGNS = {
 # threshold-sweep draws with (r = 16) and past BTPE (r = 400), after an
 # untraced call has filled the caches (the triangle mask, the pair
 # index, the count table and the thread pool).  ``instantiate`` is a
-# BTL build with the memo cleared, and ``wins_first_read`` the first
-# ``wins`` read of a draw made before the trace starts: threshold-sweep's
-# peak RSS is set where a unit rebuilds its n = 1024 matrix and where
-# the benchmark's check reads the wins of an n = 1024 draw.
+# BTL build with the memo cleared, and ``wins_first_read`` one ``wins``
+# read, which builds the array, of a draw made before the trace starts:
+# threshold-sweep's peak RSS is set where a unit rebuilds its n = 1024
+# matrix and where the benchmark's check reads the wins of an n = 1024
+# draw.
 MEMORY_LAYERS = ("instantiate", "draw_observations", "draw_copeland", "wins_first_read")
 MEMORY_DESIGNS = ("p0.25", "p0.25-r400")
 LAYER_BUDGET_S = 1.0

@@ -82,8 +82,8 @@ MUTANTS = (
     Mutant(
         "subsample-kept-wins-swapped",
         "sample.py",
-        "return rng.binomial(row_wins, q), rng.binomial(col_wins, q)",
-        "return tuple(reversed((rng.binomial(col_wins, q), rng.binomial(row_wins, q))))",
+        "kept = rng.binomial(row_wins, q), rng.binomial(col_wins, q)",
+        "kept = tuple(reversed((rng.binomial(col_wins, q), rng.binomial(row_wins, q))))",
         ("tests/test_sample.py::TestStreamContract::test_subsample_matches_oracle",),
     ),
     Mutant(
@@ -141,8 +141,8 @@ MUTANTS = (
     Mutant(
         "assemble-column-wins-in-upper",
         "sample.py",
-        "wins.T[upper] = pairs[1]",
-        "wins[upper] = pairs[1]",
+        "wins.T[upper] = col_wins",
+        "wins[upper] = col_wins",
         ("tests/test_sample.py::TestStreamContract::test_draw_matches_oracle",),
     ),
     Mutant(
@@ -151,6 +151,13 @@ MUTANTS = (
         "comparisons = wins + wins.T",
         "comparisons = wins + wins",
         ("tests/test_sample.py::TestStreamContract::test_a_first_wins_read_holds_one_count_array",),
+    ),
+    Mutant(
+        "array-set-column-wins-from-upper",
+        "sample.py",
+        "self._hold(n, r, p, wins[upper], wins.T[upper])",
+        "self._hold(n, r, p, wins[upper], wins[upper])",
+        ("tests/test_sample.py::TestArrayConstructor::test_reads_back_the_arrays_it_was_given",),
     ),
     Mutant(
         "pair-dtype-one-size-narrow",

@@ -17,10 +17,10 @@ another in the calling thread: a whole trial holds the interpreter lock,
 and a thread pool over trials made runs slower.  The trials' draws share
 one dict of sets drawn ahead, so the sampler can draw several together
 (see :mod:`pairrank.sample`); the output does not depend on it.
-A draw builds its ``n x n`` count arrays only when an estimator
-reads them: Copeland counts each item's wins from the drawn pairs, so a
-Copeland-only experiment builds none, and the spectral baseline's
-timing includes the build.  Wall-clock timings are measured around the
+A draw holds its pair vectors, and each read of its ``n x n`` count
+arrays builds them afresh: Copeland counts each item's wins from the
+drawn pairs, so a Copeland-only experiment builds none, and the
+spectral baseline's timing includes its builds.  Wall-clock timings are measured around the
 estimator calls only and reported through the summary, never in the
 results table, which is fully deterministic.
 

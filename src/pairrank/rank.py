@@ -152,11 +152,12 @@ def rank_centrality(obs: ObservationSet) -> np.ndarray:
     disconnected comparison graph, and :class:`StationaryError` on several
     closed classes or a step that moves it by ``STATIONARY_ATOL`` or more.
     """
-    compared = obs.comparisons > 0
+    comparisons, wins = obs.comparisons, obs.wins
+    compared = comparisons > 0
     if not _reach(compared, np.arange(obs.n) == 0)[0].all():
         raise DisconnectedGraphError("comparison graph is not connected")
     d_max = max(int(compared.sum(axis=1).max()), 1)  # 0 only for a lone item
-    rates = np.where(compared, obs.wins.T / np.maximum(obs.comparisons, 1), 0.0)
+    rates = np.where(compared, wins.T / np.maximum(comparisons, 1), 0.0)
     transition = rates / d_max
     np.fill_diagonal(transition, 0.0)
     np.fill_diagonal(transition, 1.0 - transition.sum(axis=1))
@@ -234,15 +235,16 @@ def mle_refine(obs: ObservationSet, init) -> np.ndarray:
     if init.shape != (n,) or np.any(init < 0) or not np.isfinite(init).all() or not init.any():
         raise ValueError(f"init must be nonnegative, finite, not all zero and of length {n}")
     w = _log_weights(init)
+    wins = obs.wins
     comps = obs.comparisons.astype(np.float64)
-    win_totals = obs.wins.sum(axis=1).astype(np.float64)
+    win_totals = wins.sum(axis=1).astype(np.float64)
     degree = comps.sum(axis=1)
     gtol = 1e-10 * (1.0 + degree)
     regular = np.diag(1e-9 * (1.0 + degree)) + 1.0 / n
     # flat indices of the won pairs (i, j) and of their mirrors (j, i)
-    won_flat = np.flatnonzero(obs.wins)
+    won_flat = np.flatnonzero(wins)
     mirror = won_flat % n * n + won_flat // n
-    won = obs.wins.ravel().take(won_flat).astype(np.float64)
+    won = wins.ravel().take(won_flat).astype(np.float64)
 
     def gain(w, cand, s_cand):
         # log-likelihood of cand minus that of w, summed over won pairs as

@@ -6,14 +6,13 @@ probability ``M[i, j]``.  Observations are stored aggregated (per-pair
 comparison and win counts): the counting estimator and the baseline
 depend only on counts, so memory stays ``O(n^2)`` regardless of ``r``.
 
-A draw, a thinning or a file read starts as its pair vectors, the row
-and column wins of each pair ``i < j`` in row-major order, and
-:func:`_assemble`, the one builder of the ``n x n`` wins, runs when
-they are first read; the comparisons are formed from the wins when
-first read (see :class:`ObservationSet`).  Copeland counts its win
-totals from the pair vectors, so a Copeland-only set holds two
-pair-length vectors of the smallest signed integer type that holds
-``r`` (``int8`` up to ``r = 127``), and a build frees them.
+A set is an immutable value that holds its pair vectors, the row and
+column wins of each pair ``i < j`` in row-major order, of the smallest
+signed integer type that holds ``r`` (``int8`` up to ``r = 127``).
+Each read of its ``n x n`` wins builds them afresh with
+:func:`_assemble`, and each read of its comparisons forms them from the
+wins (see :class:`ObservationSet`).  Copeland counts its win totals
+from the pair vectors, so a Copeland-only set builds no ``n x n`` array.
 
 Sampling is reproducible: the output is a pure function of the inputs,
 whatever the CPU count.  :func:`draw_observations` cuts the pairs into
@@ -51,9 +50,8 @@ import itertools
 import operator
 import os
 import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,74 +113,62 @@ class ObservationSet:
 
     ``comparisons[i, j]`` counts comparisons between the pair (it is
     symmetric with zero diagonal) and ``wins[i, j]`` counts those won
-    by ``i``, so ``wins + wins.T == comparisons``; both are read-only
-    ``int64`` arrays.  ``p`` is ``None`` for ingested data with unknown
-    design.
+    by ``i``, so ``wins + wins.T == comparisons``.  ``p`` is ``None``
+    for ingested data with unknown design.
 
-    A draw, a thinning or a file read holds its pair vectors, the row
-    and column wins of each pair ``i < j`` in row-major order.  The
-    first read of ``wins`` builds it from them and drops them, and the
-    first read of ``comparisons`` forms it as ``wins + wins.T``, so the
-    invariant holds by construction and a set whose ``wins`` alone is
-    read holds one ``n x n`` array.  A set constructed from the two
-    arrays holds them.  Each array is made once, under the set's lock;
-    :meth:`_read_pairs`, the one reader of the pair vectors, takes the
-    lock too while ``wins`` is unbuilt, so it never sees the pair vectors
-    dropped before ``wins`` is stored.
+    A set holds ``n``, ``r``, ``p`` and its two read-only pair vectors,
+    the row and column wins of each pair ``i < j`` in row-major order,
+    for its whole life, and no ``n x n`` array.  Each read of ``wins``
+    builds a fresh read-only ``int64`` array from the pair vectors
+    (:func:`_assemble`), and each read of ``comparisons`` forms
+    ``wins + wins.T`` from a fresh one, so the invariant holds by
+    construction; a caller that needs an array twice keeps it in a
+    local.  Nothing is written after construction, so threads may read
+    a set freely.
+
+    The constructor takes the two ``n x n`` arrays: ``wins`` must have a
+    zero diagonal and ``comparisons`` must equal ``wins + wins.T``, else
+    it raises ``ValueError``.  It keeps the pair vectors of ``wins`` and
+    neither array.
     """
 
-    __slots__ = ("n", "r", "p", "_wins", "_comparisons", "_pairs", "_lock")
+    __slots__ = ("n", "r", "p", "_pairs")
 
     def __init__(self, n: int, r: int, p: float | None, comparisons: np.ndarray, wins: np.ndarray):
-        comparisons.setflags(write=False)
-        wins.setflags(write=False)
-        self.n, self.r, self.p = n, r, p
-        self._wins, self._comparisons = wins, comparisons
-        self._pairs = self._lock = None
+        comparisons, wins = np.asarray(comparisons), np.asarray(wins)
+        if comparisons.shape != (n, n) or wins.shape != (n, n):
+            shapes = f"{comparisons.shape} and {wins.shape}"
+            raise ValueError(f"comparisons and wins must be {n} x {n}, got {shapes}")
+        if np.diagonal(wins).any():
+            raise ValueError("wins must have a zero diagonal")
+        if not np.array_equal(comparisons, wins + wins.T):
+            raise ValueError("comparisons must equal wins + wins.T")
+        upper = _upper_mask(n)
+        self._hold(n, r, p, wins[upper], wins.T[upper])
 
     @classmethod
     def _from_pairs(cls, n: int, r: int, p, row_wins, col_wins) -> ObservationSet:
-        """The set whose pair ``i < j``, in row-major order, has these win counts.
-
-        The set keeps the two vectors, which nothing else may write.
-        """
+        """The set whose pair ``i < j``, in row-major order, has these win counts."""
         obs = cls.__new__(cls)
-        obs.n, obs.r, obs.p = n, r, p
-        obs._wins = obs._comparisons = None
-        obs._pairs = [row_wins, col_wins]
-        obs._lock = threading.Lock()
+        obs._hold(n, r, p, row_wins, col_wins)
         return obs
 
-    def _read_pairs(self, read):
-        """``read(row_wins, col_wins)``: on the held pair vectors under the lock while
-        unbuilt, else on ``wins[upper]`` and ``wins.T[upper]``, two masked reads."""
-        if self._wins is None:
-            with self._lock:
-                if self._pairs is not None:
-                    return read(*self._pairs)
-        upper = _upper_mask(self.n)
-        return read(self._wins[upper], self._wins.T[upper])
+    def _hold(self, n: int, r: int, p, row_wins: np.ndarray, col_wins: np.ndarray) -> None:
+        row_wins.setflags(write=False)
+        col_wins.setflags(write=False)
+        self.n, self.r, self.p = n, r, p
+        self._pairs = (row_wins, col_wins)
 
     @property
     def comparisons(self) -> np.ndarray:
-        if self._comparisons is None:
-            wins = self.wins  # outside the lock, which building wins takes
-            with self._lock:
-                if self._comparisons is None:
-                    comparisons = wins + wins.T
-                    comparisons.setflags(write=False)
-                    self._comparisons = comparisons
-        return self._comparisons
+        wins = self.wins
+        comparisons = wins + wins.T
+        comparisons.setflags(write=False)
+        return comparisons
 
     @property
     def wins(self) -> np.ndarray:
-        if self._wins is None:
-            with self._lock:
-                if self._wins is None:
-                    wins = _assemble(self.n, self._pairs)
-                    wins.setflags(write=False)
-                    self._wins, self._pairs = wins, None
-        return self._wins
+        return _assemble(self.n, *self._pairs)
 
     def win_totals(self) -> np.ndarray:
         """Total comparisons won per item, ``wins.sum(axis=1)``, counted from the pair vectors.
@@ -193,11 +179,23 @@ class ObservationSet:
         its column item by ``np.add.at``.  ``int64`` sums wrap alike in any order, so the
         totals have the bits of ``wins.sum(axis=1)``.
         """
-        return self._read_pairs(partial(_pair_totals, self.n))
+        n, (row_wins, col_wins) = self.n, self._pairs
+        starts, columns = _pair_index(n)
+        totals = np.zeros(n, dtype=np.int64)
+        first = 0
+        while first < n - 1:
+            # rows first..last-1: at most _COUNT_CHUNK pairs, unless one row holds more
+            last = min(first + max(_COUNT_CHUNK // (n - 1 - first), 1), n - 1)
+            chunk = slice(starts[first], starts[last] if last < n - 1 else row_wins.size)
+            cuts = starts[first:last] - starts[first]
+            totals[first:last] += np.add.reduceat(row_wins[chunk], cuts, dtype=np.int64)
+            np.add.at(totals, columns[chunk].astype(np.intp), col_wins[chunk].astype(np.int64))
+            first = last
+        return totals
 
     def total_comparisons(self) -> int:
         """Comparisons over all pairs: both pair vectors summed in ``int64``, building nothing."""
-        return self._read_pairs(_pair_sum)
+        return sum(int(wins.sum(dtype=np.int64)) for wins in self._pairs)
 
 
 @lru_cache(maxsize=8)
@@ -226,27 +224,6 @@ def _pair_dtype(r: int) -> np.dtype:
     narrow at ``r = 128``, 32,768 and ``2**31``.
     """
     return np.min_scalar_type(-r - 1)
-
-
-def _pair_totals(n: int, row_wins: np.ndarray, col_wins: np.ndarray) -> np.ndarray:
-    """Per-item win totals of the pair vectors of ``n`` items, in ``int64``."""
-    starts, columns = _pair_index(n)
-    totals = np.zeros(n, dtype=np.int64)
-    first = 0
-    while first < n - 1:
-        # rows first..last-1: at most _COUNT_CHUNK pairs, unless one row holds more
-        last = min(first + max(_COUNT_CHUNK // (n - 1 - first), 1), n - 1)
-        chunk = slice(starts[first], starts[last] if last < n - 1 else row_wins.size)
-        cuts = starts[first:last] - starts[first]
-        totals[first:last] += np.add.reduceat(row_wins[chunk], cuts, dtype=np.int64)
-        np.add.at(totals, columns[chunk].astype(np.intp), col_wins[chunk].astype(np.int64))
-        first = last
-    return totals
-
-
-def _pair_sum(row_wins: np.ndarray, col_wins: np.ndarray) -> int:
-    """Comparisons over all pairs of the pair vectors, each summed in ``int64``."""
-    return int(row_wins.sum(dtype=np.int64)) + int(col_wins.sum(dtype=np.int64))
 
 
 def _block_probs(entries: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -344,10 +321,9 @@ def draw_observations(
     bit-identical for equal ``(matrix, p, r, seed)`` whatever the CPU
     count and ``ahead``.  The blocks write their row and column wins
     into two pair vectors of :func:`_pair_dtype` ``(r)``, which the set
-    keeps: while only :meth:`ObservationSet.win_totals` is read, a draw
-    holds those two vectors (1 MiB at n = 1024 for r up to 127), the
-    first read of ``wins`` builds that ``n x n`` array in their place,
-    and the first read of ``comparisons`` adds the second.
+    keeps for its whole life: a draw holds those two vectors (1 MiB at
+    n = 1024 for r up to 127) and no ``n x n`` array, each read of
+    ``wins`` builds one and each read of ``comparisons`` two.
 
     ``ahead``, if given, is a dict owned by the caller whose keys are
     the seeds it will ask for, in order, all with this ``matrix``, ``p``
@@ -438,21 +414,17 @@ def draw_observations(
     return obs
 
 
-def _assemble(n: int, pairs: list) -> np.ndarray:
-    """The ``int64`` wins of the ``n`` items whose pairs have the win counts ``pairs``.
+def _assemble(n: int, row_wins: np.ndarray, col_wins: np.ndarray) -> np.ndarray:
+    """The read-only ``int64`` wins of the ``n`` items whose pairs ``i < j`` have these win counts.
 
-    The one builder of a wins array: every set starts as its pair
-    vectors, ``pairs = [row_wins, col_wins]`` over the pairs ``i < j``
-    in row-major order.  Two masked scatters fill the wins, then
-    ``pairs`` is emptied, which frees the vectors if nothing else holds
-    them.  The comparisons are formed from the wins only when read
-    (:attr:`ObservationSet.comparisons`).
+    The one builder of a wins array, from the pair vectors in row-major
+    order: two masked scatters, the column wins through the transpose.
     """
     upper = _upper_mask(n)
     wins = np.zeros((n, n), dtype=np.int64)
-    wins[upper] = pairs[0]
-    wins.T[upper] = pairs[1]
-    pairs.clear()
+    wins[upper] = row_wins
+    wins.T[upper] = col_wins
+    wins.setflags(write=False)
     return wins
 
 
@@ -460,27 +432,23 @@ def subsample(obs: ObservationSet, q: float, seed: int) -> ObservationSet:
     """Keep each individual comparison independently with probability ``q``.
 
     Thinning a draw with design ``(p, r)`` matches the distribution of
-    a fresh draw with design ``(p * q, r)``.  At ``q = 1`` the
-    (read-only) input set itself is returned.  A thinning reads the
-    input's pair vectors (:meth:`ObservationSet._read_pairs`) and keeps
-    only its own, in :func:`_pair_dtype` ``(r)``, building no arrays
-    until they are read, so a Copeland count of a thinning never builds
-    them.
+    a fresh draw with design ``(p * q, r)``, so ``q`` must lie in
+    ``(0, 1]``, as ``p`` must for :func:`draw_observations`.  At
+    ``q = 1`` the input set itself is returned.  A thinning reads the
+    input's pair vectors and holds only its own, in
+    :func:`_pair_dtype` ``(r)``, building no ``n x n`` array.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"q must lie in (0, 1], got {q}")
     seed = _check_seed(seed)
     if q == 1.0:
         return obs
     rng = np.random.default_rng(np.random.SeedSequence((seed, _THIN_TAG)))
     p = None if obs.p is None else obs.p * q
-
-    def thin(row_wins, col_wins):
-        return rng.binomial(row_wins, q), rng.binomial(col_wins, q)
-
+    row_wins, col_wins = obs._pairs
+    kept = rng.binomial(row_wins, q), rng.binomial(col_wins, q)
     dtype = _pair_dtype(obs.r)
-    kept = (wins.astype(dtype) for wins in obs._read_pairs(thin))
-    return ObservationSet._from_pairs(obs.n, obs.r, p, *kept)
+    return ObservationSet._from_pairs(obs.n, obs.r, p, *(wins.astype(dtype) for wins in kept))
 
 
 class UnlistedItem(ValueError):
@@ -575,13 +543,14 @@ def write_observations_csv(obs: ObservationSet, path) -> None:
     Format: ``# n=<n> r=<r> p=<p|na>`` followed by a
     ``i,j,comparisons,wins_i`` header and one row per pair ``i < j``
     with at least one comparison, every line ending in LF.  The rows
-    come from the pair vectors (:meth:`ObservationSet._read_pairs`),
-    ``_WRITE_CHUNK`` pairs at a time, so writing a set builds none of
-    its arrays.
+    come from the pair vectors, ``_WRITE_CHUNK`` pairs at a time, so
+    writing a set builds no ``n x n`` array.
     """
     starts, columns = _pair_index(obs.n)
-
-    def write_rows(fh, row_wins, col_wins):
+    row_wins, col_wins = obs._pairs
+    with _textio.open_output(path) as fh:
+        p_text = "na" if obs.p is None else repr(float(obs.p))
+        fh.write(f"# n={obs.n} r={obs.r} p={p_text}\ni,j,comparisons,wins_i\n")
         for start in range(0, row_wins.size, _WRITE_CHUNK):
             wins = row_wins[start:start + _WRITE_CHUNK]
             comparisons = wins + col_wins[start:start + _WRITE_CHUNK]
@@ -591,11 +560,6 @@ def write_observations_csv(obs: ObservationSet, path) -> None:
             rows = zip(firsts.tolist(), columns[slots].tolist(),
                        comparisons[kept].tolist(), wins[kept].tolist())
             fh.write("".join(f"{i},{j},{c},{w}\n" for i, j, c, w in rows))
-
-    with _textio.open_output(path) as fh:
-        p_text = "na" if obs.p is None else repr(float(obs.p))
-        fh.write(f"# n={obs.n} r={obs.r} p={p_text}\ni,j,comparisons,wins_i\n")
-        obs._read_pairs(partial(write_rows, fh))
 
 
 def read_observations_csv(path) -> ObservationSet:

@@ -20,6 +20,7 @@ from pairrank import sample
 from pairrank.model import gen_parametric, gen_planted, make_matrix
 from pairrank.rank import copeland_topk
 from pairrank.sample import (
+    ObservationSet,
     draw_observations,
     read_comparisons,
     read_observations_csv,
@@ -119,6 +120,52 @@ class TestDrawObservations:
         assert read_observations_csv(path).r == 6
 
 
+class TestArrayConstructor:
+    # column wins differ from row wins in every pair, so a set that took one for
+    # the other would read back other arrays
+    WINS = np.array([[0, 3, 1, 0], [2, 0, 0, 4], [5, 1, 0, 2], [1, 0, 6, 0]])
+
+    def build(self, comparisons, wins, n=4):
+        return ObservationSet(n=n, r=9, p=None, comparisons=comparisons, wins=wins)
+
+    def test_reads_back_the_arrays_it_was_given(self):
+        comparisons = self.WINS + self.WINS.T
+        obs = self.build(comparisons, self.WINS)
+        for got, given in (obs.wins, self.WINS), (obs.comparisons, comparisons):
+            assert got.dtype == np.int64 and not got.flags.writeable
+            np.testing.assert_array_equal(got, given)
+        np.testing.assert_array_equal(obs.win_totals(), self.WINS.sum(axis=1))
+        assert obs.total_comparisons() == int(comparisons.sum()) // 2
+        assert (obs.n, obs.r, obs.p) == (4, 9, None)
+
+    def test_keeps_no_reference_to_the_arrays(self):
+        wins = self.WINS.copy()
+        obs = self.build(wins + wins.T, wins)
+        wins[0, 1] = 7
+        assert obs.wins[0, 1] == 3
+
+    def test_a_nonzero_diagonal_is_rejected(self):
+        wins = self.WINS.copy()
+        wins[2, 2] = 1
+        with pytest.raises(ValueError, match="wins must have a zero diagonal"):
+            self.build(wins + wins.T, wins)
+
+    def test_comparisons_other_than_wins_plus_transpose_are_rejected(self):
+        wins = np.zeros((2, 2), dtype=np.int64)
+        wins[0, 1] = 1
+        with pytest.raises(ValueError, match=r"comparisons must equal wins \+ wins\.T"):
+            self.build(np.zeros((2, 2), dtype=np.int64), wins, n=2)
+        with pytest.raises(ValueError, match=r"comparisons must equal wins \+ wins\.T"):
+            self.build(self.WINS + self.WINS, self.WINS)
+
+    @pytest.mark.parametrize("shapes", [((4, 4), (3, 3)), ((3, 3), (4, 4)), ((5, 5), (5, 5)),
+                                        ((4, 4), (4, 5)), ((16,), (16,))])
+    def test_a_shape_other_than_n_by_n_is_rejected(self, shapes):
+        comparisons, wins = (np.zeros(shape, dtype=np.int64) for shape in shapes)
+        with pytest.raises(ValueError, match="comparisons and wins must be 4 x 4"):
+            self.build(comparisons, wins)
+
+
 def binomial_pmf(r, p):
     """Exact ``Binomial(r, p)`` probabilities of k = 0..r, as floats."""
     p = Fraction(p)
@@ -211,12 +258,13 @@ class TestSubsample:
         assert np.array_equal(thin.comparisons, obs.comparisons)
         assert thin.p == obs.p
 
-    def test_q_zero_empties_everything(self):
+    @pytest.mark.parametrize("q", [0.0, -0.5, 1.5])
+    def test_q_outside_zero_one_is_rejected(self, q):
+        # a thinning at q = 0 would have p = 0, which no observations file can hold
         m = gen_planted(8, 2, 0.2)
         obs = draw_observations(m, 0.8, 12, seed=3)
-        thin = subsample(obs, 0.0, seed=5)
-        assert thin.comparisons.sum() == 0
-        assert thin.wins.sum() == 0
+        with pytest.raises(ValueError, match=r"q must lie in \(0, 1\]"):
+            subsample(obs, q, seed=5)
 
     def test_half_thinning_total(self):
         # ~1e4 comparisons thinned at q = 1/2: retained total within 3
@@ -347,6 +395,11 @@ def matrices(draw, max_n=12):
     return make_matrix(grid)
 
 
+def builds_nothing():
+    """A context in which building a set's ``n x n`` wins fails the test."""
+    return mock.patch.object(sample, "_assemble", side_effect=AssertionError("an n x n array was built"))
+
+
 def assert_valid(obs, r):
     assert np.array_equal(obs.comparisons, obs.comparisons.T)
     assert np.array_equal(obs.wins + obs.wins.T, obs.comparisons)
@@ -454,7 +507,7 @@ class TestStreamContract:
                 assert not np.array_equal(blocks[a][:size], blocks[b][:size]), (a, b)
 
     @pytest.mark.parametrize(
-        "n, q, seed", [(2, 0.5, 0), (7, 0.0, 5), (30, 0.3, 2**40), (129, 0.3, 7)]
+        "n, q, seed", [(2, 0.5, 0), (7, 0.02, 5), (30, 0.3, 2**40), (129, 0.3, 7)]
     )
     def test_subsample_matches_oracle(self, n, q, seed):
         obs = draw_observations(gen_planted(n, 1, 0.2), 0.7, 12, seed=1)
@@ -465,18 +518,26 @@ class TestStreamContract:
 
     def test_a_draw_holds_at_most_two_count_arrays(self):
         n = 512
+        array = n * n * 8
         m = gen_parametric(np.linspace(2.0, -2.0, n), "logistic")
         # the first draw fills the caches: the triangle mask, the count table, the pool
-        draw_observations(m, 0.25, 16, seed=1).wins
+        draw_observations(m, 0.25, 16, seed=1).comparisons
         tracemalloc.start()
         try:
             obs = draw_observations(m, 0.25, 16, seed=2)
-            # the first read builds both arrays
-            assert obs.wins.nbytes == obs.comparisons.nbytes == n * n * 8
-            peak = tracemalloc.get_traced_memory()[1]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert obs.wins.nbytes == array
+            wins_peak = tracemalloc.get_traced_memory()[1] - held
+            tracemalloc.reset_peak()
+            assert obs.comparisons.nbytes == array
+            comparisons_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 2 * n * n * 8, peak
+        # a draw holds no count array; a wins read peaks at one, a comparisons read at two
+        assert held < array, held
+        assert wins_peak <= 1.05 * array, wins_peak
+        assert comparisons_peak <= 1.05 * 2 * array, comparisons_peak
 
     def test_a_draw_counted_by_copeland_holds_one_count_array(self, monkeypatch):
         n = 1024
@@ -498,7 +559,7 @@ class TestStreamContract:
             counted = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert obs._wins is None and held >= 2 * pairs
+        assert 2 * pairs <= held < n * n * 8  # the pair vectors, and no count array
         assert peak <= bound, (peak, bound)
         # the count widens one chunk of the pair vectors at a time
         assert counted <= held + 2**20, (counted, held)
@@ -519,17 +580,25 @@ class TestStreamContract:
         finally:
             tracemalloc.stop()
         assert peak <= bound, (peak, bound)
-        assert obs._pairs is None and obs._comparisons is None
+        # the set keeps no array: once the read is dropped, the set holds its pair vectors alone
+        tracemalloc.start()
+        try:
+            obs.wins
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20, kept
         comparisons = obs.comparisons
         assert comparisons.dtype == np.int64
         assert comparisons.tobytes() == (wins + wins.T).tobytes()
         assert not comparisons.flags.writeable
-        assert obs.comparisons is comparisons and obs.wins is wins
+        # every read builds afresh, and reads agree
+        assert obs.comparisons.tobytes() == comparisons.tobytes()
+        assert obs.wins.tobytes() == wins.tobytes()
 
     def test_threads_reading_one_unbuilt_set_agree(self):
-        # the build drops the pair vectors before it stores the wins, so a count
-        # or a thinning that read them unlocked could find neither; each array is
-        # made once, so every reader of the comparisons gets the same one
+        # a set is never written after construction, so readers on many threads
+        # need no lock: each gets what a lone later read of the set gives
         m = gen_parametric(np.linspace(2.0, -2.0, 300), "logistic")
         reference = draw_observations(m, 0.5, 7, seed=4)
         thinned = subsample(reference, 0.5, seed=1)
@@ -564,8 +633,8 @@ class TestStreamContract:
                 assert not any(thread.is_alive() for thread in threads)
                 for i, value in enumerate(got):
                     np.testing.assert_array_equal(value, expected[i % len(readers)])
-                assert all(got[i] is obs.comparisons for i in range(3, len(got), len(readers)))
-                assert all(got[i] is obs.wins for i in range(1, len(got), len(readers)))
+                for i in range(len(got)):
+                    np.testing.assert_array_equal(got[i], readers[i % len(readers)](obs))
         finally:
             sys.setswitchinterval(interval)
 
@@ -606,7 +675,7 @@ class TestStreamContract:
         if kind == "draw":
             counted, built = (draw_observations(m, 0.3, 9, seed=n) for _ in range(2))
         elif kind == "thinning":
-            # a thinning reads the pair vectors of an unbuilt set, or the arrays of a built one
+            # a thinning of a set whose wins were read, against one of a set never read
             source = draw_observations(m, 0.7, 12, seed=n)
             counted = subsample(draw_observations(m, 0.7, 12, seed=n), 0.4, seed=5)
             source.wins
@@ -639,10 +708,10 @@ class TestStreamContract:
                     wins[i, j], wins[j, i] = w, c - w
             oracle = comparisons, wins
         # totals first, then the arrays, against the arrays first, then the totals
-        totals = counted.win_totals()
-        picks = {k: copeland_topk(counted, k).items for k in (1, 2)}
-        total = counted.total_comparisons()
-        assert counted._wins is None  # counting built nothing
+        with builds_nothing():
+            totals = counted.win_totals()
+            picks = {k: copeland_topk(counted, k).items for k in (1, 2)}
+            total = counted.total_comparisons()
         arrays = built.comparisons, built.wins
         assert totals.dtype == np.int64
         assert total == built.total_comparisons() == int(arrays[0].sum()) // 2
@@ -680,7 +749,7 @@ class TestStreamContract:
         m=matrices(),
         p=st.floats(0.01, 1.0),
         r=st.integers(1, 30),
-        q=st.floats(0.0, 1.0),
+        q=st.floats(0.0, 1.0, exclude_min=True),
         seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
     )
     def test_subsample_properties(self, m, p, r, q, seeds):
@@ -712,14 +781,14 @@ class TestPairDtype:
     @example(m=certain_matrix(), p=1.0, seeds=(1, 2))
     def test_narrow_pairs_match_an_int64_draw(self, tmp_path_factory, r, m, p, seeds):
         def observe():
-            """A draw and what is read from its pair vectors, all before any build."""
+            """A draw and what is read from its pair vectors, building no array."""
             obs = draw_observations(m, p, r, seeds[0])
             path = tmp_path_factory.mktemp("pairs") / "obs.csv"
-            totals, total = obs.win_totals(), obs.total_comparisons()
-            thin = subsample(obs, 0.5, seeds[1])
-            write_observations_csv(obs, path)
-            back = read_observations_csv(path)
-            assert obs._wins is None
+            with builds_nothing():
+                totals, total = obs.win_totals(), obs.total_comparisons()
+                thin = subsample(obs, 0.5, seeds[1])
+                write_observations_csv(obs, path)
+                back = read_observations_csv(path)
             return obs, totals, total, thin, path.read_bytes(), back
 
         narrow = observe()
@@ -755,15 +824,15 @@ class TestPairDtype:
         path = write_comparisons(tmp_path / "cmp.csv", rows)
 
         def observe(name):
-            """A file read, what is read from its pair vectors, and its thinning, unbuilt."""
-            obs = read_comparisons(path, indexed("abcd"))
-            thin = subsample(obs, 0.5, seed=3)
-            files = []
-            for i, written in enumerate((obs, thin)):
-                write_observations_csv(written, tmp_path / f"{name}{i}.csv")
-                files.append((tmp_path / f"{name}{i}.csv").read_bytes())
-            totals = obs.win_totals(), obs.total_comparisons(), thin.win_totals()
-            assert obs._wins is None and thin._wins is None
+            """A file read, what is read from its pair vectors, and its thinning, building no array."""
+            with builds_nothing():
+                obs = read_comparisons(path, indexed("abcd"))
+                thin = subsample(obs, 0.5, seed=3)
+                files = []
+                for i, written in enumerate((obs, thin)):
+                    write_observations_csv(written, tmp_path / f"{name}{i}.csv")
+                    files.append((tmp_path / f"{name}{i}.csv").read_bytes())
+                totals = obs.win_totals(), obs.total_comparisons(), thin.win_totals()
             return obs, thin, totals, files
 
         narrow = observe("narrow")
@@ -1072,19 +1141,20 @@ class TestObservationsCsv:
             write_observations_csv(draw_observations(m, 0.3, 5, seed=n), path)
             written, twin = (read_observations_csv(path) for _ in range(2))
         out, expected = tmp_path / "obs.csv", tmp_path / "expected.csv"
-        write_observations_csv(written, out)
-        assert written._wins is None  # writing built no arrays
+        with builds_nothing():
+            write_observations_csv(written, out)
         p_text = "na" if twin.p is None else repr(float(twin.p))
+        comparisons, wins = twin.comparisons, twin.wins
         with open(expected, "w", newline="") as fh:
             fh.write(f"# n={n} r={twin.r} p={p_text}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["i", "j", "comparisons", "wins_i"])
             for i in range(n):
                 for j in range(i + 1, n):
-                    if twin.comparisons[i, j] > 0:
-                        writer.writerow([i, j, twin.comparisons[i, j], twin.wins[i, j]])
+                    if comparisons[i, j] > 0:
+                        writer.writerow([i, j, comparisons[i, j], wins[i, j]])
         assert out.read_bytes() == expected.read_bytes()
-        write_observations_csv(twin, out)  # from the built arrays
+        write_observations_csv(twin, out)  # a set whose arrays were read
         assert out.read_bytes() == expected.read_bytes()
 
     def test_writing_holds_less_than_one_count_array(self, tmp_path):
